@@ -172,13 +172,14 @@ def space_expr(text: str, system=None):
 
 def time_expr(text: str, warp: TimeWarp):
     """Builtin time factors: one | const:c | sin:w | cos:w |
-    poly:c0,c1,... (in t) | spow:q for (t^p - a^p)^q."""
+    poly:c0,c1,... (in t) | spow:q for (t^p - a^p)^q.  The constant
+    factors one and const:c come back as numbers, which the solver takes
+    as a declared constant; the others as callables of t."""
     name, _, arg = text.strip().partition(":")
     if name == "one":
-        return lambda t: 1.0
+        return 1.0
     if name == "const":
-        c = float(arg)
-        return lambda t: c
+        return float(arg)
     if name == "sin":
         w = float(arg)
         return lambda t: math.sin(w * t)
@@ -210,7 +211,7 @@ def source_expr(text: str, warp: TimeWarp, system=None):
         xs = xs.strip().strip("()")
         ts = ts.strip().strip("()")
         return SeparableSource(space_expr(xs, system), time_expr(ts, warp))
-    return SeparableSource(space_expr(text, system), lambda t: 1.0)
+    return SeparableSource(space_expr(text, system), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +406,7 @@ def _suite_kernel_equivalence() -> float:
         for th in (0.0, 0.5):
             warp = TimeWarp(th, 0.5)
             for lam in (0.5, 10.0):
-                for fk in (None, lambda t: 1.0, lambda t: math.sin(t)):
+                for fk in (None, 1.0, lambda t: math.sin(t)):
                     ode = ModeODE(1, al, lam, 0.8, fk, warp)
                     ua = mode_solution(ode, tg).values
                     ub = mode_solution_alt(ode, tg).values
@@ -443,8 +444,7 @@ def _suite_spectral_vs_fd(cfg: RunConfig) -> float:
     system = solve_eigen(cfg.beta, 12)
     spec = ProblemSpec(cfg.alpha, cfg.theta, cfg.beta, cfg.a, cfg.T,
                        lambda x: x * (1.0 - x),
-                       SeparableSource(lambda x: np.ones_like(x),
-                                       lambda t: 1.0))
+                       SeparableSource(lambda x: np.ones_like(x), 1.0))
     xg = np.linspace(0.0, 1.0, 257)[1:-1]
     tg = np.array([cfg.T])
     fldS = assemble(spec, system, 12, xg, tg)

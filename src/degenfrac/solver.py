@@ -60,15 +60,19 @@ class SeparableSource:
     """Source term f(x, t) = fx(x) * ft(t).
 
     Keeping the factors separate lets the solver compute the spatial
-    Fourier coefficients once instead of once per time node.
+    Fourier coefficients once instead of once per time node.  A real
+    number ft declares a constant time factor, for which each mode's
+    source convolution telescopes to a closed form.
     """
 
-    def __init__(self, fx: Callable, ft: Callable):
+    def __init__(self, fx: Callable, ft: Union[Callable, float]):
+        if not (callable(ft) or _is_real(ft)):
+            raise DomainError("ft must be callable or a finite real number")
         self.fx = fx
         self.ft = ft
 
     def __call__(self, x, t):
-        return np.asarray(_eval_vec(self.fx, np.atleast_1d(x))) * float(self.ft(t))
+        return np.asarray(_eval_vec(self.fx, np.atleast_1d(x))) * _value_at(self.ft, t)
 
 
 @dataclass
@@ -120,13 +124,16 @@ class ProblemSpec:
 @dataclass
 class ModeODE:
     """One Fourier mode's scalar problem:
-    D^alpha u_k + lambda_k u_k = f_k(t), u_k(a+) = phi_k."""
+    D^alpha u_k + lambda_k u_k = f_k(t), u_k(a+) = phi_k.
+
+    f_k is None (no source), a callable, or a real number declaring a
+    constant source."""
 
     k: int
     alpha: float
     lambda_k: float
     phi_k: float
-    f_k: Optional[Callable]
+    f_k: Union[Callable, float, None]
     warp: TimeWarp
 
     def __post_init__(self):
@@ -134,8 +141,8 @@ class ModeODE:
             raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not (self.lambda_k > 0.0):
             raise DomainError(f"lambda_k must be positive, got {self.lambda_k}")
-        if self.f_k is not None and not callable(self.f_k):
-            raise DomainError("f_k must be callable or None")
+        if not (self.f_k is None or callable(self.f_k) or _is_real(self.f_k)):
+            raise DomainError("f_k must be None, callable or a real number")
 
     @property
     def lambda_star(self) -> float:
@@ -204,17 +211,29 @@ class ResidualReport:
 # ---------------------------------------------------------------------------
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float, np.integer, np.floating)) and math.isfinite(v)
+
+
+def _value_at(f, t: float) -> float:
+    """f(t) for a callable f, or f itself for a declared constant."""
+    return float(f) if _is_real(f) else float(f(t))
+
+
 def _eval_vec(fn, x: np.ndarray) -> np.ndarray:
-    """Evaluate fn on an array, falling back to a scalar loop for
-    callables that are not vectorized."""
+    """Evaluate fn on an array.  A real number is a constant function; a
+    callable that rejects arrays the way scalar-only code does (TypeError,
+    ValueError) or returns the wrong shape is evaluated point by point."""
     x = np.asarray(x, dtype=float)
+    if _is_real(fn):
+        return np.full(x.shape, float(fn))
     try:
         out = np.asarray(fn(x), dtype=float)
         if out.shape == x.shape:
             return out
     except DomainError:
         raise
-    except Exception:
+    except (TypeError, ValueError):
         pass
     return np.array([float(fn(xi)) for xi in x])
 
@@ -270,15 +289,6 @@ def _sigma_grid(S: float, n: int) -> np.ndarray:
     return S * np.linspace(0.0, 1.0, n + 1) ** 2
 
 
-def _probe_const(f_k, t_lo: float, t_hi: float) -> Optional[float]:
-    """The constant value of f_k if it looks constant on [t_lo, t_hi]."""
-    vals = _eval_vec(f_k, np.linspace(t_lo, t_hi, 7))
-    m = float(np.max(np.abs(vals)))
-    if m == 0.0 or float(np.ptp(vals)) <= 1e-14 * m:
-        return float(vals[0])
-    return None
-
-
 def _mode_values(ode: ModeODE, S_arr: np.ndarray, form: str,
                  conv_cells: int) -> np.ndarray:
     al = ode.alpha
@@ -293,15 +303,12 @@ def _mode_values(ode: ModeODE, S_arr: np.ndarray, form: str,
         parts = ((al, lam_s, 1.0 / pa),)
     else:
         parts = ((al, 0.0, 1.0 / pa), (2.0 * al, lam_s, lam_s / pa))
-    ap = ode.warp.a ** p
-    t_hi = (float(Sa[-1]) + ap) ** (1.0 / p)
-    cval = _probe_const(ode.f_k, ode.warp.a, max(t_hi, ode.warp.a))
-    if cval is not None:
-        # constant data: the cell sum telescopes to c * P0(S)
-        if cval != 0.0:
-            for b, lam, scl in parts:
-                vals = vals + scl * cval * Sa ** b * _ml_ray(al, b + 1.0, lam, Sa)
+    if _is_real(ode.f_k):
+        # declared constant data: the cell sum telescopes to c * P0(S)
+        for b, lam, scl in parts:
+            vals = vals + scl * ode.f_k * Sa ** b * _ml_ray(al, b + 1.0, lam, Sa)
         return vals
+    ap = ode.warp.a ** p
     for j, S in enumerate(Sa):
         S = float(S)
         if S <= 0.0:
@@ -364,6 +371,8 @@ def _source_coeffs(spec: ProblemSpec, sys: EigenSystem, K: int,
     if isinstance(spec.f, SeparableSource):
         cks = basis @ (W * _eval_vec(spec.f.fx, X))
         ft = spec.f.ft
+        if _is_real(ft):
+            return [float(c) * ft for c in cks]
         out = []
         for c in cks:
             def fn(tv, c=float(c)):
@@ -552,7 +561,7 @@ def _mode_residuals(field, spec, ts, hb_n, dense_n):
             hb = hb_caputo(uk, spec.alpha, spec.warp, float(tj), n=hb_n,
                            warped=True)
             relax = lam * float(uk(s_j))
-            load = float(fk(tj)) if fk is not None else 0.0
+            load = _value_at(fk, tj) if fk is not None else 0.0
             r[j, k] = hb + relax - load
             scale = max(scale, abs(hb), abs(relax), abs(load))
     return r, max(scale, 1e-300)
@@ -620,7 +629,7 @@ def residual_weak(field: SolutionField, spec: ProblemSpec, test_set=None,
                 f_full = float(np.dot(W, _eval_vec(
                     lambda xx: spec.f(xx, tj), X) * wx))
                 f_span = sum(
-                    (float(field.mode_sources[k](tj))
+                    (_value_at(field.mode_sources[k], tj)
                      if field.mode_sources[k] is not None else 0.0) * wk[k]
                     for k in range(field.K))
                 v[j] -= f_full - f_span

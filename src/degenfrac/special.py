@@ -6,17 +6,23 @@ the Gamma function, Bessel functions J_nu of real order and their zeros,
 and an empirical fit of the algebraic decay bound
 
     |E_{alpha,beta}(-x)| <= M / (1 + x),   x >= 0,  0 < alpha < 2.
+
+Mittag-Leffler routes: the defining series for |z| <= 1 and on the
+positive ray, with exponential asymptotics far out on it; for
+0 < alpha < 1, the trapezoid rule on a parabolic Hankel contour (one
+fixed contour for real z <= 0, vectorized; a pole-aware contour for the
+complex arguments of order halving); Kummer's function at alpha = 1;
+closed forms and asymptotics at alpha = 2; order halving for other
+alpha > 1.  Accuracy contract: see ml_eval_many.
 """
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sp
 
 from .errors import DomainError, ResolutionError
@@ -89,112 +95,122 @@ def _ml_series(alpha: float, beta: float, z: complex, cap: int = _TERM_CAP):
     return s
 
 
-def _window_reduce(alpha: float, beta: float) -> tuple[float, int]:
-    """Shift beta down by multiples of alpha until beta' < 1 + alpha."""
-    m = 0
-    while beta >= 1.0 + alpha - 1e-9:
-        beta -= alpha
-        m += 1
-    return beta, m
+# ---------------------------------------------------------------------------
+# Mittag-Leffler: trapezoid rule on a parabolic Hankel contour, 0 < alpha < 1
+# ---------------------------------------------------------------------------
+# E_{alpha,beta}(z) = (1/2 pi i) int_C e^s s^(alpha-beta) / (s^alpha - z) ds
+# over a contour C round the cut s <= 0 with every pole to its left.  On the
+# parabola s(u) = mu (1 + iu)^2, e^s decays like exp(-mu u^2), the cut sits
+# at Im u = 1, and the trapezoid rule in u converges geometrically
+# (Weideman & Trefethen, Math. Comp. 76 (2007) 1341-1356; Garrappa, SIAM
+# J. Numer. Anal. 53 (2015) 1350-1369).  A contour costs a few array
+# operations to build, so none is cached.
+
+#: the parabola for arguments with no pole on the principal sheet (every
+#: z <= 0): truncation exp(mu (1 - (N h)^2)) < 1e-15, roundoff amplified by
+#: e^mu ~ 7 only, and a step h fine enough for the origin singularity
+#: s^(alpha-beta) up to beta = 2 alpha + 2 (scanned against an mpmath table)
+_MU, _H, _N = 2.0, 0.12, 36
+
+_LOG_EPS = math.log(np.finfo(float).eps)
 
 
-def _unwind(alpha: float, beta0: float, z: complex, base: complex, m: int) -> complex:
-    # E_{a,b}(z) = 1/Gamma(b) + z E_{a,b+a}(z), applied m times upward in beta.
-    val = base
-    for j in range(m, 0, -1):
-        bj = beta0 - j * alpha
-        val = (val - sp.rgamma(bj)) / z
-    return val
+def _parabola(mu: float, h: float, n: int, k0: int):
+    """Nodes s(u_k) and weights h ds/du at u_k = h k, k = k0..n."""
+    u = h * np.arange(k0, n + 1)
+    return mu * (1.0 + 1j * u) ** 2, 2j * h * mu * (1.0 + 1j * u)
 
 
-def _sinpi(x: float) -> float:
-    # sin(pi*x) exact at integer x (the plain product drifts by ~pi*eps there,
-    # which matters when the result multiplies a large |z|)
-    n = round(x)
-    r = math.sin(math.pi * (x - n))
-    return -r if n & 1 else r
+def _ml_neg_ray(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
+    """E_{alpha,beta}(-x) for real x >= 0 on the fixed parabola.
+
+    For real arguments the integrand at -u is minus the conjugate of the
+    one at u, so the sum is (1/pi) Im over the nodes u >= 0 (half-weight
+    at u = 0)."""
+    s, w = _parabola(_MU, _H, _N, 0)
+    w = np.exp(s) * s ** (alpha - beta) * w
+    w[0] *= 0.5
+    return np.imag(np.sum(w / (s**alpha + x[..., None]), axis=-1)) / math.pi
 
 
-def _cospi(x: float) -> float:
-    n = round(x)
-    r = math.cos(math.pi * (x - n))
-    return -r if n & 1 else r
+def _between(sq1: float, p: float, log_tol: float):
+    """Garrappa's parabola between the origin (singularity strength p) and
+    a pole at Re sqrt(s) = sq1: (nodes, mu, h) or (inf, 0, 0)."""
+    sq1 = min(sq1, 2.0 * math.sqrt(log_tol - _LOG_EPS))
+    f_max = math.exp(log_tol - _LOG_EPS)
+    f_min = max(1.01 * sq1 ** (1.0 - max(p, 1.0)), 1.5)
+    if f_min >= f_max:
+        return math.inf, 0.0, 0.0
+    f_bar = f_min + f_min / f_max * (f_max - f_min)
+    fp = f_bar ** (-1.0 / p) if p > 0.0 else 0.0
+    w = -sq1 * sq1 / log_tol
+    den = 2.0 + w - (1.0 + w) * fp + 1.0 / f_bar
+    b0 = fp * sq1 / den
+    b1 = (2.0 + w - (1.0 + w) * fp) * sq1 / den
+    log_tol -= math.log(f_bar)
+    w = -b1 * b1 / log_tol
+    mu = (((1.0 + w) * b0 + b1) / (2.0 + w)) ** 2
+    h = -2.0 * math.pi / log_tol * (b1 - b0) / ((1.0 + w) * b0 + b1)
+    return math.ceil(math.sqrt(1.0 - log_tol / mu) / h), mu, h
 
 
-def _ml_integral_core(alpha: float, beta: float, z: complex) -> complex:
-    """Branch-cut integral for E_{alpha,beta}(z), 0 < alpha < 1, beta < 1+alpha.
-
-    Collapsing the Hankel representation onto the cut gives, with u = r**(1/alpha),
-
-        E(z) = (1/pi) * int_0^inf u^(alpha-beta) e^(-u)
-               * [u^alpha sin(pi(1-beta)) - z sin(pi(1-beta+alpha))]
-               / [u^(2 alpha) - 2 u^alpha z cos(pi alpha) + z^2] du
-               (+ residue term (1/alpha) z^((1-beta)/alpha) exp(z^(1/alpha))
-                  when |arg z| < pi*alpha),
-
-    and the substitution u = v**q with q = 1/(1 + alpha - beta) removes the
-    algebraic endpoint factor so adaptive quadrature sees a smooth integrand.
-    """
-    s1 = _sinpi(1.0 - beta)
-    s2 = _sinpi(1.0 - beta + alpha)
-    c = _cospi(alpha)
-    q = 1.0 / (1.0 + alpha - beta)
-    z2 = z * z
-
-    def kernel(v: float) -> complex:
-        u = v**q
-        ua = u**alpha
-        num = ua * s1 - z * s2
-        den = ua * ua - 2.0 * ua * z * c + z2
-        return (q / math.pi) * math.exp(-u) * num / den
-
-    v_hi = 50.0 ** (1.0 / q)
-    pts = []
-    pole_u = abs(z) ** (1.0 / alpha)
-    if pole_u ** (1.0 / q) < v_hi:
-        pts.append(pole_u ** (1.0 / q))
-
-    with warnings.catch_warnings():
-        # the tolerance is deliberately pushed to the roundoff floor; the
-        # "roundoff error detected" report at that floor is expected
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        if z.imag == 0.0:
-            zz = z.real
-
-            def f_re(v):
-                u = v**q
-                ua = u**alpha
-                return (q / math.pi) * math.exp(-u) * (ua * s1 - zz * s2) / (
-                    ua * ua - 2.0 * ua * zz * c + zz * zz
-                )
-
-            val, _ = integrate.quad(
-                f_re, 0.0, v_hi, epsabs=0.0, epsrel=5e-14, limit=400,
-                points=pts or None,
-            )
-            total = complex(val, 0.0)
-        else:
-            re, _ = integrate.quad(
-                lambda v: kernel(v).real, 0.0, v_hi, epsabs=0.0, epsrel=5e-14,
-                limit=400, points=pts or None,
-            )
-            im, _ = integrate.quad(
-                lambda v: kernel(v).imag, 0.0, v_hi, epsabs=0.0, epsrel=5e-14,
-                limit=400, points=pts or None,
-            )
-            total = complex(re, im)
-
-    if abs(cmath.phase(z)) < math.pi * alpha:
-        w = z ** (1.0 / alpha)
-        total += (1.0 / alpha) * z ** ((1.0 - beta) / alpha) * cmath.exp(w)
-    return total
+def _beyond(phi: float, log_tol: float):
+    """Garrappa's parabola enclosing a simple pole at (Re sqrt(s))^2 = phi:
+    (nodes, mu, h) or (inf, 0, 0) when e^mu roundoff would spoil the sum."""
+    thr = log_tol - _LOG_EPS
+    if phi >= thr:
+        return math.inf, 0.0, 0.0
+    sq0 = math.sqrt(phi)
+    phib = 1.01 * phi
+    sqb = math.sqrt(phib)
+    for _ in range(50):
+        lt = log_tol / phib
+        n = math.ceil(phib / math.pi * (1.0 - 1.5 * lt + math.sqrt(1.0 - 2.0 * lt)))
+        A = math.pi * n / phib
+        sq_mu = sqb * abs(4.0 - A) / abs(7.0 - math.sqrt(1.0 + 12.0 * A))
+        if 1.0 < sq_mu / (sqb - sq0) < 10.0:
+            break
+        sqb = 0.2 * sq_mu + sq0
+        phib = sqb * sqb
+    mu = sq_mu * sq_mu
+    h = (-3.0 * A - 2.0 + 2.0 * math.sqrt(1.0 + 12.0 * A)) / (4.0 - A) / n
+    if mu > thr:
+        phib = (0.2 * sq_mu + sq0) ** 2
+        if phib >= thr:
+            return math.inf, 0.0, 0.0
+        w = math.sqrt(_LOG_EPS / (_LOG_EPS - log_tol))
+        u = math.sqrt(-phib / _LOG_EPS)
+        mu = thr
+        n = math.ceil(w * log_tol / (2.0 * math.pi) / (u * w - 1.0))
+        h = w / n
+    return n, mu, h
 
 
 def _ml_frac(alpha: float, beta: float, z: complex) -> complex:
-    """E_{alpha,beta}(z) for 0 < alpha < 1 away from the series disc."""
-    b, m = _window_reduce(alpha, beta)
-    base = _ml_integral_core(alpha, b, z)
-    return _unwind(alpha, beta, z, base, m) if m else base
+    """E_{alpha,beta}(z) for 0 < alpha < 1 and complex z off the series disc.
+
+    For |arg z| < pi alpha the pole s* = z^(1/alpha) lies on the principal
+    sheet, where a fixed contour can pass next to it.  Garrappa's choice
+    then takes the cheaper of a parabola enclosing s* and one between the
+    origin and s* plus the residue (1/alpha) s*^(1-beta) e^s*."""
+    if abs(cmath.phase(z)) >= math.pi * alpha:
+        mu, h, n, outside = _MU, _H, _N, False
+    else:
+        pole = z ** (1.0 / alpha)
+        phi = 0.5 * (pole.real + abs(pole))  # (Re sqrt(pole))^2
+        p = max(0.0, 2.0 * (beta - alpha - 1.0))
+        log_tol = math.log(1e-15)
+        while True:
+            n, mu, h, outside = min((*_between(math.sqrt(phi), p, log_tol), True),
+                                    (*_beyond(phi, log_tol), False))
+            if n <= 200:
+                break
+            log_tol += math.log(10.0)
+    s, w = _parabola(mu, h, n, -n)
+    val = complex(np.sum(np.exp(s) * s ** (alpha - beta) / (s**alpha - z) * w)) / (2j * math.pi)
+    if outside:
+        val += (1.0 / alpha) * pole ** (1.0 - beta) * cmath.exp(pole)
+    return val
 
 
 def _kummer_ratio_series(a: float, b: float, x: float, cap: int = 4000) -> float:
@@ -297,8 +313,8 @@ def _ml_scalar(alpha: float, beta: float, z: complex) -> complex:
         return complex(val)
     if az <= _SERIES_NEG_CUT:
         return _ml_series(alpha, beta, z)
-    if alpha < 1.0:
-        return _ml_frac(alpha, beta, z)
+    if alpha < 1.0:  # z < 0 here: ml_eval takes real arguments
+        return complex(_ml_neg_ray(alpha, beta, np.array(-z.real)))
     if alpha == 1.0:
         return _ml_alpha1(beta, z)
     if alpha == 2.0 and z.imag == 0.0 and beta in (1.0, 2.0):
@@ -329,16 +345,6 @@ def _ml_scalar(alpha: float, beta: float, z: complex) -> complex:
         tau = az ** (1.0 / alpha)
         if tau <= 6.0:
             return _ml_series(alpha, beta, z)
-        odd = 2.0 * round((alpha - 1.0) / 2.0) + 1.0
-        if abs(alpha - odd) < 1e-9 and abs(abs(cmath.phase(z)) - math.pi) < 1e-9:
-            # halving an odd integer order parks one root argument exactly on
-            # the sector edge |arg w| = pi * a, where the cut representation
-            # degenerates; stretch the series while it still has digits left
-            if tau <= 12.0:
-                return _ml_series(alpha, beta, z, cap=2 * _TERM_CAP)
-            raise ResolutionError(
-                f"no stable evaluation route for order {alpha} at z={z.real!r}"
-            )
     # alpha > 1: halve the order until it lands in (1/2, 1) or at exactly 1,
     # using E_{a,b}(z) = (1/2^m) sum over the 2^m-th roots w of z of E_{a/2^m,b}(w)
     m = 0
@@ -349,13 +355,11 @@ def _ml_scalar(alpha: float, beta: float, z: complex) -> complex:
     if abs(a - 0.5) < 1e-12:
         a *= 2.0
         m -= 1  # lands exactly on alpha/2^m == 1 -> Kummer path
-    roots: list[complex] = []
     r = az ** (1.0 / 2**m)
     ph = cmath.phase(z)
-    for j in range(2**m):
-        roots.append(cmath.rect(r, (ph + 2.0 * math.pi * j) / 2**m))
     acc = 0.0 + 0.0j
-    for w in roots:
+    for j in range(2**m):
+        w = cmath.rect(r, (ph + 2.0 * math.pi * j) / 2**m)
         if abs(w) <= _SERIES_NEG_CUT:
             acc += _ml_series(a, beta, w)
         elif a == 1.0:
@@ -372,10 +376,9 @@ def ml_eval(alpha: float, beta: float, z: float) -> float:
     ----------
     alpha : positive real order.
     beta : real second parameter.
-    z : real argument.  The evaluator is tuned for the negative ray,
-        where it holds ~1e-12 relative accuracy for |z| <= 50 and stays
-        accurate far beyond; the positive ray is served by the series and
-        the exponential asymptotics.
+    z : real argument.  The routes are listed in the module docstring;
+        for 0 < alpha < 1 and z < -1 the contour rule of ml_eval_many
+        serves z as a one-element array, under the same accuracy contract.
     """
     if not (math.isfinite(alpha) and math.isfinite(beta) and math.isfinite(z)):
         raise DomainError("ml_eval: non-finite argument")
@@ -389,121 +392,36 @@ def ml_eval(alpha: float, beta: float, z: float) -> float:
     return float(val.real)
 
 
-# ---------------------------------------------------------------------------
-# Mittag-Leffler: vectorized negative-ray evaluator
-# ---------------------------------------------------------------------------
-
-
-class _RayEvaluator:
-    """Piecewise Chebyshev fit of x -> E_{alpha,beta}(-x) in t = ln x.
-
-    Built lazily segment by segment from the scalar evaluator and
-    verified against it on off-grid samples before use, so the fast path
-    cannot silently drift from the reference path.
-    """
-
-    _DEG = 96
-    _CHECK_TOL = 2e-12
-
-    def __init__(self, alpha: float, beta: float):
-        self.alpha = alpha
-        self.beta = beta
-        kmax = int((25.0 - min(beta, 1.0)) / alpha) + 30
-        ks = np.arange(kmax)
-        self._series_coeff = sp.rgamma(alpha * ks + beta)
-        self._segs: list[tuple[float, float, np.ndarray]] = []
-        self._t_hi = 0.0
-
-    def _build_segment(self, t_lo: float, t_hi: float) -> tuple[float, float, np.ndarray]:
-        deg = self._DEG
-        nodes = np.cos(np.pi * (np.arange(deg + 1) + 0.5) / (deg + 1))
-        tt = 0.5 * (t_lo + t_hi) + 0.5 * (t_hi - t_lo) * nodes
-        vals = np.array([ml_eval(self.alpha, self.beta, -math.exp(t)) for t in tt])
-        coeff = np.polynomial.chebyshev.chebfit(nodes, vals, deg)
-        # verify on shifted samples
-        probe = np.linspace(t_lo + 1e-4, t_hi - 1e-4, 17)
-        ref = np.array([ml_eval(self.alpha, self.beta, -math.exp(t)) for t in probe])
-        xi = (2.0 * probe - (t_lo + t_hi)) / (t_hi - t_lo)
-        fit = np.polynomial.chebyshev.chebval(xi, coeff)
-        err = np.max(np.abs(fit - ref) / (1e-300 + np.abs(ref)))
-        if err > self._CHECK_TOL:
-            raise ResolutionError(
-                f"ml_eval_many: ray fit failed self-check (err={err:.2e}) for "
-                f"alpha={self.alpha}, beta={self.beta} on ln|z| in [{t_lo}, {t_hi}]"
-            )
-        return (t_lo, t_hi, coeff)
-
-    def _ensure(self, t_need: float) -> None:
-        while self._t_hi < t_need:
-            seg = self._build_segment(self._t_hi, self._t_hi + 1.0)
-            self._segs.append(seg)
-            self._t_hi += 1.0
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate E(-x) for x >= 0 (array)."""
-        out = np.empty_like(x, dtype=float)
-        small = x <= _SERIES_NEG_CUT
-        if np.any(small):
-            xs = x[small]
-            acc = np.zeros_like(xs)
-            zk = np.ones_like(xs)
-            for ck in self._series_coeff:
-                acc += ck * zk
-                zk *= -xs
-            out[small] = acc
-        big = ~small
-        if np.any(big):
-            t = np.log(x[big])
-            self._ensure(float(np.max(t)))
-            vals = np.empty_like(t)
-            idx = np.clip(np.floor(t).astype(int), 0, len(self._segs) - 1)
-            for j in np.unique(idx):
-                t_lo, t_hi, coeff = self._segs[j]
-                pick = idx == j
-                xi = (2.0 * t[pick] - (t_lo + t_hi)) / (t_hi - t_lo)
-                vals[pick] = np.polynomial.chebyshev.chebval(xi, coeff)
-            out[big] = vals
-        return out
-
-
-_RAY_CACHE: dict[tuple[float, float], _RayEvaluator] = {}
-
-
 def ml_eval_many(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """Vectorized E_{alpha,beta}(z).
+    """Vectorized E_{alpha,beta}(z) for a real array z.
 
-    The fast path (series disc plus a self-checked piecewise Chebyshev fit
-    in ln|z|) serves 0 < alpha < 1 on the negative ray; alpha = 1 uses
-    closed forms for the second parameters the solvers need; everything
-    else (including any positive arguments) falls back to the scalar
-    evaluator elementwise.
+    Routes: 0 < alpha < 1 with every z <= 0 takes one numpy pass of the
+    contour rule; alpha = 1 with beta in {1, 2} the closed forms exp(z)
+    and expm1(z)/z; anything else goes through ml_eval point by point.
+
+    Accuracy of the contour rule against a frozen mpmath table (alpha in
+    [0.05, 0.99], beta <= 2 alpha + 2, 0 <= -z <= 1e6): absolute error
+    below 5e-13 (1 + |E|), and relative error below 1e-10 for the kernels
+    the solver uses, beta in {1, alpha+1, alpha+2, 2 alpha+1, 2 alpha+2}.
+    Only at beta = alpha, where 1/Gamma(beta - alpha) = 0 cancels the
+    leading x^-1 term and E falls off like x^-2, is the bound absolute.
     """
     z = np.asarray(z, dtype=float)
+    if not (math.isfinite(alpha) and math.isfinite(beta)) or not np.all(np.isfinite(z)):
+        raise DomainError("ml_eval_many: non-finite argument")
     if alpha <= 0.0:
         raise DomainError(f"ml_eval_many: order must be positive, got {alpha}")
-    if alpha == 1.0:
-        if beta == 1.0:
-            return np.exp(z)
-        if beta == 2.0:
-            out = np.ones_like(z)
-            nz = z != 0.0
-            out[nz] = np.expm1(z[nz]) / z[nz]
-            return out
-    if z.size and np.max(z) > 0.0:
-        flat = np.array([ml_eval(alpha, beta, v) for v in z.ravel()])
-        return flat.reshape(z.shape)
-    x = -z
-    if not 0.05 <= alpha < 1.0:
-        # outside the cached-ray window (including very small orders, where
-        # the series disc of the ray fit would need ~25/alpha terms)
-        flat = np.array([ml_eval(alpha, beta, v) for v in z.ravel()])
-        return flat.reshape(z.shape)
-    key = (float(alpha), float(beta))
-    ev = _RAY_CACHE.get(key)
-    if ev is None:
-        ev = _RayEvaluator(float(alpha), float(beta))
-        _RAY_CACHE[key] = ev
-    return ev(x)
+    if alpha == 1.0 and beta == 1.0:
+        return np.exp(z)
+    if alpha == 1.0 and beta == 2.0:
+        out = np.ones_like(z)
+        nz = z != 0.0
+        out[nz] = np.expm1(z[nz]) / z[nz]
+        return out
+    if alpha < 1.0 and not np.any(z > 0.0):
+        return _ml_neg_ray(float(alpha), float(beta), -z)
+    flat = np.array([ml_eval(alpha, beta, v) for v in z.ravel()])
+    return flat.reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ builtin expression grammar."""
 import filecmp
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,8 +269,8 @@ def test_space_expr_errors():
 
 def test_time_expr_factors():
     warp = TimeWarp(0.3, 0.5)
-    assert cli.time_expr("one", warp)(7.0) == 1.0
-    assert cli.time_expr("const:3", warp)(7.0) == 3.0
+    assert cli.time_expr("one", warp) == 1.0
+    assert cli.time_expr("const:3", warp) == 3.0
     assert cli.time_expr("sin:2", warp)(0.5) == pytest.approx(math.sin(1.0))
     assert cli.time_expr("poly:0,1", warp)(2.5) == pytest.approx(2.5)
     assert cli.time_expr("spow:1", warp)(1.5) == \
@@ -290,6 +292,18 @@ def test_source_expr_forms():
         math.sin(math.pi * 0.25) * math.cos(1.5))
     with pytest.raises(ConfigError):
         cli.source_expr("sep:sin:1", warp)  # missing time factor
+
+
+def test_module_entry_point_help():
+    # python -m degenfrac works from a source checkout, without installation
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "degenfrac", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert "eigen" in proc.stdout and "solve" in proc.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from degenfrac.errors import DomainError, RegimeError, ResolutionError
 from degenfrac.fracops import TimeWarp, warp_forward
@@ -53,6 +54,10 @@ def test_problem_spec_regime():
 def test_separable_source():
     src = SeparableSource(lambda x: 2.0 * x, lambda t: t ** 2)
     assert src(0.5, 3.0) == pytest.approx(9.0)
+    assert SeparableSource(lambda x: 2.0 * x, 3.0)(0.5, 7.0) == pytest.approx(3.0)
+    for bad in (math.nan, "one"):
+        with pytest.raises(DomainError):
+            SeparableSource(lambda x: x, bad)
 
 
 def test_mode_ode_lambda_star_negative():
@@ -105,7 +110,7 @@ def test_mode_source_small_lambda_limit():
 def test_representation_equivalence_spot():
     warp = TimeWarp(-0.5, 0.5)
     ts = np.linspace(0.6, 2.0, 15)
-    for fk in (None, lambda t: 1.0, lambda t: math.sin(t)):
+    for fk in (None, 1.0, lambda t: 1.0, lambda t: math.sin(t)):
         ode = ModeODE(1, 0.7, 5.0, 0.7, fk, warp)
         a = mode_solution(ode, ts).values
         b = mode_solution_alt(ode, ts).values
@@ -185,6 +190,41 @@ def test_assemble_warns_on_incompatible_initial_profile(eig):
     with pytest.warns(UserWarning):
         assemble(spec, eig(0.5, 4), 4, np.linspace(0.0, 1.0, 9),
                  np.array([0.5]))
+
+
+def test_mode_oscillating_source_is_not_taken_for_constant():
+    # 1 + sin(6 pi t) equals 1 at seven equispaced points of [0, 1]; only a
+    # declared number is constant, so the callable runs the convolution and
+    # matches a direct quadrature of the Duhamel integral (a = theta = 0)
+    al, lam = 0.6, 5.0
+    warp = TimeWarp(0.0, 0.0)
+    f = lambda t: 1.0 + np.sin(6.0 * np.pi * t)
+    tg = np.array([0.5, 1.0])
+    u = mode_solution(ModeODE(1, al, lam, 0.0, f, warp), tg).values
+    ref = [quad(lambda tau: ml_eval(al, al, -lam * (t - tau) ** al) * f(tau),
+                0.0, t, weight="alg", wvar=(0.0, al - 1.0))[0] for t in tg]
+    assert np.max(np.abs(u - ref)) <= 1e-3  # O(conv_cells^-2) product rule
+    one = mode_solution(ModeODE(1, al, lam, 0.0, 1.0, warp), tg).values
+    one_fn = mode_solution(ModeODE(1, al, lam, 0.0, lambda t: 1.0, warp),
+                           tg).values
+    assert np.max(np.abs(u - one)) > 1e-2
+    assert np.max(np.abs(one - one_fn)) <= 1e-12
+
+
+def test_mode_source_bug_is_not_retried_pointwise():
+    # only the errors scalar-only code raises on an array trigger the
+    # point-by-point fallback; anything else is the caller's bug
+    def fk(t):
+        if np.ndim(t):
+            raise KeyError("bug in the source")
+        return 1.0
+
+    with pytest.raises(KeyError):
+        mode_solution(ModeODE(1, 0.6, 2.0, 0.0, fk, TimeWarp(0.0, 0.0)),
+                      np.array([0.5]))
+    scalar_only = ModeODE(1, 0.6, 2.0, 0.0, lambda t: math.cos(t),
+                          TimeWarp(0.0, 0.0))
+    assert np.all(np.isfinite(mode_solution(scalar_only, [0.5]).values))
 
 
 def test_constant_source_steady_state(eig):

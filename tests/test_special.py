@@ -17,7 +17,7 @@ from degenfrac.special import (
     ml_eval_many,
 )
 
-# mpmath 150-digit series reference (independent oracle, frozen):
+# mpmath series reference at 40 to 150 digits (independent oracle, frozen):
 #   nsum(z**k / gamma(alpha*k + beta), k = 0..inf)
 _ML_REFERENCE = [
     (0.5, 1.0, -2.0, 0.25539567631050574),
@@ -28,6 +28,16 @@ _ML_REFERENCE = [
     (2.5, 1.0, -30.0, -2.2413251918675952),
     (0.6, 0.6, -12.5, 0.0018209982499286042),
     (0.9, 1.8, -40.0, 0.023392855743241674),
+    # alpha > 1: order halving onto complex arguments; at alpha = 3 two of
+    # the four roots sit on the sector edge |arg w| = pi alpha / 4
+    (1.05, 1.0, -30.0, -0.0017447785281700867),
+    (1.2, 2.2, -25.0, 0.04030197460533338),
+    (1.5, 2.5, -40.0, 0.025248274136967334),
+    (1.7, 2.7, -60.0, 0.017007328891747064),
+    (1.9, 1.0, -100.0, 0.10336021818253253),
+    (2.5, 1.5, -300.0, -3.888013274816856),
+    (3.0, 1.0, -2000.0, -30.570354811159714),
+    (3.0, 2.0, -500.0, 3.9882503240422436),
 ]
 
 
@@ -35,6 +45,116 @@ def test_ml_matches_high_precision_reference():
     for al, be, z, ref in _ML_REFERENCE:
         got = ml_eval(al, be, z)
         assert abs(got - ref) <= 5e-13 * (1.0 + abs(ref)), (al, be, z, got)
+
+
+# E_{alpha,beta}(-x) for the kernels the solver uses, beta in
+# (1, a+1, a+2, 2a+1, 2a+2), one row per x in _RAY_X.  Frozen from mpmath,
+# independent of both evaluators: the series where x**(1/alpha) <= 200,
+# else the algebraic asymptotic expansion where it converges to 1e-32,
+# else the branch-cut integral at 35+ digits with the beta recurrence.
+_RAY_X = (0.5, 3.0, 40.0, 1e3, 1e6)
+_RAY_REFERENCE = {
+    0.05: (
+        (0.6603743585891841, 0.6792512828216317, 0.6571816268377045,
+         0.6959311649000894, 0.6422402992230223),
+        (0.2444346356456476, 0.2518551214514508, 0.24869681692476445,
+         0.2584539146067419, 0.24320165317481707),
+        (0.02366650135681331, 0.024408337466079667, 0.02437801051157613,
+         0.02507021319513992, 0.023848094148440985),
+        (0.0009685709451130972, 0.000999031429054887, 0.0009989805062494766,
+         0.0010262178338426215, 0.000977302795942966),
+        (9.695048900247649e-07, 9.9999903049511e-07, 9.999989794685917e-07,
+         1.0272158652726459e-06, 9.783007764502362e-07),
+    ),
+    0.1: (
+        (0.654324460288002, 0.6913510794239962, 0.647503210290617,
+         0.7195718533755633, 0.6161517723492711),
+        (0.23855934978253857, 0.2538135500724872, 0.2474288547512062,
+         0.2657744853464302, 0.23605008057134877),
+        (0.022869412718031258, 0.02442826468204922, 0.02436651053903196,
+         0.025667718535743213, 0.023280314648155512),
+        (0.0009349205536058907, 0.000999065079446394, 0.000998961318437497,
+         0.0010501379410323313, 0.000954580135146815),
+        (9.35777861976624e-07, 9.999990642221381e-07, 9.999989602469393e-07,
+         1.0511360061127136e-06, 9.555780964662922e-07),
+    ),
+    0.3: (
+        (0.6326490059435991, 0.734701988112802, 0.6064720448054021,
+         0.7590810408689997, 0.5012751543081218),
+        (0.21180263319643577, 0.2627324556011881, 0.2426809007321836,
+         0.28383668431537123, 0.20480957374242645),
+        (0.018979521266478696, 0.024525511968338035, 0.024329365843093736,
+         0.027242924914474095, 0.02081950640290923),
+        (0.0007699324649525777, 0.0009992300675350475, 0.0009989005786046957,
+         0.001113243278479767, 0.0008561107213808582),
+        (7.703827330424719e-07, 9.99999229617267e-07, 9.999988994537215e-07,
+         1.1142415085480723e-06, 8.571086219605635e-07),
+    ),
+    0.5: (
+        (0.6156903441929259, 0.7686193116141482, 0.5609605780745427,
+         0.7195197109627286, 0.3825843999782647),
+        (0.17900115118138996, 0.2736662829395367, 0.23836523509378046,
+         0.28490429471865863, 0.17129584765663153),
+        (0.014100335983377814, 0.024647491600415555, 0.024310167702815563,
+         0.027593291887377424, 0.018198565259021488),
+        (0.0005641893014533876, 0.0009994358106985466, 0.0009988726202687151,
+         0.001127379731284814, 0.0007512539054434064),
+        (5.641895835474742e-07, 9.999994358104165e-07, 9.99998871621833e-07,
+         1.1283781670960768e-06, 7.522517780648034e-07),
+    ),
+    0.7: (
+        (0.6051475920595643, 0.7897048158808715, 0.5103851885021468,
+         0.6216851792855885, 0.27399127655296013),
+        (0.13789710966502708, 0.2873676301116576, 0.23430901343084481,
+         0.271059925137336, 0.13769060444926068),
+        (0.008526170230910745, 0.02478684574422723, 0.024314125443473382,
+         0.026894013994485964, 0.015576667533378838),
+        (0.0003345414571740996, 0.000999665458542826, 0.0009988864290898282,
+         0.0010995477400651229, 0.0006463819403495371),
+        (3.342730211662825e-07, 9.999996657269788e-07, 9.99998885758163e-07,
+         1.100546405524e-06, 6.473798267797412e-07),
+    ),
+    0.9: (
+        (0.603405498695861, 0.7931890026082781, 0.4550923834045188,
+         0.49313026347871675, 0.18429326934636922),
+        (0.08388835403377326, 0.3053705486554089, 0.23014110160291382,
+         0.24479452856407585, 0.10569930549159655),
+        (0.0027434496977920995, 0.024931413757555195, 0.024346538792797807,
+         0.025370568014752033, 0.013072311982122642),
+        (0.00010528835943209589, 0.0009998947116405677, 0.0009989490810531972,
+         0.001038754239635996, 0.0005462400689966503),
+        (1.0511387487148291e-07, 9.99999894886125e-07, 9.999989488632119e-07,
+         1.0397531343477416e-06, 5.472380180787546e-07),
+    ),
+    0.99: (
+        (0.6060899526314165, 0.7878200947371671, 0.4290474752022848,
+         0.4327684958106434, 0.15115564521602196),
+        (0.053451867506199624, 0.3155160441646001, 0.22800971539258483,
+         0.22956276615929622, 0.092205194139237),
+        (0.000264827229357445, 0.024993379319266065, 0.02437176183157934,
+         0.024480274083080567, 0.012006338399467914),
+        (1.0076944920004438e-05, 0.00099998992305508, 0.0009989943137267965,
+         0.0010032043527194337, 0.0005036263034965691),
+        (1.0057085106182536e-08, 9.99999989942915e-07, 9.999989942934915e-07,
+         1.0042033426424987e-06, 5.046242978113015e-07),
+    ),
+}
+
+
+def _kernel_betas(al):
+    return (1.0, al + 1.0, al + 2.0, 2.0 * al + 1.0, 2.0 * al + 2.0)
+
+
+def test_ml_ray_matches_wide_reference():
+    xs = np.array(_RAY_X)
+    for al, rows in _RAY_REFERENCE.items():
+        for be, ref in zip(_kernel_betas(al), np.array(rows).T):
+            many = ml_eval_many(al, be, -xs)
+            scalar = np.array([ml_eval(al, be, -x) for x in xs])
+            for got in (many, scalar):
+                err = np.abs(got - ref)
+                assert np.all(err <= 5e-13 * (1.0 + np.abs(ref))), (al, be, got)
+                assert np.all(err <= 1e-10 * np.abs(ref)), (al, be, got)
 
 
 def test_ml_at_zero_is_reciprocal_gamma():
@@ -109,6 +229,12 @@ def test_ml_rejects_bad_order():
         ml_eval(-0.5, 1.0, -1.0)
     with pytest.raises(DomainError):
         ml_eval(0.5, 1.0, math.nan)
+
+
+@pytest.mark.parametrize("z", [[math.nan], [-math.inf], [-1.0, math.nan]])
+def test_ml_many_rejects_non_finite(z):
+    with pytest.raises(DomainError):
+        ml_eval_many(0.6, 1.0, np.array(z))
 
 
 def test_ml_bound_fit_validates_on_denser_grid():

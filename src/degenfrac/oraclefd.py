@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import DomainError, ResolutionError, SolverError
-from .fracops import warp_forward
+from .fracops import _l1_weight_diffs, warp_forward
 from .solver import ProblemSpec, SolutionField, _eval_vec
 from .spectral import bc_requirements, grading_exponent
 
@@ -87,25 +87,13 @@ def _transmissibilities(beta: float, x: np.ndarray) -> np.ndarray:
     return tau
 
 
-def _l1_gammas(s: np.ndarray, n: int, alpha: float) -> np.ndarray:
-    """Coefficients gamma_j of the L1 rule at step n:
-    Caputo_s u(s_n) ~ sum_j gamma_j (u^{j+1} - u^j), j = 0..n-1."""
-    if alpha == 1.0:
-        g = np.zeros(n)
-        g[-1] = 1.0 / (s[n] - s[n - 1])
-        return g
-    e = 1.0 - alpha
-    d = s[n] - s[:n]
-    ds = np.diff(s[: n + 1])
-    with np.errstate(divide="ignore"):
-        # d^e - (d-ds)^e without cancellation on thin graded cells
-        b = d ** e * (-np.expm1(e * np.log1p(-ds / d)))
-    b[-1] = ds[-1] ** e
-    return b / (ds * math.gamma(2.0 - alpha))
-
-
 def fd_solve(spec: ProblemSpec, mesh: FDMesh) -> SolutionField:
     """March the implicit L1 / finite-volume scheme over the mesh.
+
+    Each step solves one tridiagonal system.  The L1 history sum over all
+    earlier increments u^{j+1} - u^j is one matrix-vector product with a
+    buffer of those increments, so a march costs O(nt^2 nx) flops and
+    copies no history.
 
     Returns a SolutionField whose first time row is the initial profile
     at t = a; no spectral mode data is attached."""
@@ -125,20 +113,16 @@ def fd_solve(spec: ProblemSpec, mesh: FDMesh) -> SolutionField:
     omega[-1] = 0.5 * h[-1]
     omega[1:-1] = 0.5 * (h[:-1] + h[1:])
 
-    lo = 1 if spec.beta < 1.0 else 0  # Dirichlet at x=0 only when beta < 1
-    idx = np.arange(lo, x.size - 1)
-    m = idx.size
-    # stiffness action rows for the unknowns: (A u)_i, scaled by 1/omega_i
-    main = np.zeros(m)
-    lower = np.zeros(m)
-    upper = np.zeros(m)
-    for r, i in enumerate(idx):
-        left = tau[i - 1] if i > 0 else 0.0
-        main[r] = (left + tau[i]) / omega[i]
-        if r > 0:
-            lower[r] = -tau[i - 1] / omega[i]
-        if i + 1 <= x.size - 2:
-            upper[r] = -tau[i] / omega[i]
+    # unknowns: every node but x = 1, and x = 0 only when beta > 1
+    inner = slice(1 if spec.beta < 1.0 else 0, x.size - 1)
+    # stiffness action rows for the unknowns: (A u)_i, scaled by 1/omega_i;
+    # the x = 0 face carries no flux
+    left = np.concatenate(([0.0], tau))[inner]
+    right = tau[inner]
+    w = omega[inner]
+    main = (left + right) / w
+    lower = -left[1:] / w[1:]
+    upper = -right[:-1] / w[:-1]
 
     ap = warp.a ** p
     t_nodes = (s + ap) ** (1.0 / p)
@@ -153,34 +137,28 @@ def fd_solve(spec: ProblemSpec, mesh: FDMesh) -> SolutionField:
     xe[-1] = 1.0 - h[-1] * 1e-6
 
     u = np.zeros((s.size, x.size))
-    u[0] = _eval_vec(spec.phi, xe)
-    u[0, -1] = 0.0
-    if spec.beta < 1.0:
-        u[0, 0] = 0.0
-
-    ab = np.zeros((3, m))
+    u[0, inner] = _eval_vec(spec.phi, xe)[inner]
+    du = np.empty((mesh.nt, main.size))  # du[j] = u^{j+1} - u^j
+    ds = np.diff(s)
+    den = ds * math.gamma(2.0 - al)
     for n in range(1, s.size):
-        g = _l1_gammas(s, n, al)
-        diag_t = pa * g[-1]
-        rhs = pa * g[-1] * u[n - 1, idx]
-        if n > 1 and al < 1.0:  # at alpha = 1 every history weight is zero
-            hist = (np.diff(u[:n, :], axis=0) * g[:-1, None]).sum(axis=0)
-            rhs -= pa * hist[idx]
+        # L1 weights g_j of Caputo_s u(s_n) ~ sum_j g_j (u^{j+1} - u^j)
+        if al == 1.0:  # backward Euler: every history weight is zero
+            g_last, hist = 1.0 / ds[n - 1], 0.0
+        else:
+            g = _l1_weight_diffs(1.0 - al, s[n] - s[:n + 1], ds[:n]) / den[:n]
+            g_last, hist = g[-1], g[:-1] @ du[:n - 1]
+        rhs = pa * g_last * u[n - 1, inner] - pa * hist
         if spec.f is not None:
-            rhs += _eval_vec(lambda xx: spec.f(xx, float(t_nodes[n])), xe)[idx]
-        ab[0, 1:] = upper[:-1]
-        ab[1] = main + diag_t
-        ab[2, :-1] = lower[1:]
-        try:
-            sol = solve_banded((1, 1), ab, rhs)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise SolverError(f"tridiagonal solve failed at step {n}") from exc
+            t_n = float(t_nodes[n])
+            rhs += _eval_vec(lambda xx: spec.f(xx, t_n), xe)[inner]
+        _, _, _, sol, info = dgtsv(lower, main + pa * g_last, upper, rhs)
+        if info != 0:
+            raise SolverError(f"tridiagonal solve failed at step {n}")
         if not np.all(np.isfinite(sol)):
             raise SolverError(f"non-finite update at step {n}")
-        u[n, idx] = sol
-        u[n, -1] = 0.0
-        if spec.beta < 1.0:
-            u[n, 0] = 0.0
+        du[n - 1] = sol - u[n - 1, inner]
+        u[n, inner] = sol
 
     return SolutionField(
         x_grid=x, t_grid=t_nodes, values=u, K=0, regime=spec.regime,

@@ -235,7 +235,7 @@ def _eval_vec(fn, x: np.ndarray) -> np.ndarray:
         raise
     except (TypeError, ValueError):
         pass
-    return np.array([float(fn(xi)) for xi in x])
+    return np.array([float(fn(xi)) for xi in x.ravel()]).reshape(x.shape)
 
 
 def _gauss_rule(sys: EigenSystem, quad: int = 8):

@@ -22,6 +22,7 @@ from degenfrac.solver import (
     residual_weak,
     solution_norms,
     tail_estimate,
+    _eval_vec,
 )
 from degenfrac.special import ml_eval
 
@@ -225,6 +226,13 @@ def test_mode_source_bug_is_not_retried_pointwise():
     scalar_only = ModeODE(1, 0.6, 2.0, 0.0, lambda t: math.cos(t),
                           TimeWarp(0.0, 0.0))
     assert np.all(np.isfinite(mode_solution(scalar_only, [0.5]).values))
+
+
+def test_scalar_only_callable_keeps_array_shape():
+    x = np.linspace(0.1, 2.0, 6).reshape(2, 3)
+    got = _eval_vec(lambda t: math.sin(t), x)
+    assert got.shape == (2, 3)
+    assert np.array_equal(got, [[math.sin(v) for v in row] for row in x])
 
 
 def test_constant_source_steady_state(eig):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenfrac.errors import DomainError
+from degenfrac.errors import DomainError, ResolutionError
 from degenfrac.special import (
     bessel_j,
     bessel_j_zero,
@@ -206,11 +206,35 @@ def test_ml_negative_ray_decay():
 
 def test_ml_many_matches_scalar(rng):
     for al, be in ((0.3, 1.0), (0.55, 0.55), (0.8, 1.6), (1.0, 1.0),
-                   (1.0, 2.0), (1.3, 1.0)):
+                   (1.0, 2.0), (1.0, 3.0), (1.3, 1.0)):
         z = -np.sort(rng.uniform(0.0, 45.0, size=60))
         fast = ml_eval_many(al, be, z)
         slow = np.array([ml_eval(al, be, float(v)) for v in z])
         assert np.max(np.abs(fast - slow) / (1.0 + np.abs(slow))) <= 5e-12
+
+
+# E_{1,3}(z) = (e^z - 1 - z)/z^2 from mpmath at 50 digits (frozen)
+_E13_REFERENCE = [
+    (0.0, 0.5),
+    (-1e-12, 0.49999999999983336),
+    (-3e-07, 0.49999995000000375),
+    (-0.0005, 0.49991667708229176),
+    (-0.0999, 0.48375766177599716),
+    (-0.1, 0.4837418035959573),
+    (-0.5, 0.4261226388505337),
+    (-1.0, 0.36787944117144233),
+    (-3.7, 0.1990302064624061),
+    (-17.5, 0.05387755110239997),
+    (-100.0, 0.0099),
+    (-640.0, 0.00156005859375),
+    (-1000.0, 0.000999),
+]
+
+
+def test_ml_many_alpha_one_beta_three_closed_form():
+    z, ref = np.array(_E13_REFERENCE).T
+    got = ml_eval_many(1.0, 3.0, z)
+    assert np.all(np.abs(got - ref) <= 5e-13 * (1.0 + np.abs(ref))), got
 
 
 def test_ml_many_positive_arguments_delegate():
@@ -229,6 +253,12 @@ def test_ml_rejects_bad_order():
         ml_eval(-0.5, 1.0, -1.0)
     with pytest.raises(DomainError):
         ml_eval(0.5, 1.0, math.nan)
+
+
+def test_ml_overflow_is_resolution_error():
+    # for alpha > 2, E grows on the negative ray past the double range
+    with pytest.raises(ResolutionError):
+        ml_eval(2.5, 1.0, -1e9)
 
 
 @pytest.mark.parametrize("z", [[math.nan], [-math.inf], [-1.0, math.nan]])

@@ -174,7 +174,8 @@ def time_expr(text: str, warp: TimeWarp):
     """Builtin time factors: one | const:c | sin:w | cos:w |
     poly:c0,c1,... (in t) | spow:q for (t^p - a^p)^q.  The constant
     factors one and const:c come back as numbers, which the solver takes
-    as a declared constant; the others as callables of t."""
+    as a declared constant; the others as callables of t that take
+    arrays."""
     name, _, arg = text.strip().partition(":")
     if name == "one":
         return 1.0
@@ -182,13 +183,12 @@ def time_expr(text: str, warp: TimeWarp):
         return float(arg)
     if name == "sin":
         w = float(arg)
-        return lambda t: math.sin(w * t)
+        return lambda t: np.sin(w * t)
     if name == "cos":
         w = float(arg)
-        return lambda t: math.cos(w * t)
+        return lambda t: np.cos(w * t)
     if name == "poly":
-        fn = _parse_poly(arg)
-        return lambda t: float(fn(t))
+        return _parse_poly(arg)
     if name == "spow":
         q = float(arg)
         if q < 0.0:
@@ -441,16 +441,16 @@ def _suite_uniqueness(cfg: RunConfig) -> float:
 
 
 def _suite_spectral_vs_fd(cfg: RunConfig) -> float:
+    """FD on the fd_nx x fd_nt mesh against K = 12 spectral on the FD's own
+    x-grid, so that no value is interpolated."""
     system = solve_eigen(cfg.beta, 12)
     spec = ProblemSpec(cfg.alpha, cfg.theta, cfg.beta, cfg.a, cfg.T,
                        lambda x: x * (1.0 - x),
                        SeparableSource(lambda x: np.ones_like(x), 1.0))
-    xg = np.linspace(0.0, 1.0, 257)[1:-1]
-    tg = np.array([cfg.T])
-    fldS = assemble(spec, system, 12, xg, tg)
     S_T = warp_forward(spec.warp, cfg.T)
-    mesh = FDMesh.build(cfg.beta, cfg.alpha, S_T, nx=256, nt=256)
+    mesh = FDMesh.build(cfg.beta, cfg.alpha, S_T, nx=cfg.fd_nx, nt=cfg.fd_nt)
     fldF = fd_solve(spec, mesh)
+    fldS = assemble(spec, system, 12, fldF.x_grid, np.array([cfg.T]))
     rep = compare(fldF, fldS, t_subset=[cfg.T])
     return float(rep.l2_rel[0])
 

@@ -106,10 +106,10 @@ def _as_fn(f) -> SampledFunction:
     return f if isinstance(f, SampledFunction) else SampledFunction(f)
 
 
-def warp_forward(warp: TimeWarp, t: float) -> float:
-    """s = t^p - a^p, defined for t >= a."""
-    if t < warp.a:
-        raise DomainError(f"t={t} below starting point a={warp.a}")
+def warp_forward(warp: TimeWarp, t):
+    """s = t^p - a^p for a scalar or an array t >= a."""
+    if np.any(t < warp.a) if isinstance(t, np.ndarray) else t < warp.a:
+        raise DomainError(f"t={np.min(t)} below starting point a={warp.a}")
     return t ** warp.p - warp.a ** warp.p
 
 

@@ -204,7 +204,15 @@ def _row_at(field: SolutionField, t: float) -> np.ndarray:
 def compare(reference: SolutionField, other: SolutionField,
             t_subset=None) -> CompareReport:
     """L2(0,1) and sup-norm differences at shared times, normalized by the
-    reference field's norms (guarding zero rows)."""
+    reference field's norms (guarding zero rows).  other is interpolated
+    linearly onto the reference x-grid, which it must cover: DomainError
+    otherwise, rather than extending its end values."""
+    xr, xo = reference.x_grid, other.x_grid
+    pad = 1e-12 * (1.0 + abs(xo[-1]))
+    if xr[0] < xo[0] - pad or xr[-1] > xo[-1] + pad:
+        raise DomainError(
+            f"other field's x-range [{xo[0]}, {xo[-1]}] does not cover "
+            f"the reference's [{xr[0]}, {xr[-1]}]")
     if t_subset is None:
         lo = max(reference.t_grid[0], other.t_grid[0])
         hi = min(reference.t_grid[-1], other.t_grid[-1])

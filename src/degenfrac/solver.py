@@ -27,8 +27,9 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, RegimeError, ResolutionError
-from .fracops import SampledFunction, TimeWarp, hb_caputo, warp_forward
-from .special import ml_eval_many
+from .fracops import (SampledFunction, TimeWarp, hb_caputo, warp_forward,
+                      warp_inverse)
+from .special import _ml_many_betas, ml_eval_many
 from .spectral import EigenSystem, bc_requirements
 
 __all__ = [
@@ -73,6 +74,20 @@ class SeparableSource:
 
     def __call__(self, x, t):
         return np.asarray(_eval_vec(self.fx, np.atleast_1d(x))) * _value_at(self.ft, t)
+
+
+class _ModeSource:
+    """Mode source f_k(t) = c * ft(t) of a SeparableSource with a callable
+    time factor.  Every mode holds the same ft, so the solver evaluates
+    it once per time table and scales it by c."""
+
+    def __init__(self, c: float, ft: Callable):
+        self.c = c
+        self.ft = ft
+
+    def __call__(self, t):
+        arr = self.c * _eval_vec(self.ft, np.atleast_1d(t))
+        return arr if np.ndim(t) else float(arr[0])
 
 
 @dataclass
@@ -273,53 +288,87 @@ def _ml_ray(alpha: float, b: float, lam: float, y: np.ndarray) -> np.ndarray:
     return np.asarray(ml_eval_many(alpha, b, lam * y ** alpha), dtype=float)
 
 
-def _conv_piecewise(sigma, gvals, S, alpha, b, lam) -> float:
-    y = S - sigma  # decreasing; y[-1] == 0
-    e1 = _ml_ray(alpha, b + 1.0, lam, y)
-    e2 = _ml_ray(alpha, b + 2.0, lam, y)
+#: points per block of the 2-D product integration: a block's temporaries
+#: stay below 1 MB however many targets there are
+_BLOCK_POINTS = 2048
+
+
+def _conv_nodes(warp: TimeWarp, S: np.ndarray, conv_cells: int):
+    """Cell nodes sigma = S (i/n)^2, i = 0..n, of the convolution up to each
+    target S > 0 (one row per target), and their times t(sigma) in [a, t(S)]."""
+    sigma = S[:, None] * np.linspace(0.0, 1.0, conv_cells + 1) ** 2
+    p = warp.p
+    ap = warp.a ** p
+    t = (sigma + ap) ** (1.0 / p)
+    t_end = np.array([warp_inverse(warp, s) for s in S.tolist()])
+    np.clip(t, warp.a, t_end[:, None], out=t)
+    return sigma, t
+
+
+def _cell_sums(sigma, g, S, alpha, b, lam) -> np.ndarray:
+    """Product integration of the piecewise-linear interpolant of g against
+    the kernel k_b, one row per target S: sum over the cells of
+    (g_i + c_i y_i)(P0(y_i) - P0(y_i+1)) - c_i (P1(y_i) - P1(y_i+1))."""
+    y = S[:, None] - sigma  # decreasing along each row; y[:, -1] == 0
+    e1, e2 = _ml_many_betas(alpha, (b + 1.0, b + 2.0), lam * y ** alpha)
     P0 = y ** b * e1
     P1 = y ** (b + 1.0) * (e1 - e2)
-    dP0 = P0[:-1] - P0[1:]
-    dP1 = P1[:-1] - P1[1:]
-    c1 = np.diff(gvals) / np.diff(sigma)
-    return float(np.sum((gvals[:-1] + c1 * y[:-1]) * dP0 - c1 * dP1))
-
-
-def _sigma_grid(S: float, n: int) -> np.ndarray:
-    return S * np.linspace(0.0, 1.0, n + 1) ** 2
+    dP0 = P0[:, :-1] - P0[:, 1:]
+    dP1 = P1[:, :-1] - P1[:, 1:]
+    c1 = np.diff(g, axis=1) / np.diff(sigma, axis=1)
+    return np.sum((g[:, :-1] + c1 * y[:, :-1]) * dP0 - c1 * dP1, axis=1)
 
 
 def _mode_values(ode: ModeODE, S_arr: np.ndarray, form: str,
                  conv_cells: int) -> np.ndarray:
-    al = ode.alpha
-    lam_s = ode.lambda_star
-    p = ode.warp.p
-    pa = p ** al
+    """u_k of one mode at the warped times S_arr (see _modes_values)."""
+    return _modes_values([ode], S_arr, form, conv_cells)[0]
+
+
+def _modes_values(odes, S_arr: np.ndarray, form: str,
+                  conv_cells: int) -> np.ndarray:
+    """(len(odes), S.size) values of modes that share alpha and the warp,
+    at the warped times S_arr.  A callable source is integrated over
+    (targets S > 0) x (conv_cells + 1) nodes in row blocks of about
+    _BLOCK_POINTS points.  The time factor that _ModeSource sources share
+    is evaluated once per block and scaled per mode."""
     Sa = np.asarray(S_arr, dtype=float)
-    vals = ode.phi_k * _ml_ray(al, 1.0, lam_s, Sa)
-    if ode.f_k is None:
-        return vals
-    if form == "single_kernel":
-        parts = ((al, lam_s, 1.0 / pa),)
-    else:
-        parts = ((al, 0.0, 1.0 / pa), (2.0 * al, lam_s, lam_s / pa))
-    if _is_real(ode.f_k):
-        # declared constant data: the cell sum telescopes to c * P0(S)
-        for b, lam, scl in parts:
-            vals = vals + scl * ode.f_k * Sa ** b * _ml_ray(al, b + 1.0, lam, Sa)
-        return vals
-    ap = ode.warp.a ** p
-    for j, S in enumerate(Sa):
-        S = float(S)
-        if S <= 0.0:
+    out = np.empty((len(odes), Sa.size))
+    conv = []
+    for i, ode in enumerate(odes):
+        al, lam_s, pa = ode.alpha, ode.lambda_star, ode.warp.p ** ode.alpha
+        out[i] = ode.phi_k * _ml_ray(al, 1.0, lam_s, Sa)
+        if ode.f_k is None:
             continue
-        sigma = _sigma_grid(S, conv_cells)
-        t = (sigma + ap) ** (1.0 / p)
-        np.clip(t, ode.warp.a, (S + ap) ** (1.0 / p), out=t)
-        g = _eval_vec(ode.f_k, t)
-        for b, lam, scl in parts:
-            vals[j] += scl * _conv_piecewise(sigma, g, S, al, b, lam)
-    return vals
+        if form == "single_kernel":
+            parts = ((al, lam_s, 1.0 / pa),)
+        else:
+            parts = ((al, 0.0, 1.0 / pa), (2.0 * al, lam_s, lam_s / pa))
+        if _is_real(ode.f_k):
+            # declared constant data: the cell sum telescopes to c * P0(S)
+            for b, lam, scl in parts:
+                out[i] = out[i] + scl * ode.f_k * Sa ** b * _ml_ray(al, b + 1.0, lam, Sa)
+        else:
+            conv.append((i, parts))
+    if not conv:
+        return out
+    first = odes[conv[0][0]].f_k
+    ft = first.ft if isinstance(first, _ModeSource) else None
+    pos = np.flatnonzero(Sa > 0.0)
+    rows = max(1, _BLOCK_POINTS // (conv_cells + 1))
+    for lo in range(0, pos.size, rows):
+        idx = pos[lo:lo + rows]
+        sigma, t = _conv_nodes(odes[0].warp, Sa[idx], conv_cells)
+        shared = _eval_vec(ft, t) if ft is not None else None
+        for i, parts in conv:
+            src = odes[i].f_k
+            if isinstance(src, _ModeSource) and src.ft is ft:
+                g = src.c * shared
+            else:
+                g = _eval_vec(src, t)
+            for b, lam, scl in parts:
+                out[i, idx] += scl * _cell_sums(sigma, g, Sa[idx], odes[i].alpha, b, lam)
+    return out
 
 
 def _check_t_grid(ode: ModeODE, t_grid) -> np.ndarray:
@@ -373,13 +422,7 @@ def _source_coeffs(spec: ProblemSpec, sys: EigenSystem, K: int,
         ft = spec.f.ft
         if _is_real(ft):
             return [float(c) * ft for c in cks]
-        out = []
-        for c in cks:
-            def fn(tv, c=float(c)):
-                arr = c * _eval_vec(ft, np.atleast_1d(tv))
-                return arr if np.ndim(tv) else float(arr[0])
-            out.append(SampledFunction(fn, domain=(spec.a, spec.T)))
-        return out
+        return [_ModeSource(float(c), ft) for c in cks]
     # tabulated route: spatial quadrature on a shared warped-graded t-grid
     warp = spec.warp
     S_T = warp_forward(warp, spec.T)
@@ -393,6 +436,11 @@ def _source_coeffs(spec: ProblemSpec, sys: EigenSystem, K: int,
     for j, tj in enumerate(tg):
         F[j] = basis @ (W * _eval_vec(lambda xx: spec.f(xx, tj), X))
     return [SampledFunction.from_table(tg, F[:, i]) for i in range(K)]
+
+
+def _mode_odes(spec: ProblemSpec, lams, phis, sources) -> list:
+    return [ModeODE(i + 1, spec.alpha, float(lams[i]), float(phis[i]), src,
+                    spec.warp) for i, src in enumerate(sources)]
 
 
 def assemble(spec: ProblemSpec, sys: EigenSystem, K: int, x_grid, t_grid,
@@ -427,13 +475,9 @@ def assemble(spec: ProblemSpec, sys: EigenSystem, K: int, x_grid, t_grid,
 
     sources = _source_coeffs(spec, sys, K, X, W, basis, source_nodes)
     lams = np.asarray(sys.lambdas[:K], dtype=float)
-    mv = np.empty((K, t.size))
-    for i in range(K):
-        ode = ModeODE(i + 1, spec.alpha, float(lams[i]), float(phi_c[i]),
-                      sources[i], spec.warp)
-        mv[i] = _mode_values(ode, np.array(
-            [warp_forward(spec.warp, float(tt)) for tt in t]),
-            "single_kernel", conv_cells)
+    S = np.array([warp_forward(spec.warp, float(tt)) for tt in t])
+    mv = _modes_values(_mode_odes(spec, lams, phi_c, sources), S,
+                       "single_kernel", conv_cells)
     values = mv.T @ sys.basis_matrix(x)[:K]
 
     diags = _truncation_diagnostics(spec, sys, K, X, W, basis,
@@ -525,15 +569,11 @@ def _mode_interpolants(field: SolutionField, spec: ProblemSpec,
     S_T = warp_forward(spec.warp, spec.T)
     r = min(2.0 / spec.alpha, 12.0)
     sg = S_T * np.linspace(0.0, 1.0, dense_n + 1) ** r
-    out = []
-    for i in range(field.K):
-        ode = ModeODE(i + 1, spec.alpha, float(field.mode_lambdas[i]),
-                      float(field.mode_phi[i]), field.mode_sources[i],
-                      spec.warp)
-        uv = _mode_values(ode, sg, "single_kernel", conv_cells)
-        uv[0] = ode.phi_k
-        out.append(PchipInterpolator(sg, uv, extrapolate=True))
-    return out
+    mv = _modes_values(_mode_odes(spec, field.mode_lambdas, field.mode_phi,
+                                  field.mode_sources), sg, "single_kernel",
+                       conv_cells)
+    mv[:, 0] = field.mode_phi
+    return [PchipInterpolator(sg, uv, extrapolate=True) for uv in mv]
 
 
 def _default_samples(field: SolutionField, t_samples) -> np.ndarray:

@@ -10,10 +10,11 @@ and an empirical fit of the algebraic decay bound
 Mittag-Leffler routes: the defining series for |z| <= 1 and on the
 positive ray, with exponential asymptotics far out on it; for
 0 < alpha < 1, the trapezoid rule on a parabolic Hankel contour (one
-fixed contour for real z <= 0, vectorized; a pole-aware contour for the
-complex arguments of order halving); Kummer's function at alpha = 1;
-closed forms and asymptotics at alpha = 2; order halving for other
-alpha > 1.  Accuracy contract: see ml_eval_many.
+fixed contour for real z <= 0, vectorized and shared by several betas;
+a pole-aware contour for the complex arguments of order halving);
+Kummer's function at alpha = 1, and closed forms there for integer
+beta <= 4 in ml_eval_many; closed forms and asymptotics at alpha = 2;
+order halving for other alpha > 1.  Accuracy contract: see ml_eval_many.
 """
 from __future__ import annotations
 
@@ -65,6 +66,9 @@ _SERIES_NEG_CUT = 1.0
 #: By tau = 40 the e^tau principal term dwarfs the truncated algebraic
 #: tail of the asymptotic branch, so the switch costs no relative digits.
 _SERIES_POS_TAU = 40.0
+
+#: past this exponent the exponential branches take their log form
+_EXP_CUT = 700.0
 
 _TERM_CAP = 500  # default series length cap; extended only on the safe z > 0 side
 
@@ -121,16 +125,50 @@ def _parabola(mu: float, h: float, n: int, k0: int):
     return mu * (1.0 + 1j * u) ** 2, 2j * h * mu * (1.0 + 1j * u)
 
 
-def _ml_neg_ray(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
-    """E_{alpha,beta}(-x) for real x >= 0 on the fixed parabola.
+#: points per chunk of the negative-ray rule: its one real temporary is
+#: a (nodes, chunk) array of 0.6 MB
+_CHUNK = 2048
+
+#: beyond this -z the rule is summed in its large-x form sum(Im W)/x,
+#: exact to |s^alpha/x| < 1e-98 relative, before c^2 could overflow
+_FAR = 1e100
+
+
+def _ml_neg_ray(alpha: float, betas, x: np.ndarray) -> np.ndarray:
+    """E_{alpha,b}(-x) for real x >= 0 and each b in betas on the fixed
+    parabola: shape (len(betas),) + x.shape.
 
     For real arguments the integrand at -u is minus the conjugate of the
     one at u, so the sum is (1/pi) Im over the nodes u >= 0 (half-weight
-    at u = 0)."""
+    at u = 0).  With W = e^s s^(alpha-b) ds/du and s^alpha = A + iB,
+    Im W/(s^alpha + x) = d (c Im W - B Re W) = x d Im W + d (A Im W - B Re W)
+    for c = x + A and d = 1/(c^2 + B^2).  Only d depends on x, and it does
+    not depend on b, so every beta comes from one real GEMM against d.
+    At x = 0 the value is 1/Gamma(b) exactly."""
     s, w = _parabola(_MU, _H, _N, 0)
-    w = np.exp(s) * s ** (alpha - beta) * w
     w[0] *= 0.5
-    return np.imag(np.sum(w / (s**alpha + x[..., None]), axis=-1)) / math.pi
+    sa = s**alpha
+    b = np.asarray(betas, dtype=float)
+    W = np.exp(s) * s ** (alpha - b[:, None]) * w / math.pi
+    gemm = np.concatenate((W.imag, sa.real * W.imag - sa.imag * W.real))
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.empty((b.size, flat.size))
+    buf = np.empty((sa.size, min(flat.size, _CHUNK)))
+    near = np.minimum(flat, _FAR)
+    for lo in range(0, flat.size, _CHUNK):
+        xs = near[lo:lo + _CHUNK]
+        d = np.add(sa.real[:, None], xs, out=buf[:, :xs.size])
+        d *= d
+        d += (sa.imag**2)[:, None]
+        np.reciprocal(d, out=d)
+        xd, rest = np.split(gemm @ d, 2)
+        np.add(xd * xs, rest, out=out[:, lo:lo + xs.size])
+    far = flat > _FAR
+    if np.any(far):
+        out[:, far] = W.imag.sum(axis=1)[:, None] / flat[far]
+    out[:, flat == 0.0] = sp.rgamma(b)[:, None]
+    return out.reshape(b.shape + x.shape)
 
 
 def _between(sq1: float, p: float, log_tol: float):
@@ -303,18 +341,20 @@ def _ml_scalar(alpha: float, beta: float, z: complex) -> complex:
             # positive terms: no cancellation, just let the series run out
             cap = max(_TERM_CAP, int(6.0 * tau / alpha) + 50)
             return _ml_series(alpha, beta, z, cap=cap)
-        if tau > 705.0:
-            return complex(math.inf)
-        # exponential branch plus algebraic tail
+        # exponential branch plus algebraic tail; past _EXP_CUT in log form,
+        # which overflows (OverflowError) only past the double range
         zz = z.real
-        val = (1.0 / alpha) * zz ** ((1.0 - beta) / alpha) * math.exp(tau)
+        if tau <= _EXP_CUT:
+            val = (1.0 / alpha) * zz ** ((1.0 - beta) / alpha) * math.exp(tau)
+        else:
+            val = math.exp(tau + (1.0 - beta) / alpha * math.log(zz) - math.log(alpha))
         for n in range(1, 12):
             val -= sp.rgamma(beta - alpha * n) * zz ** (-n)
         return complex(val)
     if az <= _SERIES_NEG_CUT:
         return _ml_series(alpha, beta, z)
     if alpha < 1.0:  # z < 0 here: ml_eval takes real arguments
-        return complex(_ml_neg_ray(alpha, beta, np.array(-z.real)))
+        return complex(_ml_neg_ray(alpha, (beta,), np.array(-z.real))[0])
     if alpha == 1.0:
         return _ml_alpha1(beta, z)
     if alpha == 2.0 and z.imag == 0.0 and beta in (1.0, 2.0):
@@ -379,6 +419,8 @@ def ml_eval(alpha: float, beta: float, z: float) -> float:
     z : real argument.  The routes are listed in the module docstring;
         for 0 < alpha < 1 and z < -1 the contour rule of ml_eval_many
         serves z as a one-element array, under the same accuracy contract.
+
+    Raises ResolutionError where E exceeds the double range.
     """
     if not (math.isfinite(alpha) and math.isfinite(beta) and math.isfinite(z)):
         raise DomainError("ml_eval: non-finite argument")
@@ -386,10 +428,11 @@ def ml_eval(alpha: float, beta: float, z: float) -> float:
         raise DomainError(f"ml_eval: order must be positive, got {alpha}")
     try:
         val = _ml_scalar(float(alpha), float(beta), complex(z))
-    except OverflowError as exc:  # e.g. the residue of order halving
+    except OverflowError:  # e.g. the residue of order halving
+        val = complex(math.inf)
+    if not cmath.isfinite(val):
         raise ResolutionError(
-            f"ml_eval: E exceeds the double range at alpha={alpha}, beta={beta}, z={z}"
-        ) from exc
+            f"ml_eval: E exceeds the double range at alpha={alpha}, beta={beta}, z={z}")
     if abs(val.imag) > 1e-8 * (1.0 + abs(val.real)):
         raise ResolutionError(
             f"ml_eval: lost conjugate symmetry at alpha={alpha}, beta={beta}, z={z}"
@@ -397,17 +440,47 @@ def ml_eval(alpha: float, beta: float, z: float) -> float:
     return float(val.real)
 
 
-#: Taylor coefficients 1/(k+2)! of E_{1,3}; ten terms reach 2e-19 at |z| = 0.1
-_E13_SERIES = 1.0 / np.array([math.factorial(k + 2) for k in range(10)], dtype=float)
+#: integer beta = n up to this value takes the closed form at alpha = 1;
+#: past it the closed form cancels beyond 1e-13 near |z| = 1
+_ALPHA1_NMAX = 4
+
+#: Taylor terms z^k/(k+n-1)! of E_{1,n} for |z| < 1: the first one left
+#: out is below 1/20! = 4e-19
+_TAYLOR_TERMS = 20
+
+
+def _ml_alpha1_int(n: int, z: np.ndarray) -> np.ndarray:
+    """E_{1,n}(z) = (e^z - sum_{k<n-1} z^k/k!)/z^(n-1) for integer 1 <= n <= 4.
+
+    The closed form cancels near 0, so |z| < 1 takes the Taylor series
+    sum_k z^k/(k+n-1)!; for z > 700 the leading term is taken in log
+    form, e^(z - (n-1) log z).  Raises ResolutionError where E
+    exceeds the double range."""
+    out = np.empty_like(z)
+    near = np.abs(z) < 1.0
+    taylor = 1.0 / np.array([math.factorial(k + n - 1) for k in range(_TAYLOR_TERMS)])
+    out[near] = np.polynomial.polynomial.polyval(z[near], taylor)
+    zf = z[~near]
+    head = sum(zf**k / math.factorial(k) for k in range(n - 1))
+    far = (np.exp(np.minimum(zf, _EXP_CUT)) - head) / zf ** (n - 1)
+    big = zf > _EXP_CUT
+    with np.errstate(over="ignore"):
+        far[big] = np.exp(zf[big] - (n - 1) * np.log(zf[big]))
+    out[~near] = far
+    if not np.all(np.isfinite(out)):
+        raise ResolutionError(f"ml_eval_many: E_{{1,{n}}} exceeds the double range")
+    return out
 
 
 def ml_eval_many(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     """Vectorized E_{alpha,beta}(z) for a real array z.
 
     Routes: 0 < alpha < 1 with every z <= 0 takes one numpy pass of the
-    contour rule; alpha = 1 with beta in {1, 2, 3} the closed forms
-    exp(z), expm1(z)/z and (expm1(z) - z)/z^2 (its Taylor series for
-    |z| < 0.1); anything else goes through ml_eval point by point.
+    contour rule; alpha = 1 with integer beta = n in 1..4 the closed form
+    E_{1,n}(z) = (e^z - sum_{k<n-1} z^k/k!)/z^(n-1) (its Taylor series
+    for |z| < 1); anything else goes through ml_eval point by point.  At
+    z = 0 every route returns 1/Gamma(beta) exactly; past the double
+    range every route raises ResolutionError.
 
     Accuracy of the contour rule against a frozen mpmath table (alpha in
     [0.05, 0.99], beta <= 2 alpha + 2, 0 <= -z <= 1e6): absolute error
@@ -415,31 +488,29 @@ def ml_eval_many(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     the solver uses, beta in {1, alpha+1, alpha+2, 2 alpha+1, 2 alpha+2}.
     Only at beta = alpha, where 1/Gamma(beta - alpha) = 0 cancels the
     leading x^-1 term and E falls off like x^-2, is the bound absolute.
+    The closed forms at alpha = 1 keep the same 5e-13 (1 + |E|) bound.
     """
     z = np.asarray(z, dtype=float)
     if not (math.isfinite(alpha) and math.isfinite(beta)) or not np.all(np.isfinite(z)):
         raise DomainError("ml_eval_many: non-finite argument")
     if alpha <= 0.0:
         raise DomainError(f"ml_eval_many: order must be positive, got {alpha}")
-    if alpha == 1.0 and beta == 1.0:
-        return np.exp(z)
-    if alpha == 1.0 and beta == 2.0:
-        out = np.ones_like(z)
-        nz = z != 0.0
-        out[nz] = np.expm1(z[nz]) / z[nz]
-        return out
-    if alpha == 1.0 and beta == 3.0:
-        # (expm1(z) - z)/z^2 loses digits like 1/|z| near 0: sum the series there
-        out = np.empty_like(z)
-        near = np.abs(z) < 0.1
-        out[near] = np.polynomial.polynomial.polyval(z[near], _E13_SERIES)
-        zf = z[~near]
-        out[~near] = (np.expm1(zf) - zf) / zf / zf
-        return out
+    if alpha == 1.0 and beta == int(beta) and 1 <= beta <= _ALPHA1_NMAX:
+        return _ml_alpha1_int(int(beta), z)
     if alpha < 1.0 and not np.any(z > 0.0):
-        return _ml_neg_ray(float(alpha), float(beta), -z)
+        return _ml_neg_ray(float(alpha), (float(beta),), -z)[0]
     flat = np.array([ml_eval(alpha, beta, v) for v in z.ravel()])
     return flat.reshape(z.shape)
+
+
+def _ml_many_betas(alpha: float, betas, z: np.ndarray) -> np.ndarray:
+    """E_{alpha,b}(z) for each b in betas, one row per b.  For
+    0 < alpha < 1 and every z <= 0 the betas share one pass of the
+    contour rule; otherwise each takes ml_eval_many."""
+    z = np.asarray(z, dtype=float)
+    if alpha < 1.0 and not np.any(z > 0.0):
+        return _ml_neg_ray(float(alpha), betas, -z)
+    return np.stack([ml_eval_many(alpha, b, z) for b in betas])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from degenfrac import cli
-from degenfrac.errors import ConfigError
+from degenfrac.errors import ConfigError, DomainError
 from degenfrac.fracops import TimeWarp, warp_forward
 
 LAMBDA1_HALF = 4.739066397843349  # closed-form route, beta = 0.5
@@ -206,6 +206,20 @@ def test_verify_all_suites_pass(tmp_path):
     assert all(s["pass"] for s in rep["suites"].values())
 
 
+def test_spectral_vs_fd_suite_reads_the_fd_mesh_keys(monkeypatch):
+    meshes = []
+    build = cli.FDMesh.build
+
+    def spy(*args, **kwargs):
+        meshes.append((kwargs["nx"], kwargs["nt"]))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli.FDMesh, "build", spy)
+    value = cli._suite_spectral_vs_fd(cli.RunConfig(fd_nx=64, fd_nt=48))
+    assert meshes == [(64, 48)]
+    assert 0.0 < value <= 1e-2
+
+
 def test_verify_impossible_tol_exits_4(tmp_path):
     out = tmp_path / "o"
     rc = cli.main(["verify", "--beta", "0.5", "--tol", "0",
@@ -279,6 +293,28 @@ def test_time_expr_factors():
         cli.time_expr("spow:-1", warp)
     with pytest.raises(ConfigError):
         cli.time_expr("tanh", warp)
+
+
+def test_time_factors_take_arrays_and_match_scalar_forms():
+    warp = TimeWarp(0.3, 0.5)
+    t = np.linspace(0.5, 2.0, 301)
+    scalar = {
+        "sin:3": lambda v: math.sin(3.0 * v),
+        "cos:2.5": lambda v: math.cos(2.5 * v),
+        "poly:1,-0.5,2": lambda v: 1.0 + v * (-0.5 + v * 2.0),
+        "spow:1.7": lambda v: warp_forward(warp, v) ** 1.7,
+    }
+    for text, ref in scalar.items():
+        fn = cli.time_expr(text, warp)
+        got = fn(t)
+        assert got.shape == t.shape
+        want = np.array([ref(float(v)) for v in t])
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), text
+        assert float(fn(0.75)) == pytest.approx(ref(0.75), rel=1e-15)
+    spow = cli.time_expr("spow:0.5", warp)
+    for below in (0.4, np.array([0.6, 0.45])):
+        with pytest.raises(DomainError):
+            spow(below)
 
 
 def test_source_expr_forms():

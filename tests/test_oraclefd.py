@@ -265,3 +265,13 @@ def test_compare_interpolates_between_grids():
     rep = compare(a, b)
     assert rep.max_sup_rel == pytest.approx(1.0)
     assert rep.max_l2_rel == pytest.approx(1.0)
+
+
+def test_compare_refuses_to_extrapolate():
+    # other must cover the reference's x-range: no silently clamped ends
+    ref = _tiny_field([0.0, 1.0])
+    inner = SolutionField(np.linspace(0.1, 0.9, 9), np.array([0.0, 1.0]),
+                          np.ones((2, 9)), 0, "classical", {})
+    with pytest.raises(DomainError):
+        compare(ref, inner)
+    assert compare(inner, ref).max_l2_rel == 0.0

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from degenfrac import solver
 from degenfrac.errors import DomainError, RegimeError, ResolutionError
-from degenfrac.fracops import TimeWarp, warp_forward
+from degenfrac.fracops import SampledFunction, TimeWarp, warp_forward
 from degenfrac.solver import (
     ModeODE,
     ProblemSpec,
@@ -23,8 +24,9 @@ from degenfrac.solver import (
     solution_norms,
     tail_estimate,
     _eval_vec,
+    _mode_values,
 )
-from degenfrac.special import ml_eval
+from degenfrac.special import ml_eval, ml_eval_many
 
 
 def _quadratic(x):
@@ -326,3 +328,91 @@ def test_assemble_field_carries_mode_data(eig):
     # field is the basis contraction of the mode data
     B = fld.system.basis_matrix(fld.x_grid)[:5]
     assert np.allclose(fld.values, fld.mode_values.T @ B, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The batched source convolution against an explicit per-time reference
+
+
+def _per_time_reference(ode, S_arr, form, conv_cells):
+    """The product integration one target at a time: the source is read
+    point by point, and each kernel's E_{a,b+1}, E_{a,b+2} come from
+    separate ml_eval_many calls."""
+    al, lam_s, p = ode.alpha, ode.lambda_star, ode.warp.p
+    pa = p ** al
+    vals = ode.phi_k * ml_eval_many(al, 1.0, lam_s * S_arr ** al)
+    if form == "single_kernel":
+        parts = ((al, lam_s, 1.0 / pa),)
+    else:
+        parts = ((al, 0.0, 1.0 / pa), (2.0 * al, lam_s, lam_s / pa))
+    ap = ode.warp.a ** p
+    for j, S in enumerate(S_arr):
+        if S <= 0.0:
+            continue
+        sigma = S * np.linspace(0.0, 1.0, conv_cells + 1) ** 2
+        t = np.clip((sigma + ap) ** (1.0 / p), ode.warp.a, (S + ap) ** (1.0 / p))
+        g = np.array([float(ode.f_k(float(tt))) for tt in t])
+        c1 = np.diff(g) / np.diff(sigma)
+        y = S - sigma
+        for b, lam, scl in parts:
+            e1 = ml_eval_many(al, b + 1.0, lam * y ** al)
+            e2 = ml_eval_many(al, b + 2.0, lam * y ** al)
+            P0 = y ** b * e1
+            P1 = y ** (b + 1.0) * (e1 - e2)
+            vals[j] += scl * np.sum((g[:-1] + c1 * y[:-1]) * (P0[:-1] - P0[1:])
+                                    - c1 * (P1[:-1] - P1[1:]))
+    return vals
+
+
+def _table_source(warp):
+    tg = np.linspace(warp.a, warp.a + 2.0, 41)
+    return SampledFunction.from_table(tg, np.cos(2.0 * tg) + tg ** 2)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.9, 1.0])
+@pytest.mark.parametrize("form", ["single_kernel", "split_kernel"])
+@pytest.mark.parametrize("table", [False, True])
+def test_batched_convolution_matches_per_time_reference(alpha, form, table):
+    warp = TimeWarp(0.3, 0.2)
+    src = _table_source(warp) if table else (lambda t: 1.0 + np.sin(3.0 * t))
+    ode = ModeODE(1, alpha, 7.0, 0.4, src, warp)
+    t = np.concatenate(([warp.a], np.linspace(0.25, 2.2, 23)))
+    S = np.array([warp_forward(warp, float(v)) for v in t])  # S[0] == 0
+    got = _mode_values(ode, S, form, 24)
+    ref = _per_time_reference(ode, S, form, 24)
+    assert got[0] == ref[0] == 0.4
+    assert np.max(np.abs(got - ref)) <= 1e-14, np.max(np.abs(got - ref))
+
+
+def test_convolution_block_boundaries_change_nothing(monkeypatch):
+    warp = TimeWarp(0.3, 0.0)
+    ode = ModeODE(1, 0.6, 5.0, 0.4, lambda t: np.cos(2.0 * t), warp)
+    S = np.linspace(0.0, 1.3, 40)
+    whole = _mode_values(ode, S, "split_kernel", 16)
+    # 3 targets a block: the 39 targets S > 0 split into 13 blocks
+    monkeypatch.setattr(solver, "_BLOCK_POINTS", 3 * 17 + 2)
+    blocked = _mode_values(ode, S, "split_kernel", 16)
+    # equal up to the last-bit rounding of differently sized BLAS products
+    assert np.max(np.abs(blocked - whole)) <= 1e-15
+
+
+def test_separable_time_factor_is_evaluated_once_per_block(eig):
+    # a SeparableSource's modes share its time factor: one evaluation on
+    # a block of convolution nodes serves every mode
+    sizes = []
+
+    def ft(t):
+        sizes.append(np.size(t))
+        return np.sin(3.0 * np.asarray(t))
+
+    K, tg = 4, np.linspace(0.1, 1.0, 5)
+    spec = _basic_spec(0.5, SeparableSource(lambda x: np.ones_like(x), ft))
+    fld = assemble(spec, eig(0.5, K), K, np.linspace(0.0, 1.0, 9), tg,
+                   conv_cells=32)
+    assert sizes.count(tg.size * 33) == 1
+    S = np.array([warp_forward(spec.warp, float(t)) for t in tg])
+    for k in range(K):
+        ode = ModeODE(k + 1, 0.6, float(fld.mode_lambdas[k]),
+                      float(fld.mode_phi[k]), fld.mode_sources[k], spec.warp)
+        ref = _per_time_reference(ode, S, "single_kernel", 32)
+        assert np.max(np.abs(fld.mode_values[k] - ref)) <= 1e-14

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenfrac.errors import DomainError, ResolutionError
 from degenfrac.special import (
+    _ml_many_betas,
     bessel_j,
     bessel_j_zero,
     gamma_eval,
@@ -235,6 +237,126 @@ def test_ml_many_alpha_one_beta_three_closed_form():
     z, ref = np.array(_E13_REFERENCE).T
     got = ml_eval_many(1.0, 3.0, z)
     assert np.all(np.abs(got - ref) <= 5e-13 * (1.0 + np.abs(ref))), got
+
+
+# E_{1,n}(z) for n = 1..4 from mpmath at 60 digits (frozen): the series
+# sum_k z^k/(k+n-1)! for |z| < 50, else (e^z - sum_{k<n-1} z^k/k!)/z^(n-1)
+_E1N_REFERENCE = [
+    (0.0, 1.0, 1.0, 0.5, 0.16666666666666666),
+    (-1e-12, 0.999999999999, 0.9999999999995, 0.49999999999983336, 0.166666666666625),
+    (-3e-07, 0.999999700000045, 0.999999850000015, 0.49999995000000375,
+     0.16666665416666743),
+    (-0.0005, 0.9995001249791693, 0.9997500416614589, 0.49991667708229176,
+     0.16664583541649305),
+    (-0.0999, 0.9049279063021011, 0.9516726095885779, 0.48375766177599716,
+     0.16258596820823676),
+    (-0.5, 0.6065306597126334, 0.7869386805747332, 0.4261226388505337,
+     0.1477547222989326),
+    (-0.999, 0.3682475046136629, 0.6323848802666037, 0.36798310283623253,
+     0.13214904620997742),
+    (-1.0, 0.36787944117144233, 0.6321205588285577, 0.36787944117144233,
+     0.13212055882855767),
+    (-1.001, 0.36751174560869354, 0.6318563979933132, 0.36777582618050636,
+     0.13209208173775588),
+    (-3.7, 0.02472352647033939, 0.2635882360890975, 0.1990302064624061,
+     0.08134318744259295),
+    (-17.5, 2.510999155743982e-08, 0.057142855708000484, 0.05387755110239997,
+     0.025492711365577143),
+    (-100.0, 3.720075976020836e-44, 0.01, 0.0099, 0.004901),
+    (-640.0, 1.1259823474166023e-278, 0.0015625, 0.00156005859375,
+     0.0007788124084472656),
+    (-1000.0, 0.0, 0.001, 0.000999, 0.000499001),
+    (0.5, 1.6487212707001282, 1.2974425414002564, 0.5948850828005126,
+     0.18977016560102516),
+    (0.999, 2.715564905318567, 1.7172821875060729, 0.7180001876937665,
+     0.2182184060998664),
+    (1.0, 2.718281828459045, 1.7182818284590453, 0.7182818284590452,
+     0.21828182845904523),
+    (3.0, 20.085536923187668, 6.361845641062556, 1.7872818803541852,
+     0.4290939601180618),
+    (30.0, 10686474581524.463, 356215819384.1154, 11873860646.103848,
+     395795354.85346156),
+    (705.0, 1.505253833063194e+306, 2.135111819947793e+303, 3.028527404181267e+300,
+     4.2957835520301656e+297),
+]
+
+
+def test_ml_many_alpha_one_integer_beta_closed_form():
+    table = np.array(_E1N_REFERENCE)
+    z = table[:, 0]
+    for n in (1, 2, 3, 4):
+        ref = table[:, n]
+        got = ml_eval_many(1.0, float(n), z)
+        assert np.all(np.abs(got - ref) <= 5e-13 * (1.0 + np.abs(ref))), (n, got)
+        # below the log-form cut the Taylor and closed forms keep full precision
+        exp = z <= 700.0
+        assert np.all(np.abs(got - ref)[exp] <= 2e-15 * np.abs(ref[exp])), (n, got)
+
+
+@pytest.mark.parametrize("al", [0.3, 0.6, 0.95, 1.0, 1.4])
+def test_ml_shared_contour_matches_single_beta(al, rng):
+    z = -np.concatenate(([0.0, 0.5, 1e6], rng.uniform(0.0, 60.0, 42)))
+    betas = (1.0, al + 1.0, al + 2.0, 2.0 * al + 1.0, 2.0 * al + 2.0)
+    if al == 1.0:
+        betas = (1.0, 2.0, 3.0, 4.0)
+    shared = _ml_many_betas(al, betas, z.reshape(3, -1))
+    assert shared.shape == (len(betas), 3, z.size // 3)
+    for row, be in zip(shared, betas):
+        single = ml_eval_many(al, be, z)
+        assert np.all(np.abs(row.ravel() - single) <= 1e-15 * (1.0 + np.abs(single)))
+
+
+def test_ml_zero_argument_is_exact_reciprocal_gamma():
+    for al in (0.3, 0.7, 1.0, 1.5):
+        betas = (0.5, 1.0, 2.0, 3.0, 4.0, al + 1.0, 2.0 * al + 2.0)
+        shared = _ml_many_betas(al, betas, np.array([0.0, -0.0]))
+        for row, be in zip(shared, betas):
+            exact = sp.rgamma(be)
+            assert ml_eval(al, be, 0.0) == exact
+            assert np.all(ml_eval_many(al, be, np.array([0.0, -0.0])) == exact)
+            assert np.all(row == exact)
+            assert exact == pytest.approx(1.0 / math.gamma(be), rel=1e-15)
+
+
+def test_ml_contour_far_on_the_ray():
+    # past 1e100 the rule is summed in its large-x form; E(-x) ~ 1/(x Gamma(b-a))
+    x = np.array([1e99, 1e100, 1.0000001e100, 1e101, 1e200, 1e300])
+    for al, be in ((0.6, 1.6), (0.3, 1.0), (0.9, 2.8)):
+        got = ml_eval_many(al, be, -x)
+        lead = 1.0 / (x * math.gamma(be - al))
+        assert np.all(np.abs(got / lead - 1.0) <= 1e-13), (al, be, got)
+
+
+_SCALAR_VS_MANY = [(0.5, 1.0), (0.5, 1.5), (0.8, 2.6), (1.0, 1.0), (1.0, 2.0),
+                   (1.0, 3.0), (1.0, 4.0), (1.0, 0.7), (1.5, 1.0), (2.0, 2.0)]
+
+
+@pytest.mark.parametrize("al,be", _SCALAR_VS_MANY)
+def test_ml_scalar_and_many_agree_wherever_both_route(al, be):
+    # both finite and equal, or both past the double range
+    for z in (-300.0, -40.0, -1.0, 0.0, 0.5, 3.0, 40.0, 300.0, 700.0, 707.0,
+              709.5, 712.0, 715.0, 1e4):
+        try:
+            scalar = ml_eval(al, be, z)
+        except ResolutionError:
+            with pytest.raises(ResolutionError):
+                ml_eval_many(al, be, np.array([z]))
+            continue
+        many = float(ml_eval_many(al, be, np.array([z]))[0])
+        assert math.isfinite(scalar)
+        assert abs(many - scalar) <= 5e-12 * (1.0 + abs(scalar)), (z, many, scalar)
+
+
+def test_ml_positive_ray_reaches_the_double_limit():
+    # the exponential branch is exact e^z at alpha = beta = 1, up to ~709.78
+    assert ml_eval(1.0, 1.0, 707.0) == pytest.approx(math.exp(707.0), rel=1e-13)
+    assert ml_eval(1.0, 2.0, 707.0) == pytest.approx(math.expm1(707.0) / 707.0,
+                                                     rel=1e-13)
+    for z in (709.9, 750.0):
+        with pytest.raises(ResolutionError):
+            ml_eval(1.0, 1.0, z)
+        with pytest.raises(ResolutionError):
+            ml_eval_many(1.0, 1.0, np.array([z]))
 
 
 def test_ml_many_positive_arguments_delegate():

@@ -224,10 +224,17 @@ def _num(v) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """Rows keep the column types of the first row: an int column is
+    written with str, any other as %.16e (see _num)."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(str(h) for h in header) + "\n")
+        fmt = None
         for row in rows:
-            fh.write(",".join(_num(v) for v in row) + "\n")
+            row = tuple(row)
+            if fmt is None:
+                fmt = ",".join("%s" if isinstance(v, (int, np.integer))
+                               else "%.16e" for v in row) + "\n"
+            fh.write(fmt % row)
 
 
 def _jsonable(obj):

@@ -102,32 +102,44 @@ class EigenSystem:
 
     def eigen_eval(self, k: int, x):
         self._check_k(k)
+        v, vp = self._rows(slice(k - 1, k), x)
+        return v[0], vp[0]
+
+    def _rows(self, rows: slice, x):
+        """(v, v') of the modes in rows at x, each of shape (modes,) +
+        x.shape: one search of the mesh serves every mode."""
         x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0) or np.any(x > 1.0):
+        if not np.all((x >= 0.0) & (x <= 1.0)):
             raise DomainError("evaluation points must lie in [0, 1]")
-        if self.method_tag == "galerkin_numeric":
-            chart, cnodes, vecs, slopes = self._payload
-            if chart == "x":
-                v = np.interp(x, cnodes, vecs[k - 1])
-                idx = np.clip(np.searchsorted(cnodes, x, side="right") - 1,
-                              0, slopes.shape[1] - 1)
-                return v, slopes[k - 1][idx]
-            # subcritical chart: the element is linear in y = x^{1-beta},
-            # so v' carries the exact x^{-beta} factor
-            e = 1.0 - self.beta
-            y = x ** e
-            v = np.interp(y, cnodes, vecs[k - 1])
-            idx = np.clip(np.searchsorted(cnodes, y, side="right") - 1,
-                          0, slopes.shape[1] - 1)
-            with np.errstate(divide="ignore"):
-                xw = np.where(x > 0.0, x, 1.0) ** (-self.beta)
-            vp = slopes[k - 1][idx] * e * xw
-            if np.any(x == 0.0):
-                vp = np.where(x > 0.0, vp,
-                              np.inf * np.sign(slopes[k - 1][0]))
+        col = (slice(None),) + (None,) * x.ndim  # one value per mode
+        if self.method_tag == "bessel_closed_form":
+            nu, zeros, coefs = self._payload
+            return _bessel_mode_eval(self.beta, nu, zeros[rows][col],
+                                     coefs[rows][col], x)
+        chart, cnodes, vecs, slopes = self._payload
+        vecs, slopes = vecs[rows], slopes[rows]
+        # subcritical chart: the element is linear in y = x^{1-beta},
+        # so v' carries the exact x^{-beta} factor
+        y = x if chart == "x" else x ** (1.0 - self.beta)
+        # linear interpolation as np.interp does it: cell j holds
+        # cnodes[j] <= y < cnodes[j+1], and the last node takes its value
+        j = np.searchsorted(cnodes, y, side="right") - 1
+        idx = np.minimum(j, slopes.shape[1] - 1)
+        vp = np.take(slopes, idx, axis=1)
+        v = vp * (y - cnodes[idx])
+        v += np.take(vecs, idx, axis=1)
+        last = j > idx
+        if np.any(last):
+            v = np.where(last, vecs[:, -1][col], v)
+        if chart == "x":
             return v, vp
-        nu, zeros, coefs = self._payload
-        return _bessel_mode_eval(self.beta, nu, zeros[k - 1], coefs[k - 1], x)
+        with np.errstate(divide="ignore"):
+            xw = np.where(x > 0.0, x, 1.0) ** (-self.beta)
+        vp *= 1.0 - self.beta
+        vp *= xw
+        if np.any(x == 0.0):
+            vp = np.where(x > 0.0, vp, np.inf * np.sign(slopes[:, 0])[col])
+        return v, vp
 
     def mode(self, k: int):
         """Convenience: a pair-evaluator x -> (v_k, v_k') for one mode."""
@@ -136,9 +148,7 @@ class EigenSystem:
 
     def basis_matrix(self, x) -> np.ndarray:
         """All eigenfunctions on x at once, shape (K, len(x))."""
-        x = np.asarray(x, dtype=float)
-        return np.vstack([self.eigen_eval(k, x)[0] for k in
-                          range(1, self.count + 1)])
+        return self._rows(slice(None), x)[0]
 
     def mesh_x(self) -> np.ndarray:
         """Graded x-mesh underlying the discretization (the default graded
@@ -284,8 +294,6 @@ def _bessel_mode_eval(beta, nu, jz, coef, x):
         v0 = 0.0 if beta < 1.0 else coef * (0.5 * jz) ** nu * sp.rgamma(nu + 1.0)
         v = np.where(pos, v, v0)
         vp = np.where(pos, vp, np.inf * np.sign(coef))
-    if v.ndim == 0:
-        return float(v), float(vp)
     return v, vp
 
 

@@ -342,6 +342,41 @@ def test_module_entry_point_help():
     assert "eigen" in proc.stdout and "solve" in proc.stdout
 
 
+def test_import_leaves_scipy_interpolate_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = "import sys, degenfrac.cli; print('scipy.interpolate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    def per_value(header, rows):
+        # one _num call per value: str for an int, %.16e for the rest
+        lines = [",".join(str(h) for h in header)]
+        lines += [",".join(str(v) if isinstance(v, (int, np.integer))
+                           else "%.16e" % float(v) for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    rng = np.random.default_rng(3)
+    grid = rng.normal(size=(7, 5)) * 10.0 ** rng.integers(-300, 300, (7, 5))
+    grid[0, :3] = (0.0, -0.0, 1.0)
+    field = [[float(t)] + list(row) for t, row in zip(grid[:, 0], grid[:, 1:])]
+    eigen = [[k + 1, lam] for k, lam in enumerate(np.abs(grid[:, 0]))]
+    ladder = [[np.int64(8), 0.5], [np.int64(16), 1e-300]]
+    for name, header, rows in (("grid", ["x", "a", "b", "c", "d"], grid),
+                               ("field", ["t", "u1", "u2", "u3", "u4"], field),
+                               ("eigen", ["k", "lambda"], eigen),
+                               ("ladder", ["modes", "err"], ladder)):
+        path = tmp_path / f"{name}.csv"
+        cli._write_csv(path, header, iter(rows))
+        assert path.read_text() == per_value(header, rows), name
+
+
 # ---------------------------------------------------------------------------
 # installed entry point
 

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from degenfrac.errors import DomainError
 from degenfrac.fracops import (
     EKParams,
     SampledFunction,
     TimeWarp,
+    _Pchip,
     caputo_l1,
     ek_integral,
     graded_grid,
@@ -55,6 +57,24 @@ def test_warp_rejects_bad_parameters():
         warp_forward(TimeWarp(0.5, 1.0), 0.5)
     with pytest.raises(DomainError):
         warp_inverse(TimeWarp(0.5, 1.0), -0.1)
+    with pytest.raises(DomainError):
+        warp_inverse(TimeWarp(0.5, 1.0), np.array([0.2, -0.1]))
+
+
+def test_warp_maps_take_arrays():
+    # numpy's vector pow may differ from the scalar C pow in the last bit
+    w = TimeWarp(0.3, 0.4)
+    t = np.linspace(0.4, 2.5, 301)
+    s = warp_forward(w, t)
+    assert s[0] == 0.0
+    ref = np.array([warp_forward(w, float(v)) for v in t])
+    assert np.max(np.abs(s - ref)) <= 4.5e-16 * np.max(np.abs(ref))
+    for theta, a in ((0.3, 0.2), (0.3, 0.4), (-0.5, 1.3), (0.7, 0.37)):
+        assert np.all(warp_forward(TimeWarp(theta, a), np.full(3, a)) == 0.0)
+    back = warp_inverse(w, s)
+    ref = np.array([warp_inverse(w, float(v)) for v in s])
+    assert np.max(np.abs(back - ref)) <= 4.5e-16 * 2.5
+    assert np.max(np.abs(back - t)) <= 1e-15 * 2.5
 
 
 def test_graded_grid():
@@ -75,6 +95,48 @@ def test_sampled_function_table_and_domain():
         sf(1.5)
     with pytest.raises(DomainError):
         SampledFunction.from_table([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
+
+
+def _pchip_cases():
+    rng = np.random.default_rng(11)
+    x = np.sort(rng.uniform(0.0, 2.0, 40))
+    steps = np.repeat([0.0, 1.0, 1.0, 3.0, -2.0], 8).astype(float)
+    return {
+        "2-d random": (x, rng.normal(size=(5, 40))),
+        "1-d monotone": (x, np.cumsum(rng.uniform(0.0, 1.0, 40))),
+        "flat runs and steps": (x, np.stack([steps, np.zeros(40)])),
+        "sign-changing": (x, np.stack([np.sin(5.0 * x), x - 1.0])),
+        "two nodes": (x[[3, 17]], rng.normal(size=(3, 2))),
+        "three nodes": (x[[3, 17, 30]], rng.normal(size=(2, 3))),
+        "graded nodes": (2.0 * np.linspace(0.0, 1.0, 65) ** 5,
+                         np.stack([np.cos(np.linspace(0.0, 4.0, 65)),
+                                   np.linspace(0.0, 1.0, 65) ** 0.3])),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_pchip_cases()))
+def test_pchip_matches_scipy_reference(case):
+    x, y = _pchip_cases()[case]
+    # nodes, cell midpoints, and extrapolation past both ends
+    xp = np.concatenate((x, 0.5 * (x[1:] + x[:-1]),
+                         x[0] - np.array([0.5, 1e-3]),
+                         x[-1] + np.array([1e-3, 0.5])))
+    got = _Pchip(x, y)(xp)
+    assert got.shape == y.shape[:-1] + xp.shape
+    for row, ref_y in zip(got.reshape(-1, xp.size), y.reshape(-1, x.size)):
+        ref = PchipInterpolator(x, ref_y, extrapolate=True)(xp)
+        np.testing.assert_allclose(row, ref, rtol=1e-14, atol=0.0)
+    assert np.ndim(_Pchip(x, y)(float(x[1]))) == y.ndim - 1
+
+
+def test_sampled_function_table_matches_scipy_reference():
+    nodes = np.linspace(0.0, 1.0, 30) ** 2
+    vals = np.sin(7.0 * nodes)
+    sf = SampledFunction.from_table(nodes, vals)
+    tq = np.linspace(0.0, 1.0, 97)
+    np.testing.assert_allclose(sf(tq), PchipInterpolator(nodes, vals)(tq),
+                               rtol=1e-14, atol=0.0)
+    assert isinstance(sf(0.3), float)
 
 
 def test_ek_integral_power_law():
@@ -210,6 +272,23 @@ def test_hb_caputo_relaxation_spot_check():
         lhs = hb_caputo(fn, al, w, t, warped=True)
         rhs = -lam * float(ml_eval_many(al, 1.0, np.array([lam_star * s ** al]))[0])
         assert lhs == pytest.approx(rhs, rel=2e-5)
+
+
+@pytest.mark.parametrize("alpha", [0.4, 1.0])
+@pytest.mark.parametrize("a", [0.0, 0.5])
+def test_hb_caputo_leading_axes_match_one_curve_calls(alpha, a):
+    # f with values of shape (3, nodes): one grid and one L1 row serve all
+    w = TimeWarp(0.3, a)
+    curves = (lambda s: np.sin(3.0 * s), lambda s: s ** 1.5,
+              lambda s: np.exp(-2.0 * s))
+    for warped in (True, False):
+        for t in (a + 0.2, a + 1.3):
+            got = hb_caputo(lambda v: np.stack([c(v) for c in curves]),
+                            alpha, w, t, n=512, warped=warped)
+            ref = np.array([hb_caputo(c, alpha, w, t, n=512, warped=warped)
+                            for c in curves])
+            assert got.shape == (3,)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_hb_caputo_validation():

@@ -7,10 +7,11 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
 from degenfrac import solver
 from degenfrac.errors import DomainError, RegimeError, ResolutionError
-from degenfrac.fracops import SampledFunction, TimeWarp, warp_forward
+from degenfrac.fracops import SampledFunction, TimeWarp, hb_caputo, warp_forward
 from degenfrac.solver import (
     ModeODE,
     ProblemSpec,
@@ -24,7 +25,10 @@ from degenfrac.solver import (
     solution_norms,
     tail_estimate,
     _eval_vec,
+    _mode_residuals,
     _mode_values,
+    _modes_values,
+    _value_at,
 )
 from degenfrac.special import ml_eval, ml_eval_many
 
@@ -416,3 +420,107 @@ def test_separable_time_factor_is_evaluated_once_per_block(eig):
                       float(fld.mode_phi[k]), fld.mode_sources[k], spec.warp)
         ref = _per_time_reference(ode, S, "single_kernel", 32)
         assert np.max(np.abs(fld.mode_values[k] - ref)) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# Batching across modes against explicit one-mode references
+
+
+def _mode_sources(kind, K, warp):
+    if kind == "none":
+        return [None] * K
+    if kind == "constant":
+        return [0.5 * (k + 1) for k in range(K)]
+    if kind == "shared":  # one SeparableSource time factor
+        src = SeparableSource(lambda x: x, lambda t: np.sin(3.0 * t))
+        return [solver._ModeSource(0.3 * (k + 1), src.ft) for k in range(K)]
+    if kind == "table":
+        tg = np.linspace(warp.a, warp.a + 2.0, 41)
+        return [SampledFunction.from_table(tg, np.cos((k + 1) * tg) + tg)
+                for k in range(K)]
+    # mixed: every kind of mode source in one batch; the callable refuses
+    # t < a, where t(0) = (a^p)^(1/p) rounds for this warp
+    return [None, 1.5, lambda t: np.cos(2.0 * warp_forward(warp, t)),
+            solver._ModeSource(0.7, np.exp), 0.25][:K]
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.0])
+@pytest.mark.parametrize("form", ["single_kernel", "split_kernel"])
+@pytest.mark.parametrize("kind", ["none", "constant", "shared", "table",
+                                  "mixed"])
+def test_modes_values_match_one_mode_calls(alpha, form, kind):
+    warp = TimeWarp(0.3, 0.2)
+    K = 5
+    odes = [ModeODE(k + 1, alpha, 2.0 + 9.0 * k, 0.4 - 0.1 * k, src, warp)
+            for k, src in enumerate(_mode_sources(kind, K, warp))]
+    t = np.concatenate(([warp.a], np.linspace(0.25, 2.2, 23)))
+    S = warp_forward(warp, t)
+    got = _modes_values(odes, S, form, 24)
+    ref = np.stack([_mode_values(ode, S, form, 24) for ode in odes])
+    assert got.shape == (K, t.size)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _per_mode_residuals(field, spec, ts, hb_n, dense_n):
+    """The residual mode by mode: scipy's PCHIP through each mode's own
+    table, the public hb_caputo once per mode and sample time, and each
+    mode's source read at one time."""
+    S_T = warp_forward(spec.warp, spec.T)
+    sg = S_T * np.linspace(0.0, 1.0, dense_n + 1) ** min(2.0 / spec.alpha, 12.0)
+    r = np.empty((ts.size, field.K))
+    scale = 0.0
+    for k in range(field.K):
+        ode = ModeODE(k + 1, spec.alpha, float(field.mode_lambdas[k]),
+                      float(field.mode_phi[k]), field.mode_sources[k],
+                      spec.warp)
+        table = _mode_values(ode, sg, "single_kernel", 128)
+        table[0] = ode.phi_k
+        uk = PchipInterpolator(sg, table, extrapolate=True)
+        for j, tj in enumerate(ts):
+            hb = hb_caputo(uk, spec.alpha, spec.warp, float(tj), n=hb_n,
+                           warped=True)
+            relax = ode.lambda_k * float(uk(warp_forward(spec.warp, float(tj))))
+            load = 0.0 if ode.f_k is None else _value_at(ode.f_k, tj)
+            r[j, k] = hb + relax - load
+            scale = max(scale, abs(hb), abs(relax), abs(load))
+    return r, scale
+
+
+@pytest.mark.parametrize("beta,alpha,f", [
+    (0.5, 0.6, SeparableSource(lambda x: np.ones_like(x), np.sin)),
+    (1.4, 0.45, SeparableSource(lambda x: x * x, 2.0)),
+    (0.5, 1.0, lambda x, t: np.cos(t) * x),
+    (1.4, 0.8, None),
+])
+def test_batched_residuals_match_per_mode_reference(eig, beta, alpha, f):
+    spec = _basic_spec(beta, f=f, alpha=alpha, a=0.2, T=1.3)
+    fld = assemble(spec, eig(beta, 6), 6, np.linspace(0.0, 1.0, 17),
+                   np.linspace(0.3, 1.3, 5))
+    ts = np.array([0.3, 0.8, 1.3])
+    r, scale, load = _mode_residuals(fld, spec, ts, 1024, 256)
+    r_ref, scale_ref = _per_mode_residuals(fld, spec, ts, 1024, 256)
+    assert scale == pytest.approx(scale_ref, rel=1e-14)
+    assert np.max(np.abs(r - r_ref)) <= 1e-14 * scale_ref
+    assert load.shape == (ts.size, 6)
+
+
+def test_tail_covers_the_whole_time_interval(eig):
+    # cos(pi t) vanishes at the midpoint of [0, 1], where the source
+    # projection defect was once taken; on [0, 1] it reaches 1 at t = 0
+    from degenfrac import cli
+    warp = TimeWarp(0.0, 0.0)
+    f = cli.source_expr("sep:one|cos:3.141592653589793", warp)
+    spec = ProblemSpec(0.6, 0.0, 0.5, 0.0, 1.0, cli.space_expr("zero"), f)
+    xg, tg = np.linspace(0.0, 1.0, 65), np.linspace(1.0 / 16, 1.0, 16)
+    fld = assemble(spec, eig(0.5, 4), 4, xg, tg)
+    assert fld.diagnostics["tail_estimate_l2"] > 1e-3
+    # the tabulated route takes the largest defect over its time table;
+    # for a separable source that is sup |ft| times the defect of fx.
+    # sin(3t) peaks inside (0, 1)
+    sep = cli.source_expr("sep:one|sin:3", warp)
+    defects = [assemble(ProblemSpec(0.6, 0.0, 0.5, 0.0, 1.0,
+                                    cli.space_expr("zero"), src),
+                        eig(0.5, 4), 4, xg, tg)
+               .diagnostics["source_projection_defect_l2"]
+               for src in (sep, lambda x, t: sep(x, t))]
+    assert defects[1] == pytest.approx(defects[0], rel=1e-12)

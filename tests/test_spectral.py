@@ -168,6 +168,27 @@ def test_basis_matrix_shape(eig):
     assert np.allclose(B[0], sys.eigen_eval(1, np.linspace(0.1, 0.9, 7))[0])
 
 
+@pytest.mark.parametrize("route", ["galerkin", "bessel"])
+@pytest.mark.parametrize("beta", [0.5, 1.5])
+def test_basis_matrix_matches_stacked_eigen_eval(eig, beig, route, beta):
+    sys = eig(beta, 6) if route == "galerkin" else beig(beta, 6)
+    rng = np.random.default_rng(5)
+    x = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 200),
+                        sys.mesh_x()[::97]))
+    B = sys.basis_matrix(x)
+    assert B.shape == (6, x.size)
+    ref = np.vstack([sys.eigen_eval(k, x)[0] for k in range(1, 7)])
+    np.testing.assert_allclose(B, ref, rtol=1e-14, atol=0.0)
+    if route == "galerkin":
+        # the P1 element is np.interp's linear interpolation in its chart
+        chart, cnodes, vecs, _ = sys._payload
+        y = x if chart == "x" else x ** (1.0 - beta)
+        ref = np.vstack([np.interp(y, cnodes, v) for v in vecs])
+        np.testing.assert_allclose(B, ref, rtol=1e-14, atol=0.0)
+    with pytest.raises(DomainError):
+        sys.eigen_eval(1, np.array([0.5, np.nan]))
+
+
 def test_resolution_guard_fires_on_coarse_mesh():
     with pytest.raises(ResolutionError):
         solve_eigen(0.5, 40, mesh=64)

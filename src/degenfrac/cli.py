@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage/config, 2 parameter-domain violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys as _sys
@@ -565,7 +566,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing keeps no state
+    between calls, and a usage error raises before any is kept."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH")
     common.add_argument("--beta", type=float)

@@ -28,8 +28,8 @@ import numpy as np
 from .errors import DomainError, RegimeError, ResolutionError
 from .fracops import (SampledFunction, TimeWarp, _Pchip, hb_caputo,
                       warp_forward, warp_inverse)
-from .special import _ml_many_betas, ml_eval_many
-from .spectral import EigenSystem, bc_requirements
+from .special import _ml, ml_eval_many
+from .spectral import EigenSystem, _gauss_rule, bc_requirements
 
 __all__ = [
     "ProblemSpec",
@@ -252,16 +252,6 @@ def _eval_vec(fn, x: np.ndarray) -> np.ndarray:
     return np.array([float(fn(xi)) for xi in x.ravel()]).reshape(x.shape)
 
 
-def _gauss_rule(sys: EigenSystem, quad: int = 8):
-    """Composite Gauss-Legendre points/weights on the system's graded mesh."""
-    nodes = sys.mesh_x()
-    h = np.diff(nodes)
-    xi, wt = np.polynomial.legendre.leggauss(quad)
-    X = (nodes[:-1, None] + 0.5 * h[:, None] * (1.0 + xi[None, :])).ravel()
-    W = (0.5 * h[:, None] * wt[None, :]).ravel()
-    return X, W
-
-
 def fourier_coeff(g, sys: EigenSystem, k: int, quad: int = 8) -> float:
     """Coefficient int_0^1 g(x) v_k(x) dx against the orthonormal basis."""
     X, W = _gauss_rule(sys, quad)
@@ -318,8 +308,7 @@ def _cell_sums(sigma, g, S, alpha, b, lam) -> np.ndarray:
     (g_i + c_i y_i)(P0(y_i) - P0(y_i+1)) - c_i (P1(y_i) - P1(y_i+1)).
     lam holds each mode's kernel factor and g[k] its source on the nodes."""
     y = S[:, None] - sigma  # decreasing along each row; y[:, -1] == 0
-    e1, e2 = _ml_many_betas(alpha, (b + 1.0, b + 2.0),
-                            lam[:, None, None] * y ** alpha)
+    e1, e2 = _ml(alpha, (b + 1.0, b + 2.0), lam[:, None, None] * y ** alpha)
     P0 = y ** b * e1
     P1 = y ** (b + 1.0) * (e1 - e2)
     dP0 = P0[..., :-1] - P0[..., 1:]
@@ -360,7 +349,7 @@ def _modes_values(odes, S_arr: np.ndarray, form: str,
     betas = (1.0,)
     if const.any():
         betas += tuple(b + 1.0 for b, on, _ in parts if on)
-    E = iter(_ml_many_betas(al, betas, Z))
+    E = iter(_ml(al, betas, Z))
     out = np.array([ode.phi_k for ode in odes])[:, None] * next(E)
     if const.any():
         # declared constant data: the cell sum telescopes to c * P0(S)

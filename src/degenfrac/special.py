@@ -7,14 +7,25 @@ and an empirical fit of the algebraic decay bound
 
     |E_{alpha,beta}(-x)| <= M / (1 + x),   x >= 0,  0 < alpha < 2.
 
-Mittag-Leffler routes: the defining series for |z| <= 1 and on the
-positive ray, with exponential asymptotics far out on it; for
-0 < alpha < 1, the trapezoid rule on a parabolic Hankel contour (one
-fixed contour for real z <= 0, vectorized and shared by several betas;
-a pole-aware contour for the complex arguments of order halving);
-Kummer's function at alpha = 1, and closed forms there for integer
-beta <= 4 in ml_eval_many; closed forms and asymptotics at alpha = 2;
-order halving for other alpha > 1.  Accuracy contract: see ml_eval_many.
+Mittag-Leffler routes.  One dispatcher, _ml, picks them, first match wins:
+
+1. z = 0: 1/Gamma(beta), exactly.
+2. alpha = 1, beta = n in 1..4: (e^z - sum_{k<n-1} z^k/k!)/z^(n-1), its
+   Taylor series for |z| < 1.
+3. 0 < alpha < 1, z < 0, alpha - 2 <= beta <= 2 alpha + 4: the trapezoid
+   rule on one fixed parabolic Hankel contour, all betas in one pass.
+4. Every other point, one by one (_ml_scalar):
+   a. z > 0: the series up to z^(1/alpha) = 40, then the exponential
+      asymptotics (in log form up to the double limit);
+   b. -1 <= z < 0: the series;
+   c. alpha = 1: Kummer's function;
+   d. alpha = 2, beta in {1, 2}: cos(sqrt(-z)), sin(sqrt(-z))/sqrt(-z);
+   e. alpha >= 2, (-z)^(1/alpha) <= 6: the series;
+   f. else order halving onto 1/2 <= alpha/2^m < 1, each root on the
+      contour of route 3 or, for a pole off the cut, Garrappa's pole-aware
+      contour; ResolutionError past the same beta bound.
+
+Accuracy contract: see ml_eval_many.
 """
 from __future__ import annotations
 
@@ -53,7 +64,7 @@ def gamma_eval(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Mittag-Leffler: scalar evaluation
+# Mittag-Leffler: the defining series
 # ---------------------------------------------------------------------------
 
 #: largest |z| handled by the defining series on the negative half-line.
@@ -111,10 +122,22 @@ def _ml_series(alpha: float, beta: float, z: complex, cap: int = _TERM_CAP):
 # operations to build, so none is cached.
 
 #: the parabola for arguments with no pole on the principal sheet (every
-#: z <= 0): truncation exp(mu (1 - (N h)^2)) < 1e-15, roundoff amplified by
-#: e^mu ~ 7 only, and a step h fine enough for the origin singularity
-#: s^(alpha-beta) up to beta = 2 alpha + 2 (scanned against an mpmath table)
+#: z <= 0) or a pole on the cut: truncation exp(mu (1 - (N h)^2)) < 1e-15,
+#: roundoff amplified by e^mu ~ 7 only, and a step h fine enough for the
+#: origin singularity s^(alpha-beta) within the beta bound of _on_contour
 _MU, _H, _N = 2.0, 0.12, 36
+
+
+def _on_contour(alpha, beta):
+    """Whether the contours serve beta at order alpha (elementwise for
+    arrays): alpha - 2 <= beta <= 2 alpha + 4.  Above, s^(alpha-beta) is too
+    sharp at the origin for the step h; below, it outgrows the truncation
+    at u = N h.  A frozen mpmath scan (alpha in [0.05, 0.99], 0 < -z <= 1e6)
+    held 5e-13 (1 + |E|) to 4.9e-14 at 2 alpha + 4 and broke it at
+    2 alpha + 5 (5.3e-13 near z = 0) and at alpha - 3.5 (1.1e-12).  The
+    solver's largest kernel is beta = 2 alpha + 2."""
+    return (beta >= alpha - 2.0) & (beta <= 2.0 * alpha + 4.0)
+
 
 _LOG_EPS = math.log(np.finfo(float).eps)
 
@@ -162,8 +185,8 @@ def _ml_neg_ray(alpha: float, betas, x: np.ndarray) -> np.ndarray:
         d *= d
         d += (sa.imag**2)[:, None]
         np.reciprocal(d, out=d)
-        xd, rest = np.split(gemm @ d, 2)
-        np.add(xd * xs, rest, out=out[:, lo:lo + xs.size])
+        xd = gemm @ d
+        np.add(xd[:b.size] * xs, xd[b.size:], out=out[:, lo:lo + xs.size])
     far = flat > _FAR
     if np.any(far):
         out[:, far] = W.imag.sum(axis=1)[:, None] / flat[far]
@@ -225,20 +248,21 @@ def _beyond(phi: float, log_tol: float):
 
 
 def _ml_frac(alpha: float, beta: float, z: complex) -> complex:
-    """E_{alpha,beta}(z) for 0 < alpha < 1 and complex z off the series disc.
+    """E_{alpha,beta}(z) for 1/2 <= alpha < 1 and complex z off the series
+    disc.
 
     For |arg z| < pi alpha the pole s* = z^(1/alpha) lies on the principal
-    sheet, where a fixed contour can pass next to it.  Garrappa's choice
-    then takes the cheaper of a parabola enclosing s* and one between the
-    origin and s* plus the residue (1/alpha) s*^(1-beta) e^s*."""
-    if abs(cmath.phase(z)) >= math.pi * alpha:
-        mu, h, n, outside = _MU, _H, _N, False
-    else:
+    sheet.  On the cut (Re sqrt(s*) = 0) it is inside the fixed parabola,
+    which serves it as it serves every other z.  Elsewhere Garrappa's
+    choice takes the cheaper of a parabola enclosing s* and one between
+    the origin and s* plus the residue (1/alpha) s*^(1-beta) e^s*."""
+    mu, h, n, outside = _MU, _H, _N, False
+    if abs(cmath.phase(z)) < math.pi * alpha:
         pole = z ** (1.0 / alpha)
         phi = 0.5 * (pole.real + abs(pole))  # (Re sqrt(pole))^2
         p = max(0.0, 2.0 * (beta - alpha - 1.0))
         log_tol = math.log(1e-15)
-        while True:
+        while phi > 0.0:
             n, mu, h, outside = min((*_between(math.sqrt(phi), p, log_tol), True),
                                     (*_beyond(phi, log_tol), False))
             if n <= 200:
@@ -249,6 +273,11 @@ def _ml_frac(alpha: float, beta: float, z: complex) -> complex:
     if outside:
         val += (1.0 / alpha) * pole ** (1.0 - beta) * cmath.exp(pole)
     return val
+
+
+# ---------------------------------------------------------------------------
+# Mittag-Leffler: alpha = 1
+# ---------------------------------------------------------------------------
 
 
 def _kummer_ratio_series(a: float, b: float, x: float, cap: int = 4000) -> float:
@@ -304,140 +333,16 @@ def _kummer_scaled(a: float, b: float, x: float) -> float:
     return s
 
 
-def _ml_alpha1(beta: float, z: complex) -> complex:
-    """E_{1,beta}(z) via Kummer's function: E = e^z M(beta-1, beta, -z)/Gamma(beta)."""
-    if beta == 1.0:
-        return cmath.exp(z) if isinstance(z, complex) and z.imag else complex(math.exp(z.real))
-    if beta == 2.0:
-        return (cmath.exp(z) - 1.0) / z
-    if beta <= 0.0 and beta == round(beta):
-        # 1/Gamma(beta) vanishes at these points, so the step-up identity is
-        # exact: E_{1,0}(z) = z e^z, E_{1,-1}(z) = z^2 e^z, ...
-        return z * _ml_alpha1(beta + 1.0, z)
-    x = -z
-    if x.imag == 0.0 and x.real > 30.0:
-        return complex(_kummer_scaled(beta - 1.0, beta, x.real) * sp.rgamma(beta))
-    if x.imag == 0.0:
-        m = _kummer_ratio_series(beta - 1.0, beta, x.real)
-        return complex(math.exp(z.real) * m * sp.rgamma(beta))
-    # complex argument: plain series in the scaled form
-    term = 1.0 + 0.0j
-    s = 1.0 + 0.0j
-    for k in range(4000):
-        term *= (beta - 1.0 + k) * x / ((beta + k) * (k + 1.0))
-        s += term
-        if abs(term) < 1e-18 * abs(s):
-            break
-    return cmath.exp(z) * s * sp.rgamma(beta)
-
-
-def _ml_scalar(alpha: float, beta: float, z: complex) -> complex:
-    az = abs(z)
-    if az == 0.0:
-        return complex(sp.rgamma(beta))
-    if z.imag == 0.0 and z.real > 0.0:
-        tau = z.real ** (1.0 / alpha)
-        if tau <= _SERIES_POS_TAU:
-            # positive terms: no cancellation, just let the series run out
-            cap = max(_TERM_CAP, int(6.0 * tau / alpha) + 50)
-            return _ml_series(alpha, beta, z, cap=cap)
-        # exponential branch plus algebraic tail; past _EXP_CUT in log form,
-        # which overflows (OverflowError) only past the double range
-        zz = z.real
-        if tau <= _EXP_CUT:
-            val = (1.0 / alpha) * zz ** ((1.0 - beta) / alpha) * math.exp(tau)
-        else:
-            val = math.exp(tau + (1.0 - beta) / alpha * math.log(zz) - math.log(alpha))
-        for n in range(1, 12):
-            val -= sp.rgamma(beta - alpha * n) * zz ** (-n)
-        return complex(val)
-    if az <= _SERIES_NEG_CUT:
-        return _ml_series(alpha, beta, z)
-    if alpha < 1.0:  # z < 0 here: ml_eval takes real arguments
-        return complex(_ml_neg_ray(alpha, (beta,), np.array(-z.real))[0])
-    if alpha == 1.0:
-        return _ml_alpha1(beta, z)
-    if alpha == 2.0 and z.imag == 0.0 and beta in (1.0, 2.0):
-        x = math.sqrt(az)
-        if beta == 1.0:
-            return complex(math.cos(x) if z.real < 0.0 else math.cosh(x))
-        return complex(math.sin(x) / x if z.real < 0.0 else math.sinh(x) / x)
-    if alpha == 2.0 and z.imag == 0.0 and z.real < 0.0:
-        # general beta: damped-cosine principal term plus algebraic tail;
-        # order halving is useless here (children sit on the imaginary axis)
-        x = math.sqrt(az)
-        if x <= 17.0:
-            # ~e^x cancellation against ~1e-8 asymptotic truncation: the
-            # crossover of the two error curves sits near x = 17
-            return _ml_series(alpha, beta, z)
-        val = x ** (1.0 - beta) * math.cos(x + 0.5 * math.pi * (1.0 - beta))
-        prev = math.inf
-        for k in range(1, 40):
-            t = sp.rgamma(beta - 2.0 * k) * z.real ** (-k)
-            if abs(t) >= prev:
-                break
-            val -= t
-            prev = abs(t)
-        return complex(val)
-    if alpha >= 2.0:
-        # the largest series term is ~ e^tau in size, so for tau this small the
-        # direct sum loses nothing and sidesteps order-halving entirely
-        tau = az ** (1.0 / alpha)
-        if tau <= 6.0:
-            return _ml_series(alpha, beta, z)
-    # alpha > 1: halve the order until it lands in (1/2, 1) or at exactly 1,
-    # using E_{a,b}(z) = (1/2^m) sum over the 2^m-th roots w of z of E_{a/2^m,b}(w)
-    m = 0
-    a = alpha
-    while a > 1.0:
-        a *= 0.5
-        m += 1
-    if abs(a - 0.5) < 1e-12:
-        a *= 2.0
-        m -= 1  # lands exactly on alpha/2^m == 1 -> Kummer path
-    r = az ** (1.0 / 2**m)
-    ph = cmath.phase(z)
-    acc = 0.0 + 0.0j
-    for j in range(2**m):
-        w = cmath.rect(r, (ph + 2.0 * math.pi * j) / 2**m)
-        if abs(w) <= _SERIES_NEG_CUT:
-            acc += _ml_series(a, beta, w)
-        elif a == 1.0:
-            acc += _ml_alpha1(beta, w)
-        else:
-            acc += _ml_frac(a, beta, w)
-    return acc / 2**m
-
-
-def ml_eval(alpha: float, beta: float, z: float) -> float:
-    """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) for real z.
-
-    Parameters
-    ----------
-    alpha : positive real order.
-    beta : real second parameter.
-    z : real argument.  The routes are listed in the module docstring;
-        for 0 < alpha < 1 and z < -1 the contour rule of ml_eval_many
-        serves z as a one-element array, under the same accuracy contract.
-
-    Raises ResolutionError where E exceeds the double range.
-    """
-    if not (math.isfinite(alpha) and math.isfinite(beta) and math.isfinite(z)):
-        raise DomainError("ml_eval: non-finite argument")
-    if alpha <= 0.0:
-        raise DomainError(f"ml_eval: order must be positive, got {alpha}")
-    try:
-        val = _ml_scalar(float(alpha), float(beta), complex(z))
-    except OverflowError:  # e.g. the residue of order halving
-        val = complex(math.inf)
-    if not cmath.isfinite(val):
-        raise ResolutionError(
-            f"ml_eval: E exceeds the double range at alpha={alpha}, beta={beta}, z={z}")
-    if abs(val.imag) > 1e-8 * (1.0 + abs(val.real)):
-        raise ResolutionError(
-            f"ml_eval: lost conjugate symmetry at alpha={alpha}, beta={beta}, z={z}"
-        )
-    return float(val.real)
+def _ml_alpha1(beta: float, x: float) -> float:
+    """E_{1,beta}(-x) for x > 1 via Kummer's function:
+    E = e^-x M(beta-1, beta, x)/Gamma(beta)."""
+    if beta <= 1.0 and beta == round(beta):
+        # E_{1,1}(z) = e^z, and 1/Gamma(b) vanishes at b = 0, -1, ..., so the
+        # step-up identity E_{1,b}(z) = 1/Gamma(b) + z E_{1,b+1}(z) gives z^(1-b) e^z
+        return (-x) ** (1.0 - beta) * math.exp(-x)
+    if x > 30.0:
+        return _kummer_scaled(beta - 1.0, beta, x) * sp.rgamma(beta)
+    return math.exp(-x) * _kummer_ratio_series(beta - 1.0, beta, x) * sp.rgamma(beta)
 
 
 #: integer beta = n up to this value takes the closed form at alpha = 1;
@@ -454,8 +359,7 @@ def _ml_alpha1_int(n: int, z: np.ndarray) -> np.ndarray:
 
     The closed form cancels near 0, so |z| < 1 takes the Taylor series
     sum_k z^k/(k+n-1)!; for z > 700 the leading term is taken in log
-    form, e^(z - (n-1) log z).  Raises ResolutionError where E
-    exceeds the double range."""
+    form, e^(z - (n-1) log z), which is inf past the double range."""
     out = np.empty_like(z)
     near = np.abs(z) < 1.0
     taylor = 1.0 / np.array([math.factorial(k + n - 1) for k in range(_TAYLOR_TERMS)])
@@ -467,20 +371,117 @@ def _ml_alpha1_int(n: int, z: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         far[big] = np.exp(zf[big] - (n - 1) * np.log(zf[big]))
     out[~near] = far
-    if not np.all(np.isfinite(out)):
-        raise ResolutionError(f"ml_eval_many: E_{{1,{n}}} exceeds the double range")
     return out
 
 
-def ml_eval_many(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """Vectorized E_{alpha,beta}(z) for a real array z.
+# ---------------------------------------------------------------------------
+# Mittag-Leffler: the route table
+# ---------------------------------------------------------------------------
 
-    Routes: 0 < alpha < 1 with every z <= 0 takes one numpy pass of the
-    contour rule; alpha = 1 with integer beta = n in 1..4 the closed form
-    E_{1,n}(z) = (e^z - sum_{k<n-1} z^k/k!)/z^(n-1) (its Taylor series
-    for |z| < 1); anything else goes through ml_eval point by point.  At
-    z = 0 every route returns 1/Gamma(beta) exactly; past the double
-    range every route raises ResolutionError.
+
+def _ml_scalar(alpha: float, beta: float, z: float) -> float:
+    """E_{alpha,beta}(z) at one real z != 0 by routes 4a-4f of the module
+    docstring.  Raises OverflowError past the double range, and
+    ResolutionError past the contours' beta bound."""
+    if z > 0.0:
+        tau = z ** (1.0 / alpha)
+        if tau <= _SERIES_POS_TAU:
+            # positive terms: no cancellation, just let the series run out
+            cap = max(_TERM_CAP, int(6.0 * tau / alpha) + 50)
+            return _ml_series(alpha, beta, z, cap=cap).real
+        # exponential branch plus algebraic tail; past _EXP_CUT in log form
+        if tau <= _EXP_CUT:
+            val = (1.0 / alpha) * z ** ((1.0 - beta) / alpha) * math.exp(tau)
+        else:
+            val = math.exp(tau + (1.0 - beta) / alpha * math.log(z) - math.log(alpha))
+        for n in range(1, 12):
+            val -= sp.rgamma(beta - alpha * n) * z ** (-n)
+        return val
+    x = -z
+    if x <= _SERIES_NEG_CUT:
+        return _ml_series(alpha, beta, z).real
+    if alpha == 1.0:
+        return _ml_alpha1(beta, x)
+    if alpha == 2.0 and beta == 1.0:
+        return math.cos(math.sqrt(x))
+    if alpha == 2.0 and beta == 2.0:
+        return math.sin(math.sqrt(x)) / math.sqrt(x)
+    if alpha >= 2.0 and x ** (1.0 / alpha) <= 6.0:
+        # the largest series term is ~ e^tau in size, so for tau this small
+        # the direct sum loses nothing and sidesteps order halving
+        return _ml_series(alpha, beta, z).real
+    # E_{a,b}(z) = (1/2^m) sum over the 2^m-th roots w of z of E_{a/2^m,b}(w),
+    # halving until 1/2 <= a/2^m < 1; m = 0 for alpha < 1
+    m, a = 0, alpha
+    while a >= 1.0:
+        a *= 0.5
+        m += 1
+    if not _on_contour(a, beta):
+        raise ResolutionError(f"E_{{{alpha},{beta}}}({z}): beta lies outside "
+                              f"the contours' bound at order {a}")
+    r = x ** (1.0 / 2**m)
+    acc = sum(_ml_frac(a, beta, cmath.rect(r, math.pi * (2 * j + 1) / 2**m))
+              for j in range(2**m)) / 2**m
+    if abs(acc.imag) > 1e-8 * (1.0 + abs(acc.real)):
+        raise ResolutionError(
+            f"E_{{{alpha},{beta}}}({z}): order halving lost conjugate symmetry")
+    return acc.real
+
+
+def _ml(alpha: float, betas, z) -> np.ndarray:
+    """E_{alpha,b}(z) for each b in betas, shape (len(betas),) + z.shape.
+
+    The only place that picks a Mittag-Leffler route, by the table of the
+    module docstring: routes 2 and 3 take whole rows, route 1 the zeros of
+    the other rows, and _ml_scalar every point still left.  Raises
+    ResolutionError where E exceeds the double range, and past the
+    contours' beta bound."""
+    z = np.asarray(z, dtype=float)
+    b = np.asarray(betas, dtype=float)
+    zf = z.ravel()
+    out = np.empty((b.size, zf.size))
+    whole = np.zeros(b.size, dtype=bool)
+    if alpha == 1.0:
+        whole = (b == np.round(b)) & (b >= 1.0) & (b <= _ALPHA1_NMAX)
+        for i in np.flatnonzero(whole):
+            out[i] = _ml_alpha1_int(int(b[i]), zf)
+    elif alpha < 1.0:
+        whole = _on_contour(alpha, b)
+        out[whole] = _ml_neg_ray(alpha, b[whole], np.maximum(-zf, 0.0))
+    # the contour ran at x = 0 in place of z > 0: those points are left
+    left = np.flatnonzero(zf > 0.0) if alpha < 1.0 else []
+    for i in range(b.size):
+        if not whole[i]:
+            out[i, zf == 0.0] = sp.rgamma(b[i])
+        for j in (left if whole[i] else np.flatnonzero(zf)):
+            try:
+                out[i, j] = _ml_scalar(alpha, float(b[i]), float(zf[j]))
+            except OverflowError:  # e.g. the residue of order halving
+                out[i, j] = math.inf
+    if not np.all(np.isfinite(out)):
+        raise ResolutionError(
+            f"E_{{{alpha},b}} exceeds the double range for b in {tuple(b)}")
+    return out.reshape(b.shape + z.shape)
+
+
+def ml_eval(alpha: float, beta: float, z: float) -> float:
+    """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) for real z:
+    ml_eval_many(alpha, beta, [z])[0], bit for bit, under its contract.
+    Raises ResolutionError past the double range, and at z < -1 when beta
+    lies outside the contours' bound a - 2 <= beta <= 2 a + 4 (a the
+    order on the contour, see ml_eval_many)."""
+    return float(ml_eval_many(alpha, beta, [z])[0])
+
+
+def ml_eval_many(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """E_{alpha,beta}(z) for positive order alpha, real beta and a real
+    array z, by the route table of the module docstring.
+
+    At z = 0 every route returns 1/Gamma(beta) exactly.  Raises
+    ResolutionError past the double range, and at z < -1 when beta lies
+    outside a - 2 <= beta <= 2 a + 4, a the order on the contour (alpha
+    itself below 1, alpha/2^m in [1/2, 1) above; alpha = 1 takes none);
+    for |z| <= 1 the series serves every beta.
 
     Accuracy of the contour rule against a frozen mpmath table (alpha in
     [0.05, 0.99], beta <= 2 alpha + 2, 0 <= -z <= 1e6): absolute error
@@ -488,29 +489,17 @@ def ml_eval_many(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     the solver uses, beta in {1, alpha+1, alpha+2, 2 alpha+1, 2 alpha+2}.
     Only at beta = alpha, where 1/Gamma(beta - alpha) = 0 cancels the
     leading x^-1 term and E falls off like x^-2, is the bound absolute.
-    The closed forms at alpha = 1 keep the same 5e-13 (1 + |E|) bound.
+    The closed forms at alpha = 1 and order halving keep the same bound,
+    with one limit: for alpha > 2, E oscillates on the negative ray with
+    amplitude A ~ e^(|z|^(1/alpha) cos(pi/alpha)), and rounding the 2^m
+    roots of z costs up to about 2e-14 A, more than the bound near a zero.
     """
     z = np.asarray(z, dtype=float)
     if not (math.isfinite(alpha) and math.isfinite(beta)) or not np.all(np.isfinite(z)):
         raise DomainError("ml_eval_many: non-finite argument")
     if alpha <= 0.0:
         raise DomainError(f"ml_eval_many: order must be positive, got {alpha}")
-    if alpha == 1.0 and beta == int(beta) and 1 <= beta <= _ALPHA1_NMAX:
-        return _ml_alpha1_int(int(beta), z)
-    if alpha < 1.0 and not np.any(z > 0.0):
-        return _ml_neg_ray(float(alpha), (float(beta),), -z)[0]
-    flat = np.array([ml_eval(alpha, beta, v) for v in z.ravel()])
-    return flat.reshape(z.shape)
-
-
-def _ml_many_betas(alpha: float, betas, z: np.ndarray) -> np.ndarray:
-    """E_{alpha,b}(z) for each b in betas, one row per b.  For
-    0 < alpha < 1 and every z <= 0 the betas share one pass of the
-    contour rule; otherwise each takes ml_eval_many."""
-    z = np.asarray(z, dtype=float)
-    if alpha < 1.0 and not np.any(z > 0.0):
-        return _ml_neg_ray(float(alpha), betas, -z)
-    return np.stack([ml_eval_many(alpha, b, z) for b in betas])
+    return _ml(float(alpha), (float(beta),), z)[0]
 
 
 # ---------------------------------------------------------------------------

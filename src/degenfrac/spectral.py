@@ -405,34 +405,29 @@ class OrthogonalityReport:
     max_offdiag_weighted: float
 
 
+def _gauss_rule(sys: EigenSystem, quad: int = 8):
+    """Composite Gauss-Legendre points/weights on the system's graded mesh."""
+    nodes = sys.mesh_x()
+    h = np.diff(nodes)
+    xi, wt = np.polynomial.legendre.leggauss(quad)
+    X = (nodes[:-1, None] + 0.5 * h[:, None] * (1.0 + xi[None, :])).ravel()
+    W = (0.5 * h[:, None] * wt[None, :]).ravel()
+    return X, W
+
+
 def orthogonality_report(sys: EigenSystem, quad: int = 8) -> OrthogonalityReport:
     """Gram matrices int v_i v_j dx and int x^beta v_i' v_j' dx by composite
     Gauss quadrature on the system's graded mesh (weighted products of the
     P1 system use the exact cell integrals of x^beta)."""
     beta, K = sys.beta, sys.count
+    X, W = _gauss_rule(sys, quad)
+    V, D = sys._rows(slice(None), X)
+    gram_l2 = (V * W) @ V.T
     if sys.method_tag == "galerkin_numeric":
         chart, cnodes, _, slopes = sys._payload
         if chart == "x":
-            nodes = cnodes
-        else:
-            nodes = cnodes ** (1.0 / (1.0 - beta))
-    else:
-        chart, slopes = None, None
-        nodes = _graded_mesh(beta, _DEFAULT_MESH_N)
-    h = np.diff(nodes)
-    xi, wt = np.polynomial.legendre.leggauss(quad)
-    # all Gauss points of all cells, flattened
-    X = (nodes[:-1, None] + 0.5 * h[:, None] * (1.0 + xi[None, :])).ravel()
-    W = (0.5 * h[:, None] * wt[None, :]).ravel()
-    V = np.empty((K, X.size))
-    D = np.empty((K, X.size))
-    for k in range(1, K + 1):
-        V[k - 1], D[k - 1] = sys.eigen_eval(k, X)
-    gram_l2 = (V * W) @ V.T
-    if slopes is not None:
-        if chart == "x":
-            xpow = (nodes[1:] ** (beta + 1.0)
-                    - nodes[:-1] ** (beta + 1.0)) / (beta + 1.0)
+            xpow = (cnodes[1:] ** (beta + 1.0)
+                    - cnodes[:-1] ** (beta + 1.0)) / (beta + 1.0)
             gram_w = (slopes * xpow) @ slopes.T
         else:
             # int x^beta v_i' v_j' over a cell is (1-beta)*dy*(y-slopes product)
@@ -444,13 +439,10 @@ def orthogonality_report(sys: EigenSystem, quad: int = 8) -> OrthogonalityReport
             # first cell: v' ~ x^{-beta}, so fold x^{-beta} into a Jacobi rule
             # and integrate the smooth remainder x^{2 beta} v_i' v_j'
             xj, wj = sp.roots_jacobi(quad, 0.0, -beta)
-            x1 = nodes[1]
+            x1 = sys.mesh_x()[1]
             Xj = 0.5 * x1 * (1.0 + xj)
             scale = (0.5 * x1) ** (1.0 - beta)
-            Vj = np.empty((K, quad))
-            Dj = np.empty((K, quad))
-            for k in range(1, K + 1):
-                Vj[k - 1], Dj[k - 1] = sys.eigen_eval(k, Xj)
+            Dj = sys._rows(slice(None), Xj)[1]
             first_plain = (D[:, :quad] * W[:quad] * X[:quad] ** beta) @ D[:, :quad].T
             first_jac = scale * (Dj * wj * Xj ** (2.0 * beta)) @ Dj.T
             gram_w += first_jac - first_plain

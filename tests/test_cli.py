@@ -330,12 +330,19 @@ def test_source_expr_forms():
         cli.source_expr("sep:sin:1", warp)  # missing time factor
 
 
-def test_module_entry_point_help():
-    # python -m degenfrac works from a source checkout, without installation
+def _source_env():
+    """Environment for a subprocess that imports degenfrac from this source
+    checkout, without installation."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1])]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_module_entry_point_help():
+    # python -m degenfrac works from a source checkout, without installation
+    env = _source_env()
     proc = subprocess.run([sys.executable, "-m", "degenfrac", "--help"],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
@@ -343,15 +350,34 @@ def test_module_entry_point_help():
 
 
 def test_import_leaves_scipy_interpolate_unloaded():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(cli.__file__).resolve().parents[1])]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env = _source_env()
     code = "import sys, degenfrac.cli; print('scipy.interpolate' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_main_keeps_one_parser_across_calls(tmp_path):
+    # two requests in one process, the first a usage error, give the exit
+    # codes and artifacts of two fresh processes
+    assert cli._build_parser() is cli._build_parser()
+    bad = ["eigen", "--modes", "3", "--no-such-flag"]
+    good = ["eigen", "--beta", "0.5", "--modes", "3"]
+    env = _source_env()
+    fresh = [subprocess.run([sys.executable, "-m", "degenfrac", *argv],
+                            capture_output=True, env=env).returncode
+             for argv in (bad, good + ["--out", str(tmp_path / "fresh")])]
+    code = ("from degenfrac.cli import main; "
+            f"print(main({bad!r}), main({good + ['--out', str(tmp_path / 'one')]!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert fresh == [1, 0]
+    assert proc.stdout.splitlines()[-1].split() == ["1", "0"]
+    for name in ("eigenvalues.csv", "eigenfunctions.csv", "orthogonality.json"):
+        assert filecmp.cmp(tmp_path / "fresh" / name, tmp_path / "one" / name,
+                           shallow=False), name
 
 
 def test_write_csv_matches_per_value_format(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
-from degenfrac import solver
+from degenfrac import solver, special
 from degenfrac.errors import DomainError, RegimeError, ResolutionError
 from degenfrac.fracops import SampledFunction, TimeWarp, hb_caputo, warp_forward
 from degenfrac.solver import (
@@ -524,3 +524,26 @@ def test_tail_covers_the_whole_time_interval(eig):
                .diagnostics["source_projection_defect_l2"]
                for src in (sep, lambda x, t: sep(x, t))]
     assert defects[1] == pytest.approx(defects[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0])
+def test_no_solver_path_takes_the_point_by_point_ml_route(eig, alpha, monkeypatch):
+    # the solver's kernels (alpha <= 1, z <= 0, beta <= 2 alpha + 2) are all
+    # served by the contour rule or the alpha = 1 closed forms
+    def refuse(*args):
+        raise AssertionError(f"point-by-point Mittag-Leffler route at {args}")
+
+    monkeypatch.setattr(special, "_ml_scalar", refuse)
+    fx = lambda x: np.sin(np.pi * x)
+    sources = (None, SeparableSource(fx, 2.0), SeparableSource(fx, np.cos),
+               lambda x, t: fx(x) * (1.0 + t))
+    xg, tg = np.linspace(0.0, 1.0, 9), np.linspace(0.3, 1.3, 4)
+    for beta, residual in ((0.5, residual_strong), (1.4, residual_weak)):
+        for f in sources:
+            spec = _basic_spec(beta, f=f, alpha=alpha, a=0.2, T=1.3)
+            fld = assemble(spec, eig(beta, 4), 4, xg, tg, conv_cells=16)
+            residual(fld, spec, hb_n=128, dense_n=64)
+    warp = TimeWarp(0.3, 0.2)
+    for src in (None, 1.5, np.cos):
+        mode_solution_alt(ModeODE(1, alpha, 7.0, 0.4, src, warp), tg,
+                          conv_cells=16)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from degenfrac.errors import DomainError, ResolutionError
 from degenfrac.special import (
-    _ml_many_betas,
+    _ml,
     bessel_j,
     bessel_j_zero,
     gamma_eval,
@@ -299,7 +299,7 @@ def test_ml_shared_contour_matches_single_beta(al, rng):
     betas = (1.0, al + 1.0, al + 2.0, 2.0 * al + 1.0, 2.0 * al + 2.0)
     if al == 1.0:
         betas = (1.0, 2.0, 3.0, 4.0)
-    shared = _ml_many_betas(al, betas, z.reshape(3, -1))
+    shared = _ml(al, betas, z.reshape(3, -1))
     assert shared.shape == (len(betas), 3, z.size // 3)
     for row, be in zip(shared, betas):
         single = ml_eval_many(al, be, z)
@@ -309,7 +309,7 @@ def test_ml_shared_contour_matches_single_beta(al, rng):
 def test_ml_zero_argument_is_exact_reciprocal_gamma():
     for al in (0.3, 0.7, 1.0, 1.5):
         betas = (0.5, 1.0, 2.0, 3.0, 4.0, al + 1.0, 2.0 * al + 2.0)
-        shared = _ml_many_betas(al, betas, np.array([0.0, -0.0]))
+        shared = _ml(al, betas, np.array([0.0, -0.0]))
         for row, be in zip(shared, betas):
             exact = sp.rgamma(be)
             assert ml_eval(al, be, 0.0) == exact
@@ -333,7 +333,7 @@ _SCALAR_VS_MANY = [(0.5, 1.0), (0.5, 1.5), (0.8, 2.6), (1.0, 1.0), (1.0, 2.0),
 
 @pytest.mark.parametrize("al,be", _SCALAR_VS_MANY)
 def test_ml_scalar_and_many_agree_wherever_both_route(al, be):
-    # both finite and equal, or both past the double range
+    # both finite and bit for bit equal, or both past the double range
     for z in (-300.0, -40.0, -1.0, 0.0, 0.5, 3.0, 40.0, 300.0, 700.0, 707.0,
               709.5, 712.0, 715.0, 1e4):
         try:
@@ -344,7 +344,168 @@ def test_ml_scalar_and_many_agree_wherever_both_route(al, be):
             continue
         many = float(ml_eval_many(al, be, np.array([z]))[0])
         assert math.isfinite(scalar)
-        assert abs(many - scalar) <= 5e-12 * (1.0 + abs(scalar)), (z, many, scalar)
+        assert many == scalar, (z, many, scalar)  # one route table, same bits
+
+
+# E_{2,b}(-x^2) = (1/2)[E_{1,b}(ix) + E_{1,b}(-ix)], E_{1,b}(w) = 1F1(1; b; w)/Gamma(b),
+# from mpmath hyp1f1 at 50 digits (frozen), one row per beta, one column per x
+_ALPHA2_X = (2.0, 5.0, 10.0, 17.5, 20.0, 25.0, 30.0, 40.0, 100.0, 300.0)
+_ALPHA2_REFERENCE = {
+    0.5: (-1.274217823284812, 1.9781546494943558, -0.6558266682027848, 3.5363978014969244,
+          -1.595481583984864, 3.973033147361332, 4.4245090286212205,
+          -6.314622001492719, 9.678103284568436, 11.973835865383519),
+    0.7: (-0.9256528765293643, 1.1249611695332427, -0.996089825470421, 1.5076921014099014,
+          -0.12420927446373424, 2.4779595381506123, 1.6259960344470308,
+          -2.8199901000227103, 3.9740032045602907, 2.4033566211943436),
+    1.3: (-0.0033415152628703034, -0.12088287870485814, -0.5007267468166146, -0.10558489265466597,
+          0.31616731343018334, 0.3130008490859328, -0.11240594509331357,
+          -0.0847855536382465, 0.13522827010370303, -0.08555769260791253),
+    1.5: (0.19831266161222919, -0.22365644373138754, -0.3119968572288062, -0.12872914018047582,
+          0.20817389248575738, 0.12101117371720727, -0.10795271230479536,
+          0.008564341755982537, 0.025141495437892635, -0.04172008621264481),
+    2.5: (0.45960185170814205, -0.05655860263786398, 0.01220016251750541, -0.009705169691262588,
+          0.005399177918831551, -0.0054541497021017215, -0.004289243827859405,
+          0.004299257240650297, -0.000911391370102068, -0.00012677384757595292),
+    2.7: (0.42400901509898253, -0.014183119426667029, 0.017664730093369874, -0.002407539322590477,
+          0.002236481145825749, -0.0027321221668544717, -0.0009506809450894028,
+          0.0022439833024307963, -0.00032036200206937205, -1.8144149303641917e-05),
+    3.5: (0.23251662637082085, 0.054081424433076, 0.014403760243243188, 0.004104843452329758,
+          0.002300513186524388, 0.0016117887894052886, 0.0013737020882225643,
+          0.0006998842658372063, 0.000110323767165762, 1.3001102814535082e-05),
+}
+
+
+def test_ml_alpha_two_general_beta():
+    for be, row in _ALPHA2_REFERENCE.items():
+        for x, ref in zip(_ALPHA2_X, row):
+            got = ml_eval(2.0, be, -x * x)
+            assert abs(got - ref) <= 5e-13 * (1.0 + abs(ref)), (be, x, got)
+
+
+# (alpha, beta, z, E) at alpha = 4 and 8 and |z|^(1/alpha) from 6.5 to 30, where
+# order halving runs: the mpmath series at 50 + |z|^(1/alpha)/2.3 digits (frozen)
+_HALVING_REFERENCE = [
+    (4.0, 0.5, -1785.0625, 34.501928986116084),
+    (4.0, 0.5, -10000.0, 708.1435752459629),
+    (4.0, 0.5, -50625.0, 291.54520300143724),
+    (4.0, 0.5, -160000.0, -1200464.6403824638),
+    (4.0, 0.5, -810000.0, -4142378700.104956),
+    (4.0, 1.0, -1785.0625, -5.745466897510979),
+    (4.0, 1.0, -10000.0, 415.24023775266977),
+    (4.0, 1.0, -50625.0, -7660.73387320917),
+    (4.0, 1.0, -160000.0, -3443.982483514849),
+    (4.0, 1.0, -810000.0, -581359808.5819283),
+    (4.0, 2.5, -1785.0625, -2.876259155743551),
+    (4.0, 2.5, -10000.0, 17.216987293318574),
+    (4.0, 2.5, -50625.0, -347.711206112171),
+    (4.0, 2.5, -160000.0, 7144.826903823688),
+    (4.0, 2.5, -810000.0, 1866410.9249458653),
+    (8.0, 0.5, -3186448.12890625, -224.52515397700444),
+    (8.0, 0.5, -100000000.0, -5205.933341416828),
+    (8.0, 0.5, -2562890625.0, 950291.7039853184),
+    (8.0, 0.5, -25600000000.0, 471377.0810157813),
+    (8.0, 0.5, -656100000000.0, 939220050972.4988),
+    (8.0, 1.0, -3186448.12890625, -77.54374167450736),
+    (8.0, 1.0, -100000000.0, -2002.8223544642683),
+    (8.0, 1.0, -2562890625.0, 223404.4902937943),
+    (8.0, 1.0, -25600000000.0, 5266195.903191465),
+    (8.0, 1.0, -656100000000.0, 126921356209.6237),
+    (8.0, 2.5, -3186448.12890625, -2.0526805870832816),
+    (8.0, 2.5, -100000000.0, -80.82718064841455),
+    (8.0, 2.5, -2562890625.0, 1909.2498073252295),
+    (8.0, 2.5, -25600000000.0, 210040.7768590825),
+    (8.0, 2.5, -656100000000.0, -172218692.0488769),
+]
+
+
+def test_ml_order_halving_at_powers_of_two():
+    # For alpha > 2, E oscillates on the negative ray with amplitude
+    # amp = (2/alpha) tau^(1-beta) e^(tau cos(pi/alpha)), tau = |z|^(1/alpha).
+    # Rounding the 2^m roots of z costs about 1e-14 amp, which exceeds
+    # 5e-13 (1 + |E|) where E passes near a zero: three points here.
+    near_zero = 0
+    for al, be, z, ref in _HALVING_REFERENCE:
+        err = abs(ml_eval(al, be, z) - ref)
+        tau = (-z) ** (1.0 / al)
+        amp = 2.0 / al * tau ** (1.0 - be) * math.exp(tau * math.cos(math.pi / al))
+        assert err <= max(5e-13 * (1.0 + abs(ref)), 5e-14 * amp), (al, be, z, err)
+        near_zero += err > 5e-13 * (1.0 + abs(ref))
+    assert near_zero <= 3
+
+
+# (alpha, beta, E(-2), E(-10), E(-100)) for alpha just above 1, where order
+# halving puts the pole on the cut: the mpmath series (frozen)
+_NEAR_ONE_REFERENCE = [
+    (1.000000001, 0.5, -0.1579596275762072, -0.0342754311279603, -0.0028643587812858186),
+    (1.000000001, 1.0, 0.13533528294792652, 4.5399799292241386e-05, -1.0206253613719723e-11),
+    (1.000000001, 2.0, 0.4323323585257666, 0.09999545997365346, 0.009999999994430925),
+    (1.000000000002, 0.5, -0.15795962698261018, -0.03427543110759599, -0.0028643587811199864),
+    (1.000000000002, 1.0, 0.13533528323603533, 4.539992950155016e-05, -2.0412053989914335e-14),
+    (1.000000000002, 2.0, 0.4323323583819818, 0.09999546000695701, 0.009999999999988862),
+]
+
+
+def test_ml_order_just_above_one():
+    for al, be, *refs in _NEAR_ONE_REFERENCE:
+        for z, ref in zip((-2.0, -10.0, -100.0), refs):
+            got = ml_eval(al, be, z)
+            assert abs(got - ref) <= 5e-13 * (1.0 + abs(ref)), (al, be, z, got)
+
+
+# (alpha, beta, x, E(-x)) at both edges of the contours' bound
+# alpha - 2 <= beta <= 2 alpha + 4: the mpmath series for x <= 0.5, else the
+# Hankel integral on the parabola mu (1 + iu)^2, mu = 1, by tanh-sinh
+# quadrature at 30 digits (frozen)
+_BOUND_EDGE_REFERENCE = [
+    (0.05, -1.95, 1e-06, 0.09514578240161387),
+    (0.05, -1.95, 0.5, 0.04379492877844665),
+    (0.05, -1.95, 3.0, 0.006396783695456143),
+    (0.05, -1.95, 40.0, 6.196277095147441e-05),
+    (0.05, -1.95, 10000.0, 1.0432145134768605e-09),
+    (0.05, 4.1, 1e-06, 0.14678620593240063),
+    (0.05, 4.1, 0.5, 0.0999330067502488),
+    (0.05, 4.1, 3.0, 0.03848722063404115),
+    (0.05, 4.1, 40.0, 0.003810175958838258),
+    (0.05, 4.1, 10000.0, 1.5644903305990586e-05),
+    (0.5, -1.5, 1e-06, 0.42314218766053513),
+    (0.5, -1.5, 0.5, 0.3686400154330535),
+    (0.5, -1.5, 3.0, 0.08636559198641522),
+    (0.5, -1.5, 40.0, 0.0006597174352012325),
+    (0.5, -1.5, 10000.0, 1.0578554321271032e-08),
+    (0.5, 5.0, 1e-06, 0.04166664756184254),
+    (0.5, 5.0, 0.5, 0.03383611491816851),
+    (0.5, 5.0, 3.0, 0.017225139815708418),
+    (0.5, 5.0, 40.0, 0.002049640361121286),
+    (0.5, 5.0, 10000.0, 8.595508240626452e-06),
+    (0.99, -1.01, 1e-06, 0.010041058986938313),
+    (0.99, -1.01, 0.5, 0.16613147943836687),
+    (0.99, -1.01, 3.0, 0.43273607050967877),
+    (0.99, -1.01, 40.0, 4.596675396827635e-05),
+    (0.99, -1.01, 10000.0, 5.928872000380999e-10),
+    (0.99, 5.98, 1e-06, 0.008622278792352433),
+    (0.99, 5.98, 0.5, 0.0079382533202226),
+    (0.99, 5.98, 3.0, 0.005599493253149874),
+    (0.99, 5.98, 40.0, 0.0009606589746305488),
+    (0.99, 5.98, 10000.0, 4.228183518159022e-06),
+]
+
+
+def test_ml_beta_bound_of_the_contours():
+    # past alpha - 2 <= beta <= 2 alpha + 4 the contours lose the contract:
+    # E_{0.5,12}(-3) came out 1.8e-2 wrong, E_{0.99,-3}(-40) 6e-12
+    for al, be, z in ((0.5, 12.0, -3.0), (0.9, 12.0, -10.0), (1.5, 12.0, -30.0),
+                      (0.99, -3.0, -40.0)):
+        with pytest.raises(ResolutionError):
+            ml_eval(al, be, z)
+        with pytest.raises(ResolutionError):
+            ml_eval_many(al, be, np.array([-0.5, z]))
+    # |z| <= 1 keeps the series; E_{0.5,12}(-0.5) from the mpmath series
+    ref = 2.1855980743978665e-08
+    assert abs(ml_eval(0.5, 12.0, -0.5) - ref) <= 1e-13 * ref
+    # both edges hold the contract; the solver's largest kernel 2 alpha + 2 lies inside
+    for al, be, x, ref in _BOUND_EDGE_REFERENCE:
+        got = ml_eval_many(al, be, np.array([-x]))[0]
+        assert abs(got - ref) <= 5e-13 * (1.0 + abs(ref)), (al, be, x, got)
 
 
 def test_ml_positive_ray_reaches_the_double_limit():

@@ -129,6 +129,15 @@ def load_config(path) -> RunConfig:
 # ---------------------------------------------------------------------------
 # builtin expression grammar for phi and f
 
+def _number(name: str, arg: str, kind=float):
+    """The argument of the profile name:arg as a number, or ConfigError."""
+    try:
+        return kind(arg)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} wants {what}, got {arg!r}") from None
+
+
 def _parse_poly(arg: str):
     try:
         coefs = [float(c) for c in arg.split(",")]
@@ -151,18 +160,18 @@ def space_expr(text: str, system=None):
     if name == "quadratic":
         return lambda x: x * (1.0 - x)
     if name == "const":
-        c = float(arg)
+        c = _number(name, arg)
         return lambda x: c * np.ones_like(np.asarray(x, dtype=float))
     if name == "sin":
-        k = float(arg)
+        k = _number(name, arg)
         return lambda x: np.sin(k * np.pi * x)
     if name == "cos":
-        k = float(arg)
+        k = _number(name, arg)
         return lambda x: np.cos(k * np.pi * x)
     if name == "poly":
         return _parse_poly(arg)
     if name == "mode":
-        k = int(arg)
+        k = _number(name, arg, int)
         if system is None:
             raise ConfigError("mode:k needs a computed eigensystem")
         if not 1 <= k <= system.count:
@@ -181,17 +190,17 @@ def time_expr(text: str, warp: TimeWarp):
     if name == "one":
         return 1.0
     if name == "const":
-        return float(arg)
+        return _number(name, arg)
     if name == "sin":
-        w = float(arg)
+        w = _number(name, arg)
         return lambda t: np.sin(w * t)
     if name == "cos":
-        w = float(arg)
+        w = _number(name, arg)
         return lambda t: np.cos(w * t)
     if name == "poly":
         return _parse_poly(arg)
     if name == "spow":
-        q = float(arg)
+        q = _number(name, arg)
         if q < 0.0:
             raise ConfigError(f"spow exponent must be >= 0, got {q}")
         return lambda t: warp_forward(warp, t) ** q

@@ -542,16 +542,12 @@ def _truncation_diagnostics(spec, sys, K, W, phi_vals, phi_c, src_defect,
     p = spec.warp.p
     # crude Duhamel scale for how strongly a source tail can feed the field
     src_gain = S_T ** spec.alpha / (p ** spec.alpha * math.gamma(spec.alpha + 1.0))
-    series = sys.lambdas[:K] ** 2 * phi_c ** 2
-    head = max(float(np.sum(series)), 1e-300)
-    tail_frac = float(np.sum(series[-max(K // 4, 1):])) / head
     return {
         "phi_projection_defect_l2": phi_defect,
         "source_projection_defect_l2": src_defect,
         "tail_estimate_l2": phi_defect + src_defect * src_gain,
         "lambda_K": float(sys.lambdas[K - 1]),
         "last_mode_sup": float(np.max(np.abs(mv[-1]))),
-        "wellposedness": "resolved" if tail_frac < 0.1 else "marginal",
     }
 
 

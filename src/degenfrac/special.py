@@ -18,10 +18,8 @@ Mittag-Leffler routes.  One dispatcher, _ml, picks them, first match wins:
    a. z > 0: the series up to z^(1/alpha) = 40, then the exponential
       asymptotics (in log form up to the double limit);
    b. -1 <= z < 0: the series;
-   c. alpha = 1: Kummer's function;
-   d. alpha = 2, beta in {1, 2}: cos(sqrt(-z)), sin(sqrt(-z))/sqrt(-z);
-   e. alpha >= 2, (-z)^(1/alpha) <= 6: the series;
-   f. else order halving onto 1/2 <= alpha/2^m < 1, each root on the
+   c. z < -1: order halving onto 1/2 <= alpha/2^m < 1 (m = 0 below
+      alpha = 1, one halving onto 1/2 at alpha = 1), each root on the
       contour of route 3 or, for a pole off the cut, Garrappa's pole-aware
       contour; ResolutionError past the same beta bound.
 
@@ -84,15 +82,15 @@ _EXP_CUT = 700.0
 _TERM_CAP = 500  # default series length cap; extended only on the safe z > 0 side
 
 
-def _ml_series(alpha: float, beta: float, z: complex, cap: int = _TERM_CAP):
-    """Defining power series with compensated summation.
+def _ml_series(alpha: float, beta: float, z: float, cap: int = _TERM_CAP) -> float:
+    """Defining power series with compensated summation, for real z.
 
     Safe whenever |z|**(1/alpha) is small enough that the largest term
     stays O(1) (negative z) or unconditionally for z >= 0.
     """
-    s = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    zk = 1.0 + 0.0j
+    s = 0.0
+    comp = 0.0
+    zk = 1.0
     small_run = 0
     for k in range(cap):
         term = zk * sp.rgamma(alpha * k + beta)
@@ -276,73 +274,8 @@ def _ml_frac(alpha: float, beta: float, z: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Mittag-Leffler: alpha = 1
+# Mittag-Leffler: alpha = 1, integer beta
 # ---------------------------------------------------------------------------
-
-
-def _kummer_ratio_series(a: float, b: float, x: float, cap: int = 4000) -> float:
-    """M(a, b, x) for x >= 0 by direct summation (terminates if a is a
-    non-positive integer)."""
-    term = 1.0
-    s = 1.0
-    for k in range(cap):
-        denom = (b + k) * (k + 1.0)
-        term *= (a + k) * x / denom
-        s += term
-        if term == 0.0 or abs(term) < 1e-18 * abs(s):
-            break
-    return s
-
-
-def _kummer_scaled(a: float, b: float, x: float) -> float:
-    """exp(-x) * M(a, b, x) for large x >= 30 via Poisson-weighted summation."""
-    k0 = int(x)
-    width = int(10.0 * math.sqrt(x) + 20.0)
-    lo = max(0, k0 - width)
-    hi = k0 + width
-    # Poisson weight w_k = exp(-x) x^k / k! started at k0 via logs.
-    logw = k0 * math.log(x) - math.lgamma(k0 + 1.0) - x
-    w = math.exp(logw)
-
-    def ratio(k: int) -> float:
-        # (a)_k/(b)_k ratio increment from k to k+1 is (a+k)/(b+k)
-        return (a + k) / (b + k)
-
-    # cumulative Pochhammer ratio r_k = (a)_k/(b)_k at k0 via product in logs
-    r = 1.0
-    ks = np.arange(0, k0, dtype=float)
-    if k0 > 0:
-        vals = (a + ks) / (b + ks)
-        sign = np.prod(np.sign(vals))
-        r = sign * math.exp(np.sum(np.log(np.abs(vals))))
-    s = w * r
-    wk, rk = w, r
-    for k in range(k0, hi):
-        wk *= x / (k + 1.0)
-        rk *= ratio(k)
-        s += wk * rk
-        if wk < 1e-20 * (1.0 + abs(s)) and k > k0 + 5:
-            break
-    wk, rk = w, r
-    for k in range(k0 - 1, lo - 1, -1):
-        rk /= ratio(k)
-        wk *= (k + 1.0) / x
-        s += wk * rk
-        if wk < 1e-20 * (1.0 + abs(s)):
-            break
-    return s
-
-
-def _ml_alpha1(beta: float, x: float) -> float:
-    """E_{1,beta}(-x) for x > 1 via Kummer's function:
-    E = e^-x M(beta-1, beta, x)/Gamma(beta)."""
-    if beta <= 1.0 and beta == round(beta):
-        # E_{1,1}(z) = e^z, and 1/Gamma(b) vanishes at b = 0, -1, ..., so the
-        # step-up identity E_{1,b}(z) = 1/Gamma(b) + z E_{1,b+1}(z) gives z^(1-b) e^z
-        return (-x) ** (1.0 - beta) * math.exp(-x)
-    if x > 30.0:
-        return _kummer_scaled(beta - 1.0, beta, x) * sp.rgamma(beta)
-    return math.exp(-x) * _kummer_ratio_series(beta - 1.0, beta, x) * sp.rgamma(beta)
 
 
 #: integer beta = n up to this value takes the closed form at alpha = 1;
@@ -380,7 +313,7 @@ def _ml_alpha1_int(n: int, z: np.ndarray) -> np.ndarray:
 
 
 def _ml_scalar(alpha: float, beta: float, z: float) -> float:
-    """E_{alpha,beta}(z) at one real z != 0 by routes 4a-4f of the module
+    """E_{alpha,beta}(z) at one real z != 0 by routes 4a-4c of the module
     docstring.  Raises OverflowError past the double range, and
     ResolutionError past the contours' beta bound."""
     if z > 0.0:
@@ -388,7 +321,7 @@ def _ml_scalar(alpha: float, beta: float, z: float) -> float:
         if tau <= _SERIES_POS_TAU:
             # positive terms: no cancellation, just let the series run out
             cap = max(_TERM_CAP, int(6.0 * tau / alpha) + 50)
-            return _ml_series(alpha, beta, z, cap=cap).real
+            return _ml_series(alpha, beta, z, cap=cap)
         # exponential branch plus algebraic tail; past _EXP_CUT in log form
         if tau <= _EXP_CUT:
             val = (1.0 / alpha) * z ** ((1.0 - beta) / alpha) * math.exp(tau)
@@ -399,19 +332,9 @@ def _ml_scalar(alpha: float, beta: float, z: float) -> float:
         return val
     x = -z
     if x <= _SERIES_NEG_CUT:
-        return _ml_series(alpha, beta, z).real
-    if alpha == 1.0:
-        return _ml_alpha1(beta, x)
-    if alpha == 2.0 and beta == 1.0:
-        return math.cos(math.sqrt(x))
-    if alpha == 2.0 and beta == 2.0:
-        return math.sin(math.sqrt(x)) / math.sqrt(x)
-    if alpha >= 2.0 and x ** (1.0 / alpha) <= 6.0:
-        # the largest series term is ~ e^tau in size, so for tau this small
-        # the direct sum loses nothing and sidesteps order halving
-        return _ml_series(alpha, beta, z).real
+        return _ml_series(alpha, beta, z)
     # E_{a,b}(z) = (1/2^m) sum over the 2^m-th roots w of z of E_{a/2^m,b}(w),
-    # halving until 1/2 <= a/2^m < 1; m = 0 for alpha < 1
+    # halving until 1/2 <= a/2^m < 1; m = 0 for alpha < 1, m = 1 at alpha = 1
     m, a = 0, alpha
     while a >= 1.0:
         a *= 0.5
@@ -480,7 +403,7 @@ def ml_eval_many(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     At z = 0 every route returns 1/Gamma(beta) exactly.  Raises
     ResolutionError past the double range, and at z < -1 when beta lies
     outside a - 2 <= beta <= 2 a + 4, a the order on the contour (alpha
-    itself below 1, alpha/2^m in [1/2, 1) above; alpha = 1 takes none);
+    itself below 1, alpha/2^m in [1/2, 1) above; alpha = 1 takes a = 1/2);
     for |z| <= 1 the series serves every beta.
 
     Accuracy of the contour rule against a frozen mpmath table (alpha in
@@ -490,9 +413,12 @@ def ml_eval_many(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     Only at beta = alpha, where 1/Gamma(beta - alpha) = 0 cancels the
     leading x^-1 term and E falls off like x^-2, is the bound absolute.
     The closed forms at alpha = 1 and order halving keep the same bound,
-    with one limit: for alpha > 2, E oscillates on the negative ray with
-    amplitude A ~ e^(|z|^(1/alpha) cos(pi/alpha)), and rounding the 2^m
-    roots of z costs up to about 2e-14 A, more than the bound near a zero.
+    with two limits, both the cost of rounding the 2^m roots of z.  For
+    alpha > 2, E oscillates on the negative ray with amplitude
+    A ~ e^(|z|^(1/alpha) cos(pi/alpha)), and the rounding costs up to about
+    2e-14 A, more than the bound near a zero.  At alpha = 2, beta = 1
+    (E = cos sqrt(-z)) it costs about 1.6 sqrt(-z) eps, past the bound
+    beyond -z = 1e7: 1.7e-12 up to 1e8, 1.8e-10 up to 1e12.
     """
     z = np.asarray(z, dtype=float)
     if not (math.isfinite(alpha) and math.isfinite(beta)) or not np.all(np.isfinite(z)):

@@ -91,7 +91,7 @@ def test_degenerate_parameters_exit_2(tmp_path):
     assert cli.main(["solve", "--theta", "1.2", "--out", str(tmp_path)]) == 2
 
 
-def test_usage_problems_exit_1(tmp_path):
+def test_usage_problems_exit_1(tmp_path, capsys):
     assert cli.main([]) == 1
     assert cli.main(["eigen", "--config", str(tmp_path / "nope.cfg")]) == 1
     bad = tmp_path / "bad.cfg"
@@ -103,6 +103,10 @@ def test_usage_problems_exit_1(tmp_path):
     assert cli.main(["eigen", "--config", str(bad)]) == 1
     assert cli.main(["eigen", "--modes", "auto",
                      "--out", str(tmp_path)]) == 1
+    bad.write_text("phi = sin:abc\n")
+    capsys.readouterr()
+    assert cli.main(["solve", "--config", str(bad), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: sin wants a number, got 'abc'\n"
 
 
 def test_auto_modes_kmax_exhaustion_exit_3(tmp_path):
@@ -277,8 +281,9 @@ def test_space_expr_mode_profile(eig):
 def test_space_expr_errors():
     with pytest.raises(ConfigError):
         cli.space_expr("gauss")
-    with pytest.raises(ConfigError):
-        cli.space_expr("poly:a,b")
+    for text in ("poly:a,b", "sin:abc", "cos:", "const:", "mode:x", "mode:1.5"):
+        with pytest.raises(ConfigError):
+            cli.space_expr(text)
 
 
 def test_time_expr_factors():
@@ -291,8 +296,9 @@ def test_time_expr_factors():
         pytest.approx(warp_forward(warp, 1.5))
     with pytest.raises(ConfigError):
         cli.time_expr("spow:-1", warp)
-    with pytest.raises(ConfigError):
-        cli.time_expr("tanh", warp)
+    for text in ("tanh", "sin:abc", "cos:", "const:", "spow:x"):
+        with pytest.raises(ConfigError):
+            cli.time_expr(text, warp)
 
 
 def test_time_factors_take_arrays_and_match_scalar_forms():

@@ -186,7 +186,7 @@ def test_ml_beta2_reduction():
                                                      rel=1e-12)
 
 
-@given(al=st.sampled_from([0.3, 0.45, 0.6, 0.8, 0.95, 1.2, 1.7]),
+@given(al=st.sampled_from([0.3, 0.45, 0.6, 0.8, 0.95, 1.0, 1.2, 1.7, 2.0]),
        be=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
        z=st.floats(min_value=-60.0, max_value=4.0))
 @settings(max_examples=120, deadline=None)
@@ -506,6 +506,99 @@ def test_ml_beta_bound_of_the_contours():
     for al, be, x, ref in _BOUND_EDGE_REFERENCE:
         got = ml_eval_many(al, be, np.array([-x]))[0]
         assert abs(got - ref) <= 5e-13 * (1.0 + abs(ref)), (al, be, x, got)
+
+
+# E_{1,b}(-x) = e^-x 1F1(b-1; b; x)/Gamma(b), or (-x)^(1-b) e^-x for integer
+# b <= 1, from mpmath at 60 digits (frozen), one row per beta, one column per x
+_ALPHA1_X = (1.5, 10.0, 31.0, 700.0, 1e6)
+_ALPHA1_REFERENCE = {
+    -1.0: (0.5020428603339672, 0.004539992976248485, 3.3082205012396475e-11,
+           4.831241506442288e-299, 0.0),
+    -0.5: (-0.08827547875151309, 0.06065951930167367, 0.014896957536504317,
+           0.0006066585926147699, 4.231432455199889e-07),
+    0.0: (-0.33469524022264474, -0.0004539992976248485, -1.0671679036256928e-12,
+          -6.90177358063184e-302, 0.0),
+    0.3: (-0.24871172164900818, -0.02944771883904471, -0.008003184299178812,
+          -0.0003350877057321911, -2.3399132458058296e-07),
+    0.7: (0.012713021929791802, -0.027215109258311197, -0.007794045815867928,
+          -0.00033077940801513634, -2.3111525561010257e-07),
+    1.5: (0.4622683059306664, 0.059846501465531145, 0.01850870846960544,
+          0.0008065620610893794, 5.641898656429712e-07),
+    2.5: (0.4440739074432308, 0.10685326656299814, 0.03580227285890023,
+          0.0016108180071920332, 1.128378602905647e-06),
+    3.5: (0.20545258041362952, 0.06453995115006769, 0.023111306619508866,
+          0.0010723456572235472, 7.522516496850721e-07),
+    4.5: (0.06363235387456033, 0.023636116007540234, 0.008960961438901972,
+          0.0004283268079546378, 3.009003589738203e-07),
+    5.0: (0.03172941435030713, 0.012566671206659642, 0.004888537095168022,
+          0.00023707774121893655, 1.6666616666766666e-07),
+}
+
+
+def test_ml_alpha_one_by_order_halving():
+    # alpha = 1 past the series disc halves once onto the order-1/2 contours
+    for be, row in _ALPHA1_REFERENCE.items():
+        for x, ref in zip(_ALPHA1_X, row):
+            got = ml_eval(1.0, be, -x)
+            assert abs(got - ref) <= 5e-13 * (1.0 + abs(ref)), (be, x, got)
+    # and so takes their beta bound -1.5 <= beta <= 5; |z| <= 1 keeps the series
+    with pytest.raises(ResolutionError):
+        ml_eval(1.0, 6.0, -10.0)
+    ref = 0.007685555862397111  # E_{1,6}(-0.5), the mpmath series
+    assert abs(ml_eval(1.0, 6.0, -0.5) - ref) <= 1e-15 * ref
+
+
+# (alpha, beta): E(z) at z = -tau^alpha for tau in _SMALL_TAU (z in _SMALL_TAU_Z),
+# where the oscillation of E has barely begun: the mpmath series at 80 digits
+# (frozen)
+_SMALL_TAU = (1.05, 2.0, 3.5, 5.0, 6.0)
+_SMALL_TAU_Z = {
+    2.5: (-1.129726321947046, -5.656854249492381, -22.91765149399039, -55.90169943749474,
+          -88.18163074019441),
+    3.0: (-1.1576250000000001, -8.0, -42.875, -125.0, -216.0),
+    4.0: (-1.2155062500000002, -16.0, -150.0625, -625.0, -1296.0),
+    8.0: (-1.477455443789063, -256.0, -22518.75390625, -390625.0, -1679616.0),
+}
+_SMALL_TAU_REFERENCE = {
+    (2.5, -0.5): (-1.304085918584891, -3.4308286731968187, 7.396640345129656,
+                  39.278917456202294, 19.491601824861508),
+    (2.5, 1.0): (0.6705974851253679, -0.44810649058567126, -2.3043551489612146,
+                 0.16755116992253477, 4.286578944448054),
+    (2.5, 2.5): (0.7058589325416256, 0.533159922902895, 0.046802860179406894,
+                 -0.3229442076819683, -0.27022012513833155),
+    (3.0, -0.5): (-1.1274294979516544, -5.1135467051454, -2.7532825846749662,
+                  84.27155385182597, 174.2326278347874),
+    (3.0, 1.0): (0.8089194726482017, -0.2458468530863726, -3.802936517053217,
+                 -3.0272976094002595, 6.2288698899057025),
+    (3.0, 2.5): (0.730231902539921, 0.6039314891714402, 0.05763703307057931,
+                 -0.6764291891487988, -0.8079385306785244),
+    (4.0, -0.5): (-0.6470525704828782, -4.96004996163161, -33.684495438127726,
+                  0.3403288108301535, 332.7009144475618),
+    (4.0, 1.0): (0.949390545741112, 0.33967399169472473, -4.701133837076719,
+                 -15.855979276337408, -15.753933599055276),
+    (4.0, 2.5): (0.7480318920028453, 0.6969007996112386, 0.25071924731275697,
+                 -1.0845360364481265, -2.3598516526778446),
+    (8.0, -0.5): (-0.2828843452979568, -0.41890122848169786, -12.314622883159357,
+                  -208.57675479014281, -889.4460114021483),
+    (8.0, 1.0): (0.999963356759931, 0.9936507967830719, 0.4415233955088224,
+                 -8.680827232105107, -40.522316185591244),
+    (8.0, 2.5): (0.7522514743633164, 0.752026884803081, 0.732382664372413,
+                 0.4076687686472217, -0.7279507700178441),
+}
+
+
+def test_ml_order_halving_at_small_tau():
+    # order halving serves alpha > 2 from the series disc on; the limit of
+    # test_ml_order_halving_at_powers_of_two holds here too, and bites once:
+    # E_{4,-0.5}(-625) = 0.34 is 6.9e-13 off, 3.6e-15 of amp = 190
+    near_zero = 0
+    for (al, be), row in _SMALL_TAU_REFERENCE.items():
+        for tau, z, ref in zip(_SMALL_TAU, _SMALL_TAU_Z[al], row):
+            err = abs(ml_eval(al, be, z) - ref)
+            amp = 2.0 / al * tau ** (1.0 - be) * math.exp(tau * math.cos(math.pi / al))
+            assert err <= max(5e-13 * (1.0 + abs(ref)), 5e-14 * amp), (al, be, z, err)
+            near_zero += err > 5e-13 * (1.0 + abs(ref))
+    assert near_zero <= 1
 
 
 def test_ml_positive_ray_reaches_the_double_limit():

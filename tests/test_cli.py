@@ -357,11 +357,13 @@ def test_module_entry_point_help():
 
 def test_import_leaves_scipy_interpolate_unloaded():
     env = _source_env()
-    code = "import sys, degenfrac.cli; print('scipy.interpolate' in sys.modules)"
+    code = ("import sys, degenfrac.cli; "
+            "print([m for m in ('scipy.interpolate', 'scipy.sparse') "
+            "if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_main_keeps_one_parser_across_calls(tmp_path):

@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from degenfrac.errors import DegeneracyError, DomainError, ResolutionError
+from degenfrac.errors import (DegeneracyError, DomainError, ResolutionError,
+                              SolverError)
 from degenfrac.spectral import (
+    _assemble_p1,
+    _assemble_p1_ychart,
+    _shift_invert_lanczos,
     bc_requirements,
     bessel_eigen,
     flux_limit_check,
@@ -25,6 +29,30 @@ _LAMBDA_REF = {
     1.1: (1.341883777532092, 6.562811607312073, 15.77900396451581),
     1.5: (0.9176231651327602, 3.076153520105971, 6.468715868445781),
     1.9: (0.4458433531040613, 0.7431492006939084, 1.082333094261804),
+}
+
+# lambda_1..lambda_8 at the default mesh, frozen from the ARPACK shift-invert
+# solve through scipy's sparse eigensolver, which the Lanczos solver replaced;
+# the two differ by rounding only: about 1e-12 relative, 2.5e-11 at beta 1.7
+_LAMBDA_ARPACK = {
+    0.2: (7.5970384777308455, 31.137411979908517, 70.66556638374142,
+          126.1824647025643, 197.688366177116, 285.18347257501597,
+          388.6680015398642, 508.1422015483386),
+    0.5: (4.739067191190383, 20.47166064792766, 47.30531236488038,
+          85.24199641946079, 134.28207325979636, 194.42572754390062,
+          265.67312478968927, 348.0244427181348),
+    0.8: (2.542441279200973, 12.02095635916467, 28.602643770676085,
+          52.29004819439318, 83.08355747848996, 120.98332625745971,
+          165.98947162191135, 218.10211108084513),
+    1.2: (1.2373339790733555, 5.5812077209381545, 13.08237610004676,
+          23.74169031188182, 37.559290855607294, 54.53524009658027,
+          74.66958896124973, 97.96239005339515),
+    1.5: (0.9176236695975907, 3.076159132756328, 6.468738453069646,
+          11.095109506828065, 16.955239057156525, 24.04912987236363,
+          32.376795928516174, 41.9382568493199),
+    1.7: (0.6944446172228775, 1.7704385474728388, 3.2887294562578737,
+          5.250707834218513, 7.656669979119293, 10.506716213178965,
+          13.80089255205644, 17.539226193226895),
 }
 
 
@@ -207,3 +235,59 @@ def test_sign_convention_derivative_negative_at_one(eig, beig):
         for k in (1, 2, 3):
             assert eig(beta, 3).eigen_eval(k, 1.0)[1] < 0.0
             assert beig(beta, 3).eigen_eval(k, 1.0)[1] < 0.0
+
+
+def _band_product(diag, off, v):
+    """Tridiagonal (diag, off) times each row of v."""
+    y = diag * v
+    y[:, :-1] += off * v[:, 1:]
+    y[:, 1:] += off * v[:, :-1]
+    return y
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.8, 1.2, 1.7, 1.95])
+def test_galerkin_eigenpairs_have_small_componentwise_residual(eig, beta):
+    # |S v - lambda M v| / (|S||v| + lambda |M||v|) on every unknown: the
+    # graded mesh makes the first rows ill-conditioned for beta > 1, and a
+    # solve that is not backward stable there shows it (4e-7 at beta = 1.7)
+    sys = eig(beta, 16)
+    chart, cnodes, vecs, _ = sys._payload
+    assemble = _assemble_p1_ychart if chart == "y" else _assemble_p1
+    (s, s_off), (m, m_off) = assemble(beta, cnodes)
+    lam = sys.lambdas[:, None]
+    res = np.abs(_band_product(s, s_off, vecs)
+                 - lam * _band_product(m, m_off, vecs))
+    scale = (_band_product(np.abs(s), np.abs(s_off), np.abs(vecs))
+             + lam * _band_product(np.abs(m), np.abs(m_off), np.abs(vecs)))
+    rows = slice(1 if chart == "y" else 0, -1)  # the Dirichlet rows drop out
+    assert np.max(res[:, rows] / scale[:, rows]) <= 1e-10
+
+
+def test_solve_eigen_repeats_bit_for_bit_and_keeps_the_parent_eigenvalues():
+    for beta, ref in _LAMBDA_ARPACK.items():
+        one, two = solve_eigen(beta, 8), solve_eigen(beta, 8)
+        assert np.array_equal(one.lambdas, two.lambdas)
+        assert one._payload[0] == two._payload[0]
+        for a, b in zip(one._payload[1:], two._payload[1:]):
+            assert np.array_equal(a, b)
+        np.testing.assert_allclose(one.lambdas, ref, rtol=1e-9, atol=0.0)
+
+
+def test_lanczos_raises_rather_than_return_unconverged_pairs():
+    zeros = np.zeros
+    # exact on a pencil it exhausts: the Krylov space is the whole space
+    lam, _ = _shift_invert_lanczos(np.full(3, 2.0), -np.ones(2), np.ones(3),
+                                   zeros(2), 3)
+    np.testing.assert_allclose(lam, [2.0 - math.sqrt(2.0), 2.0,
+                                     2.0 + math.sqrt(2.0)], rtol=1e-14)
+    with pytest.raises(SolverError, match="positive definite"):
+        _shift_invert_lanczos(np.array([1.0, -1.0, 1.0]), zeros(2),
+                              np.ones(3), zeros(2), 1)
+    # the start vector spans an invariant subspace of dimension 1 < K
+    with pytest.raises(SolverError, match="broke down"):
+        _shift_invert_lanczos(np.ones(5), zeros(4), np.ones(5), zeros(4), 2)
+    # 200 eigenvalues within 2e-8 of each other: no Ritz value separates
+    n = 200
+    with pytest.raises(SolverError, match="not converged"):
+        _shift_invert_lanczos(1.0 + 1e-10 * np.arange(n), zeros(n - 1),
+                              np.ones(n), zeros(n - 1), 1)

@@ -387,7 +387,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         "regime": field.regime,
         "residual": {"kind": res_kind, "sup_abs": res.sup_abs,
                      "sup_rel": res.sup_rel, "scale": res.scale},
-        "tail": {k: v for k, v in diags.items()},
+        "tail": diags,
         "norms": norms,
     })
     print(f"solve: regime={field.regime} K={K} "
@@ -447,7 +447,7 @@ def _suite_uniqueness(cfg: RunConfig) -> float:
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     spec = ProblemSpec(cfg.alpha, cfg.theta, cfg.beta, cfg.a, cfg.T, zero)
     system = solve_eigen(cfg.beta, 4)
-    xg, tg = np.linspace(0.0, 1.0, 33), None
+    xg = np.linspace(0.0, 1.0, 33)
     tg = cfg.a + (cfg.T - cfg.a) * np.linspace(0.0, 1.0, 9)[1:]
     fld = assemble(spec, system, 4, xg, tg)
     worst = float(np.max(np.abs(fld.values)))

@@ -126,8 +126,9 @@ class _Pchip:
 
 
 class SampledFunction:
-    """A scalar function of one variable: either a wrapped callable or a
-    monotone-cubic interpolant (_Pchip) through a table of nodes/values."""
+    """A function of one variable: either a wrapped callable or a
+    monotone-cubic interpolant (_Pchip) through a table of nodes/values.
+    A (K, n) table holds K curves; its value at t has shape (K,) + t.shape."""
 
     def __init__(self, fn: Callable, domain: Optional[tuple] = None):
         self._fn = fn
@@ -137,14 +138,19 @@ class SampledFunction:
     def from_table(cls, nodes, values) -> "SampledFunction":
         nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 2 or nodes.shape != values.shape:
-            raise DomainError("table needs matching 1-d nodes and values")
+        if (nodes.ndim != 1 or nodes.size < 2 or values.ndim not in (1, 2)
+                or values.shape[-1] != nodes.size):
+            raise DomainError("table needs 1-d nodes and (n,) or (K, n) values")
         if not np.all(np.diff(nodes) > 0.0):
             raise DomainError("table nodes must be strictly increasing")
         if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values))):
             raise DomainError("table entries must be finite")
-        return cls(_Pchip(nodes, values),
-                   domain=(float(nodes[0]), float(nodes[-1])))
+        pchip = _Pchip(nodes, values)
+        # K curves answer in C order, one curve after another, so that
+        # sums over time run as they do on K one-curve tables
+        fn = pchip if values.ndim == 1 else (
+            lambda t: np.ascontiguousarray(pchip(t)))
+        return cls(fn, domain=(float(nodes[0]), float(nodes[-1])))
 
     def __call__(self, t):
         if self.domain is not None:
@@ -152,10 +158,8 @@ class SampledFunction:
             pad = 1e-12 * (1.0 + abs(hi))
             if np.any(np.asarray(t) < lo - pad) or np.any(np.asarray(t) > hi + pad):
                 raise DomainError(f"evaluation outside domain [{lo}, {hi}]")
-        out = self._fn(t)
-        if np.isscalar(t) or np.ndim(t) == 0:
-            return float(out)
-        return np.asarray(out, dtype=float)
+        out = np.asarray(self._fn(t), dtype=float)
+        return float(out) if out.ndim == 0 else out
 
 
 def _as_fn(f) -> SampledFunction:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -73,20 +74,6 @@ class SeparableSource:
 
     def __call__(self, x, t):
         return np.asarray(_eval_vec(self.fx, np.atleast_1d(x))) * _value_at(self.ft, t)
-
-
-class _ModeSource:
-    """Mode source f_k(t) = c * ft(t) of a SeparableSource with a callable
-    time factor.  Every mode holds the same ft, so the solver evaluates
-    it once per time table and scales it by c."""
-
-    def __init__(self, c: float, ft: Callable):
-        self.c = c
-        self.ft = ft
-
-    def __call__(self, t):
-        arr = self.c * _eval_vec(self.ft, np.atleast_1d(t))
-        return arr if np.ndim(t) else float(arr[0])
 
 
 @dataclass
@@ -176,7 +163,11 @@ class SolutionField:
     """Assembled truncated series u(x_i, t_j) plus the per-mode data the
     residual and norm diagnostics are built from.
 
-    values has one row per time node (shape (nt, nx))."""
+    values has one row per time node (shape (nt, nx)).  mode_sources is
+    the modes' source f_k(t): None, an array of K declared constants, or
+    one signal t -> (K,) + t.shape.  modes_at maps warped times S to the
+    (K, S.size) mode values by the very rule, source and convolution
+    cells that produced mode_values."""
 
     x_grid: np.ndarray
     t_grid: np.ndarray
@@ -187,8 +178,9 @@ class SolutionField:
     mode_lambdas: np.ndarray = field(default=None, repr=False)
     mode_values: np.ndarray = field(default=None, repr=False)  # (K, nt)
     mode_phi: np.ndarray = field(default=None, repr=False)
-    mode_sources: list = field(default=None, repr=False)
+    mode_sources: object = field(default=None, repr=False)
     system: EigenSystem = field(default=None, repr=False)
+    modes_at: Callable = field(default=None, repr=False)
 
 
 @dataclass
@@ -278,20 +270,13 @@ def fourier_coeff(g, sys: EigenSystem, k: int, quad: int = 8) -> float:
 _BLOCK_POINTS = 2048
 
 
-def _source_values(sources, t) -> np.ndarray:
-    """f_k(t) of every mode source (None reads 0), shape (K,) + t.shape.
-    The time factor that _ModeSource sources share is evaluated once."""
+def _loads(source, K: int, t) -> np.ndarray:
+    """f_k(t) of a batch's source (None reads 0), shape (K,) + t.shape."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros((len(sources),) + t.shape)
-    shared = {}
-    for i, src in enumerate(sources):
-        if isinstance(src, _ModeSource):
-            if id(src.ft) not in shared:
-                shared[id(src.ft)] = _eval_vec(src.ft, t)
-            out[i] = src.c * shared[id(src.ft)]
-        elif src is not None:
-            out[i] = _eval_vec(src, t)
-    return out
+    if callable(source):
+        return source(t)
+    c = np.zeros(K) if source is None else source
+    return np.multiply.outer(c, np.ones(t.shape))
 
 
 def _conv_nodes(warp: TimeWarp, S: np.ndarray, conv_cells: int):
@@ -319,67 +304,72 @@ def _cell_sums(sigma, g, S, alpha, b, lam) -> np.ndarray:
 
 def _mode_values(ode: ModeODE, S_arr: np.ndarray, form: str,
                  conv_cells: int) -> np.ndarray:
-    """u_k of one mode at the warped times S_arr (see _modes_values)."""
-    return _modes_values([ode], S_arr, form, conv_cells)[0]
-
-
-def _modes_values(odes, S_arr: np.ndarray, form: str,
-                  conv_cells: int) -> np.ndarray:
-    """(len(odes), S.size) values of modes that share alpha and the warp,
-    at the warped times S_arr, with the mode index on the leading axis.
-    The phi term and a declared-constant source share the argument
-    lambda* S^alpha, so one contour pass gives both for every mode.  A
-    callable source is integrated over (targets S > 0) x (conv_cells + 1)
-    nodes in row blocks of about _BLOCK_POINTS points per mode; each block
-    stacks every mode's rows into one _cell_sums call and evaluates the
-    time factor that _ModeSource sources share once."""
-    Sa = np.asarray(S_arr, dtype=float)
-    al, warp = odes[0].alpha, odes[0].warp
-    pa = warp.p ** al
-    lam_s = np.array([ode.lambda_star for ode in odes])
-    # source terms scl * int_0^S (S-sigma)^(b-1) E_{al,b}(lam (S-sigma)^al) g:
-    # (b, whether lam is lambda* (else 0), scl per mode)
-    if form == "single_kernel":
-        parts = ((al, True, np.full(lam_s.size, 1.0 / pa)),)
+    """u_k of one mode at the warped times S_arr: a batch of one mode."""
+    f = ode.f_k
+    if callable(f):
+        source = lambda t: _eval_vec(f, t)[None]
     else:
-        parts = ((al, False, np.full(lam_s.size, 1.0 / pa)),
-                 (2.0 * al, True, lam_s / pa))
-    const = np.array([_is_real(ode.f_k) for ode in odes])
-    Z = lam_s[:, None] * Sa ** al
+        source = None if f is None else np.array([float(f)])
+    return _modes_values(ode.alpha, ode.warp, [ode.lambda_k], [ode.phi_k],
+                         source, form, conv_cells, S_arr)[0]
+
+
+def _modes_values(alpha: float, warp: TimeWarp, lambdas, phis, source,
+                  form: str, conv_cells: int, S_arr) -> np.ndarray:
+    """(K, S.size) values of the modes D^alpha u_k + lambda_k u_k = f_k,
+    u_k(a+) = phis[k], at the warped times S_arr, with the mode index on
+    the leading axis.  source is None, an array of K declared constants,
+    or one signal t -> (K,) + t.shape.  The phi term and declared
+    constants share the argument lambda* S^alpha, so one contour pass
+    gives both for every mode.  A signal is integrated over (targets
+    S > 0) x (conv_cells + 1) nodes in row blocks of about _BLOCK_POINTS
+    points per mode; each block reads the signal once and stacks every
+    mode's rows into one _cell_sums call."""
+    Sa = np.asarray(S_arr, dtype=float)
+    pa = warp.p ** alpha
+    lam_s = -np.asarray(lambdas, dtype=float) / pa
+    # source terms scl * int_0^S (S-sigma)^(b-1) E_{al,b}(lam (S-sigma)^al) g:
+    # (b, whether lam is lambda* (else 0), scl: a number or one per mode)
+    if form == "single_kernel":
+        parts = ((alpha, True, 1.0 / pa),)
+    else:
+        parts = ((alpha, False, 1.0 / pa),
+                 (2.0 * alpha, True, (lam_s / pa)[:, None]))
+    const = source is not None and not callable(source)
+    Z = lam_s[:, None] * Sa ** alpha
     betas = (1.0,)
-    if const.any():
+    if const:
         betas += tuple(b + 1.0 for b, on, _ in parts if on)
-    E = iter(_ml(al, betas, Z))
-    out = np.array([ode.phi_k for ode in odes])[:, None] * next(E)
-    if const.any():
+    E = iter(_ml(alpha, betas, Z))
+    out = np.asarray(phis, dtype=float)[:, None] * next(E)
+    if const:
         # declared constant data: the cell sum telescopes to c * P0(S)
-        c = np.array([float(o.f_k) if k else 0.0 for o, k in zip(odes, const)])
+        c = np.asarray(source, dtype=float)[:, None]
         for b, on, scl in parts:
-            e = next(E) if on else ml_eval_many(al, b + 1.0, np.zeros_like(Z))
-            out[const] += (scl * c)[const, None] * Sa ** b * e[const]
-    conv = np.flatnonzero([callable(ode.f_k) for ode in odes])
-    if conv.size == 0:
+            e = next(E) if on else ml_eval_many(alpha, b + 1.0, np.zeros_like(Z))
+            out += scl * c * Sa ** b * e
+    if not callable(source):
         return out
     pos = np.flatnonzero(Sa > 0.0)
-    srcs = [odes[i].f_k for i in conv]
     rows = max(1, _BLOCK_POINTS // (conv_cells + 1))
     for lo in range(0, pos.size, rows):
         idx = pos[lo:lo + rows]
         sigma, t = _conv_nodes(warp, Sa[idx], conv_cells)
-        g = _source_values(srcs, t)
+        g = source(t)
         for b, on, scl in parts:
-            lam = lam_s[conv] if on else np.zeros(conv.size)
-            out[conv[:, None], idx] += scl[conv, None] * _cell_sums(
-                sigma, g, Sa[idx], al, b, lam)
+            lam = lam_s if on else np.zeros(lam_s.size)
+            out[:, idx] += scl * _cell_sums(sigma, g, Sa[idx], alpha, b, lam)
     return out
 
 
-def _check_t_grid(ode: ModeODE, t_grid) -> np.ndarray:
+def _check_t_grid(t_grid, a: float, T: float = math.inf) -> np.ndarray:
+    """A 1-d, finite, strictly increasing time grid inside (a, T]."""
     t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size == 0 or not np.all(np.diff(t) > 0.0):
-        raise DomainError("t_grid must be 1-d strictly increasing")
-    if t[0] <= ode.warp.a:
-        raise DomainError(f"t_grid must start after a={ode.warp.a}")
+    if (t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t))
+            or not np.all(np.diff(t) > 0.0)):
+        raise DomainError("times must be 1-d, finite and strictly increasing")
+    if t[0] <= a or t[-1] > T * (1.0 + 1e-12):
+        raise DomainError(f"times must lie inside (a, T] = ({a}, {T}]")
     return t
 
 
@@ -391,7 +381,7 @@ def mode_solution(ode: ModeODE, t_grid, conv_cells: int = 128) -> ModeTrajectory
 
     with s = t^p - a^p, l* = -lambda_k/p^a, and g the source in warped time.
     """
-    t = _check_t_grid(ode, t_grid)
+    t = _check_t_grid(t_grid, ode.warp.a)
     vals = _mode_values(ode, warp_forward(ode.warp, t), "single_kernel",
                         conv_cells)
     return ModeTrajectory(ode.k, t, vals, "single_kernel")
@@ -404,7 +394,7 @@ def mode_solution_alt(ode: ModeODE, t_grid, conv_cells: int = 128) -> ModeTrajec
            + l* p^-a int (s-sigma)^{2a-1} E_{a,2a}(l*(s-sigma)^a) g,
 
     which the ML recurrence identifies with the direct E_{a,a} kernel."""
-    t = _check_t_grid(ode, t_grid)
+    t = _check_t_grid(t_grid, ode.warp.a)
     vals = _mode_values(ode, warp_forward(ode.warp, t), "split_kernel",
                         conv_cells)
     return ModeTrajectory(ode.k, t, vals, "split_kernel")
@@ -434,10 +424,11 @@ def _source_times(spec: ProblemSpec, nodes: int) -> np.ndarray:
 
 def _source_coeffs(spec: ProblemSpec, K: int, X, W, basis,
                    source_nodes: int):
-    """Per-mode time signals f_k(t) = int f(x,t) v_k(x) dx, and the largest
+    """The modes' source f_k(t) = int f(x,t) v_k(x) dx (None, K declared
+    constants, or one signal t -> (K,) + t.shape), and the largest
     projection defect of f(., t) over [a, T] on the source time table."""
     if spec.f is None:
-        return [None] * K, 0.0
+        return None, 0.0
     if isinstance(spec.f, SeparableSource):
         fx = _eval_vec(spec.f.fx, X)
         cks = basis @ (W * fx)
@@ -445,24 +436,20 @@ def _source_coeffs(spec: ProblemSpec, K: int, X, W, basis,
         # f - P_K f = ft(t) (fx - P_K fx): the defect scales with |ft|
         fx_defect = _projection_defect(W, fx, cks)
         if _is_real(ft):
-            return [float(c) * ft for c in cks], abs(ft) * fx_defect
+            return cks * float(ft), abs(ft) * fx_defect
         ft_table = _eval_vec(ft, _source_times(spec, source_nodes))
-        return ([_ModeSource(float(c), ft) for c in cks],
+        return (lambda t: np.multiply.outer(cks, _eval_vec(ft, t)),
                 float(np.max(np.abs(ft_table))) * fx_defect)
-    # tabulated route: spatial quadrature on a shared warped-graded t-grid
+    # tabulated route: spatial quadrature on a shared warped-graded t-grid,
+    # one monotone cubic through the (K, nodes) table
     tg = _source_times(spec, source_nodes)
-    F = np.empty((tg.size, K))
+    F = np.empty((K, tg.size))
     defect = 0.0
     for j, tj in enumerate(tg):
         fj = _eval_vec(lambda xx: spec.f(xx, tj), X)
-        F[j] = basis @ (W * fj)
-        defect = max(defect, _projection_defect(W, fj, F[j]))
-    return [SampledFunction.from_table(tg, F[:, i]) for i in range(K)], defect
-
-
-def _mode_odes(spec: ProblemSpec, lams, phis, sources) -> list:
-    return [ModeODE(i + 1, spec.alpha, float(lams[i]), float(phis[i]), src,
-                    spec.warp) for i, src in enumerate(sources)]
+        F[:, j] = basis @ (W * fj)
+        defect = max(defect, _projection_defect(W, fj, F[:, j]))
+    return SampledFunction.from_table(tg, F), defect
 
 
 def assemble(spec: ProblemSpec, sys: EigenSystem, K: int, x_grid, t_grid,
@@ -482,11 +469,7 @@ def assemble(spec: ProblemSpec, sys: EigenSystem, K: int, x_grid, t_grid,
         raise DomainError("x_grid must be 1-d strictly increasing")
     if x[0] < 0.0 or x[-1] > 1.0:
         raise DomainError("x_grid must lie inside [0, 1]")
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size == 0 or not np.all(np.diff(t) > 0.0):
-        raise DomainError("t_grid must be 1-d strictly increasing")
-    if t[0] <= spec.a or t[-1] > spec.T * (1.0 + 1e-12):
-        raise DomainError("t_grid must lie inside (a, T]")
+    t = _check_t_grid(t_grid, spec.a, spec.T)
 
     X, W = _gauss_rule(sys, quad)
     basis = sys.basis_matrix(X)[:K]
@@ -495,10 +478,11 @@ def assemble(spec: ProblemSpec, sys: EigenSystem, K: int, x_grid, t_grid,
 
     _warn_bc_compat(spec, phi_vals)
 
-    sources, src_defect = _source_coeffs(spec, K, X, W, basis, source_nodes)
+    source, src_defect = _source_coeffs(spec, K, X, W, basis, source_nodes)
     lams = np.asarray(sys.lambdas[:K], dtype=float)
-    mv = _modes_values(_mode_odes(spec, lams, phi_c, sources),
-                       warp_forward(spec.warp, t), "single_kernel", conv_cells)
+    modes_at = partial(_modes_values, spec.alpha, spec.warp, lams, phi_c,
+                       source, "single_kernel", conv_cells)
+    mv = modes_at(warp_forward(spec.warp, t))
     values = mv.T @ sys.basis_matrix(x)[:K]
 
     diags = _truncation_diagnostics(spec, sys, K, W, phi_vals, phi_c,
@@ -509,7 +493,7 @@ def assemble(spec: ProblemSpec, sys: EigenSystem, K: int, x_grid, t_grid,
             f"{tail_tol:.3e} at K={K}")
     fld = SolutionField(x, t, values, K, spec.regime, diags,
                         mode_lambdas=lams, mode_values=mv, mode_phi=phi_c,
-                        mode_sources=sources, system=sys)
+                        mode_sources=source, system=sys, modes_at=modes_at)
     nr = solution_norms(fld, spec)
     diags["norms"] = {
         "sup_l2": nr.sup_l2, "sup_energy": nr.sup_energy,
@@ -571,23 +555,23 @@ def tail_estimate(coeffs, lambdas, m: int, weighted_rhs: float) -> TailReport:
 
 
 def _mode_interpolants(field: SolutionField, spec: ProblemSpec,
-                       dense_n: int = 1024, conv_cells: int = 128) -> _Pchip:
+                       dense_n: int = 1024) -> _Pchip:
     """One monotone cubic (PCHIP) through the (K, dense_n + 1) table of the
     modes u_k as functions of warped time s on [0, S_T], densely sampled on
-    the same graded family the L1 rule uses."""
+    the same graded family the L1 rule uses.  The table re-samples the
+    field's own modes: its source and convolution cells."""
     S_T = warp_forward(spec.warp, spec.T)
     r = min(2.0 / spec.alpha, 12.0)
     sg = S_T * np.linspace(0.0, 1.0, dense_n + 1) ** r
-    mv = _modes_values(_mode_odes(spec, field.mode_lambdas, field.mode_phi,
-                                  field.mode_sources), sg, "single_kernel",
-                       conv_cells)
+    mv = field.modes_at(sg)
     mv[:, 0] = field.mode_phi
     return _Pchip(sg, mv)
 
 
-def _default_samples(field: SolutionField, t_samples) -> np.ndarray:
+def _default_samples(field: SolutionField, spec: ProblemSpec,
+                     t_samples) -> np.ndarray:
     if t_samples is not None:
-        return np.asarray(t_samples, dtype=float)
+        return _check_t_grid(t_samples, spec.a, spec.T)
     t = field.t_grid
     idx = np.unique(np.linspace(0, t.size - 1, min(7, t.size)).astype(int))
     return t[idx]
@@ -604,7 +588,7 @@ def _mode_residuals(field, spec, ts, hb_n, dense_n):
     hb = np.array([hb_caputo(u, spec.alpha, spec.warp, float(tj), n=hb_n,
                              warped=True) for tj in ts])
     relax = field.mode_lambdas * u(warp_forward(spec.warp, ts)).T
-    load = _source_values(field.mode_sources, ts).T
+    load = _loads(field.mode_sources, field.K, ts).T
     scale = max(float(np.max(np.abs(hb))), float(np.max(np.abs(relax))),
                 float(np.max(np.abs(load))), 1e-300)
     return hb + relax - load, scale, load
@@ -622,7 +606,7 @@ def residual_strong(field: SolutionField, spec: ProblemSpec,
             f"got beta={spec.beta}")
     if field.mode_lambdas is None:
         raise DomainError("field carries no mode data")
-    ts = _default_samples(field, t_samples)
+    ts = _default_samples(field, spec, t_samples)
     r, scale, _ = _mode_residuals(field, spec, ts, hb_n, dense_n)
     xs = field.x_grid[(field.x_grid > 0.0) & (field.x_grid < 1.0)]
     if xs.size < 2:
@@ -648,7 +632,7 @@ def residual_weak(field: SolutionField, spec: ProblemSpec, test_set=None,
             f"got beta={spec.beta}")
     if field.mode_lambdas is None:
         raise DomainError("field carries no mode data")
-    ts = _default_samples(field, t_samples)
+    ts = _default_samples(field, spec, t_samples)
     if test_set is None:
         test_set = list(range(1, field.K + 1))
     r, scale, load = _mode_residuals(field, spec, ts, hb_n, dense_n)
@@ -661,13 +645,12 @@ def residual_weak(field: SolutionField, spec: ProblemSpec, test_set=None,
                 raise DomainError(f"test mode index {w} outside 1..{field.K}")
             viols.append(float(np.max(np.abs(r[:, int(w) - 1]))))
             continue
-        wk = np.array([fourier_coeff(w, sys, k) for k in
-                       range(1, field.K + 1)])
+        wx = _eval_vec(w, X)
+        wk = sys.basis_matrix(X)[: field.K] @ (W * wx)
         # the in-span part reduces to the mode residuals; add the source
         # component orthogonal to the computed modes
         v = r @ wk
         if spec.f is not None:
-            wx = _eval_vec(w, X)
             f_span = load @ wk
             for j, tj in enumerate(ts):
                 f_full = float(np.dot(W, _eval_vec(
@@ -692,9 +675,9 @@ def solution_norms(field: SolutionField, spec: ProblemSpec) -> NormReport:
     series_phi = float(np.sum(lam ** 2 * field.mode_phi ** 2))
     s_a = 0.0
     s_d = 0.0
-    if any(s is not None for s in field.mode_sources):
+    if field.mode_sources is not None:
         tg = np.linspace(spec.a, spec.T, 257)
-        F = _source_values(field.mode_sources, tg)
+        F = _loads(field.mode_sources, field.K, tg)
         fd = np.gradient(F, tg, axis=1)
         # summed mode by mode in order; np.sum pairs terms up and moves
         # the last bit of the diagnostics

@@ -5,6 +5,7 @@ import filecmp
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,31 @@ def test_eigen_deterministic_bytes(tmp_path):
     for name in ("eigenvalues.csv", "eigenfunctions.csv",
                  "orthogonality.json"):
         assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+
+@pytest.mark.parametrize("source", ["sep:one|sin:3", "sep:quadratic|one"])
+def test_solve_deterministic_bytes(tmp_path, source):
+    # a time-varying source (the convolution) and a declared constant one
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text(f"f = {source}\n")
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert cli.main(["solve", "--config", str(cfgf), "--modes", "4",
+                         "--out", str(out)]) == 0
+    for name in ("solution.csv", "diagnostics.json"):
+        assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+
+def test_readme_auto_modes_example_exits_0(tmp_path):
+    # the README's `solve --modes auto` example, as printed there
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = next(ln for ln in readme.replace("\\\n", "").splitlines()
+                if ln.startswith("degenfrac solve") and "--modes auto" in ln)
+    argv = shlex.split(line)[1:]
+    out = tmp_path / "run"
+    argv[argv.index("--out") + 1] = str(out)
+    assert cli.main(argv) == 0
+    assert json.loads((out / "diagnostics.json").read_text())["modes"] == 32
 
 
 def test_json_artifacts_are_canonical(tmp_path):

@@ -95,6 +95,19 @@ def test_sampled_function_table_and_domain():
         sf(1.5)
     with pytest.raises(DomainError):
         SampledFunction.from_table([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
+    # a (K, n) table holds K curves, each the same as its own 1-d table
+    rows = np.stack([np.sin(nodes), np.cos(3.0 * nodes), nodes ** 2])
+    many = SampledFunction.from_table(nodes, rows)
+    tq = np.array([[0.0, 0.21], [0.5, 1.0]])
+    assert many(tq).shape == (3, 2, 2) and many(0.5).shape == (3,)
+    for k in range(3):
+        one = SampledFunction.from_table(nodes, rows[k])
+        assert np.array_equal(many(tq)[k], one(tq))
+    with pytest.raises(DomainError):
+        many(np.array([0.5, 1.5]))
+    for bad in (rows[:, :-1], rows[None], np.where(rows > 0.9, np.nan, rows)):
+        with pytest.raises(DomainError):
+            SampledFunction.from_table(nodes, bad)
 
 
 def _pchip_cases():

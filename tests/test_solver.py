@@ -417,7 +417,8 @@ def test_separable_time_factor_is_evaluated_once_per_block(eig):
     S = np.array([warp_forward(spec.warp, float(t)) for t in tg])
     for k in range(K):
         ode = ModeODE(k + 1, 0.6, float(fld.mode_lambdas[k]),
-                      float(fld.mode_phi[k]), fld.mode_sources[k], spec.warp)
+                      float(fld.mode_phi[k]),
+                      _mode_source(fld.mode_sources, k), spec.warp)
         ref = _per_time_reference(ode, S, "single_kernel", 32)
         assert np.max(np.abs(fld.mode_values[k] - ref)) <= 1e-14
 
@@ -426,37 +427,44 @@ def test_separable_time_factor_is_evaluated_once_per_block(eig):
 # Batching across modes against explicit one-mode references
 
 
-def _mode_sources(kind, K, warp):
+def _mode_source(source, k):
+    """Mode k's own source f_k of a batch's source: None, a number, or a
+    callable of t."""
+    if source is None:
+        return None
+    if callable(source):
+        return lambda t: source(t)[k]
+    return float(source[k])
+
+
+def _batch_source(kind, K, warp):
     if kind == "none":
-        return [None] * K
+        return None
     if kind == "constant":
-        return [0.5 * (k + 1) for k in range(K)]
+        return 0.5 * np.arange(1.0, K + 1.0)
     if kind == "shared":  # one SeparableSource time factor
-        src = SeparableSource(lambda x: x, lambda t: np.sin(3.0 * t))
-        return [solver._ModeSource(0.3 * (k + 1), src.ft) for k in range(K)]
-    if kind == "table":
-        tg = np.linspace(warp.a, warp.a + 2.0, 41)
-        return [SampledFunction.from_table(tg, np.cos((k + 1) * tg) + tg)
-                for k in range(K)]
-    # mixed: every kind of mode source in one batch; the callable refuses
-    # t < a, where t(0) = (a^p)^(1/p) rounds for this warp
-    return [None, 1.5, lambda t: np.cos(2.0 * warp_forward(warp, t)),
-            solver._ModeSource(0.7, np.exp), 0.25][:K]
+        c = 0.3 * np.arange(1.0, K + 1.0)
+        return lambda t: np.multiply.outer(c, np.sin(3.0 * t))
+    tg = np.linspace(warp.a, warp.a + 2.0, 41)
+    return SampledFunction.from_table(
+        tg, np.stack([np.cos((k + 1) * tg) + tg for k in range(K)]))
 
 
 @pytest.mark.parametrize("alpha", [0.6, 1.0])
 @pytest.mark.parametrize("form", ["single_kernel", "split_kernel"])
-@pytest.mark.parametrize("kind", ["none", "constant", "shared", "table",
-                                  "mixed"])
+@pytest.mark.parametrize("kind", ["none", "constant", "shared", "table"])
 def test_modes_values_match_one_mode_calls(alpha, form, kind):
     warp = TimeWarp(0.3, 0.2)
     K = 5
-    odes = [ModeODE(k + 1, alpha, 2.0 + 9.0 * k, 0.4 - 0.1 * k, src, warp)
-            for k, src in enumerate(_mode_sources(kind, K, warp))]
+    lams, phis = 2.0 + 9.0 * np.arange(K), 0.4 - 0.1 * np.arange(K)
+    source = _batch_source(kind, K, warp)
     t = np.concatenate(([warp.a], np.linspace(0.25, 2.2, 23)))
     S = warp_forward(warp, t)
-    got = _modes_values(odes, S, form, 24)
-    ref = np.stack([_mode_values(ode, S, form, 24) for ode in odes])
+    got = _modes_values(alpha, warp, lams, phis, source, form, 24, S)
+    ref = np.stack([_mode_values(
+        ModeODE(k + 1, alpha, float(lams[k]), float(phis[k]),
+                _mode_source(source, k), warp), S, form, 24)
+        for k in range(K)])
     assert got.shape == (K, t.size)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -471,8 +479,8 @@ def _per_mode_residuals(field, spec, ts, hb_n, dense_n):
     scale = 0.0
     for k in range(field.K):
         ode = ModeODE(k + 1, spec.alpha, float(field.mode_lambdas[k]),
-                      float(field.mode_phi[k]), field.mode_sources[k],
-                      spec.warp)
+                      float(field.mode_phi[k]),
+                      _mode_source(field.mode_sources, k), spec.warp)
         table = _mode_values(ode, sg, "single_kernel", 128)
         table[0] = ode.phi_k
         uk = PchipInterpolator(sg, table, extrapolate=True)
@@ -502,6 +510,56 @@ def test_batched_residuals_match_per_mode_reference(eig, beta, alpha, f):
     assert scale == pytest.approx(scale_ref, rel=1e-14)
     assert np.max(np.abs(r - r_ref)) <= 1e-14 * scale_ref
     assert load.shape == (ts.size, 6)
+
+
+def _forced_field(eig, conv_cells, beta=0.5):
+    """The field of f = sep:one|sin:30 at alpha 0.6, theta 0.3, K = 8, on
+    the CLI's default grids."""
+    from degenfrac import cli
+    spec = _basic_spec(beta, f=cli.source_expr("sep:one|sin:30",
+                                               TimeWarp(0.3, 0.0)))
+    return spec, assemble(spec, eig(beta, 8), 8, np.linspace(0.0, 1.0, 65),
+                          np.linspace(0.0, 1.0, 18)[1:], conv_cells=conv_cells)
+
+
+def test_residual_follows_the_field(eig):
+    # four convolution cells put the field far off; the residual must see
+    # it, because it re-samples the field's own modes
+    spec, coarse = _forced_field(eig, 4)
+    fine = _forced_field(eig, 128)[1]
+    r4 = residual_strong(coarse, spec).sup_rel
+    r128 = residual_strong(fine, spec).sup_rel
+    assert r4 > 0.3 and r4 >= 10.0 * r128, (r4, r128)
+    assert np.array_equal(coarse.modes_at(warp_forward(spec.warp,
+                                                       coarse.t_grid)),
+                          coarse.mode_values)
+
+
+@pytest.mark.parametrize("beta,residual", [(0.5, residual_strong),
+                                           (1.5, residual_weak)])
+def test_residual_sample_times_are_validated(eig, beta, residual):
+    # past T a separable source's residual once read an extrapolated cubic
+    spec, fld = _forced_field(eig, 16, beta)
+    for bad in ([1.5], [0.0, 0.5], [[0.5]], [], [0.5, np.nan], [0.6, 0.4]):
+        with pytest.raises(DomainError):
+            residual(fld, spec, t_samples=bad, hb_n=64, dense_n=32)
+    rep = residual(fld, spec, t_samples=[0.25, 1.0], hb_n=64, dense_n=32)
+    assert rep.t_samples.tolist() == [0.25, 1.0]
+
+
+def test_residual_weak_projects_callable_tests_once(eig):
+    # a callable test function's coefficients are its projection on the
+    # computed modes, the same as one fourier_coeff per mode
+    spec, fld = _forced_field(eig, 16, 1.5)
+    w = lambda x: x * (1.0 - x) ** 2
+    got = residual_weak(fld, spec, test_set=[w], hb_n=64, dense_n=32)
+    r, _, load = _mode_residuals(fld, spec, got.t_samples, 64, 32)
+    wk = np.array([fourier_coeff(w, fld.system, k) for k in range(1, 9)])
+    X, W = solver._gauss_rule(fld.system)
+    wx = _eval_vec(w, X)
+    ref = r @ wk - (np.array([np.dot(W, spec.f(X, tj) * wx)
+                              for tj in got.t_samples]) - load @ wk)
+    assert got.per_test[0] == pytest.approx(np.max(np.abs(ref)), rel=1e-12)
 
 
 def test_tail_covers_the_whole_time_interval(eig):

@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys as _sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -29,7 +30,7 @@ from .oraclefd import FDMesh, compare, fd_solve
 from .solver import (ProblemSpec, SeparableSource, ModeODE, assemble,
                      mode_solution, mode_solution_alt, residual_strong,
                      residual_weak)
-from .special import ml_eval
+from .special import ml_eval_many
 from .spectral import (bc_requirements, bessel_eigen, flux_limit_check,
                        orthogonality_report, solve_eigen)
 
@@ -81,7 +82,7 @@ class RunConfig:
             raise ConfigError("x_points >= 3 and t_points >= 2 required")
         if self.fd_nx < 8 or self.fd_nt < 4:
             raise ConfigError("fd mesh too coarse")
-        if self.tol is not None and self.tol < 0.0:
+        if self.tol is not None and not self.tol >= 0.0:
             raise ConfigError(f"tol must be >= 0, got {self.tol}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
@@ -346,29 +347,33 @@ def _solve_grids(cfg: RunConfig):
     return xg, tg
 
 
+def _modes_rungs(cfg: RunConfig):
+    """The mode counts solve tries in turn: the fixed K, or for auto a
+    doubling ladder up to kmax from 4, or from the largest k of a mode:k
+    profile in phi or f, which needs K >= k."""
+    if cfg.modes != "auto":
+        return [int(cfg.modes)]
+    ks = re.findall(r"\bmode:(\d+)", f"{cfg.phi} {cfg.f}")
+    rungs = [min(max([4] + [int(k) for k in ks]), cfg.kmax)]
+    while rungs[-1] < cfg.kmax:
+        rungs.append(min(2 * rungs[-1], cfg.kmax))
+    return rungs
+
+
 def cmd_solve(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     xg, tg = _solve_grids(cfg)
-    if cfg.modes == "auto":
-        tol = 1e-6 if cfg.tol is None else cfg.tol
-        K, field = 4, None
-        while True:
-            K = min(K, cfg.kmax)
-            system = solve_eigen(cfg.beta, K)
-            spec = _build_problem(cfg, system)
-            field = assemble(spec, system, K, xg, tg)
-            if field.diagnostics["tail_estimate_l2"] <= tol:
-                break
-            if K >= cfg.kmax:
-                raise ResolutionError(
-                    f"tail estimate {field.diagnostics['tail_estimate_l2']:.3e}"
-                    f" still above {tol:.3e} at K={K} (kmax)")
-            K *= 2
-    else:
-        K = _eigen_count(cfg)
+    tol = 1e-6 if cfg.tol is None else cfg.tol
+    for K in _modes_rungs(cfg):
         system = solve_eigen(cfg.beta, K)
         spec = _build_problem(cfg, system)
         field = assemble(spec, system, K, xg, tg)
+        tail = field.diagnostics["tail_estimate_l2"]
+        if cfg.modes != "auto" or tail <= tol:
+            break
+    else:
+        raise ResolutionError(f"tail estimate {tail:.3e} still above "
+                              f"{tol:.3e} at K={K} (kmax)")
 
     if field.regime == "classical":
         res = residual_strong(field, spec)
@@ -403,11 +408,10 @@ def _suite_ml_recurrence() -> float:
     zs = np.linspace(-30.0, 5.0, 40)
     for al in (0.3, 0.5, 0.7, 1.2):
         for be in (0.5, 1.0, 2.0):
-            for z in zs:
-                e1 = ml_eval(al, be, float(z))
-                e2 = ml_eval(al, al + be, float(z))
-                defect = abs(e1 - 1.0 / math.gamma(be) - z * e2)
-                worst = max(worst, defect / (1.0 + abs(e1)))
+            e1 = ml_eval_many(al, be, zs)
+            e2 = ml_eval_many(al, al + be, zs)
+            defect = np.abs(e1 - 1.0 / math.gamma(be) - zs * e2)
+            worst = max(worst, float(np.max(defect / (1.0 + np.abs(e1)))))
     return worst
 
 

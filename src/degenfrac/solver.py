@@ -82,8 +82,8 @@ class ProblemSpec:
 
     alpha in (0, 1] (alpha = 1 is the classical first-order limit),
     theta < 1, beta in (0, 2) away from 1, 0 <= a < T < inf.  phi is the
-    initial profile on [0, 1]; f is None, a callable f(x, t), a
-    SeparableSource, or an (fx, ft) pair.
+    initial profile on [0, 1]; f is None, a callable f(x, t), or a
+    SeparableSource.  Any other f raises DomainError.
     """
 
     alpha: float
@@ -108,8 +108,6 @@ class ProblemSpec:
             if not callable(self.phi):
                 raise DomainError("phi must be callable or a SampledFunction")
             self.phi = SampledFunction(self.phi, domain=(0.0, 1.0))
-        if isinstance(self.f, tuple):
-            self.f = SeparableSource(*self.f)
         if self.f is not None and not callable(self.f):
             raise DomainError("f must be None, callable, or a SeparableSource")
 
@@ -195,9 +193,7 @@ class NormReport:
 
 @dataclass
 class TailReport:
-    m: int
     partial_sum: float
-    rhs: float
     satisfied: bool
     tail_bound: float
 
@@ -205,7 +201,6 @@ class TailReport:
 @dataclass
 class ResidualReport:
     sup_abs: float
-    l2_abs: float
     sup_rel: float
     scale: float
     t_samples: np.ndarray
@@ -244,9 +239,9 @@ def _eval_vec(fn, x: np.ndarray) -> np.ndarray:
     return np.array([float(fn(xi)) for xi in x.ravel()]).reshape(x.shape)
 
 
-def fourier_coeff(g, sys: EigenSystem, k: int, quad: int = 8) -> float:
+def fourier_coeff(g, sys: EigenSystem, k: int) -> float:
     """Coefficient int_0^1 g(x) v_k(x) dx against the orthonormal basis."""
-    X, W = _gauss_rule(sys, quad)
+    X, W = _gauss_rule(sys)
     vk = sys.eigen_eval(k, X)[0]
     return float(np.dot(W, _eval_vec(g, X) * vk))
 
@@ -268,6 +263,8 @@ def fourier_coeff(g, sys: EigenSystem, k: int, quad: int = 8) -> float:
 #: points per mode in a block of the 2-D product integration: a block's
 #: temporaries stay near 1 MB per mode however many targets there are
 _BLOCK_POINTS = 2048
+#: cells of the product rule from 0 to each target time (assemble's default)
+_CONV_CELLS = 128
 
 
 def _loads(source, K: int, t) -> np.ndarray:
@@ -373,21 +370,22 @@ def _check_t_grid(t_grid, a: float, T: float = math.inf) -> np.ndarray:
     return t
 
 
-def mode_solution(ode: ModeODE, t_grid, conv_cells: int = 128) -> ModeTrajectory:
+def mode_solution(ode: ModeODE, t_grid) -> ModeTrajectory:
     """u_k on t_grid via the single-kernel form
 
     u_k(t) = phi_k E_{a,1}(l* s^a)
              + p^-a int_0^s (s-sigma)^{a-1} E_{a,a}(l*(s-sigma)^a) g(sigma) dsigma
 
-    with s = t^p - a^p, l* = -lambda_k/p^a, and g the source in warped time.
+    with s = t^p - a^p, l* = -lambda_k/p^a, and g the source in warped time
+    (a callable g is integrated over 128 cells).
     """
     t = _check_t_grid(t_grid, ode.warp.a)
     vals = _mode_values(ode, warp_forward(ode.warp, t), "single_kernel",
-                        conv_cells)
+                        _CONV_CELLS)
     return ModeTrajectory(ode.k, t, vals, "single_kernel")
 
 
-def mode_solution_alt(ode: ModeODE, t_grid, conv_cells: int = 128) -> ModeTrajectory:
+def mode_solution_alt(ode: ModeODE, t_grid) -> ModeTrajectory:
     """Same contract as mode_solution through the split convolution
 
     B(s) = p^-a/Gamma(a) int (s-sigma)^{a-1} g
@@ -396,7 +394,7 @@ def mode_solution_alt(ode: ModeODE, t_grid, conv_cells: int = 128) -> ModeTrajec
     which the ML recurrence identifies with the direct E_{a,a} kernel."""
     t = _check_t_grid(t_grid, ode.warp.a)
     vals = _mode_values(ode, warp_forward(ode.warp, t), "split_kernel",
-                        conv_cells)
+                        _CONV_CELLS)
     return ModeTrajectory(ode.k, t, vals, "split_kernel")
 
 
@@ -412,18 +410,21 @@ def _projection_defect(W, vals, coeffs) -> float:
     return math.sqrt(max(l2 ** 2 - float(np.sum(coeffs ** 2)), 0.0))
 
 
-def _source_times(spec: ProblemSpec, nodes: int) -> np.ndarray:
-    """Time table t(S_T (j/nodes)^2), j = 0..nodes, on [a, T], without the
-    nodes that collapse onto their neighbour in t."""
+#: cells of the time table that samples a source's sup and a general f(x, t)
+_SOURCE_NODES = 192
+
+
+def _source_times(spec: ProblemSpec) -> np.ndarray:
+    """Time table t(S_T (j/n)^2), j = 0..n = _SOURCE_NODES, on [a, T],
+    without the nodes that collapse onto their neighbour in t."""
     warp = spec.warp
     tg = warp_inverse(warp, warp_forward(warp, spec.T)
-                      * np.linspace(0.0, 1.0, nodes + 1) ** 2)
+                      * np.linspace(0.0, 1.0, _SOURCE_NODES + 1) ** 2)
     tg[0], tg[-1] = spec.a, spec.T
     return tg[np.concatenate(([True], np.diff(tg) > 0.0))]
 
 
-def _source_coeffs(spec: ProblemSpec, K: int, X, W, basis,
-                   source_nodes: int):
+def _source_coeffs(spec: ProblemSpec, K: int, X, W, basis):
     """The modes' source f_k(t) = int f(x,t) v_k(x) dx (None, K declared
     constants, or one signal t -> (K,) + t.shape), and the largest
     projection defect of f(., t) over [a, T] on the source time table."""
@@ -437,12 +438,12 @@ def _source_coeffs(spec: ProblemSpec, K: int, X, W, basis,
         fx_defect = _projection_defect(W, fx, cks)
         if _is_real(ft):
             return cks * float(ft), abs(ft) * fx_defect
-        ft_table = _eval_vec(ft, _source_times(spec, source_nodes))
+        ft_table = _eval_vec(ft, _source_times(spec))
         return (lambda t: np.multiply.outer(cks, _eval_vec(ft, t)),
                 float(np.max(np.abs(ft_table))) * fx_defect)
     # tabulated route: spatial quadrature on a shared warped-graded t-grid,
     # one monotone cubic through the (K, nodes) table
-    tg = _source_times(spec, source_nodes)
+    tg = _source_times(spec)
     F = np.empty((K, tg.size))
     defect = 0.0
     for j, tj in enumerate(tg):
@@ -453,13 +454,17 @@ def _source_coeffs(spec: ProblemSpec, K: int, X, W, basis,
 
 
 def assemble(spec: ProblemSpec, sys: EigenSystem, K: int, x_grid, t_grid,
-             conv_cells: int = 128, tail_tol: Optional[float] = None,
-             source_nodes: int = 192, quad: int = 8) -> SolutionField:
+             conv_cells: int = _CONV_CELLS,
+             tail_tol: Optional[float] = None) -> SolutionField:
     """Truncated eigenfunction-series solution on the tensor grid.
 
-    Populates tail/truncation diagnostics; raises ResolutionError when
-    tail_tol is given and the L2 tail estimate exceeds it.  Residual
-    diagnostics are separate (residual_strong / residual_weak)."""
+    Projections take 8 Gauss points per cell of the eigensystem's mesh.
+    A time-varying source is integrated over conv_cells cells up to each
+    time; its sup over [a, T] (for the tail) and a general f(x, t) are
+    sampled at up to 193 times, graded toward a.  Populates tail/truncation
+    diagnostics; raises ResolutionError when tail_tol is given and the L2
+    tail estimate exceeds it.  Residual diagnostics are separate
+    (residual_strong / residual_weak)."""
     if not (1 <= K <= sys.count):
         raise DomainError(f"need 1 <= K <= {sys.count}, got {K}")
     if abs(sys.beta - spec.beta) > 1e-12:
@@ -471,14 +476,14 @@ def assemble(spec: ProblemSpec, sys: EigenSystem, K: int, x_grid, t_grid,
         raise DomainError("x_grid must lie inside [0, 1]")
     t = _check_t_grid(t_grid, spec.a, spec.T)
 
-    X, W = _gauss_rule(sys, quad)
+    X, W = _gauss_rule(sys)
     basis = sys.basis_matrix(X)[:K]
     phi_vals = _eval_vec(spec.phi, X)
     phi_c = basis @ (W * phi_vals)
 
     _warn_bc_compat(spec, phi_vals)
 
-    source, src_defect = _source_coeffs(spec, K, X, W, basis, source_nodes)
+    source, src_defect = _source_coeffs(spec, K, X, W, basis)
     lams = np.asarray(sys.lambdas[:K], dtype=float)
     modes_at = partial(_modes_values, spec.alpha, spec.warp, lams, phi_c,
                        source, "single_kernel", conv_cells)
@@ -545,8 +550,7 @@ def tail_estimate(coeffs, lambdas, m: int, weighted_rhs: float) -> TailReport:
         raise DomainError(f"m must be a nonnegative integer, got {m}")
     part = float(np.sum(lam ** (m + 1) * g * g))
     ok = part <= weighted_rhs * (1.0 + 1e-9) + 1e-12
-    return TailReport(int(m), part, float(weighted_rhs), bool(ok),
-                      float(max(weighted_rhs - part, 0.0)))
+    return TailReport(part, bool(ok), float(max(weighted_rhs - part, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -559,13 +563,12 @@ def _mode_interpolants(field: SolutionField, spec: ProblemSpec,
     """One monotone cubic (PCHIP) through the (K, dense_n + 1) table of the
     modes u_k as functions of warped time s on [0, S_T], densely sampled on
     the same graded family the L1 rule uses.  The table re-samples the
-    field's own modes: its source and convolution cells."""
+    field's own modes: its source and convolution cells.  At s = 0 that
+    is mode_phi bit for bit, as E_{alpha,1}(0) = 1 and no source adds."""
     S_T = warp_forward(spec.warp, spec.T)
     r = min(2.0 / spec.alpha, 12.0)
     sg = S_T * np.linspace(0.0, 1.0, dense_n + 1) ** r
-    mv = field.modes_at(sg)
-    mv[:, 0] = field.mode_phi
-    return _Pchip(sg, mv)
+    return _Pchip(sg, field.modes_at(sg))
 
 
 def _default_samples(field: SolutionField, spec: ProblemSpec,
@@ -613,9 +616,7 @@ def residual_strong(field: SolutionField, spec: ProblemSpec,
         xs = np.linspace(0.05, 0.95, 19)
     R = r @ field.system.basis_matrix(xs)[: field.K]
     sup_abs = float(np.max(np.abs(R)))
-    dx = np.gradient(xs)
-    l2_abs = float(np.max(np.sqrt(np.sum(R ** 2 * dx, axis=1))))
-    return ResidualReport(sup_abs, l2_abs, sup_abs / scale, scale, ts,
+    return ResidualReport(sup_abs, sup_abs / scale, scale, ts,
                           np.max(np.abs(r), axis=0))
 
 
@@ -659,7 +660,7 @@ def residual_weak(field: SolutionField, spec: ProblemSpec, test_set=None,
         viols.append(float(np.max(np.abs(v))))
     viols = np.asarray(viols)
     sup_abs = float(np.max(viols))
-    return ResidualReport(sup_abs, sup_abs, sup_abs / scale, scale, ts, viols)
+    return ResidualReport(sup_abs, sup_abs / scale, scale, ts, viols)
 
 
 def solution_norms(field: SolutionField, spec: ProblemSpec) -> NormReport:

@@ -440,16 +440,13 @@ class MLBoundFit:
     alpha: float
     beta: float
     M: float
-    sector_mu: float
-    sample_count: int
 
 
 def ml_bound_fit(alpha: float, beta: float, ray_samples: Sequence[float]) -> MLBoundFit:
     """Fit the smallest M with (1+x)|E_{alpha,beta}(-x)| <= M over the samples.
 
     Only meaningful for 0 < alpha < 2, where E is algebraically decaying on
-    the negative ray; sector_mu records the admissible sector angle
-    mu in (pi*alpha/2, min(pi, pi*alpha)) at its midpoint.
+    the negative ray.  The samples must be finite and >= 0.
     """
     if not 0.0 < alpha < 2.0:
         raise DomainError(f"ml_bound_fit: requires 0 < alpha < 2, got {alpha}")
@@ -458,8 +455,7 @@ def ml_bound_fit(alpha: float, beta: float, ray_samples: Sequence[float]) -> MLB
         raise DomainError("ml_bound_fit: ray samples must be finite and >= 0")
     vals = ml_eval_many(alpha, beta, -xs)
     m = float(np.max((1.0 + xs) * np.abs(vals)))
-    mu = 0.5 * (math.pi * alpha / 2.0 + min(math.pi, math.pi * alpha))
-    return MLBoundFit(alpha=alpha, beta=beta, M=m, sector_mu=mu, sample_count=xs.size)
+    return MLBoundFit(alpha=alpha, beta=beta, M=m)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 from scipy import special as sp
@@ -56,15 +55,14 @@ class BCDescriptor:
     beta: float
     left_condition: str
     right_condition: str = "dirichlet_at_one"
-    nu_range: Tuple[int, ...] = ()
 
 
 def bc_requirements(beta: float) -> BCDescriptor:
     """Which boundary conditions the problem needs for this beta."""
     _check_beta(beta)
     if beta < 1.0:
-        return BCDescriptor(beta, LEFT_DIRICHLET, nu_range=(0,))
-    return BCDescriptor(beta, LEFT_NONE, nu_range=())
+        return BCDescriptor(beta, LEFT_DIRICHLET)
+    return BCDescriptor(beta, LEFT_NONE)
 
 
 def grading_exponent(beta: float) -> float:
@@ -424,37 +422,33 @@ class FluxLimitReport:
     limit: float
     vanishes: bool
     converged: bool
-    xs: np.ndarray
-    samples: np.ndarray
-    tol: float
 
 
-def flux_limit_check(v, beta: float, x_start: float = 0.25,
-                     ratio: float = 0.5, steps: int = 40,
-                     tol: float = 1e-6) -> FluxLimitReport:
-    """Sample the weighted flux x^beta v'(x) on a geometric sequence x -> 0
-    and extrapolate its limit (Aitken on the tail).
+#: the flux is sampled at x = 0.25 * 0.5^i, i = 0..39 (down to 4.5e-13)
+_FLUX_X = 0.25 * 0.5 ** np.arange(40)
+#: a limit below this vanishes; two Aitken estimates this close converge
+_FLUX_TOL = 1e-6
 
-    v may be a pair-evaluator x -> (value, derivative) such as
-    EigenSystem.mode(k), or a plain function of x (derivative then taken by
-    a relative-step central difference).
+
+def flux_limit_check(v, beta: float) -> FluxLimitReport:
+    """Sample the weighted flux x^beta v'(x) on the geometric sequence
+    x = 0.25 * 0.5^i, i = 0..39, and extrapolate its limit (Aitken on the
+    tail).
+
+    v is a pair-evaluator x -> (value, derivative) such as
+    EigenSystem.mode(k); anything else raises DomainError.  The limit
+    vanishes when it is at most 1e-6 in magnitude.
     """
     _check_beta(beta)
-    xs = x_start * ratio ** np.arange(steps)
-    lo = getattr(v, "domain", None)
-    if lo is not None and lo[0] > 0.0:
-        xs = xs[xs >= lo[0] * (1.0 + 1e-9)]
-    samples = np.empty(xs.size)
-    for i, x in enumerate(xs):
+    samples = np.empty(_FLUX_X.size)
+    for i, x in enumerate(_FLUX_X):
         out = v(x)
-        if isinstance(out, tuple):
-            dv = out[1]
-        else:
-            d = 1e-5 * x
-            dv = (v(x + d) - v(x - d)) / (2.0 * d)
-        samples[i] = x ** beta * dv
-    if samples.size < 3 or not np.all(np.isfinite(samples)):
-        return FluxLimitReport(float("nan"), False, False, xs, samples, tol)
+        if not (isinstance(out, tuple) and len(out) == 2):
+            raise DomainError("flux_limit_check needs a pair-evaluator "
+                              "x -> (v(x), v'(x))")
+        samples[i] = x ** beta * out[1]
+    if not np.all(np.isfinite(samples)):
+        return FluxLimitReport(float("nan"), False, False)
 
     def aitken(y0, y1, y2):
         den = y2 - 2.0 * y1 + y0
@@ -463,10 +457,10 @@ def flux_limit_check(v, beta: float, x_start: float = 0.25,
         return y2 - (y2 - y1) ** 2 / den
 
     est = aitken(*samples[-3:])
-    prev = aitken(*samples[-4:-1]) if samples.size >= 4 else samples[-1]
-    converged = abs(est - prev) <= max(tol, 1e-6 * (1.0 + abs(est)))
-    return FluxLimitReport(float(est), bool(abs(est) <= tol), bool(converged),
-                           xs, samples, tol)
+    prev = aitken(*samples[-4:-1])
+    converged = abs(est - prev) <= max(_FLUX_TOL, 1e-6 * (1.0 + abs(est)))
+    return FluxLimitReport(float(est), bool(abs(est) <= _FLUX_TOL),
+                           bool(converged))
 
 
 @dataclass
@@ -477,22 +471,26 @@ class OrthogonalityReport:
     max_offdiag_weighted: float
 
 
-def _gauss_rule(sys: EigenSystem, quad: int = 8):
-    """Composite Gauss-Legendre points/weights on the system's graded mesh."""
+#: Gauss points per cell of every quadrature on an eigensystem's mesh
+_QUAD = 8
+
+
+def _gauss_rule(sys: EigenSystem):
+    """Composite _QUAD-point Gauss-Legendre rule on the system's mesh."""
     nodes = sys.mesh_x()
     h = np.diff(nodes)
-    xi, wt = np.polynomial.legendre.leggauss(quad)
+    xi, wt = np.polynomial.legendre.leggauss(_QUAD)
     X = (nodes[:-1, None] + 0.5 * h[:, None] * (1.0 + xi[None, :])).ravel()
     W = (0.5 * h[:, None] * wt[None, :]).ravel()
     return X, W
 
 
-def orthogonality_report(sys: EigenSystem, quad: int = 8) -> OrthogonalityReport:
+def orthogonality_report(sys: EigenSystem) -> OrthogonalityReport:
     """Gram matrices int v_i v_j dx and int x^beta v_i' v_j' dx by composite
     Gauss quadrature on the system's graded mesh (weighted products of the
     P1 system use the exact cell integrals of x^beta)."""
     beta, K = sys.beta, sys.count
-    X, W = _gauss_rule(sys, quad)
+    X, W = _gauss_rule(sys)
     V, D = sys._rows(slice(None), X)
     gram_l2 = (V * W) @ V.T
     if sys.method_tag == "galerkin_numeric":
@@ -510,12 +508,13 @@ def orthogonality_report(sys: EigenSystem, quad: int = 8) -> OrthogonalityReport
         if beta < 1.0:
             # first cell: v' ~ x^{-beta}, so fold x^{-beta} into a Jacobi rule
             # and integrate the smooth remainder x^{2 beta} v_i' v_j'
-            xj, wj = sp.roots_jacobi(quad, 0.0, -beta)
+            xj, wj = sp.roots_jacobi(_QUAD, 0.0, -beta)
             x1 = sys.mesh_x()[1]
             Xj = 0.5 * x1 * (1.0 + xj)
             scale = (0.5 * x1) ** (1.0 - beta)
             Dj = sys._rows(slice(None), Xj)[1]
-            first_plain = (D[:, :quad] * W[:quad] * X[:quad] ** beta) @ D[:, :quad].T
+            q = _QUAD
+            first_plain = (D[:, :q] * W[:q] * X[:q] ** beta) @ D[:, :q].T
             first_jac = scale * (Dj * wj * Xj ** (2.0 * beta)) @ Dj.T
             gram_w += first_jac - first_plain
     offd = ~np.eye(K, dtype=bool)

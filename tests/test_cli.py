@@ -135,6 +135,29 @@ def test_usage_problems_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: sin wants a number, got 'abc'\n"
 
 
+def test_nan_tol_exits_1(tmp_path):
+    # NaN fails every "<= tol" test, so it would reach kmax in solve and
+    # fail every suite in verify
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("kmax = 8\n")
+    for cmd in ("solve", "verify"):
+        assert cli.main([cmd, "--config", str(cfgf), "--modes", "auto",
+                         "--tol", "nan", "--out", str(tmp_path / cmd)]) == 1
+
+
+def test_auto_modes_start_at_the_largest_mode_profile(tmp_path):
+    # mode:k needs K >= k, so the ladder starts at max(4, k)
+    cfgf = tmp_path / "run.cfg"
+    for keys, K in (("phi = mode:5\n", 5),
+                    ("phi = zero\nf = sep:(mode:6)|one\n", 6)):
+        cfgf.write_text(keys)
+        out = tmp_path / str(K)
+        assert cli.main(["solve", "--config", str(cfgf), "--beta", "0.5",
+                         "--modes", "auto", "--tol", "1e-3",
+                         "--out", str(out)]) == 0
+        assert json.loads((out / "diagnostics.json").read_text())["modes"] == K
+
+
 def test_auto_modes_kmax_exhaustion_exit_3(tmp_path):
     cfgf = tmp_path / "run.cfg"
     cfgf.write_text("kmax = 8\nf = one\n")

@@ -51,6 +51,8 @@ def test_problem_spec_validation():
         ProblemSpec(0.5, 0.0, 0.5, 2.0, 1.0, _quadratic)
     with pytest.raises(DomainError):
         ProblemSpec(0.5, 0.0, 0.5, -0.1, 1.0, _quadratic)
+    with pytest.raises(DomainError):  # an (fx, ft) pair is no source form
+        ProblemSpec(0.5, 0.0, 0.5, 0.0, 1.0, _quadratic, (np.sin, 1.0))
 
 
 def test_problem_spec_regime():
@@ -584,6 +586,24 @@ def test_tail_covers_the_whole_time_interval(eig):
     assert defects[1] == pytest.approx(defects[0], rel=1e-12)
 
 
+@pytest.mark.parametrize("case", ["separable", "constant", "none",
+                                  "tabulated", "alpha1", "a>0"])
+def test_residual_table_starts_at_mode_phi(eig, case):
+    # the residual's mode table at s = 0 is the projection of phi, bit for
+    # bit, with no overwrite: E_{alpha,1}(0) = 1 and no source term adds
+    fx = lambda x: np.sin(np.pi * x)
+    f = {"separable": SeparableSource(fx, np.cos),
+         "constant": SeparableSource(fx, 2.0), "none": None,
+         "tabulated": lambda x, t: fx(x) * (1.0 + t)}.get(
+             case, SeparableSource(fx, np.cos))
+    spec = _basic_spec(0.5, f=f, alpha=1.0 if case == "alpha1" else 0.6,
+                       a=0.2 if case == "a>0" else 0.0)
+    fld = assemble(spec, eig(0.5, 4), 4, np.linspace(0.0, 1.0, 9),
+                   np.linspace(0.25, 1.0, 4), conv_cells=16)
+    u = solver._mode_interpolants(fld, spec, dense_n=64)
+    assert np.array_equal(u(0.0), fld.mode_phi)
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0])
 def test_no_solver_path_takes_the_point_by_point_ml_route(eig, alpha, monkeypatch):
     # the solver's kernels (alpha <= 1, z <= 0, beta <= 2 alpha + 2) are all
@@ -603,5 +623,4 @@ def test_no_solver_path_takes_the_point_by_point_ml_route(eig, alpha, monkeypatc
             residual(fld, spec, hb_n=128, dense_n=64)
     warp = TimeWarp(0.3, 0.2)
     for src in (None, 1.5, np.cos):
-        mode_solution_alt(ModeODE(1, alpha, 7.0, 0.4, src, warp), tg,
-                          conv_cells=16)
+        mode_solution_alt(ModeODE(1, alpha, 7.0, 0.4, src, warp), tg)

@@ -165,6 +165,12 @@ def test_flux_limit_vanishes_only_for_beta_above_one(eig):
     assert rep2.limit == pytest.approx(rep3.limit, rel=1e-3)
 
 
+def test_flux_limit_check_takes_pair_evaluators_only(eig):
+    for v in (lambda x: x ** 0.5, lambda x: (x, x, x)):
+        with pytest.raises(DomainError):
+            flux_limit_check(v, 0.5)
+
+
 def test_eigen_eval_validation(eig):
     sys = eig(0.5, 3)
     with pytest.raises(DomainError):

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DomainError, RegimeError, ResolutionError
 from .fracops import (SampledFunction, TimeWarp, _Pchip, hb_caputo,
                       warp_forward, warp_inverse)
-from .special import _ml, ml_eval_many
+from .special import _ml, _ml_table, ml_eval_many
 from .spectral import EigenSystem, _gauss_rule, bc_requirements
 
 __all__ = [
@@ -254,15 +254,18 @@ def fourier_coeff(g, sys: EigenSystem, k: int) -> float:
 #     k_b(y) = y^{b-1} E_{alpha,b}(lam y^alpha),   y = s - sigma,
 # whose primitives are Mittag-Leffler again:
 #     P0(y) = int_0^y k_b = y^b E_{alpha,b+1}(lam y^alpha)
-#     P1(y) = int_0^y xi k_b(xi) dxi
-#           = y^{b+1} [E_{alpha,b+1} - E_{alpha,b+2}](lam y^alpha),
-# so a piecewise-linear interpolant of the data is integrated exactly and
-# the kernel endpoint singularity costs nothing.
+#     Q(y) = int_0^y P0 = y^{b+1} E_{alpha,b+2}(lam y^alpha).
+# By parts, a piecewise-linear interpolant g of the data on the nodes
+# sigma_0 = 0 < ... < sigma_n = s is integrated exactly,
+#     int_0^s k_b(s - sigma) g = g(0) P0(s) + sum_i slope_i (Q(y_i) - Q(y_i+1)),
+# and the kernel endpoint singularity costs nothing.  With y_i = s c_i the
+# ratios c_i are the same for every target and mode, so Q comes from the
+# ratio tables of special._ml_table.
 
 
 #: points per mode in a block of the 2-D product integration: a block's
-#: temporaries stay near 1 MB per mode however many targets there are
-_BLOCK_POINTS = 2048
+#: (modes, targets, nodes) arrays take 128 KB per mode, 2 MB at K = 16
+_BLOCK_POINTS = 16384
 #: cells of the product rule from 0 to each target time (assemble's default)
 _CONV_CELLS = 128
 
@@ -276,27 +279,31 @@ def _loads(source, K: int, t) -> np.ndarray:
     return np.multiply.outer(c, np.ones(t.shape))
 
 
-def _conv_nodes(warp: TimeWarp, S: np.ndarray, conv_cells: int):
-    """Cell nodes sigma = S (i/n)^2, i = 0..n, of the convolution up to each
-    target S > 0 (one row per target), and their times t(sigma) in [a, t(S)]."""
-    sigma = S[:, None] * np.linspace(0.0, 1.0, conv_cells + 1) ** 2
+def _conv_nodes(warp: TimeWarp, S: np.ndarray, frac: np.ndarray):
+    """Cell nodes sigma = S frac, frac_i = (i/n)^2, i = 0..n, of the
+    convolution up to each target S > 0 (one row per target), and their
+    times t(sigma) in [a, t(S)]."""
+    sigma = S[:, None] * frac
     # t(0) may round below a; t is monotone, and its last column is t(S)
     return sigma, np.maximum(warp_inverse(warp, sigma), warp.a)
 
 
-def _cell_sums(sigma, g, S, alpha, b, lam) -> np.ndarray:
-    """Product integration of the piecewise-linear interpolant of g against
-    the kernel k_b, one row per (mode, target S): sum over the cells of
-    (g_i + c_i y_i)(P0(y_i) - P0(y_i+1)) - c_i (P1(y_i) - P1(y_i+1)).
-    lam holds each mode's kernel factor and g[k] its source on the nodes."""
-    y = S[:, None] - sigma  # decreasing along each row; y[:, -1] == 0
-    e1, e2 = _ml(alpha, (b + 1.0, b + 2.0), lam[:, None, None] * y ** alpha)
-    P0 = y ** b * e1
-    P1 = y ** (b + 1.0) * (e1 - e2)
-    dP0 = P0[..., :-1] - P0[..., 1:]
-    dP1 = P1[..., :-1] - P1[..., 1:]
-    c1 = np.diff(g, axis=-1) / np.diff(sigma, axis=-1)
-    return np.sum((g[..., :-1] + c1 * y[:, :-1]) * dP0 - c1 * dP1, axis=-1)
+def _slope_sums(slopes, S, alpha, b, x, c: tuple) -> np.ndarray:
+    """The slope part of the product integration against the kernel k_b,
+    one row per (mode, target S): the sum over the cells of
+    slopes_i (Q(y_i) - Q(y_i+1)), with Q(y) = S^(b+1) P_{b+2}(x, y/S),
+    P_B(x, c) = c^(B-1) E_{alpha,B}(-x c^alpha), at the node ratios c and
+    x = -lam S^alpha for each mode.  For alpha < 1, P comes from the ratio
+    tables of _ml_table (B = b + 2 lies within its beta bound); alpha = 1
+    takes _ml's closed forms at the points -x c."""
+    x = x.ravel()
+    if alpha < 1.0:
+        Q = _ml_table(alpha, (b + 2.0,), x, c)[0]
+    else:
+        ca = np.asarray(c)
+        Q = _ml(alpha, (b + 2.0,), -np.multiply.outer(x, ca))[0] * ca ** (b + 1.0)
+    dQ = np.diff(Q.reshape(slopes.shape[:-1] + Q.shape[-1:]), axis=-1)
+    return -(S ** (b + 1.0)) * np.vecdot(slopes, dQ)
 
 
 def _mode_values(ode: ModeODE, S_arr: np.ndarray, form: str,
@@ -316,12 +323,13 @@ def _modes_values(alpha: float, warp: TimeWarp, lambdas, phis, source,
     """(K, S.size) values of the modes D^alpha u_k + lambda_k u_k = f_k,
     u_k(a+) = phis[k], at the warped times S_arr, with the mode index on
     the leading axis.  source is None, an array of K declared constants,
-    or one signal t -> (K,) + t.shape.  The phi term and declared
-    constants share the argument lambda* S^alpha, so one contour pass
-    gives both for every mode.  A signal is integrated over (targets
-    S > 0) x (conv_cells + 1) nodes in row blocks of about _BLOCK_POINTS
-    points per mode; each block reads the signal once and stacks every
-    mode's rows into one _cell_sums call."""
+    or one signal t -> (K,) + t.shape.  The phi term, declared constants
+    and a signal's start value share the argument lambda* S^alpha, so one
+    contour pass gives all three for every mode.  A signal's slopes are
+    integrated over (targets S > 0) x (conv_cells + 1) nodes in row blocks
+    of about _BLOCK_POINTS points per mode; each block reads the signal
+    once and stacks every mode's rows into one _slope_sums call per
+    kernel."""
     Sa = np.asarray(S_arr, dtype=float)
     pa = warp.p ** alpha
     lam_s = -np.asarray(lambdas, dtype=float) / pa
@@ -335,27 +343,34 @@ def _modes_values(alpha: float, warp: TimeWarp, lambdas, phis, source,
     const = source is not None and not callable(source)
     Z = lam_s[:, None] * Sa ** alpha
     betas = (1.0,)
-    if const:
+    if source is not None:
         betas += tuple(b + 1.0 for b, on, _ in parts if on)
     E = iter(_ml(alpha, betas, Z))
     out = np.asarray(phis, dtype=float)[:, None] * next(E)
+    if source is None:
+        return out
+    # the source at the start times P0(S): the whole convolution of
+    # declared constant data, the first term of a signal's sum by parts
+    f0 = np.asarray(source if const else source(np.array([warp.a]))[:, 0],
+                    dtype=float)[:, None]
+    for b, on, scl in parts:
+        e = next(E) if on else ml_eval_many(alpha, b + 1.0, np.zeros_like(Z))
+        out += scl * f0 * Sa ** b * e
     if const:
-        # declared constant data: the cell sum telescopes to c * P0(S)
-        c = np.asarray(source, dtype=float)[:, None]
-        for b, on, scl in parts:
-            e = next(E) if on else ml_eval_many(alpha, b + 1.0, np.zeros_like(Z))
-            out += scl * c * Sa ** b * e
-    if not callable(source):
         return out
     pos = np.flatnonzero(Sa > 0.0)
     rows = max(1, _BLOCK_POINTS // (conv_cells + 1))
+    frac = np.linspace(0.0, 1.0, conv_cells + 1) ** 2
+    ratios = tuple(1.0 - frac)  # c_i = y_i/S, the same for every target
     for lo in range(0, pos.size, rows):
         idx = pos[lo:lo + rows]
-        sigma, t = _conv_nodes(warp, Sa[idx], conv_cells)
-        g = source(t)
+        sigma, t = _conv_nodes(warp, Sa[idx], frac)
+        slopes = np.diff(source(t), axis=-1)
+        slopes /= np.diff(sigma, axis=-1)
         for b, on, scl in parts:
-            lam = lam_s if on else np.zeros(lam_s.size)
-            out[:, idx] += scl * _cell_sums(sigma, g, Sa[idx], alpha, b, lam)
+            x = -Z[:, idx] if on else np.zeros((Z.shape[0], idx.size))
+            out[:, idx] += scl * _slope_sums(slopes, Sa[idx], alpha, b, x,
+                                             ratios)
     return out
 
 
@@ -403,11 +418,16 @@ def mode_solution_alt(ode: ModeODE, t_grid) -> ModeTrajectory:
 # ---------------------------------------------------------------------------
 
 
-def _projection_defect(W, vals, coeffs) -> float:
+def _projection_defect(W, vals, coeffs, basis) -> float:
     """L2 distance between a function (values at the Gauss points) and its
-    projection on the modes whose coefficients are given."""
-    l2 = math.sqrt(float(np.dot(W, vals ** 2)))
-    return math.sqrt(max(l2 ** 2 - float(np.sum(coeffs ** 2)), 0.0))
+    projection on the modes whose coefficients are given (basis: the modes
+    at the Gauss points).  Summed as the norm of the difference, not as
+    |f|^2 - sum c_k^2: for beta < 1 the modes are orthonormal under the rule
+    only to about 1e-10 on the default mesh and 1e-7 on a 16,384-cell one
+    (orthogonality_report), and in the difference of squares that error
+    swamps any defect below its square root."""
+    res = vals - coeffs @ basis
+    return math.sqrt(float(np.dot(W, res * res)))
 
 
 #: cells of the time table that samples a source's sup and a general f(x, t)
@@ -435,7 +455,7 @@ def _source_coeffs(spec: ProblemSpec, K: int, X, W, basis):
         cks = basis @ (W * fx)
         ft = spec.f.ft
         # f - P_K f = ft(t) (fx - P_K fx): the defect scales with |ft|
-        fx_defect = _projection_defect(W, fx, cks)
+        fx_defect = _projection_defect(W, fx, cks, basis)
         if _is_real(ft):
             return cks * float(ft), abs(ft) * fx_defect
         ft_table = _eval_vec(ft, _source_times(spec))
@@ -449,7 +469,7 @@ def _source_coeffs(spec: ProblemSpec, K: int, X, W, basis):
     for j, tj in enumerate(tg):
         fj = _eval_vec(lambda xx: spec.f(xx, tj), X)
         F[:, j] = basis @ (W * fj)
-        defect = max(defect, _projection_defect(W, fj, F[:, j]))
+        defect = max(defect, _projection_defect(W, fj, F[:, j], basis))
     return SampledFunction.from_table(tg, F), defect
 
 
@@ -490,7 +510,7 @@ def assemble(spec: ProblemSpec, sys: EigenSystem, K: int, x_grid, t_grid,
     mv = modes_at(warp_forward(spec.warp, t))
     values = mv.T @ sys.basis_matrix(x)[:K]
 
-    diags = _truncation_diagnostics(spec, sys, K, W, phi_vals, phi_c,
+    diags = _truncation_diagnostics(spec, sys, K, W, basis, phi_vals, phi_c,
                                     src_defect, mv)
     if tail_tol is not None and diags["tail_estimate_l2"] > tail_tol:
         raise ResolutionError(
@@ -524,9 +544,9 @@ def _warn_bc_compat(spec: ProblemSpec, phi_vals: np.ndarray) -> None:
                       stacklevel=3)
 
 
-def _truncation_diagnostics(spec, sys, K, W, phi_vals, phi_c, src_defect,
-                            mv) -> dict:
-    phi_defect = _projection_defect(W, phi_vals, phi_c)
+def _truncation_diagnostics(spec, sys, K, W, basis, phi_vals, phi_c,
+                            src_defect, mv) -> dict:
+    phi_defect = _projection_defect(W, phi_vals, phi_c, basis)
     S_T = warp_forward(spec.warp, spec.T)
     p = spec.warp.p
     # crude Duhamel scale for how strongly a source tail can feed the field

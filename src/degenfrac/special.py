@@ -13,7 +13,13 @@ Mittag-Leffler routes.  One dispatcher, _ml, picks them, first match wins:
 2. alpha = 1, beta = n in 1..4: (e^z - sum_{k<n-1} z^k/k!)/z^(n-1), its
    Taylor series for |z| < 1.
 3. 0 < alpha < 1, z < 0, alpha - 2 <= beta <= 2 alpha + 4: the trapezoid
-   rule on one fixed parabolic Hankel contour, all betas in one pass.
+   rule on one fixed parabolic Hankel contour (mu = 4, h = 0.12, nodes
+   u = 0..46 h on its upper half, of which c = 1 needs the first 33), all
+   betas in one pass.  It is the one-column case c = 1 of the ratio
+   tables P_B(x, c) = c^(B-1) E_{alpha,B}(-x c^alpha) (_ml_table), which
+   serve the solver's source convolution: ratios in a band
+   hi/4 < c <= hi, hi = 4^-m, share one cached table e^(s c/hi), so each
+   band is one real GEMM.
 4. Every other point, one by one (_ml_scalar):
    a. z > 0: the series up to z^(1/alpha) = 40, then the exponential
       asymptotics (in log form up to the double limit);
@@ -28,6 +34,7 @@ Accuracy contract: see ml_eval_many.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -117,23 +124,30 @@ def _ml_series(alpha: float, beta: float, z: float, cap: int = _TERM_CAP) -> flo
 # at Im u = 1, and the trapezoid rule in u converges geometrically
 # (Weideman & Trefethen, Math. Comp. 76 (2007) 1341-1356; Garrappa, SIAM
 # J. Numer. Anal. 53 (2015) 1350-1369).  A contour costs a few array
-# operations to build, so none is cached.
+# operations to build, so only the ratio tables e^(s c), which every block
+# of a source convolution reuses, are cached (Lopez-Fernandez, Lubich &
+# Schaedle, SIAM J. Sci. Comput. 30 (2008) 1015-1037: one contour serves a
+# geometric band of a memory convolution).
 
 #: the parabola for arguments with no pole on the principal sheet (every
-#: z <= 0) or a pole on the cut: truncation exp(mu (1 - (N h)^2)) < 1e-15,
-#: roundoff amplified by e^mu ~ 7 only, and a step h fine enough for the
-#: origin singularity s^(alpha-beta) within the beta bound of _on_contour
-_MU, _H, _N = 2.0, 0.12, 36
+#: z <= 0) or a pole on the cut, also rescaled by the ratio bands of
+#: _ml_table: roundoff amplified by e^mu ~ 55, a step h fine enough for
+#: the origin singularity s^(alpha-beta) within the beta bound of
+#: _on_contour, and truncation exp(mu c (1 - (N h)^2)) below 2e-13 at the
+#: band edge c = 1/4, where the decay of s^(alpha-B)/(s^alpha + x) brings
+#: it below 1e-14 relative for B >= alpha + 1
+_MU, _H, _N = 4.0, 0.12, 46
 
 
 def _on_contour(alpha, beta):
     """Whether the contours serve beta at order alpha (elementwise for
     arrays): alpha - 2 <= beta <= 2 alpha + 4.  Above, s^(alpha-beta) is too
     sharp at the origin for the step h; below, it outgrows the truncation
-    at u = N h.  A frozen mpmath scan (alpha in [0.05, 0.99], 0 < -z <= 1e6)
-    held 5e-13 (1 + |E|) to 4.9e-14 at 2 alpha + 4 and broke it at
-    2 alpha + 5 (5.3e-13 near z = 0) and at alpha - 3.5 (1.1e-12).  The
-    solver's largest kernel is beta = 2 alpha + 2."""
+    at u = N h and the roundoff.  Against mpmath at 25 digits (9 alphas in
+    [0.05, 0.99], -z from 1e-6 to 1e6) the rule held 5e-13 (1 + |E|) to
+    5.4e-14 at alpha - 2 and 1.7e-15 at 2 alpha + 4; past the bound it
+    gave 3.5e-13 at alpha - 3.5 and 9.2e-15 at 2 alpha + 5.  The solver's
+    largest kernel is beta = 2 alpha + 2."""
     return (beta >= alpha - 2.0) & (beta <= 2.0 * alpha + 4.0)
 
 
@@ -146,50 +160,101 @@ def _parabola(mu: float, h: float, n: int, k0: int):
     return mu * (1.0 + 1j * u) ** 2, 2j * h * mu * (1.0 + 1j * u)
 
 
-#: points per chunk of the negative-ray rule: its one real temporary is
-#: a (nodes, chunk) array of 0.6 MB
-_CHUNK = 2048
+#: a node whose e^(Re s c) stays below e^-55 = 1e-24 for every ratio c of
+#: a band adds below 1e-20 to any kernel within the beta bound, and is
+#: left out of that band: a band of c = 1 alone keeps 33 of the 47 nodes
+_LOG_NEGLIGIBLE = -55.0
 
-#: beyond this -z the rule is summed in its large-x form sum(Im W)/x,
-#: exact to |s^alpha/x| < 1e-98 relative, before c^2 could overflow
+
+@functools.lru_cache(maxsize=16)
+def _bands(c: tuple) -> tuple:
+    """The ratios c (decreasing, in [0, 1]) cut into bands hi/4 < c <= hi,
+    hi = 4^-m: per band its column slice, hi and the table
+    E = e^(s_j c/hi), one row per node u_j >= 0 of the fixed parabola
+    that is not negligible in the band.  Columns with c = 0 are in no
+    band."""
+    c = np.asarray(c, dtype=float)
+    s = _parabola(_MU, _H, _N, 0)[0]
+    out, lo, hi = [], 0, 1.0
+    while lo < c.size and c[lo] > 0.0:
+        end = lo + int(np.count_nonzero(c[lo:] > 0.25 * hi))
+        if end > lo:
+            r = c[lo:end] / hi
+            nodes = np.count_nonzero(s.real * r[-1] > _LOG_NEGLIGIBLE)
+            out.append((slice(lo, end), hi,
+                        np.exp(np.multiply.outer(s[:nodes], r))))
+        lo, hi = end, 0.25 * hi
+    return tuple(out)
+
+
+#: rows per chunk of _ml_table: a chunk's temporaries are its reciprocals
+#: [d; x d], (2 nodes, chunk) at 0.4 MB, and one band's product,
+#: (chunk, len(betas) band columns) at up to 0.5 MB per beta
+_CHUNK = 512
+
+#: beyond this x the rule is summed in its large-x form, d = 0 and
+#: x d = 1/x, exact to |s^alpha/x| < 1e-98 relative, before (p + x)^2
+#: could overflow
 _FAR = 1e100
 
 
-def _ml_neg_ray(alpha: float, betas, x: np.ndarray) -> np.ndarray:
-    """E_{alpha,b}(-x) for real x >= 0 and each b in betas on the fixed
-    parabola: shape (len(betas),) + x.shape.
+def _ml_table(alpha: float, betas, x: np.ndarray, c: tuple) -> np.ndarray:
+    """P_B(x, c) = c^(B-1) E_{alpha,B}(-x c^alpha) for 0 < alpha < 1, real
+    x >= 0 (rows), the ratios c (columns: a tuple, decreasing, in [0, 1])
+    and each B in betas: shape (len(betas), x.size, len(c)).
 
-    For real arguments the integrand at -u is minus the conjugate of the
-    one at u, so the sum is (1/pi) Im over the nodes u >= 0 (half-weight
-    at u = 0).  With W = e^s s^(alpha-b) ds/du and s^alpha = A + iB,
-    Im W/(s^alpha + x) = d (c Im W - B Re W) = x d Im W + d (A Im W - B Re W)
-    for c = x + A and d = 1/(c^2 + B^2).  Only d depends on x, and it does
-    not depend on b, so every beta comes from one real GEMM against d.
-    At x = 0 the value is 1/Gamma(b) exactly."""
-    s, w = _parabola(_MU, _H, _N, 0)
-    w[0] *= 0.5
-    sa = s**alpha
+    With s = v c in the Hankel integral, P_B(x, c) = (1/2 pi i) int e^(v c)
+    v^(alpha-B) / (v^alpha + x) dv: c enters only through e^(v c).  For
+    real arguments the rule is (1/pi) Im of the sum over the nodes u >= 0
+    (half weight at u = 0).  A band hi/4 < c <= hi takes x hi^alpha and
+    c/hi on the fixed parabola and gains hi^(B-1): with the band's cached
+    E = e^(v c/hi), G = hi^(B-1) v^(alpha-B) (dv/du) E / pi and
+    v^alpha = p + iq, each node adds
+    Im G/(v^alpha + x) = d (p Im G - q Re G) + x d Im G,  d = 1/|v^alpha + x|^2.
+    Only the reciprocals d depend on x, one set per row and band, shared
+    by every B; the rest is a table per band, so each band is one real GEMM
+    [d | x d] @ [p Im G - q Re G; Im G] over every B and ratio at once.
+    Where x c^alpha = 0 the value is c^(B-1)/Gamma(B) exactly."""
+    v, dv = _parabola(_MU, _H, _N, 0)
+    dv[0] *= 0.5
+    va = v**alpha
+    p, q = va.real, va.imag
     b = np.asarray(betas, dtype=float)
-    W = np.exp(s) * s ** (alpha - b[:, None]) * w / math.pi
-    gemm = np.concatenate((W.imag, sa.real * W.imag - sa.imag * W.real))
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    out = np.empty((b.size, flat.size))
-    buf = np.empty((sa.size, min(flat.size, _CHUNK)))
-    near = np.minimum(flat, _FAR)
-    for lo in range(0, flat.size, _CHUNK):
-        xs = near[lo:lo + _CHUNK]
-        d = np.add(sa.real[:, None], xs, out=buf[:, :xs.size])
-        d *= d
-        d += (sa.imag**2)[:, None]
-        np.reciprocal(d, out=d)
-        xd = gemm @ d
-        np.add(xd[:b.size] * xs, xd[b.size:], out=out[:, lo:lo + xs.size])
-    far = flat > _FAR
-    if np.any(far):
-        out[:, far] = W.imag.sum(axis=1)[:, None] / flat[far]
-    out[:, flat == 0.0] = sp.rgamma(b)[:, None]
-    return out.reshape(b.shape + x.shape)
+    W = v ** (alpha - b[:, None]) * dv / math.pi
+    x = np.asarray(x, dtype=float).ravel()
+    ca = np.asarray(c, dtype=float)
+    out = np.empty((b.size, x.size, ca.size))
+    exact = ca ** (b[:, None] - 1.0) * sp.rgamma(b)[:, None]
+    out[:, :, ca == 0.0] = exact[:, None, ca == 0.0]
+    for cols, hi, E in _bands(c):
+        m = E.shape[0]
+        # G, (betas, nodes, cols), and the band's table for [d | x d]
+        G = (W[:, :m] * hi ** (b - 1.0)[:, None])[:, :, None] * E
+        table = np.concatenate((p[:m, None] * G.imag - q[:m, None] * G.real, G.imag),
+                               axis=1).transpose(1, 0, 2).reshape(2 * m, -1)
+        xh = x * hi**alpha
+        near = np.minimum(xh, _FAR)
+        q2 = (q[:m] ** 2)[:, None]
+        # [d; x d] with the rows on the last axis, read by the GEMM transposed
+        d = np.empty((2, m, min(x.size, _CHUNK)))
+        for lo in range(0, x.size, _CHUNK):
+            xs = near[lo:lo + _CHUNK]
+            dk = d[:, :, :xs.size]
+            np.add.outer(p[:m], xs, out=dk[0])
+            dk[0] *= dk[0]
+            dk[0] += q2
+            np.reciprocal(dk[0], out=dk[0])
+            np.multiply(dk[0], xs, out=dk[1])
+            val = dk.reshape(2 * m, xs.size).T @ table
+            out[:, lo:lo + xs.size, cols] = (
+                val.reshape((xs.size, b.size) + E.shape[1:]).transpose(1, 0, 2))
+        far = np.flatnonzero(xh > _FAR)
+        if far.size:  # d = 0 and x d = 1/x
+            val = np.multiply.outer(1.0 / xh[far], table[m:].sum(axis=0))
+            out[:, far, cols] = (
+                val.reshape((far.size, b.size) + E.shape[1:]).transpose(1, 0, 2))
+    out[:, x == 0.0] = exact[:, None, :]
+    return out
 
 
 def _between(sq1: float, p: float, log_tol: float):
@@ -370,7 +435,7 @@ def _ml(alpha: float, betas, z) -> np.ndarray:
             out[i] = _ml_alpha1_int(int(b[i]), zf)
     elif alpha < 1.0:
         whole = _on_contour(alpha, b)
-        out[whole] = _ml_neg_ray(alpha, b[whole], np.maximum(-zf, 0.0))
+        out[whole] = _ml_table(alpha, b[whole], np.maximum(-zf, 0.0), (1.0,))[..., 0]
     # the contour ran at x = 0 in place of z > 0: those points are left
     left = np.flatnonzero(zf > 0.0) if alpha < 1.0 else []
     for i in range(b.size):

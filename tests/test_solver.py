@@ -471,6 +471,27 @@ def test_modes_values_match_one_mode_calls(alpha, form, kind):
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def test_modes_values_peak_memory_stays_flat():
+    # a block of 16,384 points per mode holds three (modes, targets, nodes)
+    # arrays of 2.1 MB at K = 16 (the slopes, the Q table and its
+    # differences) plus the table rule's chunk temporaries: 7.2 MB measured
+    import tracemalloc
+    warp = TimeWarp(0.3, 0.0)
+    K = 16
+    lams, phis = (np.pi * np.arange(1.0, K + 1.0)) ** 2, np.ones(K)
+    source = _batch_source("shared", K, warp)
+    S = warp_forward(warp, np.linspace(0.0, 1.0, 1025))
+    args = (0.6, warp, lams, phis, source, "single_kernel", 128, S)
+    _modes_values(*args)  # the cached ratio tables are not counted
+    tracemalloc.start()
+    try:
+        _modes_values(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6, peak
+
+
 def _per_mode_residuals(field, spec, ts, hb_n, dense_n):
     """The residual mode by mode: scipy's PCHIP through each mode's own
     table, the public hb_caputo once per mode and sample time, and each

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from degenfrac.errors import DomainError, ResolutionError
 from degenfrac.special import (
+    _bands,
     _ml,
+    _ml_table,
     bessel_j,
     bessel_j_zero,
     gamma_eval,
@@ -325,6 +327,60 @@ def test_ml_contour_far_on_the_ray():
         got = ml_eval_many(al, be, -x)
         lead = 1.0 / (x * math.gamma(be - al))
         assert np.all(np.abs(got / lead - 1.0) <= 1e-13), (al, be, got)
+
+
+# The ratio tables P_B(x, c) = c^(B-1) E_{alpha,B}(-x c^alpha): a band
+# hi/4 < c <= hi runs on the fixed parabola rescaled by hi
+
+
+def test_ml_ratio_bands_cover_every_positive_ratio():
+    c = tuple(1.0 - np.linspace(0.0, 1.0, 129) ** 2)
+    bands = _bands(c)
+    assert [(b[0].start, b[0].stop, b[1]) for b in bands] == [
+        (0, 111, 1.0), (111, 124, 0.25), (124, 127, 0.0625), (127, 128, 0.015625)]
+    for cols, hi, _ in bands:
+        r = np.array(c[cols]) / hi
+        assert np.all((r > 0.25) & (r <= 1.0))
+    # the last node, c = 0, is in no band and reads 0 for B > 1
+    P = _ml_table(0.6, (1.6, 2.6), np.array([0.0, 3.0, 1e6]), c)
+    assert np.all(P[:, :, -1] == 0.0)
+
+
+@pytest.mark.parametrize("al", [0.05, 0.5, 0.99])
+def test_ml_ratio_table_at_the_band_edges(al):
+    # just above an edge e, c/hi sits at the band's far end 1/4, where the
+    # rescaled contour is weakest; just below, at the next band's near end
+    xs = np.array([0.0, 1e-3, 1.0, 1e6])
+    c = tuple(sorted((e * (1.0 + s) for e in (0.25, 1.0 / 16, 1.0 / 64)
+                      for s in (1e-12, -1e-12, 1e-6, -1e-6)), reverse=True))
+    table = _ml_table(al, _kernel_betas(al), xs, c)
+    for P, be in zip(table, _kernel_betas(al)):
+        for j, cj in enumerate(c):
+            ref = ml_eval_many(al, be, -xs * cj**al) * cj ** (be - 1.0)
+            err = np.abs(P[:, j] - ref)
+            if be == 1.0:
+                # the phi kernel: as alpha -> 1, 1/Gamma(1 - alpha) -> 0
+                # cancels the leading x^-1 term of E_{alpha,1}, so its bound
+                # is the absolute one of ml_eval_many
+                assert np.all(err <= 1e-13 * (1.0 + np.abs(ref))), (be, cj, err)
+            else:
+                assert np.all(err <= 1e-13 * np.abs(ref)), (be, cj, err / ref)
+
+
+def test_ml_ratio_table_one_column_is_ml_eval_many():
+    # the contour route of ml_eval_many is the one-column table c = 1
+    x = np.concatenate(([0.0], np.logspace(-3.0, 8.0, 23), [1e150, 1e300]))
+    for al in (0.05, 0.5, 0.99):
+        for be in _kernel_betas(al) + (al - 2.0, 2.0 * al + 4.0):
+            col = _ml_table(al, (be,), x, (1.0,))[0, :, 0]
+            assert np.array_equal(col, ml_eval_many(al, be, -x)), (al, be)
+        # in a wider table the c = 1 column differs only by the GEMM's
+        # rounding (relative for the convolution kernels, see above for B = 1)
+        wide = _ml_table(al, _kernel_betas(al), x, (1.0, 0.5, 0.2, 0.0))
+        for P, be in zip(wide, _kernel_betas(al)):
+            ref = ml_eval_many(al, be, -x)
+            bound = 1e-15 * (1.0 + np.abs(ref)) if be == 1.0 else 1e-14 * np.abs(ref)
+            assert np.all(np.abs(P[:, 0] - ref) <= bound), (al, be)
 
 
 _SCALAR_VS_MANY = [(0.5, 1.0), (0.5, 1.5), (0.8, 2.6), (1.0, 1.0), (1.0, 2.0),

@@ -44,6 +44,9 @@ MATRIX = (
     ("solve-quad-a0.3", ["solve", "--modes", "8", "--a", "0.3",
                          "--T", "1.4"], QUAD1),
     ("solve-spow", ["solve", "--modes", "16"], {"f": "sep:one|spow:0.3"}),
+    # the README forced example, and the stiff end of the kernels
+    ("solve-sin3-k16", ["solve", "--modes", "16"], SIN3),
+    ("solve-sin30-k16", ["solve", "--modes", "16"], {"f": "sep:one|sin:30"}),
     ("solve-nosource", ["solve", "--modes", "8"], {}),
     # the README's --modes auto example
     ("solve-auto", ["solve", "--beta", "1.5", "--alpha", "0.6", "--theta",

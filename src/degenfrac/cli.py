@@ -31,8 +31,8 @@ from .solver import (ProblemSpec, SeparableSource, ModeODE, assemble,
                      mode_solution, mode_solution_alt, residual_strong,
                      residual_weak)
 from .special import ml_eval_many
-from .spectral import (_DEFAULT_MESH_N, bc_requirements, bessel_eigen,
-                       flux_limit_check, orthogonality_report, solve_eigen)
+from .spectral import (bc_requirements, bessel_eigen, flux_limit_check,
+                       orthogonality_report, solve_eigen)
 
 __all__ = ["RunConfig", "load_config", "main"]
 
@@ -300,33 +300,10 @@ def _eigen_count(cfg: RunConfig) -> int:
     return int(cfg.modes)
 
 
-#: the finest Galerkin mesh the eigen step doubles up to
-_EIGEN_MESH_MAX = 16384
-
-
-def _eigen_system(beta: float, K: int):
-    """solve_eigen on its default mesh, doubled up to _EIGEN_MESH_MAX
-    cells while the mesh cannot resolve lambda_K (the CLI has no mesh
-    setting).  A K that the default mesh resolves gets the same system; a K
-    above its 8 K cells guard fails there, as the guard says, undoubled."""
-    mesh = _DEFAULT_MESH_N
-    if 8 * K > mesh:
-        return solve_eigen(beta, K, mesh)
-    while True:
-        try:
-            return solve_eigen(beta, K, mesh)
-        except ResolutionError as exc:
-            if mesh >= _EIGEN_MESH_MAX:
-                raise ResolutionError(
-                    f"lambda_{K} at beta = {beta} is not resolved on meshes "
-                    f"up to {_EIGEN_MESH_MAX} cells; use fewer modes") from exc
-            mesh *= 2
-
-
 def cmd_eigen(cfg: RunConfig) -> int:
     K = _eigen_count(cfg)
     out = _outdir(cfg)
-    gal = _eigen_system(cfg.beta, K)
+    gal = solve_eigen(cfg.beta, K)
     system = gal
     extra = {}
     if cfg.oracle == "bessel":
@@ -388,7 +365,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     xg, tg = _solve_grids(cfg)
     tol = 1e-6 if cfg.tol is None else cfg.tol
     for K in _modes_rungs(cfg):
-        system = _eigen_system(cfg.beta, K)
+        system = solve_eigen(cfg.beta, K)
         spec = _build_problem(cfg, system)
         field = assemble(spec, system, K, xg, tg)
         tail = field.diagnostics["tail_estimate_l2"]
@@ -556,7 +533,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
     kladder = _parse_ladder(cfg.modes_ladder, "modes")
     nladder = _parse_ladder(cfg.mesh_ladder, "mesh")
     kref = min(2 * kladder[-1], 96)
-    system = _eigen_system(cfg.beta, kref)
+    system = solve_eigen(cfg.beta, kref)
     spec = _build_problem(cfg, system)
     xg = np.linspace(0.0, 1.0, 257)[1:-1]
     tg = np.array([cfg.T])

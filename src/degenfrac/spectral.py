@@ -8,6 +8,11 @@ x = 0 is needed (the finite-energy requirement selects the bounded branch).
 Two independent eigenpair routes are provided: a weighted P1 Galerkin
 discretization on a graded mesh, and a closed-form candidate built from
 Bessel functions that self-validates through an explicit residual check.
+
+Projections and L2 inner products on a mesh take one quadrature, the
+projection rule (`_gauss_rule`).  The Galerkin mass matrix is the hats'
+Gram matrix under it, so the Galerkin eigenbasis is orthonormal under it
+by construction.
 """
 from __future__ import annotations
 
@@ -39,6 +44,8 @@ LEFT_DIRICHLET = "dirichlet_at_zero"
 LEFT_NONE = "none_at_zero"
 
 _DEFAULT_MESH_N = 2048
+#: the finest mesh solve_eigen doubles up to when it is given none
+_MESH_MAX = 16384
 
 
 def _check_beta(beta: float) -> None:
@@ -72,8 +79,15 @@ def grading_exponent(beta: float) -> float:
     return min(2.0 / (2.0 - beta), 20.0)
 
 
-def _graded_mesh(beta: float, n: int) -> np.ndarray:
-    return np.linspace(0.0, 1.0, n + 1) ** grading_exponent(beta)
+def _exponent(beta: float) -> float:
+    """1 for beta > 1, else 1 - beta: the hats are linear in y = x^e."""
+    return 1.0 if beta > 1.0 else 1.0 - beta
+
+
+def _mesh(beta: float, n: int) -> np.ndarray:
+    """The graded mesh x_i = (i/n)^{grading_exponent} as y_i = x_i^e."""
+    return np.linspace(0.0, 1.0, n + 1) ** (grading_exponent(beta)
+                                            * _exponent(beta))
 
 
 class EigenSystem:
@@ -89,6 +103,7 @@ class EigenSystem:
         self.lambdas = np.asarray(lambdas, dtype=float)
         self.method_tag = method_tag
         self._payload = payload
+        self._rule = None  # the projection rule, see _gauss_rule
 
     @property
     def count(self) -> int:
@@ -114,29 +129,22 @@ class EigenSystem:
             nu, zeros, coefs = self._payload
             return _bessel_mode_eval(self.beta, nu, zeros[rows][col],
                                      coefs[rows][col], x)
-        chart, cnodes, vecs, slopes = self._payload
+        e, ynodes, vecs, slopes = self._payload
         vecs, slopes = vecs[rows], slopes[rows]
-        # subcritical chart: the element is linear in y = x^{1-beta},
-        # so v' carries the exact x^{-beta} factor
-        y = x if chart == "x" else x ** (1.0 - self.beta)
+        y = x ** e
         # linear interpolation as np.interp does it: cell j holds
-        # cnodes[j] <= y < cnodes[j+1], and the last node takes its value
-        j = np.searchsorted(cnodes, y, side="right") - 1
+        # ynodes[j] <= y < ynodes[j+1], and the last node takes its value
+        j = np.searchsorted(ynodes, y, side="right") - 1
         idx = np.minimum(j, slopes.shape[1] - 1)
         vp = np.take(slopes, idx, axis=1)
-        v = vp * (y - cnodes[idx])
+        v = vp * (y - ynodes[idx])
         v += np.take(vecs, idx, axis=1)
         last = j > idx
         if np.any(last):
             v = np.where(last, vecs[:, -1][col], v)
-        if chart == "x":
-            return v, vp
+        # v' = e x^{e-1} dv/dy: 1 for e = 1, unbounded at x = 0 for e < 1
         with np.errstate(divide="ignore"):
-            xw = np.where(x > 0.0, x, 1.0) ** (-self.beta)
-        vp *= 1.0 - self.beta
-        vp *= xw
-        if np.any(x == 0.0):
-            vp = np.where(x > 0.0, vp, np.inf * np.sign(slopes[:, 0])[col])
+            vp *= e * x ** (e - 1.0)
         return v, vp
 
     def mode(self, k: int):
@@ -151,63 +159,63 @@ class EigenSystem:
     def mesh_x(self) -> np.ndarray:
         """Graded x-mesh underlying the discretization (the default graded
         mesh for the closed-form route); useful as a quadrature partition."""
-        if self.method_tag == "galerkin_numeric":
-            chart, cnodes, _, _ = self._payload
-            if chart == "x":
-                return cnodes.copy()
-            return cnodes ** (1.0 / (1.0 - self.beta))
-        return _graded_mesh(self.beta, _DEFAULT_MESH_N)
+        ynodes = (self._payload[1] if self.method_tag == "galerkin_numeric"
+                  else _mesh(self.beta, _DEFAULT_MESH_N))
+        return ynodes ** (1.0 / _exponent(self.beta))
 
 
-def _assemble_p1(beta: float, nodes: np.ndarray):
-    """Tridiagonal stiffness (weight x^beta, exact per cell) and consistent
-    mass matrices over all mesh nodes, for hats linear in x, each as a
-    (diagonal, off-diagonal) pair of bands; off-diagonal entry i couples
-    nodes i and i + 1."""
-    h = np.diff(nodes)
-    xpow = (nodes[1:] ** (beta + 1.0) - nodes[:-1] ** (beta + 1.0)) / (beta + 1.0)
-    ks = xpow / h ** 2  # cell value of int x^beta * phi'_i phi'_j, up to sign
-    n = nodes.size
-    s_main = np.zeros(n)
-    s_main[:-1] += ks
-    s_main[1:] += ks
-    m_main = np.zeros(n)
-    m_main[:-1] += h / 3.0
-    m_main[1:] += h / 3.0
-    return (s_main, -ks), (m_main, h / 6.0)
+#: Gauss points per cell of the projection rule
+_QUAD = 8
+#: the Gauss-Legendre nodes as fractions of a cell, and their weights
+_GL_T, _GL_W = np.polynomial.legendre.leggauss(_QUAD)
+_GL_T, _GL_W = 0.5 * (1.0 + _GL_T), 0.5 * _GL_W
 
 
-def _assemble_p1_ychart(beta: float, ynodes: np.ndarray):
-    """Stiffness and mass bands, as _assemble_p1 returns them, for hat
-    functions linear in y = x^{1-beta} (subcritical regime).
+def _rule(beta: float, ynodes: np.ndarray):
+    """The projection rule on a mesh given in y = x^e: (T, X, W), each of
+    shape (cells, _QUAD) and read-only, holding the nodes as fractions of
+    their cell in y, the nodes in x and the weights.  Each cell is
+    Gauss-Legendre in y for dx = y^sigma dy / e, sigma = 1/e - 1, but the
+    first, which folds y^sigma into a Gauss-Jacobi rule: exact there for the
+    product of two hats, quadratic in y, as on every cell for e = 1."""
+    e = _exponent(beta)
+    dy = np.diff(ynodes)
+    T = np.tile(_GL_T, (dy.size, 1))
+    Y = ynodes[:-1, None] + dy[:, None] * T
+    X = Y ** (1.0 / e)
+    W = (dy[:, None] * _GL_W) * (X / (e * Y))  # dx/dy = x / (e y)
+    if e < 1.0:
+        sigma = 1.0 / e - 1.0
+        tj, wj = sp.roots_jacobi(_QUAD, 0.0, sigma)
+        T[0] = 0.5 * (1.0 + tj)
+        X[0] = (dy[0] * T[0]) ** (1.0 / e)
+        W[0] = (0.5 * dy[0]) ** (sigma + 1.0) / e * wj
+    for a in (T, X, W):
+        a.flags.writeable = False
+    return T, X, W
 
-    Pulling the weak form over to y turns the weighted stiffness integral
-    into (1-beta)/dy per cell -- exact -- and the mass integral into moments
-    of y^{beta/(1-beta)}, also exact.  Working in this chart matters because
-    the eigenfunctions behave like x^{1-beta} near the degenerate endpoint,
-    which is linear in y and hence inside the trial space.
-    """
-    e = 1.0 - beta
-    sigma = beta / e
-    yl, yr = ynodes[:-1], ynodes[1:]
-    dy = yr - yl
-    ks = e / dy
-    s = sigma + 1.0
-    mu0 = (yr ** s - yl ** s) / s
-    mu1 = (yr ** (s + 1.0) - yl ** (s + 1.0)) / (s + 1.0)
-    mu2 = (yr ** (s + 2.0) - yl ** (s + 2.0)) / (s + 2.0)
-    den = e * dy * dy
-    mll = (yr * yr * mu0 - 2.0 * yr * mu1 + mu2) / den
-    mlr = ((yl + yr) * mu1 - yl * yr * mu0 - mu2) / den
-    mrr = (mu2 - 2.0 * yl * mu1 + yl * yl * mu0) / den
-    n = ynodes.size
-    s_main = np.zeros(n)
-    s_main[:-1] += ks
-    s_main[1:] += ks
-    m_main = np.zeros(n)
-    m_main[:-1] += mll
-    m_main[1:] += mrr
-    return (s_main, -ks), (m_main, mlr)
+
+def _cell_energy(beta: float, ynodes: np.ndarray) -> np.ndarray:
+    """int x^beta (dy/dx)^2 dx over each cell, exactly (e dy for e = 1 -
+    beta): the weighted energy there of a function with slope 1 in y."""
+    if beta < 1.0:
+        return (1.0 - beta) * np.diff(ynodes)
+    return np.diff(ynodes ** (beta + 1.0)) / (beta + 1.0)
+
+
+def _assemble_p1(beta: float, ynodes: np.ndarray, T, W):
+    """Tridiagonal stiffness and mass matrices over all mesh nodes for the
+    hats linear in y = x^e, each as (diagonal, off-diagonal) bands; entry i
+    of an off-diagonal couples nodes i and i + 1.  The stiffness takes the
+    exact cell integrals of `_cell_energy`.  The mass is the hats' Gram
+    matrix under the projection rule (T, W), so M-orthonormal vectors make
+    modes orthonormal under that rule by construction."""
+    ks = _cell_energy(beta, ynodes) / np.diff(ynodes) ** 2
+    L, R = 1.0 - T, T  # the cell's left and right hats at the rule's nodes
+    mll, mlr, mrr = (np.sum(W * a * b, axis=1)
+                     for a, b in ((L, L), (L, R), (R, R)))
+    return ((np.r_[ks, 0.0] + np.r_[0.0, ks], -ks),
+            (np.r_[mll, 0.0] + np.r_[0.0, mrr], mlr))
 
 
 _EPS = 0.5 * np.finfo(float).eps  # LAPACK's dlamch('E'): ARPACK's tol = 0
@@ -286,53 +294,61 @@ def _shift_invert_lanczos(a, a_off, m, m_off, K: int):
     raise SolverError(f"{K} eigenpairs not converged in {cap} Lanczos steps")
 
 
-def solve_eigen(beta: float, K: int, mesh: int = _DEFAULT_MESH_N) -> EigenSystem:
+def solve_eigen(beta: float, K: int, mesh: int | None = None) -> EigenSystem:
     """First K eigenpairs by weighted P1 Galerkin on a mesh graded toward
     the degenerate endpoint (x_i = (i/N)^{2/(2-beta)}).
 
-    For beta > 1 the hats are linear in x.  For beta < 1 they are linear in
-    y = x^{1-beta} on the same node set; a basis linear in x cannot resolve
-    the x^{1-beta} endpoint behavior of the eigenfunctions at any practical
-    mesh size, while in the y chart that behavior is represented exactly and
-    the graded nodes equidistribute the local oscillation phase.
+    The hats are linear in y = x^e (`_exponent`): in x for beta > 1, and in
+    y = x^{1-beta} for beta < 1, where x^{1-beta}, the eigenfunctions'
+    endpoint behavior, is in the trial space and the graded nodes
+    equidistribute the local oscillation phase.  With no mesh given, N
+    doubles from 2,048 up to 16,384 cells while lambda_K is not resolved (a
+    K past 2,048 cells' floor of 8 per mode fails at once); an explicit mesh
+    is solved as given.
 
-    The tridiagonal pencil is solved by shift-invert Lanczos at shift 0
-    (`_shift_invert_lanczos`): a tridiagonal Cholesky factorization of the
-    stiffness matrix, then Lanczos in the mass inner product with full
-    reorthogonalization, from a fixed start vector, so the result repeats bit
-    for bit.  The Ritz vectors are mass-orthonormal, which makes the
-    eigenfunctions L2-orthonormal; the sign makes v'(1) < 0.
+    Shift-invert Lanczos (`_shift_invert_lanczos`) solves the tridiagonal
+    pencil from a fixed start vector, so the result repeats bit for bit.  The
+    Ritz vectors are mass-orthonormal, which makes the eigenfunctions
+    orthonormal under the projection rule; the sign makes v'(1) < 0.
     """
     _check_beta(beta)
     if K < 1:
         raise DomainError("need K >= 1")
-    n = int(mesh)
+    n = _DEFAULT_MESH_N if mesh is None else int(mesh)
+    while True:
+        try:
+            return _galerkin(beta, K, n)
+        except ResolutionError as exc:
+            # an explicit mesh is final, and so is the floor: doubling would
+            # run Lanczos for K up to 2,048 on 16,384 cells
+            if mesh is not None or 8 * K > _DEFAULT_MESH_N:
+                raise
+            if n >= _MESH_MAX:
+                raise ResolutionError(
+                    f"lambda_{K} at beta = {beta} is not resolved on meshes "
+                    f"up to {_MESH_MAX} cells; use fewer modes") from exc
+            n *= 2
+
+
+def _galerkin(beta: float, K: int, n: int) -> EigenSystem:
+    """solve_eigen on the graded mesh of n cells."""
     if n < 8 * K:
         raise ResolutionError(f"mesh with {n} cells too coarse for K={K}")
-    if beta < 1.0:
-        e = 1.0 - beta
-        cnodes = np.linspace(0.0, 1.0, n + 1) ** (grading_exponent(beta) * e)
-        S, M = _assemble_p1_ychart(beta, cnodes)
-        lo = 1  # Dirichlet at both endpoints
-        chart = "y"
-    else:
-        cnodes = _graded_mesh(beta, n)
-        S, M = _assemble_p1(beta, cnodes)
-        lo = 0  # no condition at x=0, Dirichlet at x=1
-        chart = "x"
-    # unknowns at nodes lo..n-1; off-diagonal entry i couples nodes i, i+1
+    e = _exponent(beta)
+    ynodes = _mesh(beta, n)
+    T, X, W = _rule(beta, ynodes)
+    S, M = _assemble_p1(beta, ynodes, T, W)
+    # Dirichlet at x = 1; at x = 0 too for beta < 1, none for beta > 1.
+    # Unknowns at nodes lo..n-1; off-diagonal entry i couples nodes i, i+1
+    lo = 1 if beta < 1.0 else 0
     vals, vecs = _shift_invert_lanczos(S[0][lo:n], S[1][lo:n - 1],
                                        M[0][lo:n], M[1][lo:n - 1], K)
     if vals[0] <= 0.0 or np.any(np.diff(vals) <= 0.0):
         raise SolverError("eigenvalues not positive simple ascending")
-    h = np.diff(cnodes)
-    if chart == "x":
-        indicator = vals[-1] * np.max(h) ** 2 / 12.0
-    else:
-        # local phase^2 of -(1-beta)^2 w'' = lambda y^{beta/(1-beta)} w
-        sigma = beta / (1.0 - beta)
-        indicator = (vals[-1] * np.max(h ** 2 * cnodes[1:] ** sigma)
-                     / (12.0 * (1.0 - beta) ** 2))
+    dy = np.diff(ynodes)
+    # local phase^2 of -e^2 w'' = lambda y^sigma w, sigma = 1/e - 1
+    indicator = (vals[-1] * np.max(dy ** 2 * ynodes[1:] ** (1.0 / e - 1.0))
+                 / (12.0 * e ** 2))
     if indicator > 2e-3:
         raise ResolutionError(
             f"lambda_{K} ~ {vals[-1]:.3g} not resolved on this mesh; "
@@ -341,9 +357,10 @@ def solve_eigen(beta: float, K: int, mesh: int = _DEFAULT_MESH_N) -> EigenSystem
     full[:, lo:n] = vecs
     # v(1) = 0, so the sign at the last interior node fixes the sign of v'(1)
     full[full[:, -2] < 0.0] *= -1.0
-    slopes = np.diff(full, axis=1) / h
-    return EigenSystem(beta, vals, "galerkin_numeric",
-                       (chart, cnodes, full, slopes))
+    system = EigenSystem(beta, vals, "galerkin_numeric",
+                         (e, ynodes, full, np.diff(full, axis=1) / dy))
+    system._rule = X.ravel(), W.ravel()
+    return system
 
 
 def _bessel_mode_eval(beta, nu, jz, coef, x):
@@ -373,12 +390,10 @@ def _bessel_residual_ok(beta, nu, jz, coef, lam, tol=1e-6) -> bool:
     p = 0.5 * (1.0 - beta)
     q = 0.5 * (2.0 - beta)
     x = np.linspace(0.05, 0.95, 181)
+    v, vp = _bessel_mode_eval(beta, nu, jz, coef, x)
     w = jz * x ** q
-    J = sp.jv(nu, w)
-    Jp = sp.jvp(nu, w)
+    J, Jp = sp.jv(nu, w), sp.jvp(nu, w)
     Jpp = -Jp / w - (1.0 - nu * nu / (w * w)) * J
-    v = coef * x ** p * J
-    vp = coef * (p * x ** (p - 1.0) * J + jz * q * x ** (p + q - 1.0) * Jp)
     vpp = coef * (p * (p - 1.0) * x ** (p - 2.0) * J
                   + jz * q * (2.0 * p + q - 1.0) * x ** (p + q - 2.0) * Jp
                   + jz * jz * q * q * x ** (p + 2.0 * q - 2.0) * Jpp)
@@ -471,55 +486,35 @@ class OrthogonalityReport:
     max_offdiag_weighted: float
 
 
-#: Gauss points per cell of every quadrature on an eigensystem's mesh
-_QUAD = 8
-
-
 def _gauss_rule(sys: EigenSystem):
-    """Composite _QUAD-point Gauss-Legendre rule on the system's mesh."""
-    nodes = sys.mesh_x()
-    h = np.diff(nodes)
-    xi, wt = np.polynomial.legendre.leggauss(_QUAD)
-    X = (nodes[:-1, None] + 0.5 * h[:, None] * (1.0 + xi[None, :])).ravel()
-    W = (0.5 * h[:, None] * wt[None, :]).ravel()
-    return X, W
+    """The flat nodes and weights (X, W) of `_rule` on the system's mesh,
+    built once per system (on first use for the closed-form route)."""
+    if sys._rule is None:
+        _, X, W = _rule(sys.beta, _mesh(sys.beta, _DEFAULT_MESH_N))
+        sys._rule = X.ravel(), W.ravel()
+    return sys._rule
 
 
 def orthogonality_report(sys: EigenSystem) -> OrthogonalityReport:
-    """Gram matrices int v_i v_j dx and int x^beta v_i' v_j' dx by composite
-    Gauss quadrature on the system's graded mesh (weighted products of the
-    P1 system use the exact cell integrals of x^beta)."""
-    beta, K = sys.beta, sys.count
+    """Gram matrices int v_i v_j dx and int x^beta v_i' v_j' dx under the
+    projection rule (weighted products of the P1 system use the exact cell
+    integrals of `_cell_energy`)."""
+    beta = sys.beta
     X, W = _gauss_rule(sys)
     V, D = sys._rows(slice(None), X)
     gram_l2 = (V * W) @ V.T
     if sys.method_tag == "galerkin_numeric":
-        chart, cnodes, _, slopes = sys._payload
-        if chart == "x":
-            xpow = (cnodes[1:] ** (beta + 1.0)
-                    - cnodes[:-1] ** (beta + 1.0)) / (beta + 1.0)
-            gram_w = (slopes * xpow) @ slopes.T
-        else:
-            # int x^beta v_i' v_j' over a cell is (1-beta)*dy*(y-slopes product)
-            dy = np.diff(cnodes)
-            gram_w = (slopes * ((1.0 - beta) * dy)) @ slopes.T
+        _, ynodes, _, slopes = sys._payload
+        gram_w = (slopes * _cell_energy(beta, ynodes)) @ slopes.T
     else:
-        gram_w = (D * W * X ** beta) @ D.T
-        if beta < 1.0:
-            # first cell: v' ~ x^{-beta}, so fold x^{-beta} into a Jacobi rule
-            # and integrate the smooth remainder x^{2 beta} v_i' v_j'
-            xj, wj = sp.roots_jacobi(_QUAD, 0.0, -beta)
-            x1 = sys.mesh_x()[1]
-            Xj = 0.5 * x1 * (1.0 + xj)
-            scale = (0.5 * x1) ** (1.0 - beta)
-            Dj = sys._rows(slice(None), Xj)[1]
-            q = _QUAD
-            first_plain = (D[:, :q] * W[:q] * X[:q] ** beta) @ D[:, :q].T
-            first_jac = scale * (Dj * wj * Xj ** (2.0 * beta)) @ Dj.T
-            gram_w += first_jac - first_plain
-    offd = ~np.eye(K, dtype=bool)
-    return OrthogonalityReport(
-        gram_l2, gram_w,
-        float(np.max(np.abs(gram_l2[offd]))) if K > 1 else 0.0,
-        float(np.max(np.abs(gram_w[offd]))) if K > 1 else 0.0,
-    )
+        # x^beta v' v' dx = e x^{beta+e-1} v_y v_y dy is smooth in y, but the
+        # rule's first cell is fitted to the weight y^sigma of v v dx: take
+        # that cell Gauss-Legendre in y, as the rule takes the others
+        e, q = _exponent(beta), _QUAD
+        y1 = _mesh(beta, _DEFAULT_MESH_N)[1]
+        X1 = (y1 * _GL_T) ** (1.0 / e)
+        D1, Dr = sys._rows(slice(None), X1)[1], D[:, q:]
+        gram_w = ((D1 * (y1 * _GL_W) * X1 ** (beta + 1.0 - e) / e) @ D1.T
+                  + (Dr * W[q:] * X[q:] ** beta) @ Dr.T)
+    worst = lambda G: float(np.max(np.abs(G - np.diag(np.diag(G)))))
+    return OrthogonalityReport(gram_l2, gram_w, worst(gram_l2), worst(gram_w))

@@ -166,57 +166,10 @@ def test_auto_modes_kmax_exhaustion_exit_3(tmp_path):
     assert rc == 3
 
 
-def test_eigen_step_doubles_the_mesh_for_unresolved_modes(tmp_path):
-    # on the default 2,048-cell mesh lambda_64 is not resolved for beta
-    # 0.55-0.95; the eigen step doubles the mesh (here to 4,096 cells)
-    from degenfrac.spectral import solve_eigen
-    out = tmp_path / "k64"
-    assert cli.main(["solve", "--beta", "0.6", "--modes", "64",
-                     "--out", str(out)]) == 0
-    assert json.loads((out / "diagnostics.json").read_text())["modes"] == 64
-    assert cli._eigen_system(0.6, 64).lambdas.tolist() == \
-        solve_eigen(0.6, 64, 4096).lambdas.tolist()
-    # a K the default mesh resolves keeps the default mesh's system
-    assert cli._eigen_system(0.5, 8).lambdas.tolist() == \
-        solve_eigen(0.5, 8).lambdas.tolist()
-
-
-def test_eigen_step_doubles_only_for_an_unresolved_lambda_k(tmp_path, capsys,
-                                                             monkeypatch):
-    from degenfrac.errors import ResolutionError
-    real, meshes = cli.solve_eigen, []
-
-    def recorded(beta, K, mesh):
-        meshes.append(mesh)
-        return real(beta, K, mesh)
-
-    def unresolved(beta, K, mesh):
-        meshes.append(mesh)
-        raise ResolutionError(f"lambda_{K} not resolved on this mesh; "
-                              "increase the mesh parameter")
-
-    # K > 256 fails the default mesh's 8 K cells guard: no doubling
-    monkeypatch.setattr(cli, "solve_eigen", recorded)
-    capsys.readouterr()
-    assert cli.main(["eigen", "--modes", "300", "--out",
-                     str(tmp_path / "big")]) == 3
-    assert meshes == [2048]
-    assert "2048 cells too coarse for K=300" in capsys.readouterr().err
-    # an unresolved lambda_K doubles up to 16,384 cells, and past that the
-    # advice names a setting the CLI has
-    monkeypatch.setattr(cli, "solve_eigen", unresolved)
-    meshes.clear()
-    assert cli.main(["eigen", "--modes", "64", "--out",
-                     str(tmp_path / "k64")]) == 3
-    assert meshes == [2048, 4096, 8192, 16384]
-    err = capsys.readouterr().err
-    assert "16384 cells; use fewer modes" in err and "mesh parameter" not in err
-
-
 def test_refined_mesh_tail_is_not_a_false_zero(tmp_path):
-    # at beta 0.95 lambda_64 takes the 16,384-cell mesh, where the modes are
-    # orthonormal under the Gauss rule only to about 1e-7.  |phi|^2 - sum
-    # c_k^2 then reads -5.6e-10 for the quadratic phi, whose defect is
+    # at beta 0.95 lambda_64 takes the 16,384-cell mesh.  When the modes
+    # were orthonormal under the Gauss rule there only to about 1e-7, |phi|^2
+    # - sum c_k^2 read -5.6e-10 for the quadratic phi, whose defect is
     # 9.1e-6: the tail must not clamp to 0, and --modes auto at the default
     # tol 1e-6 must not claim convergence
     out = tmp_path / "k64"

@@ -2,15 +2,19 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
+from degenfrac import spectral
 from degenfrac.errors import (DegeneracyError, DomainError, ResolutionError,
                               SolverError)
 from degenfrac.spectral import (
     _assemble_p1,
-    _assemble_p1_ychart,
+    _gauss_rule,
+    _mesh,
+    _rule,
     _shift_invert_lanczos,
     bc_requirements,
     bessel_eigen,
@@ -214,13 +218,108 @@ def test_basis_matrix_matches_stacked_eigen_eval(eig, beig, route, beta):
     ref = np.vstack([sys.eigen_eval(k, x)[0] for k in range(1, 7)])
     np.testing.assert_allclose(B, ref, rtol=1e-14, atol=0.0)
     if route == "galerkin":
-        # the P1 element is np.interp's linear interpolation in its chart
-        chart, cnodes, vecs, _ = sys._payload
-        y = x if chart == "x" else x ** (1.0 - beta)
-        ref = np.vstack([np.interp(y, cnodes, v) for v in vecs])
+        # the P1 element is np.interp's linear interpolation in y = x^e
+        e, ynodes, vecs, _ = sys._payload
+        ref = np.vstack([np.interp(x ** e, ynodes, v) for v in vecs])
         np.testing.assert_allclose(B, ref, rtol=1e-14, atol=0.0)
     with pytest.raises(DomainError):
         sys.eigen_eval(1, np.array([0.5, np.nan]))
+
+
+@pytest.mark.parametrize("beta, K, mesh", [
+    (0.2, 16, 2048), (0.5, 16, 2048), (0.8, 16, 2048), (1.2, 16, 2048),
+    (1.5, 16, 2048), (1.95, 16, 2048), (0.95, 64, 16384)])
+def test_modes_are_orthonormal_under_the_projection_rule(eig, beig, beta, K,
+                                                          mesh):
+    # the Galerkin mass is the hats' Gram matrix under the rule, so the
+    # Galerkin modes are orthonormal under it to roundoff; the closed-form
+    # modes are, to the rule's accuracy
+    def worst(sys):
+        X, W = _gauss_rule(sys)
+        V = sys.basis_matrix(X)
+        return np.max(np.abs((V * W) @ V.T - np.eye(K)))
+
+    assert worst(eig(beta, K, mesh)) <= 1e-13
+    assert worst(beig(beta, K)) <= 1e-12
+
+
+def _exact_mass(beta, ynodes, c):
+    """(ll, lr, rr): int phi_a phi_b dx over cell c for its two hats, linear
+    in y = x^e, as moments of dx = y^sigma dy / e at 60 digits."""
+    with mpmath.workdps(60):
+        e = 1 - mpmath.mpf(beta)
+        s = 1 / e  # sigma + 1
+        yl, yr = mpmath.mpf(ynodes[c]), mpmath.mpf(ynodes[c + 1])
+        m0, m1, m2 = ((yr ** (s + k) - yl ** (s + k)) / (s + k)
+                      for k in range(3))
+        den = e * (yr - yl) ** 2
+        return ((yr * yr * m0 - 2 * yr * m1 + m2) / den,
+                ((yl + yr) * m1 - yl * yr * m0 - m2) / den,
+                (m2 - 2 * yl * m1 + yl * yl * m0) / den)
+
+
+@pytest.mark.parametrize("n", [2048, 16384])
+@pytest.mark.parametrize("beta", [0.5, 0.95])
+def test_mass_bands_match_the_exact_cell_integrals(beta, n):
+    # the moments of y^sigma cancel to O(dy^3) from O(dy) terms, which cost
+    # the closed-form mass 1.6e-5 (beta 0.5, 2,048 cells) to 0.13 (beta
+    # 0.95, 16,384 cells) relative in double precision
+    ynodes = _mesh(beta, n)
+    T, _, W = _rule(beta, ynodes)
+    _, (m, m_off) = _assemble_p1(beta, ynodes, T, W)
+    cell = lambda c: _exact_mass(beta, ynodes, c) if 0 <= c < n else (0, 0, 0)
+    for c in (0, n // 2, n - 1):
+        pairs = ((m_off[c], cell(c)[1]),
+                 (m[c], cell(c - 1)[2] + cell(c)[0]),
+                 (m[c + 1], cell(c)[2] + cell(c + 1)[0]))
+        for got, ref in pairs:
+            assert abs(got - ref) <= 1e-13 * abs(ref), (c, got, ref)
+
+
+def test_solve_eigen_doubles_the_mesh_for_unresolved_modes():
+    # on the 2,048-cell mesh lambda_64 is not resolved for beta 0.55-0.95;
+    # with no mesh given solve_eigen doubles it (here to 4,096 cells)
+    sys = solve_eigen(0.6, 64)
+    assert sys.count == 64
+    assert sys.lambdas.tolist() == solve_eigen(0.6, 64, 4096).lambdas.tolist()
+    # a K the default mesh resolves keeps the default mesh's system
+    assert solve_eigen(0.5, 8).lambdas.tolist() == \
+        solve_eigen(0.5, 8, 2048).lambdas.tolist()
+    # the library call refused while only the CLI doubled
+    assert solve_eigen(0.95, 16).count == 16
+
+
+def test_solve_eigen_doubles_only_for_an_unresolved_lambda_k(monkeypatch):
+    real, meshes = spectral._galerkin, []
+
+    def recorded(beta, K, n):
+        meshes.append(n)
+        return real(beta, K, n)
+
+    def unresolved(beta, K, n):
+        meshes.append(n)
+        raise ResolutionError(f"lambda_{K} not resolved on this mesh; "
+                              "increase the mesh parameter")
+
+    # K > 256 fails the default mesh's 8 K cells guard: no doubling
+    monkeypatch.setattr(spectral, "_galerkin", recorded)
+    with pytest.raises(ResolutionError, match="2048 cells too coarse for K=300"):
+        solve_eigen(0.5, 300)
+    assert meshes == [2048]
+    # an unresolved lambda_K doubles up to 16,384 cells, and past that the
+    # advice names a setting every caller has
+    monkeypatch.setattr(spectral, "_galerkin", unresolved)
+    meshes.clear()
+    with pytest.raises(ResolutionError) as exc:
+        solve_eigen(0.5, 64)
+    assert meshes == [2048, 4096, 8192, 16384]
+    err = str(exc.value)
+    assert "16384 cells; use fewer modes" in err and "mesh parameter" not in err
+    # an explicit mesh is solved as given
+    meshes.clear()
+    with pytest.raises(ResolutionError, match="increase the mesh parameter"):
+        solve_eigen(0.5, 64, 2048)
+    assert meshes == [2048]
 
 
 def test_resolution_guard_fires_on_coarse_mesh():
@@ -257,15 +356,15 @@ def test_galerkin_eigenpairs_have_small_componentwise_residual(eig, beta):
     # graded mesh makes the first rows ill-conditioned for beta > 1, and a
     # solve that is not backward stable there shows it (4e-7 at beta = 1.7)
     sys = eig(beta, 16)
-    chart, cnodes, vecs, _ = sys._payload
-    assemble = _assemble_p1_ychart if chart == "y" else _assemble_p1
-    (s, s_off), (m, m_off) = assemble(beta, cnodes)
+    e, ynodes, vecs, _ = sys._payload
+    T, _, W = _rule(beta, ynodes)
+    (s, s_off), (m, m_off) = _assemble_p1(beta, ynodes, T, W)
     lam = sys.lambdas[:, None]
     res = np.abs(_band_product(s, s_off, vecs)
                  - lam * _band_product(m, m_off, vecs))
     scale = (_band_product(np.abs(s), np.abs(s_off), np.abs(vecs))
              + lam * _band_product(np.abs(m), np.abs(m_off), np.abs(vecs)))
-    rows = slice(1 if chart == "y" else 0, -1)  # the Dirichlet rows drop out
+    rows = slice(1 if beta < 1.0 else 0, -1)  # the Dirichlet rows drop out
     assert np.max(res[:, rows] / scale[:, rows]) <= 1e-10
 
 

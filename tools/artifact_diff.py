@@ -34,6 +34,9 @@ MATRIX = (
     ("eigen-b0.5", ["eigen", "--modes", "8", "--beta", "0.5"], {}),
     ("eigen-b0.5-bessel", ["eigen", "--modes", "8", "--beta", "0.5",
                            "--oracle", "bessel"], {}),
+    ("eigen-b0.8", ["eigen", "--modes", "16", "--beta", "0.8"], {}),
+    # lambda_64 at beta 0.95 takes the refined 16,384-cell mesh
+    ("eigen-b0.95-k64", ["eigen", "--modes", "64", "--beta", "0.95"], {}),
     ("eigen-b1.5", ["eigen", "--modes", "8", "--beta", "1.5"], {}),
     ("eigen-b1.5-bessel", ["eigen", "--modes", "8", "--beta", "1.5",
                            "--oracle", "bessel"], {}),

@@ -240,11 +240,26 @@ def ek_integral(f, params: EKParams, t: float, n: int = 96) -> float:
     return float(t ** (-b * (g + d)) * total / sp.gamma(d))
 
 
+#: L1 rows built, and applied, as one block
+_BLOCK = 64
+
+
 def _l1_weight_diffs(e: float, d: np.ndarray, ds: np.ndarray) -> np.ndarray:
     """(d_j^e - d_{j+1}^e) for d_j = s_i - s_j, without the cancellation
-    that zeroes out cells finer than ~eps*s_i on strongly graded grids."""
+    that zeroes out cells finer than ~eps*s_i on strongly graded grids.
+    d holds one row, or one row per node s_i along its leading axes."""
     with np.errstate(divide="ignore"):
-        return d[:-1] ** e * (-np.expm1(e * np.log1p(-ds / d[:-1])))
+        return d[..., :-1] ** e * (-np.expm1(e * np.log1p(-ds / d[..., :-1])))
+
+
+def _l1_rows(e: float, s: np.ndarray, n0: int, n1: int) -> np.ndarray:
+    """The L1 weight diffs of the nodes n0 <= n < n1 of s, shape
+    (n1 - n0, n1 - 1): row n holds (d_j^e - d_{j+1}^e) for j < n and zeros
+    beyond, so the block applies to the increments as one product."""
+    d = s[n0:n1, None] - s[:n1]
+    with np.errstate(invalid="ignore"):  # j >= n: zeroed below
+        w = _l1_weight_diffs(e, d, np.diff(s[:n1]))
+    return np.tril(w, n0 - 1)
 
 
 def _l1_apply(alpha: float, s: np.ndarray, gv: np.ndarray) -> np.ndarray:
@@ -255,16 +270,15 @@ def _l1_apply(alpha: float, s: np.ndarray, gv: np.ndarray) -> np.ndarray:
     """
     n = s.size
     out = np.zeros(n)
-    ds = np.diff(s)
-    dg = np.diff(gv) / ds
+    dg = np.diff(gv) / np.diff(s)
     if alpha == 1.0:
         out[1:] = dg
         return out
     e = 1.0 - alpha
     c = 1.0 / sp.gamma(2.0 - alpha)
-    for i in range(1, n):
-        wd = _l1_weight_diffs(e, s[i] - s[:i + 1], ds[:i])
-        out[i] = c * np.dot(wd, dg[:i])
+    for n0 in range(1, n, _BLOCK):
+        n1 = min(n0 + _BLOCK, n)
+        out[n0:n1] = c * (_l1_rows(e, s, n0, n1) @ dg[:n1 - 1])
     return out
 
 

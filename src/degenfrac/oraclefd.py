@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import DomainError, ResolutionError, SolverError
-from .fracops import _l1_weight_diffs, warp_forward
+from .fracops import _BLOCK, _l1_rows, warp_forward
 from .solver import ProblemSpec, SolutionField, _eval_vec
 from .spectral import bc_requirements, grading_exponent
 
@@ -91,10 +91,12 @@ def _transmissibilities(beta: float, x: np.ndarray) -> np.ndarray:
 def fd_solve(spec: ProblemSpec, mesh: FDMesh) -> SolutionField:
     """March the implicit L1 / finite-volume scheme over the mesh.
 
-    Each step solves one tridiagonal system.  The L1 history sum over all
-    earlier increments u^{j+1} - u^j is one matrix-vector product with a
-    buffer of those increments, so a march costs O(nt^2 nx) flops and
-    copies no history.
+    Each step solves one tridiagonal system.  The steps march in blocks
+    of _BLOCK: at the start of a block one matrix-matrix product applies
+    the block's L1 weight rows to every increment u^{j+1} - u^j finished
+    before it, and each step then adds only its in-block increments, one
+    short matrix-vector product.  A march costs O(nt^2 nx) flops, at the
+    speed of the matrix-matrix product, and copies no history.
 
     Returns a SolutionField whose first time row is the initial profile
     at t = a; no spectral mode data is attached."""
@@ -142,24 +144,32 @@ def fd_solve(spec: ProblemSpec, mesh: FDMesh) -> SolutionField:
     du = np.empty((mesh.nt, main.size))  # du[j] = u^{j+1} - u^j
     ds = np.diff(s)
     den = ds * math.gamma(2.0 - al)
-    for n in range(1, s.size):
-        # L1 weights g_j of Caputo_s u(s_n) ~ sum_j g_j (u^{j+1} - u^j)
-        if al == 1.0:  # backward Euler: every history weight is zero
-            g_last, hist = 1.0 / ds[n - 1], 0.0
-        else:
-            g = _l1_weight_diffs(1.0 - al, s[n] - s[:n + 1], ds[:n]) / den[:n]
-            g_last, hist = g[-1], g[:-1] @ du[:n - 1]
-        rhs = pa * g_last * u[n - 1, inner] - pa * hist
-        if spec.f is not None:
-            t_n = float(t_nodes[n])
-            rhs += _eval_vec(lambda xx: spec.f(xx, t_n), xe)[inner]
-        _, _, _, sol, info = dgtsv(lower, main + pa * g_last, upper, rhs)
-        if info != 0:
-            raise SolverError(f"tridiagonal solve failed at step {n}")
-        if not np.all(np.isfinite(sol)):
-            raise SolverError(f"non-finite update at step {n}")
-        du[n - 1] = sol - u[n - 1, inner]
-        u[n, inner] = sol
+    for n0 in range(1, s.size, _BLOCK):
+        n1 = min(n0 + _BLOCK, s.size)
+        if al != 1.0:
+            # L1 weights G[n - n0, j] = g_j of Caputo_s u(s_n) ~ sum_j g_j
+            # (u^{j+1} - u^j), and the history of every increment finished
+            # before the block
+            G = _l1_rows(1.0 - al, s, n0, n1) / den[:n1 - 1]
+            H = G[:, :n0 - 1] @ du[:n0 - 1]
+        for n in range(n0, n1):
+            if al == 1.0:  # backward Euler: every history weight is zero
+                g_last, hist = 1.0 / ds[n - 1], 0.0
+            else:
+                r = n - n0
+                g_last = G[r, n - 1]
+                hist = H[r] + G[r, n0 - 1:n - 1] @ du[n0 - 1:n - 1]
+            rhs = pa * g_last * u[n - 1, inner] - pa * hist
+            if spec.f is not None:
+                t_n = float(t_nodes[n])
+                rhs += _eval_vec(lambda xx: spec.f(xx, t_n), xe)[inner]
+            _, _, _, sol, info = dgtsv(lower, main + pa * g_last, upper, rhs)
+            if info != 0:
+                raise SolverError(f"tridiagonal solve failed at step {n}")
+            if not np.all(np.isfinite(sol)):
+                raise SolverError(f"non-finite update at step {n}")
+            du[n - 1] = sol - u[n - 1, inner]
+            u[n, inner] = sol
 
     return SolutionField(
         x_grid=x, t_grid=t_nodes, values=u, K=0, regime=spec.regime,

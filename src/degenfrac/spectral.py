@@ -118,9 +118,10 @@ class EigenSystem:
         v, vp = self._rows(slice(k - 1, k), x)
         return v[0], vp[0]
 
-    def _rows(self, rows: slice, x):
+    def _rows(self, rows: slice, x, deriv: bool = True):
         """(v, v') of the modes in rows at x, each of shape (modes,) +
-        x.shape: one search of the mesh serves every mode."""
+        x.shape: one search of the mesh serves every mode.  With
+        deriv=False, v alone."""
         x = np.asarray(x, dtype=float)
         if not np.all((x >= 0.0) & (x <= 1.0)):
             raise DomainError("evaluation points must lie in [0, 1]")
@@ -128,7 +129,7 @@ class EigenSystem:
         if self.method_tag == "bessel_closed_form":
             nu, zeros, coefs = self._payload
             return _bessel_mode_eval(self.beta, nu, zeros[rows][col],
-                                     coefs[rows][col], x)
+                                     coefs[rows][col], x, deriv)
         e, ynodes, vecs, slopes = self._payload
         vecs, slopes = vecs[rows], slopes[rows]
         y = x ** e
@@ -142,6 +143,8 @@ class EigenSystem:
         last = j > idx
         if np.any(last):
             v = np.where(last, vecs[:, -1][col], v)
+        if not deriv:
+            return v
         # v' = e x^{e-1} dv/dy: 1 for e = 1, unbounded at x = 0 for e < 1
         with np.errstate(divide="ignore"):
             vp *= e * x ** (e - 1.0)
@@ -154,7 +157,7 @@ class EigenSystem:
 
     def basis_matrix(self, x) -> np.ndarray:
         """All eigenfunctions on x at once, shape (K, len(x))."""
-        return self._rows(slice(None), x)[0]
+        return self._rows(slice(None), x, deriv=False)
 
     def mesh_x(self) -> np.ndarray:
         """Graded x-mesh underlying the discretization (the default graded
@@ -363,8 +366,9 @@ def _galerkin(beta: float, K: int, n: int) -> EigenSystem:
     return system
 
 
-def _bessel_mode_eval(beta, nu, jz, coef, x):
-    """(v, v') for v = coef * x^p J_nu(jz * x^q), p=(1-beta)/2, q=(2-beta)/2."""
+def _bessel_mode_eval(beta, nu, jz, coef, x, deriv: bool = True):
+    """(v, v') for v = coef * x^p J_nu(jz * x^q), p=(1-beta)/2, q=(2-beta)/2;
+    v alone with deriv=False."""
     p = 0.5 * (1.0 - beta)
     q = 0.5 * (2.0 - beta)
     x = np.asarray(x, dtype=float)
@@ -372,14 +376,18 @@ def _bessel_mode_eval(beta, nu, jz, coef, x):
     xs = np.where(pos, x, 1.0)
     w = jz * xs ** q
     J = sp.jv(nu, w)
-    Jp = sp.jvp(nu, w)
     v = coef * xs ** p * J
-    vp = coef * (p * xs ** (p - 1.0) * J + jz * q * xs ** (p + q - 1.0) * Jp)
-    if np.any(~pos):
-        # limits at the degenerate endpoint: v -> 0 (beta < 1) or the finite
-        # J-series head (beta > 1); v' is unbounded either way
+    # limits at the degenerate endpoint: v -> 0 (beta < 1) or the finite
+    # J-series head (beta > 1); v' is unbounded either way
+    at0 = np.any(~pos)
+    if at0:
         v0 = 0.0 if beta < 1.0 else coef * (0.5 * jz) ** nu * sp.rgamma(nu + 1.0)
         v = np.where(pos, v, v0)
+    if not deriv:
+        return v
+    Jp = sp.jvp(nu, w)
+    vp = coef * (p * xs ** (p - 1.0) * J + jz * q * xs ** (p + q - 1.0) * Jp)
+    if at0:
         vp = np.where(pos, vp, np.inf * np.sign(coef))
     return v, vp
 

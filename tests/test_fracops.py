@@ -13,6 +13,7 @@ from degenfrac.errors import DomainError
 from degenfrac.fracops import (
     EKParams,
     SampledFunction,
+    _BLOCK,
     TimeWarp,
     _Pchip,
     caputo_l1,
@@ -220,6 +221,21 @@ def test_caputo_l1_quadratic():
     out = caputo_l1(lambda x: x * x, al, s)
     ref = 2.0 / math.gamma(3.0 - al) * s[1:] ** (2.0 - al)
     assert np.max(np.abs(out[1:] - ref) / np.max(ref)) <= 1e-5
+
+
+def test_caputo_l1_matches_per_node_sums():
+    # two full blocks of rows and a partial one, against the L1 sum written
+    # out node by node
+    al = 0.4
+    s = graded_grid(1.0, 2 * _BLOCK + 5, 2.5)
+    gv = s ** 1.3 + np.sin(s)
+    out = caputo_l1(lambda x: x ** 1.3 + np.sin(x), al, s)
+    ref = [0.0]
+    for i in range(1, s.size):
+        ref.append(sum(((s[i] - s[j]) ** (1 - al) - (s[i] - s[j + 1]) ** (1 - al))
+                       * (gv[j + 1] - gv[j]) / (s[j + 1] - s[j])
+                       for j in range(i)) / math.gamma(2 - al))
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=0.0)
 
 
 def test_caputo_l1_constant_is_zero():

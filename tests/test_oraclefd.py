@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from degenfrac.errors import DomainError, ResolutionError, SolverError
 from degenfrac.fracops import warp_forward
-from degenfrac.oraclefd import FDMesh, _transmissibilities, compare, fd_solve
+from degenfrac.oraclefd import (_BLOCK, FDMesh, _transmissibilities, compare,
+                                fd_solve)
 from degenfrac.solver import ProblemSpec, SeparableSource, SolutionField, assemble
 from degenfrac.special import ml_eval
 
@@ -153,7 +154,8 @@ def test_manufactured_solution_refines():
 
 def _full_history_march(spec, mesh):
     """Reference L1 march on the same mesh: dense stiffness, scalar L1
-    weights and the history sum re-formed from the whole field each step."""
+    weights and the history sum re-formed from the whole field each step.
+    At alpha = 1 every history weight is 0: backward Euler."""
     x, s = mesh.x, mesh.s
     p, al = spec.warp.p, spec.alpha
     e, c = 1.0 - al, math.gamma(2.0 - al)
@@ -186,7 +188,7 @@ def _full_history_march(spec, mesh):
     return u
 
 
-@pytest.mark.parametrize("alpha", [0.3, 0.9])
+@pytest.mark.parametrize("alpha", [0.3, 0.9, 1.0])
 @pytest.mark.parametrize("beta", [0.5, 1.5])
 @pytest.mark.parametrize("separable", [False, True])
 def test_march_matches_full_history_reference(alpha, beta, separable):
@@ -199,11 +201,14 @@ def test_march_matches_full_history_reference(alpha, beta, separable):
     f = SeparableSource(fx, ft) if separable else (lambda x, t: fx(x) * ft(t))
     spec = _spec(beta, lambda x: np.asarray(x) * (1.0 - np.asarray(x)) + 0.5,
                  f, alpha=alpha)
-    mesh = FDMesh.build(beta, alpha, warp_forward(spec.warp, spec.T),
-                        nx=32, nt=24)
-    got = fd_solve(spec, mesh).values
-    ref = _full_history_march(spec, mesh)
-    assert np.max(np.abs(got - ref)) <= 1e-13
+    S = warp_forward(spec.warp, spec.T)
+    # nt = 24 is one partial block of steps; 2 * _BLOCK + 5 is two full
+    # blocks and a partial one
+    for nx, nt in ((32, 24), (16, 2 * _BLOCK + 5)):
+        mesh = FDMesh.build(beta, alpha, S, nx=nx, nt=nt)
+        got = fd_solve(spec, mesh).values
+        ref = _full_history_march(spec, mesh)
+        assert np.max(np.abs(got - ref)) <= 1e-13, (nx, nt)
 
 
 def test_non_finite_source_is_solver_error():

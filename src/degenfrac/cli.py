@@ -314,8 +314,7 @@ def cmd_eigen(cfg: RunConfig) -> int:
     _write_csv(out / "eigenvalues.csv", ["k", "lambda"],
                ([k + 1, lam] for k, lam in enumerate(system.lambdas)))
     xs = np.linspace(0.0, 1.0, cfg.x_points)[1:]  # evaluator is defined on (0,1]
-    grid = np.column_stack([xs] + [system.eigen_eval(k, xs)[0]
-                                   for k in range(1, K + 1)])
+    grid = np.column_stack((xs, system.basis_matrix(xs).T))
     _write_csv(out / "eigenfunctions.csv",
                ["x"] + [f"v{k}" for k in range(1, K + 1)],
                grid)

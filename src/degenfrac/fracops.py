@@ -5,6 +5,11 @@ alpha with arbitrary starting point a, and the L1 discretization of the
 classical Caputo derivative that powers it after the change of variable
 s = t^p - a^p (p = 1 - theta), which turns the hyper-Bessel operator into
 p^alpha times a plain Caputo derivative in s.
+
+_l1_rows is the one L1 rule, for every alpha in (0, 1]: caputo_l1,
+hb_caputo and the FD oracle's march all apply its weight rows to the
+increments of the data, and at alpha = 1 its rows are backward
+differences.
 """
 from __future__ import annotations
 
@@ -252,39 +257,32 @@ def _l1_weight_diffs(e: float, d: np.ndarray, ds: np.ndarray) -> np.ndarray:
         return d[..., :-1] ** e * (-np.expm1(e * np.log1p(-ds / d[..., :-1])))
 
 
-def _l1_rows(e: float, s: np.ndarray, n0: int, n1: int) -> np.ndarray:
-    """The L1 weight diffs of the nodes n0 <= n < n1 of s, shape
-    (n1 - n0, n1 - 1): row n holds (d_j^e - d_{j+1}^e) for j < n and zeros
-    beyond, so the block applies to the increments as one product."""
-    d = s[n0:n1, None] - s[:n1]
-    with np.errstate(invalid="ignore"):  # j >= n: zeroed below
-        w = _l1_weight_diffs(e, d, np.diff(s[:n1]))
-    return np.tril(w, n0 - 1)
+def _l1_rows(alpha: float, s: np.ndarray, n0: int, n1: int) -> np.ndarray:
+    """The L1 rule for the Caputo derivative of order alpha in (0, 1] at
+    the nodes n0 <= n < n1 of s, shape (n1 - n0, n1 - 1): row n holds the
+    weights w_j of D^alpha g(s_n) ~ sum_j w_j (g_{j+1} - g_j),
 
+        w_j = (d_j^e - d_{j+1}^e) / (Gamma(2 - alpha) ds_j),
+        e = 1 - alpha, d_j = s_n - s_j, ds_j = s_{j+1} - s_j,
 
-def _l1_apply(alpha: float, s: np.ndarray, gv: np.ndarray) -> np.ndarray:
-    """L1 product-integration values of the Caputo derivative of order
-    alpha in (0, 1] at every node of s (first node -> 0).
-
-    At alpha = 1 this degenerates to backward differences.
-    """
-    n = s.size
-    out = np.zeros(n)
-    dg = np.diff(gv) / np.diff(s)
-    if alpha == 1.0:
-        out[1:] = dg
-        return out
+    for j < n and zeros beyond, so a block applies to the increments as
+    one product.  The last cell's d_{n-1}^e - 0^e is written ds^e, whose
+    limit at alpha = 1 is 1: there every other weight is 0, and the rule is
+    the backward difference 1/ds_{n-1}."""
     e = 1.0 - alpha
-    c = 1.0 / sp.gamma(2.0 - alpha)
-    for n0 in range(1, n, _BLOCK):
-        n1 = min(n0 + _BLOCK, n)
-        out[n0:n1] = c * (_l1_rows(e, s, n0, n1) @ dg[:n1 - 1])
-    return out
+    ds = np.diff(s[:n1])
+    d = s[n0:n1, None] - s[:n1]
+    with np.errstate(invalid="ignore"):  # j >= n - 1: set or zeroed below
+        w = np.tril(_l1_weight_diffs(e, d, ds), n0 - 2)
+    r = np.arange(n1 - n0)
+    w[r, n0 - 1 + r] = ds[n0 - 1:] ** e
+    return w / (ds * math.gamma(2.0 - alpha))
 
 
 def caputo_l1(g, alpha: float, s_grid) -> np.ndarray:
     """Classical Caputo derivative of g on a grid starting at 0, by the L1
-    scheme; returns one value per node (0 at the first node)."""
+    scheme (_l1_rows, one block of rows at a time); returns one value per
+    node (0 at the first node)."""
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     s = np.asarray(s_grid, dtype=float)
@@ -295,7 +293,12 @@ def caputo_l1(g, alpha: float, s_grid) -> np.ndarray:
     gv = _as_fn(g)(s)
     if not np.all(np.isfinite(gv)):
         raise DomainError("g must be finite on the grid")
-    return _l1_apply(alpha, s, gv)
+    dg = np.diff(gv)
+    out = np.zeros(s.size)
+    for n0 in range(1, s.size, _BLOCK):
+        n1 = min(n0 + _BLOCK, s.size)
+        out[n0:n1] = _l1_rows(alpha, s, n0, n1) @ dg[:n1 - 1]
+    return out
 
 
 def hb_caputo(f, alpha: float, warp: TimeWarp, t: float, n: int = 2048,
@@ -340,11 +343,6 @@ def hb_caputo(f, alpha: float, warp: TimeWarp, t: float, n: int = 2048,
     if not np.all(np.isfinite(gv)):
         raise DomainError("f must be finite on [a, t]")
     # only the final L1 row is needed here
-    ds = np.diff(s)
-    dg = np.diff(gv) / ds
-    if alpha == 1.0:
-        out = warp.p * dg[..., -1]
-    else:
-        wd = _l1_weight_diffs(1.0 - alpha, S - s, ds)
-        out = warp.p ** alpha * (dg @ wd / sp.gamma(2.0 - alpha))
+    w = _l1_rows(alpha, s, s.size - 1, s.size)[0]
+    out = warp.p ** alpha * (np.diff(gv) @ w)
     return float(out) if np.ndim(out) == 0 else out

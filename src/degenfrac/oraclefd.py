@@ -93,10 +93,12 @@ def fd_solve(spec: ProblemSpec, mesh: FDMesh) -> SolutionField:
 
     Each step solves one tridiagonal system.  The steps march in blocks
     of _BLOCK: at the start of a block one matrix-matrix product applies
-    the block's L1 weight rows to every increment u^{j+1} - u^j finished
-    before it, and each step then adds only its in-block increments, one
-    short matrix-vector product.  A march costs O(nt^2 nx) flops, at the
-    speed of the matrix-matrix product, and copies no history.
+    the block's L1 weight rows (fracops._l1_rows) to every increment
+    u^{j+1} - u^j finished before it, and each step then adds only its
+    in-block increments, one short matrix-vector product.  A march costs
+    O(nt^2 nx) flops, at the speed of the matrix-matrix product, and
+    copies no history.  At alpha = 1 the rows are backward differences:
+    the march is backward Euler, and its history products add zeros.
 
     Returns a SolutionField whose first time row is the initial profile
     at t = a; no spectral mode data is attached."""
@@ -142,23 +144,17 @@ def fd_solve(spec: ProblemSpec, mesh: FDMesh) -> SolutionField:
     u = np.zeros((s.size, x.size))
     u[0, inner] = _eval_vec(spec.phi, xe)[inner]
     du = np.empty((mesh.nt, main.size))  # du[j] = u^{j+1} - u^j
-    ds = np.diff(s)
-    den = ds * math.gamma(2.0 - al)
     for n0 in range(1, s.size, _BLOCK):
         n1 = min(n0 + _BLOCK, s.size)
-        if al != 1.0:
-            # L1 weights G[n - n0, j] = g_j of Caputo_s u(s_n) ~ sum_j g_j
-            # (u^{j+1} - u^j), and the history of every increment finished
-            # before the block
-            G = _l1_rows(1.0 - al, s, n0, n1) / den[:n1 - 1]
-            H = G[:, :n0 - 1] @ du[:n0 - 1]
+        # L1 weights G[n - n0, j] = g_j of Caputo_s u(s_n) ~ sum_j g_j
+        # (u^{j+1} - u^j), and the history of every increment finished
+        # before the block
+        G = _l1_rows(al, s, n0, n1)
+        H = G[:, :n0 - 1] @ du[:n0 - 1]
         for n in range(n0, n1):
-            if al == 1.0:  # backward Euler: every history weight is zero
-                g_last, hist = 1.0 / ds[n - 1], 0.0
-            else:
-                r = n - n0
-                g_last = G[r, n - 1]
-                hist = H[r] + G[r, n0 - 1:n - 1] @ du[n0 - 1:n - 1]
+            r = n - n0
+            g_last = G[r, n - 1]
+            hist = H[r] + G[r, n0 - 1:n - 1] @ du[n0 - 1:n - 1]
             rhs = pa * g_last * u[n - 1, inner] - pa * hist
             if spec.f is not None:
                 t_n = float(t_nodes[n])

@@ -242,7 +242,8 @@ def _eval_vec(fn, x: np.ndarray) -> np.ndarray:
 def fourier_coeff(g, sys: EigenSystem, k: int) -> float:
     """Coefficient int_0^1 g(x) v_k(x) dx against the orthonormal basis."""
     X, W = _gauss_rule(sys)
-    vk = sys.eigen_eval(k, X)[0]
+    sys._check_k(k)
+    vk = sys._rows(slice(k - 1, k), X, deriv=False)[0]
     return float(np.dot(W, _eval_vec(g, X) * vk))
 
 
@@ -293,15 +294,9 @@ def _slope_sums(slopes, S, alpha, b, x, c: tuple) -> np.ndarray:
     one row per (mode, target S): the sum over the cells of
     slopes_i (Q(y_i) - Q(y_i+1)), with Q(y) = S^(b+1) P_{b+2}(x, y/S),
     P_B(x, c) = c^(B-1) E_{alpha,B}(-x c^alpha), at the node ratios c and
-    x = -lam S^alpha for each mode.  For alpha < 1, P comes from the ratio
-    tables of _ml_table (B = b + 2 lies within its beta bound); alpha = 1
-    takes _ml's closed forms at the points -x c."""
-    x = x.ravel()
-    if alpha < 1.0:
-        Q = _ml_table(alpha, (b + 2.0,), x, c)[0]
-    else:
-        ca = np.asarray(c)
-        Q = _ml(alpha, (b + 2.0,), -np.multiply.outer(x, ca))[0] * ca ** (b + 1.0)
+    x = -lam S^alpha for each mode.  P comes from the ratio tables of
+    _ml_table at every alpha <= 1 (B = b + 2 lies within its beta bound)."""
+    Q = _ml_table(alpha, (b + 2.0,), x.ravel(), c)[0]
     dQ = np.diff(Q.reshape(slopes.shape[:-1] + Q.shape[-1:]), axis=-1)
     return -(S ** (b + 1.0)) * np.vecdot(slopes, dQ)
 

@@ -17,9 +17,11 @@ Mittag-Leffler routes.  One dispatcher, _ml, picks them, first match wins:
    u = 0..46 h on its upper half, of which c = 1 needs the first 33), all
    betas in one pass.  It is the one-column case c = 1 of the ratio
    tables P_B(x, c) = c^(B-1) E_{alpha,B}(-x c^alpha) (_ml_table), which
-   serve the solver's source convolution: ratios in a band
+   serve the solver's source convolution at every 0 < alpha <= 1 (at
+   alpha = 1 the pole sits on the cut, inside the parabola, and the
+   convolution's kernels B = 3, 4 match route 2 to 1e-14): ratios in a band
    hi/4 < c <= hi, hi = 4^-m, share one cached table e^(s c/hi), so each
-   band is one real GEMM.
+   band is one real GEMM.  Public values at alpha = 1 keep route 2.
 4. Every other point, one by one (_ml_scalar):
    a. z > 0: the series up to z^(1/alpha) = 40, then the exponential
       asymptotics (in log form up to the double limit);
@@ -199,9 +201,12 @@ _FAR = 1e100
 
 
 def _ml_table(alpha: float, betas, x: np.ndarray, c: tuple) -> np.ndarray:
-    """P_B(x, c) = c^(B-1) E_{alpha,B}(-x c^alpha) for 0 < alpha < 1, real
+    """P_B(x, c) = c^(B-1) E_{alpha,B}(-x c^alpha) for 0 < alpha <= 1, real
     x >= 0 (rows), the ratios c (columns: a tuple, decreasing, in [0, 1])
-    and each B in betas: shape (len(betas), x.size, len(c)).
+    and each B in betas: shape (len(betas), x.size, len(c)).  Bands below
+    c = 1 hold the bound of _MU for B >= alpha + 1, so at alpha = 1 the
+    tables serve B >= 2, the source convolution's kernels B = 3 and 4;
+    there the pole v = -x lies on the cut, inside the parabola.
 
     With s = v c in the Hankel integral, P_B(x, c) = (1/2 pi i) int e^(v c)
     v^(alpha-B) / (v^alpha + x) dv: c enters only through e^(v c).  For

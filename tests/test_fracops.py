@@ -16,6 +16,7 @@ from degenfrac.fracops import (
     _BLOCK,
     TimeWarp,
     _Pchip,
+    _l1_rows,
     caputo_l1,
     ek_integral,
     graded_grid,
@@ -251,6 +252,17 @@ def test_caputo_l1_validation():
         caputo_l1(lambda x: x, 0.5, np.linspace(0.5, 1.0, 10))
     with pytest.raises(DomainError):
         caputo_l1(lambda x: x, 0.5, np.array([0.0]))
+
+
+@pytest.mark.parametrize("n0,n1", [(1, 9), (5, 12)])
+def test_l1_rows_at_alpha_one_are_backward_differences(n0, n1):
+    # the limit of the L1 rule at alpha = 1: row n weighs only the last
+    # increment, by 1/ds_{n-1}, bit for bit
+    s = graded_grid(1.3, 16, 2.0)
+    ref = np.zeros((n1 - n0, n1 - 1))
+    for r in range(n1 - n0):
+        ref[r, n0 - 1 + r] = 1.0 / (s[n0 + r] - s[n0 - 1 + r])
+    assert np.array_equal(_l1_rows(1.0, s, n0, n1), ref)
 
 
 def test_hb_caputo_monomial_in_s():

@@ -272,6 +272,22 @@ def test_compare_interpolates_between_grids():
     assert rep.max_l2_rel == pytest.approx(1.0)
 
 
+def test_compare_reads_other_between_and_near_its_rows():
+    # t = 0.25 lies between other's rows 0 and 1: the linear blend; t = 1 +
+    # 1e-10 lies within 1e-9 past row 1: row 1 itself, not a blend that
+    # would carry 1e-10 of row 2's 1000
+    xg = np.linspace(0.0, 1.0, 5)
+    r0, r1, r2 = 4.0 * np.arange(1.0, 6.0), 4.0 * np.arange(5.0), np.full(5, 1e3)
+    other = SolutionField(xg, np.array([0.0, 1.0, 2.0]),
+                          np.stack((r0, r1, r2)), 0, "classical", {})
+    ref = SolutionField(xg, np.array([0.25, 1.0 + 1e-10]),
+                        np.stack((0.75 * r0 + 0.25 * r1, r1)), 0,
+                        "classical", {})
+    rep = compare(ref, other)
+    assert np.array_equal(rep.t, ref.t_grid)
+    assert np.all(rep.l2_rel == 0.0) and np.all(rep.sup_rel == 0.0)
+
+
 def test_compare_refuses_to_extrapolate():
     # other must cover the reference's x-range: no silently clamped ends
     ref = _tiny_field([0.0, 1.0])

@@ -104,6 +104,41 @@ def test_mode_alpha1_is_exact_exponential():
     assert np.max(np.abs(traj.values - ref)) <= 1e-14
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("a", [0.0, 0.5])
+def test_mode_alpha1_with_a_signal_source_is_exact(theta, a):
+    # at alpha = 1 the mode solves p u' + lam u = g(s) in warped time.  For
+    # g = 1, u = phi e + (1 - e)/lam with e = e^(-lam s/p); for g = t^p =
+    # s + a^p, linear in s and so integrated exactly by the product rule,
+    # u = s/lam + c + (phi - c) e with c = (a^p - p/lam)/lam
+    warp = TimeWarp(theta, a)
+    p, phi = warp.p, 0.7
+    ts = a + np.linspace(0.05, 1.5, 12)
+    s = warp_forward(warp, ts)
+    for lam in (1.0, 30.0, 1e3, 1e5):
+        e = np.exp(-lam * s / p)
+        one = mode_solution(ModeODE(1, 1.0, lam, phi, lambda t: np.ones_like(t),
+                                    warp), ts).values
+        ref = phi * e - np.expm1(-lam * s / p) / lam
+        assert np.all(np.abs(one - ref) <= 1e-12 * np.abs(ref)), lam
+        lin = mode_solution(ModeODE(1, 1.0, lam, phi, lambda t: t ** p, warp),
+                            ts).values
+        c = (a ** p - p / lam) / lam
+        ref = s / lam + c + (phi - c) * e
+        assert np.all(np.abs(lin - ref) <= 1e-13 * np.abs(ref)), lam
+
+
+def test_mode_alpha1_single_and_split_kernels_agree():
+    warp = TimeWarp(0.3, 0.5)
+    ts = np.linspace(0.6, 2.0, 15)
+    for lam in (1.0, 30.0, 1e3, 1e5):
+        for src in (np.sin, lambda t: np.ones_like(t)):
+            ode = ModeODE(1, 1.0, lam, 0.7, src, warp)
+            a = mode_solution(ode, ts).values
+            b = mode_solution_alt(ode, ts).values
+            assert np.max(np.abs(a - b)) <= 1e-12, lam
+
+
 def test_mode_source_small_lambda_limit():
     # lam -> 0: u = phi + (1/(p^a Gamma(1+a))) * s^a for f = 1
     warp = TimeWarp(0.2, 0.3)
@@ -628,7 +663,9 @@ def test_residual_table_starts_at_mode_phi(eig, case):
 @pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0])
 def test_no_solver_path_takes_the_point_by_point_ml_route(eig, alpha, monkeypatch):
     # the solver's kernels (alpha <= 1, z <= 0, beta <= 2 alpha + 2) are all
-    # served by the contour rule or the alpha = 1 closed forms
+    # served by whole rows: the convolution by the ratio tables at every
+    # alpha, the phi and start terms by the contour rule below alpha = 1
+    # and by the closed forms at alpha = 1
     def refuse(*args):
         raise AssertionError(f"point-by-point Mittag-Leffler route at {args}")
 

@@ -383,6 +383,21 @@ def test_ml_ratio_table_one_column_is_ml_eval_many():
             assert np.all(np.abs(P[:, 0] - ref) <= bound), (al, be)
 
 
+@pytest.mark.parametrize("B", [3.0, 4.0])
+def test_ml_ratio_table_at_alpha_one_matches_the_closed_forms(B):
+    # at alpha = 1 the pole of 1/(v + x) lies on the cut, inside the
+    # parabola: the tables serve the convolution kernels B = b + 2 there too
+    c = np.concatenate((1.0 - np.linspace(0.0, 1.0, 129) ** 2,
+                        [e * (1.0 + s) for e in (0.25, 1.0 / 16, 1.0 / 64)
+                         for s in (1e-12, -1e-12, 1e-6, -1e-6)]))
+    c = tuple(np.sort(c)[::-1])
+    x = np.concatenate(([0.0], np.logspace(-6.0, 6.0, 49)))
+    ca = np.asarray(c)
+    P = _ml_table(1.0, (B,), x, c)[0]
+    ref = _ml(1.0, (B,), -np.multiply.outer(x, ca))[0] * ca ** (B - 1.0)
+    assert np.all(np.abs(P - ref) <= 1e-13 * np.abs(ref))
+
+
 _SCALAR_VS_MANY = [(0.5, 1.0), (0.5, 1.5), (0.8, 2.6), (1.0, 1.0), (1.0, 2.0),
                    (1.0, 3.0), (1.0, 4.0), (1.0, 0.7), (1.5, 1.0), (2.0, 2.0)]
 

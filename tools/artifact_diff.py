@@ -56,6 +56,9 @@ MATRIX = (
                     "0.3", "--modes", "auto", "--tol", "1e-3"], {}),
     ("verify-b0.5", ["verify", "--beta", "0.5"], {}),
     ("verify-b1.5", ["verify", "--beta", "1.5"], {}),
+    # the FD oracle's march at alpha = 1, where the L1 rule is backward
+    # differences
+    ("verify-alpha1", ["verify", "--alpha", "1"], {}),
     ("convergence", ["convergence"], {}),
 )
 

@@ -177,7 +177,7 @@ def space_expr(text: str, system=None):
             raise ConfigError("mode:k needs a computed eigensystem")
         if not 1 <= k <= system.count:
             raise ConfigError(f"mode index {k} outside 1..{system.count}")
-        return lambda x: system.eigen_eval(k, x)[0]
+        return lambda x: system._rows(slice(k - 1, k), x, deriv=False)[0]
     raise ConfigError(f"unknown profile {text!r}")
 
 
@@ -359,12 +359,18 @@ def _modes_rungs(cfg: RunConfig):
     return rungs
 
 
+def _eigensystem(cfg: RunConfig, K: int):
+    """The first K eigenpairs from the route cfg.oracle names."""
+    route = bessel_eigen if cfg.oracle == "bessel" else solve_eigen
+    return route(cfg.beta, K)
+
+
 def cmd_solve(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     xg, tg = _solve_grids(cfg)
     tol = 1e-6 if cfg.tol is None else cfg.tol
     for K in _modes_rungs(cfg):
-        system = solve_eigen(cfg.beta, K)
+        system = _eigensystem(cfg, K)
         spec = _build_problem(cfg, system)
         field = assemble(spec, system, K, xg, tg)
         tail = field.diagnostics["tail_estimate_l2"]
@@ -486,6 +492,9 @@ _SUITES = (
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    if cfg.oracle != "galerkin":
+        raise ConfigError("verify runs both eigen routes and takes no oracle; "
+                          f"got oracle = {cfg.oracle}")
     out = _outdir(cfg)
     report, failed = {}, []
     for name, fn, default_tol in _SUITES:
@@ -532,7 +541,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
     kladder = _parse_ladder(cfg.modes_ladder, "modes")
     nladder = _parse_ladder(cfg.mesh_ladder, "mesh")
     kref = min(2 * kladder[-1], 96)
-    system = solve_eigen(cfg.beta, kref)
+    system = _eigensystem(cfg, kref)
     spec = _build_problem(cfg, system)
     xg = np.linspace(0.0, 1.0, 257)[1:-1]
     tg = np.array([cfg.T])

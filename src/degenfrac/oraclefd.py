@@ -98,7 +98,8 @@ def fd_solve(spec: ProblemSpec, mesh: FDMesh) -> SolutionField:
     in-block increments, one short matrix-vector product.  A march costs
     O(nt^2 nx) flops, at the speed of the matrix-matrix product, and
     copies no history.  At alpha = 1 the rows are backward differences:
-    the march is backward Euler, and its history products add zeros.
+    the march is backward Euler, and a block whose rows weigh the earlier
+    increments with zeros alone skips its matrix-matrix product.
 
     Returns a SolutionField whose first time row is the initial profile
     at t = a; no spectral mode data is attached."""
@@ -148,9 +149,11 @@ def fd_solve(spec: ProblemSpec, mesh: FDMesh) -> SolutionField:
         n1 = min(n0 + _BLOCK, s.size)
         # L1 weights G[n - n0, j] = g_j of Caputo_s u(s_n) ~ sum_j g_j
         # (u^{j+1} - u^j), and the history of every increment finished
-        # before the block
+        # before the block; rows that weigh it with zeros alone (backward
+        # differences at alpha = 1) skip the product
         G = _l1_rows(al, s, n0, n1)
-        H = G[:, :n0 - 1] @ du[:n0 - 1]
+        Gh = G[:, :n0 - 1]
+        H = Gh @ du[:n0 - 1] if Gh.any() else np.zeros((n1 - n0, main.size))
         for n in range(n0, n1):
             r = n - n0
             g_last = G[r, n - 1]

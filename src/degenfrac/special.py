@@ -9,27 +9,35 @@ and an empirical fit of the algebraic decay bound
 
 Mittag-Leffler routes.  One dispatcher, _ml, picks them, first match wins:
 
-1. z = 0: 1/Gamma(beta), exactly.
-2. alpha = 1, beta = n in 1..4: (e^z - sum_{k<n-1} z^k/k!)/z^(n-1), its
+1. alpha = 1, beta = n in 1..4: (e^z - sum_{k<n-1} z^k/k!)/z^(n-1), its
    Taylor series for |z| < 1.
-3. 0 < alpha < 1, z < 0, alpha - 2 <= beta <= 2 alpha + 4: the trapezoid
+2. 0 < alpha < 1, z <= 0, alpha - 2 <= beta <= 2 alpha + 4: the trapezoid
    rule on one fixed parabolic Hankel contour (mu = 4, h = 0.12, nodes
    u = 0..46 h on its upper half, of which c = 1 needs the first 33), all
    betas in one pass.  It is the one-column case c = 1 of the ratio
    tables P_B(x, c) = c^(B-1) E_{alpha,B}(-x c^alpha) (_ml_table), which
    serve the solver's source convolution at every 0 < alpha <= 1 (at
    alpha = 1 the pole sits on the cut, inside the parabola, and the
-   convolution's kernels B = 3, 4 match route 2 to 1e-14): ratios in a band
+   convolution's kernels B = 3, 4 match route 1 to 1e-14): ratios in a band
    hi/4 < c <= hi, hi = 4^-m, share one cached table e^(s c/hi), so each
-   band is one real GEMM.  Public values at alpha = 1 keep route 2.
-4. Every other point, one by one (_ml_scalar):
+   band is one real GEMM.  Public values at alpha = 1 keep route 1.
+3. Every other point, one by one (_ml_scalar):
    a. z > 0: the series up to z^(1/alpha) = 40, then the exponential
       asymptotics (in log form up to the double limit);
-   b. -1 <= z < 0: the series;
+   b. -1 <= z <= 0: the series;
    c. z < -1: order halving onto 1/2 <= alpha/2^m < 1 (m = 0 below
       alpha = 1, one halving onto 1/2 at alpha = 1), each root on the
-      contour of route 3 or, for a pole off the cut, Garrappa's pole-aware
+      contour of route 2 or, for a pole off the cut, Garrappa's pole-aware
       contour; ResolutionError past the same beta bound.
+
+Each route returns 1/Gamma(beta) exactly at z = 0: the Taylor series and
+the defining series by their first term, the ratio tables by their
+x = 0 value.
+
+Bessel zeros.  _bessel_j_zeros finds the first k zeros of J_nu in one
+sweep: a scan in unit steps, which brackets each zero alone because
+consecutive zeros lie more than 3 apart, then one batched bisection down
+to adjacent doubles.  bessel_j_zero returns the last of them.
 
 Accuracy contract: see ml_eval_many.
 """
@@ -383,7 +391,7 @@ def _ml_alpha1_int(n: int, z: np.ndarray) -> np.ndarray:
 
 
 def _ml_scalar(alpha: float, beta: float, z: float) -> float:
-    """E_{alpha,beta}(z) at one real z != 0 by routes 4a-4c of the module
+    """E_{alpha,beta}(z) at one real z by routes 3a-3c of the module
     docstring.  Raises OverflowError past the double range, and
     ResolutionError past the contours' beta bound."""
     if z > 0.0:
@@ -425,10 +433,9 @@ def _ml(alpha: float, betas, z) -> np.ndarray:
     """E_{alpha,b}(z) for each b in betas, shape (len(betas),) + z.shape.
 
     The only place that picks a Mittag-Leffler route, by the table of the
-    module docstring: routes 2 and 3 take whole rows, route 1 the zeros of
-    the other rows, and _ml_scalar every point still left.  Raises
-    ResolutionError where E exceeds the double range, and past the
-    contours' beta bound."""
+    module docstring: routes 1 and 2 take whole rows, and _ml_scalar every
+    point still left.  Raises ResolutionError where E exceeds the double
+    range, and past the contours' beta bound."""
     z = np.asarray(z, dtype=float)
     b = np.asarray(betas, dtype=float)
     zf = z.ravel()
@@ -444,9 +451,7 @@ def _ml(alpha: float, betas, z) -> np.ndarray:
     # the contour ran at x = 0 in place of z > 0: those points are left
     left = np.flatnonzero(zf > 0.0) if alpha < 1.0 else []
     for i in range(b.size):
-        if not whole[i]:
-            out[i, zf == 0.0] = sp.rgamma(b[i])
-        for j in (left if whole[i] else np.flatnonzero(zf)):
+        for j in (left if whole[i] else range(zf.size)):
             try:
                 out[i, j] = _ml_scalar(alpha, float(b[i]), float(zf[j]))
             except OverflowError:  # e.g. the residue of order halving
@@ -544,67 +549,55 @@ def bessel_j(order: float, x: float | np.ndarray):
     return float(out) if np.isscalar(x) or xarr.ndim == 0 else out
 
 
-def _mcmahon_guess(nu: float, k: int) -> float:
-    b = (k + 0.5 * nu - 0.25) * math.pi
-    mu = 4.0 * nu * nu
-    return b - (mu - 1.0) / (8.0 * b) - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (
-        3.0 * (8.0 * b) ** 3
-    )
+#: a scan of this many unit steps that has not found the wanted zeros is a
+#: runaway
+_SCAN_CAP = 10**6
+
+
+def _bessel_j_zeros(order: float, k: int) -> np.ndarray:
+    """The first k positive zeros of J_order, order > -1, ascending.
+
+    Consecutive zeros of J_nu lie more than 3 apart for every nu > -1, and
+    their gap tends to pi (Watson, A Treatise on the Theory of Bessel
+    Functions, 2nd ed., 1944, 15.8), so a scan in unit steps brackets each
+    zero in a cell of its own.  J_nu > 0 below its first zero, which
+    exceeds nu and, by Rayleigh's sum of 1/j_{nu,k}^2 = 1/(4 (nu + 1)),
+    2 sqrt(nu + 1): the scan starts at max(nu, 0) + min(1e-3, sqrt(nu + 1))
+    and takes steps until it has k sign changes (np.signbit, so that an
+    exact 0.0 at a node still leaves one bracket per zero).  Bisection then
+    halves every bracket at once until no midpoint lies strictly inside its
+    bracket: each zero then lies between two adjacent doubles, and the
+    lower one is returned.  Raises ResolutionError when _SCAN_CAP steps do
+    not reach the k-th zero."""
+    start = max(order, 0.0) + min(1e-3, math.sqrt(order + 1.0))
+    n = 4 * k + 16
+    while True:
+        n = min(n, _SCAN_CAP)
+        x = start + np.arange(n)
+        f = sp.jv(order, x)
+        flips = np.flatnonzero(np.diff(np.signbit(f)))[:k]
+        if flips.size == k:
+            break
+        if n == _SCAN_CAP:
+            raise ResolutionError(f"bessel_j_zero: no {k} zeros of J_{order} "
+                                  f"within {_SCAN_CAP} steps of x = {start}")
+        n *= 2
+    lo, hi = x[flips], x[flips + 1]
+    neg = np.signbit(f[flips])
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            return lo
+        # at adjacent doubles mid is lo or hi, and the update keeps it
+        left = np.signbit(sp.jv(order, mid)) == neg
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
 
 
 def bessel_j_zero(order: float, k: int) -> float:
-    """k-th positive zero of J_order (k = 1, 2, ...), order > -1.
-
-    A McMahon-type guess seeds a sign-change bracket which bisection then
-    tightens below 1e-12; a sequential scan from the previous zero covers
-    the cases (large order, small k) where the asymptotic guess is poor.
-    """
+    """k-th positive zero of J_order (k = 1, 2, ...), order > -1: the last
+    of _bessel_j_zeros(order, k), within one double of the true zero."""
     if not math.isfinite(order) or order <= -1.0:
         raise DomainError(f"bessel_j_zero: order must be > -1, got {order}")
     if k < 1 or k != int(k):
         raise DomainError(f"bessel_j_zero: zero index must be a positive integer, got {k}")
-
-    def f(x: float) -> float:
-        return float(sp.jv(order, x))
-
-    def bisect(lo: float, hi: float) -> float:
-        flo = f(lo)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            if fm == 0.0:
-                return mid
-            if (flo < 0.0) == (fm < 0.0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-            if hi - lo < 5e-14 * max(1.0, hi):
-                break
-        return 0.5 * (lo + hi)
-
-    guess = _mcmahon_guess(order, int(k))
-    if order <= 2.0 and guess > order + 1.0:
-        lo, hi = guess - 0.5, guess + 0.5
-        if f(lo) * f(hi) < 0.0 and (k == 1 or _mcmahon_guess(order, k - 1) < lo):
-            return bisect(lo, hi)
-    # sequential scan: zeros of J_nu are simple and roughly pi apart
-    x = order + 1e-3 if order > 0.0 else 1e-3
-    prev = f(x)
-    found = 0
-    step = 0.05 * (1.0 + abs(order))
-    while found < k:
-        x_next = x + step
-        cur = f(x_next)
-        if prev == 0.0:
-            found += 1
-            if found == k:
-                return x
-        elif (prev < 0.0) != (cur < 0.0):
-            found += 1
-            if found == k:
-                return bisect(x, x_next)
-            step = 0.7
-        x, prev = x_next, cur
-        if x > 1e6:
-            raise ResolutionError("bessel_j_zero: scan runaway")
-    raise ResolutionError("bessel_j_zero: unreachable")
+    return float(_bessel_j_zeros(float(order), int(k))[-1])

@@ -24,7 +24,7 @@ from scipy import special as sp
 from scipy.linalg.lapack import dpttrf, dpttrs, dstemr
 
 from .errors import DegeneracyError, DomainError, ResolutionError, SolverError
-from .special import bessel_j_zero
+from .special import _bessel_j_zeros
 
 __all__ = [
     "LEFT_DIRICHLET",
@@ -392,23 +392,35 @@ def _bessel_mode_eval(beta, nu, jz, coef, x, deriv: bool = True):
     return v, vp
 
 
-def _bessel_residual_ok(beta, nu, jz, coef, lam, tol=1e-6) -> bool:
-    """Interior L2 residual of -(x^beta v')' - lam*v for the closed-form
-    candidate, using exact Bessel derivatives."""
+#: the largest residual a closed-form candidate may leave, relative to
+#: lambda max(1, max|v|)
+_BESSEL_RESIDUAL_TOL = 1e-6
+
+
+def _bessel_residual_ok(beta, nu, jz, coef, lam) -> np.ndarray:
+    """Per candidate (jz, coef, lam: arrays of K), whether it is an
+    eigenpair: the interior L2 residual of -(x^beta v')' - lam*v, from
+    exact Bessel derivatives on 181 points of [0.05, 0.95], and the
+    boundary value v(1) both stay within _BESSEL_RESIDUAL_TOL.  The ODE
+    holds for any jz with lam = (q jz)^2; only v(1) = 0 checks the zero."""
     p = 0.5 * (1.0 - beta)
     q = 0.5 * (2.0 - beta)
     x = np.linspace(0.05, 0.95, 181)
-    v, vp = _bessel_mode_eval(beta, nu, jz, coef, x)
+    jz, coef = jz[:, None], coef[:, None]
     w = jz * x ** q
     J, Jp = sp.jv(nu, w), sp.jvp(nu, w)
     Jpp = -Jp / w - (1.0 - nu * nu / (w * w)) * J
+    v = coef * x ** p * J
+    vp = coef * (p * x ** (p - 1.0) * J + jz * q * x ** (p + q - 1.0) * Jp)
     vpp = coef * (p * (p - 1.0) * x ** (p - 2.0) * J
                   + jz * q * (2.0 * p + q - 1.0) * x ** (p + q - 2.0) * Jp
                   + jz * jz * q * q * x ** (p + 2.0 * q - 2.0) * Jpp)
-    resid = -beta * x ** (beta - 1.0) * vp - x ** beta * vpp - lam * v
-    scale = lam * max(1.0, float(np.max(np.abs(v))))
-    l2 = float(np.sqrt((x[1] - x[0]) * np.sum(resid ** 2)))
-    return l2 / scale <= tol
+    resid = -beta * x ** (beta - 1.0) * vp - x ** beta * vpp - lam[:, None] * v
+    vmax = np.maximum(1.0, np.max(np.abs(v), axis=1))
+    l2 = np.sqrt((x[1] - x[0]) * np.sum(resid ** 2, axis=1))
+    at1 = np.abs(coef[:, 0] * sp.jv(nu, jz[:, 0]))
+    return (l2 / (lam * vmax) <= _BESSEL_RESIDUAL_TOL) & (
+        at1 / vmax <= _BESSEL_RESIDUAL_TOL)
 
 
 def bessel_eigen(beta: float, K: int) -> EigenSystem:
@@ -416,25 +428,28 @@ def bessel_eigen(beta: float, K: int) -> EigenSystem:
     v = x^{(1-beta)/2} J_nu(j_{nu,k} x^{(2-beta)/2}), nu = |1-beta|/(2-beta),
     with lambda_k = ((2-beta) j_{nu,k} / 2)^2.
 
-    The candidate is verified against the differential equation before the
-    system is returned; normalization is the closed-form Bessel-square
-    integral and the sign makes v'(1) < 0.
+    The K zeros come from one sweep of special._bessel_j_zeros, each
+    within one double of the true zero.  All K candidates are verified
+    against the differential equation and v(1) = 0 in one batched check
+    (`_bessel_residual_ok`) before the system is returned: the first that
+    fails raises ResolutionError naming its k.  Normalization is the
+    closed-form Bessel-square integral and the sign makes v'(1) < 0.
     """
     _check_beta(beta)
     if K < 1:
         raise DomainError("need K >= 1")
     nu = abs(1.0 - beta) / (2.0 - beta)
     q = 0.5 * (2.0 - beta)
-    zeros = np.array([bessel_j_zero(nu, k) for k in range(1, K + 1)])
+    zeros = _bessel_j_zeros(nu, K)
     lambdas = (q * zeros) ** 2
     # |coef| normalizes ||v|| = 1; its sign makes v'(1) = -coef*q*j*J_{nu+1}(j)
     # negative
     coefs = np.sqrt(2.0 - beta) / sp.jv(nu + 1.0, zeros)
-    for k in range(K):
-        if not _bessel_residual_ok(beta, nu, zeros[k], coefs[k], lambdas[k]):
-            raise ResolutionError(
-                f"closed-form candidate failed the ODE residual check "
-                f"(beta={beta}, k={k + 1})")
+    ok = _bessel_residual_ok(beta, nu, zeros, coefs, lambdas)
+    if not np.all(ok):
+        raise ResolutionError(
+            f"closed-form candidate failed the residual check of the ODE "
+            f"and v(1) = 0 (beta={beta}, k={int(np.argmin(ok)) + 1})")
     return EigenSystem(beta, lambdas, "bessel_closed_form", (nu, zeros, coefs))
 
 
@@ -509,12 +524,12 @@ def orthogonality_report(sys: EigenSystem) -> OrthogonalityReport:
     integrals of `_cell_energy`)."""
     beta = sys.beta
     X, W = _gauss_rule(sys)
-    V, D = sys._rows(slice(None), X)
-    gram_l2 = (V * W) @ V.T
     if sys.method_tag == "galerkin_numeric":
+        V = sys._rows(slice(None), X, deriv=False)
         _, ynodes, _, slopes = sys._payload
         gram_w = (slopes * _cell_energy(beta, ynodes)) @ slopes.T
     else:
+        V, D = sys._rows(slice(None), X)
         # x^beta v' v' dx = e x^{beta+e-1} v_y v_y dy is smooth in y, but the
         # rule's first cell is fitted to the weight y^sigma of v v dx: take
         # that cell Gauss-Legendre in y, as the rule takes the others
@@ -524,5 +539,6 @@ def orthogonality_report(sys: EigenSystem) -> OrthogonalityReport:
         D1, Dr = sys._rows(slice(None), X1)[1], D[:, q:]
         gram_w = ((D1 * (y1 * _GL_W) * X1 ** (beta + 1.0 - e) / e) @ D1.T
                   + (Dr * W[q:] * X[q:] ** beta) @ Dr.T)
+    gram_l2 = (V * W) @ V.T
     worst = lambda G: float(np.max(np.abs(G - np.diag(np.diag(G)))))
     return OrthogonalityReport(gram_l2, gram_w, worst(gram_l2), worst(gram_w))

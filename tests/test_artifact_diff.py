@@ -1,5 +1,6 @@
-"""The numeric comparison of tools/artifact_diff.py (its CLI matrix is run
-by hand: python tools/artifact_diff.py REV)."""
+"""The numeric comparison and the child environment of
+tools/artifact_diff.py (its CLI matrix is run by hand: python
+tools/artifact_diff.py REV)."""
 import importlib.util
 import json
 from pathlib import Path
@@ -37,3 +38,30 @@ def test_json_walks_nested_leaves_and_their_structure():
         "different structure"
     flipped = dict(old, b=dict(old["b"], ok=False))
     assert diff(enc(old), enc(flipped), ".json") == "text leaf True -> False"
+
+
+def test_run_case_pins_blas_to_one_thread_in_the_child(tmp_path,
+                                                       monkeypatch):
+    # some artifacts change in their last bits with the BLAS thread count,
+    # so the caller's setting must not reach either tree's run
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                 "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "2")
+    seen = {}
+
+    class Done:
+        returncode = 0
+
+    def run(argv, **kwargs):
+        seen.update(argv=argv, **kwargs)
+        return Done()
+
+    monkeypatch.setattr(artifact_diff.subprocess, "run", run)
+    src = tmp_path / "src"
+    assert artifact_diff.run_case(src, tmp_path / "w", ["eigen"], {}) == 0
+    env = seen["env"]
+    assert env["PYTHONPATH"] == str(src)
+    assert all(env[name] == "1" for name in ("OPENBLAS_NUM_THREADS",
+                                             "OMP_NUM_THREADS",
+                                             "MKL_NUM_THREADS"))
+    assert seen["argv"][-3:] == ["eigen", "--out", str(tmp_path / "w" / "out")]

@@ -260,6 +260,39 @@ def test_solve_json_format(tmp_path):
     assert len(sol["u"]) == 17 and len(sol["u"][0]) == 65
 
 
+def test_solve_takes_its_modes_from_the_chosen_oracle(tmp_path):
+    # lambda_64 at beta 0.99 is past the Galerkin meshes, not the Bessel zeros
+    args = ["solve", "--beta", "0.99", "--modes", "64"]
+    assert cli.main(args + ["--out", str(tmp_path / "g")]) == 3
+    assert cli.main(args + ["--oracle", "bessel",
+                            "--out", str(tmp_path / "b")]) == 0
+    # at K = 8 the two fields differ by the Galerkin eigen error alone
+    # (lambda_8 off by 1.2e-5; the field by 2.4e-7 of its sup)
+    u = {}
+    for oracle in ("galerkin", "bessel"):
+        out = tmp_path / f"k8-{oracle}"
+        assert cli.main(["solve", "--modes", "8", "--oracle", oracle,
+                         "--out", str(out)]) == 0
+        u[oracle] = np.loadtxt(out / "solution.csv", delimiter=",",
+                               skiprows=1)[:, 1:]
+    d = np.max(np.abs(u["bessel"] - u["galerkin"]))
+    assert 0.0 < d <= 1e-6 * np.max(np.abs(u["galerkin"]))
+
+
+def test_convergence_takes_its_reference_from_the_chosen_oracle(tmp_path):
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("modes_ladder = 2,4\nmesh_ladder = 16,32\n")
+    rep = {}
+    for oracle in ("galerkin", "bessel"):
+        out = tmp_path / oracle
+        assert cli.main(["convergence", "--config", str(cfgf), "--oracle",
+                         oracle, "--out", str(out)]) == 0
+        rep[oracle] = json.loads((out / "convergence.json").read_text())
+    for key in ("modes_err_l2_rel", "mesh_err_l2_rel"):
+        g, b = np.array(rep["galerkin"][key]), np.array(rep["bessel"][key])
+        assert np.all(g != b) and np.allclose(b, g, rtol=1e-3, atol=0.0), key
+
+
 # ---------------------------------------------------------------------------
 # verify / convergence
 
@@ -287,6 +320,19 @@ def test_spectral_vs_fd_suite_reads_the_fd_mesh_keys(monkeypatch):
     value = cli._suite_spectral_vs_fd(cli.RunConfig(fd_nx=64, fd_nt=48))
     assert meshes == [(64, 48)]
     assert 0.0 < value <= 1e-2
+
+
+def test_verify_refuses_an_oracle_it_would_ignore(tmp_path, capsys):
+    # verify checks the Galerkin route against the Bessel one itself
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("oracle = bessel\n")
+    for extra in (["--oracle", "bessel"], ["--config", str(cfgf)]):
+        out = tmp_path / "o"
+        assert cli.main(["verify", *extra, "--out", str(out)]) == 1
+        assert "oracle" in capsys.readouterr().err
+        assert not out.exists()
+    with pytest.raises(ConfigError, match="oracle"):
+        cli.cmd_verify(cli.RunConfig(oracle="bessel", out=str(tmp_path / "o")))
 
 
 def test_verify_impossible_tol_exits_4(tmp_path):

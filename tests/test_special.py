@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from degenfrac.errors import DomainError, ResolutionError
 from degenfrac.special import (
     _bands,
+    _bessel_j_zeros,
     _ml,
     _ml_table,
     bessel_j,
@@ -309,8 +310,11 @@ def test_ml_shared_contour_matches_single_beta(al, rng):
 
 
 def test_ml_zero_argument_is_exact_reciprocal_gamma():
-    for al in (0.3, 0.7, 1.0, 1.5):
-        betas = (0.5, 1.0, 2.0, 3.0, 4.0, al + 1.0, 2.0 * al + 2.0)
+    # every route returns 1/Gamma(beta) at z = 0, also past the contours'
+    # beta bound (-3.7, 2 alpha + 6.5) and for orders above 1
+    for al in (0.3, 0.7, 1.0, 1.2, 1.5, 1.6, 2.0, 3.0, 8.0):
+        betas = (-3.7, 0.5, 1.0, 2.0, 3.0, 4.0, al + 1.0, 2.0 * al + 2.0,
+                 2.0 * al + 6.5)
         shared = _ml(al, betas, np.array([0.0, -0.0]))
         for row, be in zip(shared, betas):
             exact = sp.rgamma(be)
@@ -773,3 +777,40 @@ def test_bessel_invalid_inputs():
         bessel_j_zero(0.5, 0)
     with pytest.raises(DomainError):
         bessel_j(0.5, -1.0)
+
+
+def test_bessel_zeros_match_scipy_to_the_last_double():
+    for n in range(6):
+        ref = sp.jn_zeros(n, 100)
+        got = _bessel_j_zeros(float(n), 100)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-15, n
+        assert bessel_j_zero(n, 100) == got[-1]
+
+
+@pytest.mark.parametrize("nu", [-0.9, -0.11, 0.0, 0.4, 4.0, 19.0, 39.0])
+def test_bessel_zeros_are_every_sign_change_of_the_scan(nu):
+    # a fine grid from the scan's start past the 60th zero changes sign
+    # exactly 60 times, once within one double of each zero
+    z = _bessel_j_zeros(nu, 60)
+    assert z.size == 60 and np.all(np.diff(z) > 3.0)
+    x = np.linspace(max(nu, 0.0) + 1e-3, z[-1] + 1.0, 200_001)
+    assert np.count_nonzero(np.diff(np.signbit(sp.jv(nu, x)))) == 60
+    below, above = np.nextafter(z, 0.0), np.nextafter(z, np.inf)
+    assert np.all((np.signbit(sp.jv(nu, below)) != np.signbit(sp.jv(nu, above)))
+                  | (sp.jv(nu, z) == 0.0))
+
+
+def test_bessel_first_zero_near_order_minus_one():
+    # j_{nu,1} -> 0 as nu -> -1 (below 2 sqrt(nu + 1) < 1e-3 here): a scan
+    # from x = 1e-3 would start past it and return the second zero
+    nu = -1.0 + 1e-8
+    x = bessel_j_zero(nu, 1)
+    assert x < 1e-3
+    assert abs(sp.jv(nu, x)) <= 1e-15
+    assert bessel_j_zero(nu, 2) == pytest.approx(sp.jn_zeros(1, 1)[0], rel=1e-6)
+
+
+def test_bessel_zero_scan_stops_at_its_cap():
+    # J_0 has about 318,000 zeros within the 10^6 unit steps of the scan
+    with pytest.raises(ResolutionError, match="400000 zeros"):
+        bessel_j_zero(0.0, 400_000)

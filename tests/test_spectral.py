@@ -157,6 +157,31 @@ def test_eigenfunctions_match_closed_form(eig, beig):
             assert np.max(np.abs(vg - vb)) <= 2e-4 * scale, (beta, k)
 
 
+@pytest.mark.parametrize("beta", [0.5, 1.8])
+def test_bessel_modes_vanish_at_one_and_are_orthogonal(beig, beta):
+    # with each zero within one double, v_k(1) = 0 and the L2 Gram matrix
+    # under the projection rule hold to roundoff up to K = 64
+    sys = beig(beta, 64)
+    assert np.max(np.abs(sys.basis_matrix(np.array([1.0])))) <= 1e-13
+    assert orthogonality_report(sys).max_offdiag_l2 <= 5e-14
+
+
+@pytest.mark.parametrize("k", [1, 7, 16])
+def test_bessel_eigen_refuses_a_candidate_off_its_zero(monkeypatch, k):
+    # with lambda = (q jz)^2 the ODE holds for any jz: the check's v(1)
+    # term finds the zero moved by 1e-3 and names its k
+    zeros = spectral._bessel_j_zeros
+
+    def moved(order, n):
+        z = zeros(order, n)
+        z[k - 1] += 1e-3
+        return z
+
+    monkeypatch.setattr(spectral, "_bessel_j_zeros", moved)
+    with pytest.raises(ResolutionError, match=rf"k={k}\)"):
+        bessel_eigen(0.5, 16)
+
+
 def test_flux_limit_vanishes_only_for_beta_above_one(eig):
     weak = eig(1.5, 2)
     rep = flux_limit_check(weak.mode(1), 1.5)

@@ -5,11 +5,11 @@
 Extracts REV's src/ with `git archive` into a temporary directory, runs one
 fixed matrix of CLI commands (MATRIX) as `python -m degenfrac` with
 PYTHONPATH set to each tree's src/, REV's and then the working tree's, and
-prints one line per artifact: "identical", or the largest absolute and
-relative change of a numeric CSV cell or JSON leaf.  Exits 0 only when
-every command exits 0 on both trees and every artifact is identical.
-Everything is written under the temporary directory, which is removed at
-the end.
+BLAS pinned to one thread in both.  Prints one line per artifact:
+"identical", or the largest absolute and relative change of a numeric CSV
+cell or JSON leaf.  Exits 0 only when every command exits 0 on both trees
+and every artifact is identical.  Everything is written under the
+temporary directory, which is removed at the end.
 """
 from __future__ import annotations
 
@@ -40,6 +40,9 @@ MATRIX = (
     ("eigen-b1.5", ["eigen", "--modes", "8", "--beta", "1.5"], {}),
     ("eigen-b1.5-bessel", ["eigen", "--modes", "8", "--beta", "1.5",
                            "--oracle", "bessel"], {}),
+    # nu = 4, above the orders 1/3 and 1 of the other Bessel cases
+    ("eigen-b1.8-bessel-k32", ["eigen", "--modes", "32", "--beta", "1.8",
+                               "--oracle", "bessel"], {}),
     ("solve-sin3-b0.5", ["solve", "--modes", "8", "--beta", "0.5"], SIN3),
     ("solve-sin3-b1.5", ["solve", "--modes", "8", "--beta", "1.5"], SIN3),
     ("solve-sin3-alpha1", ["solve", "--modes", "8", "--alpha", "1"], SIN3),
@@ -51,6 +54,7 @@ MATRIX = (
     ("solve-sin3-k16", ["solve", "--modes", "16"], SIN3),
     ("solve-sin30-k16", ["solve", "--modes", "16"], {"f": "sep:one|sin:30"}),
     ("solve-nosource", ["solve", "--modes", "8"], {}),
+    ("solve-bessel", ["solve", "--modes", "8", "--oracle", "bessel"], {}),
     # the README's --modes auto example
     ("solve-auto", ["solve", "--beta", "1.5", "--alpha", "0.6", "--theta",
                     "0.3", "--modes", "auto", "--tol", "1e-3"], {}),
@@ -61,6 +65,11 @@ MATRIX = (
     ("verify-alpha1", ["verify", "--alpha", "1"], {}),
     ("convergence", ["convergence"], {}),
 )
+
+
+#: BLAS is pinned to one thread in both trees: some artifacts change in
+#: their last bits with the thread count (ROADMAP item 7)
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def extract_src(rev: str, dest: Path) -> Path:
@@ -83,7 +92,8 @@ def run_case(src: Path, work: Path, args, keys) -> int:
         cfg = work / "run.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
         argv += ["--config", str(cfg)]
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
+               **{name: "1" for name in _BLAS_THREADS})
     return subprocess.run(argv, cwd=work, env=env,
                           capture_output=True).returncode
 

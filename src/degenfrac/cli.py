@@ -536,11 +536,18 @@ def _orders(errs):
     return out
 
 
+#: the most modes convergence takes as its reference (twice the top rung)
+_KREF_MAX = 96
+
+
 def cmd_convergence(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
     kladder = _parse_ladder(cfg.modes_ladder, "modes")
     nladder = _parse_ladder(cfg.mesh_ladder, "mesh")
-    kref = min(2 * kladder[-1], 96)
+    if kladder[-1] >= _KREF_MAX:
+        raise ConfigError(f"modes ladder must stay below the {_KREF_MAX} "
+                          f"modes of its reference, got {kladder[-1]}")
+    out = _outdir(cfg)
+    kref = min(2 * kladder[-1], _KREF_MAX)
     system = _eigensystem(cfg, kref)
     spec = _build_problem(cfg, system)
     xg = np.linspace(0.0, 1.0, 257)[1:-1]

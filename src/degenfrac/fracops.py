@@ -280,11 +280,12 @@ def _l1_rows(alpha: float, s: np.ndarray, n0: int, n1: int) -> np.ndarray:
 
 
 def caputo_l1(g, alpha: float, s_grid) -> np.ndarray:
-    """Classical Caputo derivative of g on a grid starting at 0, by the L1
-    scheme (_l1_rows, one block of rows at a time); returns one value per
-    node (0 at the first node)."""
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    """Classical Caputo derivative of order alpha in (0, 1] of g on a grid
+    starting at 0, by the L1 scheme (_l1_rows, one block of rows at a
+    time); returns one value per node (0 at the first node).  At alpha = 1
+    these are the backward differences."""
+    if not (0.0 < alpha <= 1.0):
+        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     s = np.asarray(s_grid, dtype=float)
     if s.ndim != 1 or s.size < 2 or s[0] != 0.0:
         raise DomainError("grid must be 1-d, start at 0, and have >= 2 nodes")

@@ -25,11 +25,14 @@ from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+from scipy import special as sp
 
 from .errors import DomainError, RegimeError, ResolutionError
 from .fracops import (SampledFunction, TimeWarp, _Pchip, hb_caputo,
                       warp_forward, warp_inverse)
-from .special import _ml, _ml_table, ml_eval_many
+from .special import _ml, _ml_table
+# perfbench/layertrace.py traces the name degenfrac.solver.ml_eval_many
+from .special import ml_eval_many  # noqa: F401
 from .spectral import EigenSystem, _gauss_rule, bc_requirements
 
 __all__ = [
@@ -349,7 +352,7 @@ def _modes_values(alpha: float, warp: TimeWarp, lambdas, phis, source,
     f0 = np.asarray(source if const else source(np.array([warp.a]))[:, 0],
                     dtype=float)[:, None]
     for b, on, scl in parts:
-        e = next(E) if on else ml_eval_many(alpha, b + 1.0, np.zeros_like(Z))
+        e = next(E) if on else sp.rgamma(b + 1.0)  # E_{alpha,b+1}(0)
         out += scl * f0 * Sa ** b * e
     if const:
         return out
@@ -367,6 +370,12 @@ def _modes_values(alpha: float, warp: TimeWarp, lambdas, phis, source,
             out[:, idx] += scl * _slope_sums(slopes, Sa[idx], alpha, b, x,
                                              ratios)
     return out
+
+
+def _check_count(name: str, n) -> None:
+    """DomainError unless n is an integer >= 1."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {n!r}")
 
 
 def _check_t_grid(t_grid, a: float, T: float = math.inf) -> np.ndarray:
@@ -488,6 +497,7 @@ def assemble(spec: ProblemSpec, sys: EigenSystem, K: int, x_grid, t_grid,
     if x[0] < 0.0 or x[-1] > 1.0:
         raise DomainError("x_grid must lie inside [0, 1]")
     t = _check_t_grid(t_grid, spec.a, spec.T)
+    _check_count("conv_cells", conv_cells)
 
     X, W = _gauss_rule(sys)
     basis = sys.basis_matrix(X)[:K]
@@ -600,6 +610,8 @@ def _mode_residuals(field, spec, ts, hb_n, dense_n):
     used to produce them.  Each sample time takes one graded grid and one
     L1 weight row for every mode.  Also returns the scale of the terms and
     the loads f_k(t_j), shape (J, K)."""
+    _check_count("hb_n", hb_n)
+    _check_count("dense_n", dense_n)
     u = _mode_interpolants(field, spec, dense_n)
     hb = np.array([hb_caputo(u, spec.alpha, spec.warp, float(tj), n=hb_n,
                              warped=True) for tj in ts])

@@ -365,6 +365,21 @@ def test_convergence_bad_ladder_exit_1(tmp_path):
                      "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("ladder", ["2,4,96", "2,4,128"])
+def test_convergence_refuses_a_top_rung_at_its_reference(tmp_path, capsys,
+                                                         ladder):
+    # the reference takes min(2 top, 96) modes: 96 compared the rung with
+    # itself (error 0.0, exit 0), and 128 asked for more modes than it has
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text(f"modes_ladder = {ladder}\n")
+    rc = cli.main(["convergence", "--config", str(cfgf),
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error:") and "96" in err[0]
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # expression grammar
 

@@ -254,6 +254,16 @@ def test_caputo_l1_validation():
         caputo_l1(lambda x: x, 0.5, np.array([0.0]))
 
 
+def test_caputo_l1_at_alpha_one_is_the_backward_difference():
+    # (0, 1] as _l1_rows and hb_caputo serve it; two blocks of rows
+    s = graded_grid(1.3, _BLOCK + 7, 2.0)
+    g = lambda x: np.sin(3.0 * x) + x ** 1.5
+    out = caputo_l1(g, 1.0, s)
+    assert out[0] == 0.0
+    np.testing.assert_allclose(out[1:], np.diff(g(s)) / np.diff(s),
+                               rtol=1e-15, atol=0.0)
+
+
 @pytest.mark.parametrize("n0,n1", [(1, 9), (5, 12)])
 def test_l1_rows_at_alpha_one_are_backward_differences(n0, n1):
     # the limit of the L1 rule at alpha = 1: row n weighs only the last

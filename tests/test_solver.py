@@ -605,6 +605,23 @@ def test_residual_sample_times_are_validated(eig, beta, residual):
     assert rep.t_samples.tolist() == [0.25, 1.0]
 
 
+@pytest.mark.parametrize("beta,residual", [(0.5, residual_strong),
+                                           (1.5, residual_weak)])
+def test_cell_and_node_counts_are_validated(eig, beta, residual):
+    # conv_cells = 0 once dropped the source's slope sums without a word,
+    # and other bad counts raised ZeroDivisionError, TypeError, IndexError
+    # or ValueError
+    spec, fld = _forced_field(eig, 16, beta)
+    for bad in (0, -1, -3, 2.5):
+        with pytest.raises(DomainError, match="conv_cells"):
+            assemble(spec, fld.system, 8, fld.x_grid, fld.t_grid,
+                     conv_cells=bad)
+        with pytest.raises(DomainError, match="dense_n"):
+            residual(fld, spec, hb_n=64, dense_n=bad)
+        with pytest.raises(DomainError, match="hb_n"):
+            residual(fld, spec, hb_n=bad, dense_n=32)
+
+
 def test_residual_weak_projects_callable_tests_once(eig):
     # a callable test function's coefficients are its projection on the
     # computed modes, the same as one fourier_coeff per mode

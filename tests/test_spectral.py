@@ -166,10 +166,26 @@ def test_bessel_modes_vanish_at_one_and_are_orthogonal(beig, beta):
     assert orthogonality_report(sys).max_offdiag_l2 <= 5e-14
 
 
+@pytest.mark.parametrize("beta", [0.3, 0.5, 1.5, 1.8, 1.95])
+def test_bessel_modes_solve_the_ode(beig, beta):
+    # -(x^beta v')' = lambda v by central differences of the evaluator's
+    # values on [0.1, 0.9]: bessel_eigen itself checks only v(1) = 0.
+    # 1.0e-6 at most; an order nu moved by 1% + 0.01 leaves 8.6e-3 or more
+    sys, h = beig(beta, 8), 1e-4
+    x = np.linspace(0.1, 0.9, 81)
+    V = sys.basis_matrix(x + h * np.array([-1.0, 0.0, 1.0])[:, None])
+    vm, v, vp = V.transpose(1, 0, 2)  # (K, 81) each
+    lhs = -((x + 0.5 * h) ** beta * (vp - v)
+            - (x - 0.5 * h) ** beta * (v - vm)) / h ** 2
+    rel = (np.max(np.abs(lhs - sys.lambdas[:, None] * v), axis=1)
+           / (sys.lambdas * np.max(np.abs(v), axis=1)))
+    assert np.max(rel) <= 1e-5, rel
+
+
 @pytest.mark.parametrize("k", [1, 7, 16])
 def test_bessel_eigen_refuses_a_candidate_off_its_zero(monkeypatch, k):
-    # with lambda = (q jz)^2 the ODE holds for any jz: the check's v(1)
-    # term finds the zero moved by 1e-3 and names its k
+    # with lambda = (q jz)^2 the ODE holds for any jz: the v(1) check
+    # finds the zero moved by 1e-3 and names its k
     zeros = spectral._bessel_j_zeros
 
     def moved(order, n):

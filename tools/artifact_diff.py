@@ -43,6 +43,9 @@ MATRIX = (
     # nu = 4, above the orders 1/3 and 1 of the other Bessel cases
     ("eigen-b1.8-bessel-k32", ["eigen", "--modes", "32", "--beta", "1.8",
                                "--oracle", "bessel"], {}),
+    # nu = 19, where each sp.jv point of the closed form costs most
+    ("eigen-b1.95-bessel-k16", ["eigen", "--modes", "16", "--beta", "1.95",
+                                "--oracle", "bessel"], {}),
     ("solve-sin3-b0.5", ["solve", "--modes", "8", "--beta", "0.5"], SIN3),
     ("solve-sin3-b1.5", ["solve", "--modes", "8", "--beta", "1.5"], SIN3),
     ("solve-sin3-alpha1", ["solve", "--modes", "8", "--alpha", "1"], SIN3),

@@ -105,6 +105,15 @@ def _cast(key: str, raw: str):
     return raw
 
 
+def _set(cfg: RunConfig, key: str, raw: str, where: str) -> RunConfig:
+    """cfg with key set to raw, cast by _cast for a config file and a flag
+    alike; ConfigError at where when the cast fails."""
+    try:
+        return replace(cfg, **{key: _cast(key, raw)})
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key}: {exc}") from None
+
+
 def load_config(path) -> RunConfig:
     """Flat key=value file; '#' starts a comment; unknown keys rejected."""
     p = Path(path)
@@ -120,10 +129,7 @@ def load_config(path) -> RunConfig:
         key, raw = (s.strip() for s in body.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
-        try:
-            cfg = replace(cfg, **{key: _cast(key, raw)})
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{ln}: bad value for {key}: {exc}") from None
+        cfg = _set(cfg, key, raw, f"{path}:{ln}")
     return cfg
 
 
@@ -228,23 +234,22 @@ def source_expr(text: str, warp: TimeWarp, system=None):
 # ---------------------------------------------------------------------------
 # artifact writers
 
-def _num(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(v)
-    return "%.16e" % float(v)
-
-
 def _write_csv(path: Path, header, rows) -> None:
-    """Rows keep the column types of the first row: an int column is
-    written with str, any other as %.16e (see _num)."""
+    """One line for the header and one per row, each value written by its
+    type: str and int by %s, any other value as %.16e.  The rows keep the
+    column types of the first row."""
+    def line(row):
+        return ",".join("%s" if isinstance(v, (str, int, np.integer))
+                        else "%.16e" for v in row) + "\n"
+
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(str(h) for h in header) + "\n")
+        header = tuple(header)
+        fh.write(line(header) % header)
         fmt = None
         for row in rows:
             row = tuple(row)
             if fmt is None:
-                fmt = ",".join("%s" if isinstance(v, (int, np.integer))
-                               else "%.16e" for v in row) + "\n"
+                fmt = line(row)
             fh.write(fmt % row)
 
 
@@ -280,8 +285,7 @@ def _write_field(cfg: RunConfig, out: Path, stem: str, x_grid, t_grid,
         _write_json(path, {"x": x_grid, "t": t_grid, "u": values})
     else:
         path = out / f"{stem}.csv"
-        _write_csv(path, ["t"] + [_num(x) for x in x_grid],
-                   _field_rows(t_grid, values))
+        _write_csv(path, ["t", *x_grid], _field_rows(t_grid, values))
     return path
 
 
@@ -553,27 +557,20 @@ def cmd_convergence(cfg: RunConfig) -> int:
     xg = np.linspace(0.0, 1.0, 257)[1:-1]
     tg = np.array([cfg.T])
     ref = assemble(spec, system, kref, xg, tg)
-    rnorm = math.sqrt(float(np.trapezoid(ref.values[0] ** 2, xg)))
-    rnorm = max(rnorm, 1e-300)
 
-    kerrs = []
-    for K in kladder:
-        fld = assemble(spec, system, K, xg, tg)
-        d = fld.values[0] - ref.values[0]
-        kerrs.append(math.sqrt(float(np.trapezoid(d * d, xg))) / rnorm)
+    def err(fld) -> float:
+        return float(compare(ref, fld, t_subset=[cfg.T]).l2_rel[0])
+
+    kerrs = [err(assemble(spec, system, K, xg, tg)) for K in kladder]
     _write_csv(out / "convergence_modes.csv", ["modes", "err_l2_rel"],
-               ([K, e] for K, e in zip(kladder, kerrs)))
+               zip(kladder, kerrs))
 
     S_T = warp_forward(spec.warp, cfg.T)
-    nerrs = []
-    for N in nladder:
-        mesh = FDMesh.build(cfg.beta, cfg.alpha, S_T, nx=N, nt=N)
-        fld = fd_solve(spec, mesh)
-        row = np.interp(xg, fld.x_grid, fld.values[-1])
-        d = row - ref.values[0]
-        nerrs.append(math.sqrt(float(np.trapezoid(d * d, xg))) / rnorm)
+    nerrs = [err(fd_solve(spec, FDMesh.build(cfg.beta, cfg.alpha, S_T,
+                                             nx=N, nt=N)))
+             for N in nladder]
     _write_csv(out / "convergence_mesh.csv", ["mesh", "err_l2_rel"],
-               ([N, e] for N, e in zip(nladder, nerrs)))
+               zip(nladder, nerrs))
 
     _write_json(out / "convergence.json", {
         "modes_ladder": kladder, "modes_err_l2_rel": kerrs,
@@ -594,63 +591,54 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+#: the config keys that also take a flag, --key VALUE
+_FLAGS = ("beta", "alpha", "theta", "a", "T", "modes", "out", "format",
+          "oracle", "tol")
+
+_COMMANDS = {
+    "eigen": (cmd_eigen, "eigen-decomposition artifacts"),
+    "solve": (cmd_solve, "spectral solve + diagnostics"),
+    "verify": (cmd_verify, "invariant suites incl. FD cross-check"),
+    "convergence": (cmd_convergence, "refinement ladders and observed orders"),
+}
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built once per process: parsing keeps no state
-    between calls, and a usage error raises before any is kept."""
+    between calls, and a usage error raises before any is kept.  Flag
+    values stay strings until _config_from_args casts them."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH")
-    common.add_argument("--beta", type=float)
-    common.add_argument("--alpha", type=float)
-    common.add_argument("--theta", type=float)
-    common.add_argument("--a", type=float)
-    common.add_argument("--T", type=float)
-    common.add_argument("--modes")
-    common.add_argument("--out", metavar="DIR")
-    common.add_argument("--format", choices=("csv", "json"))
-    common.add_argument("--oracle", choices=("galerkin", "bessel"))
-    common.add_argument("--tol", type=float)
+    for key in _FLAGS:
+        common.add_argument(f"--{key}")
 
     ap = _Parser(prog="degenfrac",
                  description="degenerate time-fractional diffusion toolbox")
     sub = ap.add_subparsers(dest="command", required=True)
-    sub.add_parser("eigen", parents=[common],
-                   help="eigen-decomposition artifacts")
-    sub.add_parser("solve", parents=[common],
-                   help="spectral solve + diagnostics")
-    sub.add_parser("verify", parents=[common],
-                   help="invariant suites incl. FD cross-check")
-    sub.add_parser("convergence", parents=[common],
-                   help="refinement ladders and observed orders")
+    for name, (_, what) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=what,
+                       epilog="--KEY VALUE sets the config key KEY and is "
+                       "read as in a config file (--tol none works); "
+                       "flags override the file")
     return ap
-
-
-_OVERRIDES = ("beta", "alpha", "theta", "a", "T", "modes", "out", "format",
-              "oracle", "tol")
 
 
 def _config_from_args(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    updates = {}
-    for name in _OVERRIDES:
-        val = getattr(args, name)
-        if val is not None:
-            updates[name] = str(val) if name == "modes" else val
-    if updates:
-        cfg = replace(cfg, **updates)
+    for key in _FLAGS:
+        raw = getattr(args, key)
+        if raw is not None:
+            cfg = _set(cfg, key, raw, f"--{key}")
     cfg.validate()
     return cfg
-
-
-_DISPATCH = {"eigen": cmd_eigen, "solve": cmd_solve, "verify": cmd_verify,
-             "convergence": cmd_convergence}
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _config_from_args(args)
-        return _DISPATCH[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

@@ -1,4 +1,7 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the one check of a
+count at the public boundary."""
+
+from numbers import Integral
 
 
 class DomainError(ValueError):
@@ -27,3 +30,9 @@ class ConfigError(ValueError):
 
 class VerificationError(RuntimeError):
     """One or more verification suites failed their tolerance."""
+
+
+def _check_count(name: str, n) -> None:
+    """DomainError unless n is an integer >= 1."""
+    if not isinstance(n, Integral) or n < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {n!r}")

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError
+from .errors import DomainError, _check_count
 
 __all__ = [
     "TimeWarp",
@@ -194,8 +194,9 @@ def warp_inverse(warp: TimeWarp, s):
 
 def graded_grid(length: float, n: int, exponent: float) -> np.ndarray:
     """Nodes length * (j/n)^exponent, j = 0..n, clustered at 0 for exponent > 1."""
-    if length < 0.0 or n < 1:
-        raise DomainError("need length >= 0 and n >= 1")
+    if not 0.0 <= length < math.inf:
+        raise DomainError(f"need a finite length >= 0, got {length}")
+    _check_count("n", n)
     return length * np.linspace(0.0, 1.0, n + 1) ** exponent
 
 
@@ -212,6 +213,9 @@ def ek_integral(f, params: EKParams, t: float, n: int = 96) -> float:
     g, d, b, a = params.gamma_ek, params.delta, params.beta_ek, params.a
     if d <= 0.0:
         raise DomainError(f"delta must be positive for the integral, got {d}")
+    _check_count("n", n)
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t}")
     if t < a:
         raise DomainError(f"t={t} below starting point a={a}")
     if t == a:
@@ -320,10 +324,13 @@ def hb_caputo(f, alpha: float, warp: TimeWarp, t: float, n: int = 2048,
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if t <= warp.a:
-        raise DomainError(f"need t > a, got t={t}, a={warp.a}")
+    if not warp.a < t < math.inf:
+        raise DomainError(f"need a finite t > a, got t={t}, a={warp.a}")
+    _check_count("n", n)
     S = warp_forward(warp, t)
     s = graded_grid(S, n, 2.0 / alpha)
+    # below alpha ~ 0.02 the first nodes underflow onto s = 0: one is kept
+    s = s[np.concatenate(([True], np.diff(s) > 0.0))]
     fn = _as_fn(f)
     if warped:
         gv = fn(s)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .errors import DomainError, ResolutionError, SolverError
+from .errors import DomainError, ResolutionError, SolverError, _check_count
 from .fracops import _BLOCK, _l1_rows, warp_forward
 from .solver import ProblemSpec, SolutionField, _eval_vec
 from .spectral import bc_requirements, grading_exponent
@@ -65,6 +65,8 @@ class FDMesh:
         startup layer), with gs = min(2/alpha, 4)."""
         if s_final <= 0.0:
             raise DomainError(f"need a positive time horizon, got {s_final}")
+        _check_count("nx", nx)
+        _check_count("nt", nt)
         if nx < 8 or nt < 4:
             raise ResolutionError(f"mesh {nx}x{nt} too coarse")
         gx = grading_exponent(beta)

@@ -22,12 +22,13 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
+from numbers import Integral
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError, RegimeError, ResolutionError
+from .errors import DomainError, RegimeError, ResolutionError, _check_count
 from .fracops import (SampledFunction, TimeWarp, _Pchip, hb_caputo,
                       warp_forward, warp_inverse)
 from .special import _ml, _ml_table
@@ -242,6 +243,14 @@ def _eval_vec(fn, x: np.ndarray) -> np.ndarray:
     return np.array([float(fn(xi)) for xi in x.ravel()]).reshape(x.shape)
 
 
+def _finite(name: str, where: str, vals: np.ndarray) -> np.ndarray:
+    """vals, or DomainError naming the data (phi or f) that gave a
+    non-finite value where the solver samples it."""
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(f"{name} must be finite on {where}")
+    return vals
+
+
 def fourier_coeff(g, sys: EigenSystem, k: int) -> float:
     """Coefficient int_0^1 g(x) v_k(x) dx against the orthonormal basis."""
     X, W = _gauss_rule(sys)
@@ -372,12 +381,6 @@ def _modes_values(alpha: float, warp: TimeWarp, lambdas, phis, source,
     return out
 
 
-def _check_count(name: str, n) -> None:
-    """DomainError unless n is an integer >= 1."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"{name} must be an integer >= 1, got {n!r}")
-
-
 def _check_t_grid(t_grid, a: float, T: float = math.inf) -> np.ndarray:
     """A 1-d, finite, strictly increasing time grid inside (a, T]."""
     t = np.asarray(t_grid, dtype=float)
@@ -453,14 +456,14 @@ def _source_coeffs(spec: ProblemSpec, K: int, X, W, basis):
     if spec.f is None:
         return None, 0.0
     if isinstance(spec.f, SeparableSource):
-        fx = _eval_vec(spec.f.fx, X)
+        fx = _finite("f", "(0, 1)", _eval_vec(spec.f.fx, X))
         cks = basis @ (W * fx)
         ft = spec.f.ft
         # f - P_K f = ft(t) (fx - P_K fx): the defect scales with |ft|
         fx_defect = _projection_defect(W, fx, cks, basis)
         if _is_real(ft):
             return cks * float(ft), abs(ft) * fx_defect
-        ft_table = _eval_vec(ft, _source_times(spec))
+        ft_table = _finite("f", "[a, T]", _eval_vec(ft, _source_times(spec)))
         return (lambda t: np.multiply.outer(cks, _eval_vec(ft, t)),
                 float(np.max(np.abs(ft_table))) * fx_defect)
     # tabulated route: spatial quadrature on a shared warped-graded t-grid,
@@ -469,7 +472,8 @@ def _source_coeffs(spec: ProblemSpec, K: int, X, W, basis):
     F = np.empty((K, tg.size))
     defect = 0.0
     for j, tj in enumerate(tg):
-        fj = _eval_vec(lambda xx: spec.f(xx, tj), X)
+        fj = _finite("f", "(0, 1) x [a, T]",
+                     _eval_vec(lambda xx: spec.f(xx, tj), X))
         F[:, j] = basis @ (W * fj)
         defect = max(defect, _projection_defect(W, fj, F[:, j], basis))
     return SampledFunction.from_table(tg, F), defect
@@ -501,7 +505,7 @@ def assemble(spec: ProblemSpec, sys: EigenSystem, K: int, x_grid, t_grid,
 
     X, W = _gauss_rule(sys)
     basis = sys.basis_matrix(X)[:K]
-    phi_vals = _eval_vec(spec.phi, X)
+    phi_vals = _finite("phi", "(0, 1)", _eval_vec(spec.phi, X))
     phi_c = basis @ (W * phi_vals)
 
     _warn_bc_compat(spec, phi_vals)
@@ -569,7 +573,7 @@ def tail_estimate(coeffs, lambdas, m: int, weighted_rhs: float) -> TailReport:
     by the caller, plus the implied bound on the unassembled tail."""
     g = np.asarray(coeffs, dtype=float)
     lam = np.asarray(lambdas, dtype=float)[: g.size]
-    if m < 0:
+    if not (isinstance(m, Integral) and m >= 0):
         raise DomainError(f"m must be a nonnegative integer, got {m}")
     part = float(np.sum(lam ** (m + 1) * g * g))
     ok = part <= weighted_rhs * (1.0 + 1e-9) + 1e-12
@@ -622,6 +626,16 @@ def _mode_residuals(field, spec, ts, hb_n, dense_n):
     return hb + relax - load, scale, load
 
 
+def _residual_report(sup_abs: float, scale: float, ts,
+                     per_test) -> ResidualReport:
+    """The report, or ResolutionError when the residual is not finite: a
+    NaN or an infinity confirms nothing about the field."""
+    if not (math.isfinite(sup_abs) and math.isfinite(scale)):
+        raise ResolutionError(f"residual is not finite: sup {sup_abs}, "
+                              f"scale {scale}")
+    return ResidualReport(sup_abs, sup_abs / scale, scale, ts, per_test)
+
+
 def residual_strong(field: SolutionField, spec: ProblemSpec,
                     t_samples=None, hb_n: int = 2048,
                     dense_n: int = 1024) -> ResidualReport:
@@ -640,9 +654,8 @@ def residual_strong(field: SolutionField, spec: ProblemSpec,
     if xs.size < 2:
         xs = np.linspace(0.05, 0.95, 19)
     R = r @ field.system.basis_matrix(xs)[: field.K]
-    sup_abs = float(np.max(np.abs(R)))
-    return ResidualReport(sup_abs, sup_abs / scale, scale, ts,
-                          np.max(np.abs(r), axis=0))
+    return _residual_report(float(np.max(np.abs(R))), scale, ts,
+                            np.max(np.abs(r), axis=0))
 
 
 def residual_weak(field: SolutionField, spec: ProblemSpec, test_set=None,
@@ -684,8 +697,7 @@ def residual_weak(field: SolutionField, spec: ProblemSpec, test_set=None,
                 v[j] -= f_full - f_span[j]
         viols.append(float(np.max(np.abs(v))))
     viols = np.asarray(viols)
-    sup_abs = float(np.max(viols))
-    return ResidualReport(sup_abs, sup_abs / scale, scale, ts, viols)
+    return _residual_report(float(np.max(viols)), scale, ts, viols)
 
 
 def solution_norms(field: SolutionField, spec: ProblemSpec) -> NormReport:

@@ -24,7 +24,8 @@ import numpy as np
 from scipy import special as sp
 from scipy.linalg.lapack import dpttrf, dpttrs, dstemr
 
-from .errors import DegeneracyError, DomainError, ResolutionError, SolverError
+from .errors import (DegeneracyError, DomainError, ResolutionError, SolverError,
+                     _check_count)
 from .special import _bessel_j_zeros
 
 __all__ = [
@@ -316,9 +317,10 @@ def solve_eigen(beta: float, K: int, mesh: int | None = None) -> EigenSystem:
     orthonormal under the projection rule; the sign makes v'(1) < 0.
     """
     _check_beta(beta)
-    if K < 1:
-        raise DomainError("need K >= 1")
-    n = _DEFAULT_MESH_N if mesh is None else int(mesh)
+    _check_count("K", K)
+    if mesh is not None:
+        _check_count("mesh", mesh)
+    n = _DEFAULT_MESH_N if mesh is None else mesh
     while True:
         try:
             return _galerkin(beta, K, n)
@@ -412,8 +414,7 @@ def bessel_eigen(beta: float, K: int) -> EigenSystem:
     the sign makes v'(1) < 0.
     """
     _check_beta(beta)
-    if K < 1:
-        raise DomainError("need K >= 1")
+    _check_count("K", K)
     nu = abs(1.0 - beta) / (2.0 - beta)
     q = 0.5 * (2.0 - beta)
     zeros = _bessel_j_zeros(nu, K)

@@ -201,6 +201,24 @@ def test_config_file_with_overrides(tmp_path):
     assert float(rows[0][1]) == pytest.approx(LAMBDA1_HALF, rel=2e-4)
 
 
+#: a valid raw value for each flag, as it would appear after "key =" in a
+#: config file
+_FLAG_VALUES = (("beta", "1.5"), ("alpha", "0.25"), ("theta", "-0.5"),
+                ("a", "0.1"), ("T", "2.5"), ("modes", "auto"),
+                ("out", "elsewhere"), ("format", "json"),
+                ("oracle", "bessel"), ("tol", "none"), ("tol", "1e-3"))
+
+
+@pytest.mark.parametrize("key,raw", _FLAG_VALUES)
+def test_a_flag_reads_its_value_as_the_config_file_does(tmp_path, key, raw):
+    # the flags once had their own types: --tol none was a usage error
+    assert {k for k, _ in _FLAG_VALUES} == set(cli._FLAGS)
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text(f"{key} = {raw}\n")
+    args = cli._build_parser().parse_args(["solve", f"--{key}", raw])
+    assert cli._config_from_args(args) == cli.load_config(cfgf)
+
+
 def test_load_config_types(tmp_path):
     cfgf = tmp_path / "run.cfg"
     cfgf.write_text("alpha = 0.25\nmodes = auto\nfd_nx = 128\nphi = sin:2\n")
@@ -248,6 +266,38 @@ def test_solve_auto_modes(tmp_path):
     diags = json.loads((out / "diagnostics.json").read_text())
     assert diags["modes"] >= 4
     assert diags["tail"]["tail_estimate_l2"] <= 1e-4
+
+
+@pytest.mark.parametrize("argv,f", [
+    (["--alpha", "0.02"], "none"),
+    (["--alpha", "0.01"], "none"),
+    (["--alpha", "0.02", "--beta", "1.5"], "sep:one|sin:3"),
+])
+def test_small_alpha_solve_writes_a_finite_residual(tmp_path, argv, f):
+    # below alpha ~ 0.0206 the residual's graded grid underflows onto 0;
+    # these runs exited 0 and wrote "sup_rel": null
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text(f"f = {f}\n")
+    out = tmp_path / "o"
+    assert cli.main(["solve", "--config", str(cfgf), *argv,
+                     "--out", str(out)]) == 0
+    res = json.loads((out / "diagnostics.json").read_text())["residual"]
+    assert res["sup_rel"] is not None and res["sup_rel"] < 1e-3
+
+
+@pytest.mark.parametrize("keys,message", [
+    ("phi = const:inf", "phi must be finite on (0, 1)"),
+    ("phi = poly:1e308,1e308", "phi must be finite on (0, 1)"),
+    ("f = sep:one|cos:inf", "f must be finite on [a, T]"),
+])
+def test_non_finite_data_exits_2_naming_it(tmp_path, capsys, keys, message):
+    # such data once ran the whole solve, and the residual then blamed f
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text(keys + "\n")
+    capsys.readouterr()
+    assert cli.main(["solve", "--config", str(cfgf),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
 
 
 def test_solve_json_format(tmp_path):
@@ -516,7 +566,7 @@ def test_main_keeps_one_parser_across_calls(tmp_path):
 
 def test_write_csv_matches_per_value_format(tmp_path):
     def per_value(header, rows):
-        # one _num call per value: str for an int, %.16e for the rest
+        # each value by its own type: str for an int, %.16e for the rest
         lines = [",".join(str(h) for h in header)]
         lines += [",".join(str(v) if isinstance(v, (int, np.integer))
                            else "%.16e" % float(v) for v in row) for row in rows]

@@ -311,6 +311,22 @@ def test_hb_caputo_alpha_one_is_first_order():
     assert got == pytest.approx(w.p * 3.0 * S * S, rel=1e-3)
 
 
+@pytest.mark.parametrize("alpha", [0.02, 0.01, 1e-3])
+def test_hb_caputo_survives_nodes_that_underflow_onto_zero(alpha):
+    # S (i/2048)^(2/alpha) underflows onto 0 below alpha ~ 0.0206 (49
+    # repeated nodes at 0.01), and a zero cell once made the result NaN.
+    # L1 is exact for data linear in s: p^alpha S^(1-alpha)/Gamma(2-alpha)
+    w = TimeWarp(0.3)
+    t = 0.5
+    S = warp_forward(w, t)
+    ref = w.p ** alpha * S ** (1.0 - alpha) / math.gamma(2.0 - alpha)
+    assert hb_caputo(lambda s: s, alpha, w, t, warped=True) == pytest.approx(
+        ref, rel=1e-12)
+    assert hb_caputo(lambda tt: tt ** w.p, alpha, w, t) == pytest.approx(
+        ref, rel=1e-12)
+    assert math.isfinite(hb_caputo(np.sin, alpha, w, t))
+
+
 def test_hb_caputo_relaxation_spot_check():
     """The scaled ML kernel solves the eigen-relaxation equation:
     D^alpha E_{al,1}(lam* s^al) = lam* p^al E_{al,1}(lam* s^al)."""

@@ -11,7 +11,10 @@ from scipy.interpolate import PchipInterpolator
 
 from degenfrac import solver, special
 from degenfrac.errors import DomainError, RegimeError, ResolutionError
-from degenfrac.fracops import SampledFunction, TimeWarp, hb_caputo, warp_forward
+from degenfrac.fracops import (EKParams, SampledFunction, TimeWarp,
+                               ek_integral, graded_grid, hb_caputo,
+                               warp_forward)
+from degenfrac.oraclefd import FDMesh
 from degenfrac.solver import (
     ModeODE,
     ProblemSpec,
@@ -31,6 +34,7 @@ from degenfrac.solver import (
     _value_at,
 )
 from degenfrac.special import ml_eval, ml_eval_many
+from degenfrac.spectral import bessel_eigen, solve_eigen
 
 
 def _quadratic(x):
@@ -620,6 +624,70 @@ def test_cell_and_node_counts_are_validated(eig, beta, residual):
             residual(fld, spec, hb_n=64, dense_n=bad)
         with pytest.raises(DomainError, match="hb_n"):
             residual(fld, spec, hb_n=bad, dense_n=32)
+
+
+_W = TimeWarp(0.3)
+_EK = EKParams(0.0, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_eigen(0.5, 2.5),
+    lambda: solve_eigen(0.5, 4, mesh=256.9),
+    lambda: bessel_eigen(0.5, 2.5),
+    lambda: FDMesh.build(0.5, 0.6, 1.0, nx=16.5),
+    lambda: FDMesh.build(0.5, 0.6, 1.0, nt=16.5),
+    lambda: hb_caputo(np.sin, 0.6, _W, 0.5, n=2.5),
+    lambda: hb_caputo(np.sin, 0.6, _W, math.inf),
+    lambda: hb_caputo(np.sin, 0.6, _W, math.nan),
+    lambda: ek_integral(np.sin, _EK, 0.5, n=0),
+    lambda: ek_integral(np.sin, _EK, math.nan),
+    lambda: graded_grid(math.nan, 4, 2.0),
+    lambda: graded_grid(1.0, 2.5, 2.0),
+    lambda: tail_estimate([1.0], [1.0], math.nan, 1.0),
+], ids=["solve_eigen-K", "solve_eigen-mesh", "bessel_eigen-K", "FDMesh-nx", "FDMesh-nt",
+        "hb_caputo-n", "hb_caputo-t-inf", "hb_caputo-t-nan",
+        "ek_integral-n", "ek_integral-t", "graded_grid-length",
+        "graded_grid-n", "tail_estimate-m"])
+def test_public_counts_and_scalars_are_domain_errors(call):
+    # these once raised TypeError, SciPy's ValueError, returned NaN,
+    # blamed f for a bad t, or cut a mesh of 256.9 cells to 256
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert "f must be finite" not in str(exc.value)
+
+
+@pytest.mark.parametrize("phi,f,name", [
+    (lambda x: np.full_like(x, np.inf), None, "phi"),
+    (_quadratic, SeparableSource(lambda x: np.cos(np.inf * x), 1.0), "f"),
+    (_quadratic, SeparableSource(np.sin, lambda t: np.cos(np.inf * t)), "f"),
+    (_quadratic, lambda x, t: np.full_like(x, np.nan), "f"),
+], ids=["phi", "f-space", "f-time", "f-general"])
+def test_assemble_names_non_finite_data_before_mode_work(eig, monkeypatch,
+                                                          phi, f, name):
+    # the residual's hb_caputo used to find such data after the whole
+    # solve, and blamed f for a bad phi
+    def no_mode_work(*args, **kwargs):
+        raise AssertionError("mode work ran on non-finite data")
+
+    monkeypatch.setattr(solver, "_modes_values", no_mode_work)
+    spec = ProblemSpec(0.6, 0.3, 0.5, 0.0, 1.0, phi, f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            assemble(spec, eig(0.5, 4), 4, np.linspace(0.0, 1.0, 9),
+                     np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("beta,residual", [(0.5, residual_strong),
+                                           (1.5, residual_weak)])
+def test_residuals_refuse_a_non_finite_value(eig, beta, residual):
+    # a NaN residual was reported, and the CLI wrote null and exited 0
+    spec, fld = _forced_field(eig, 16, beta)
+    fld.mode_lambdas = np.full(fld.K, np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ResolutionError, match="not finite"):
+            residual(fld, spec, hb_n=64, dense_n=32)
 
 
 def test_residual_weak_projects_callable_tests_once(eig):

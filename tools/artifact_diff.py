@@ -49,6 +49,8 @@ MATRIX = (
     ("solve-sin3-b0.5", ["solve", "--modes", "8", "--beta", "0.5"], SIN3),
     ("solve-sin3-b1.5", ["solve", "--modes", "8", "--beta", "1.5"], SIN3),
     ("solve-sin3-alpha1", ["solve", "--modes", "8", "--alpha", "1"], SIN3),
+    # the residual's graded grid at a small alpha, where no node underflows
+    ("solve-alpha0.05", ["solve", "--modes", "8", "--alpha", "0.05"], SIN3),
     ("solve-quad-b1.5", ["solve", "--modes", "8", "--beta", "1.5"], QUAD1),
     ("solve-quad-a0.3", ["solve", "--modes", "8", "--a", "0.3",
                          "--T", "1.4"], QUAD1),

@@ -31,10 +31,10 @@ from scipy import special as sp
 from .errors import DomainError, RegimeError, ResolutionError, _check_count
 from .fracops import (SampledFunction, TimeWarp, _Pchip, hb_caputo,
                       warp_forward, warp_inverse)
-from .special import _ml, _ml_table
+from .special import _ml, _ml_sums
 # perfbench/layertrace.py traces the name degenfrac.solver.ml_eval_many
 from .special import ml_eval_many  # noqa: F401
-from .spectral import EigenSystem, _gauss_rule, bc_requirements
+from .spectral import EigenSystem, _gauss_rule, _rule_basis, bc_requirements
 
 __all__ = [
     "ProblemSpec",
@@ -167,9 +167,9 @@ class SolutionField:
 
     values has one row per time node (shape (nt, nx)).  mode_sources is
     the modes' source f_k(t): None, an array of K declared constants, or
-    one signal t -> (K,) + t.shape.  modes_at maps warped times S to the
-    (K, S.size) mode values by the very rule, source and convolution
-    cells that produced mode_values."""
+    a _Signal, called as t -> (K,) + t.shape.  modes_at maps warped times
+    S to the (K, S.size) mode values by the very rule, source and
+    convolution cells that produced mode_values."""
 
     x_grid: np.ndarray
     t_grid: np.ndarray
@@ -243,9 +243,13 @@ def _eval_vec(fn, x: np.ndarray) -> np.ndarray:
     return np.array([float(fn(xi)) for xi in x.ravel()]).reshape(x.shape)
 
 
-def _finite(name: str, where: str, vals: np.ndarray) -> np.ndarray:
-    """vals, or DomainError naming the data (phi or f) that gave a
-    non-finite value where the solver samples it."""
+def _sampled(name: str, where: str, fn, x) -> np.ndarray:
+    """fn on x (by _eval_vec), or DomainError naming the data (phi or f)
+    that gave a non-finite value there.  numpy's floating-point warnings
+    are silenced while fn runs: a value they would flag is refused here,
+    and the error names it."""
+    with np.errstate(all="ignore"):
+        vals = _eval_vec(fn, x)
     if not np.all(np.isfinite(vals)):
         raise DomainError(f"{name} must be finite on {where}")
     return vals
@@ -255,7 +259,7 @@ def fourier_coeff(g, sys: EigenSystem, k: int) -> float:
     """Coefficient int_0^1 g(x) v_k(x) dx against the orthonormal basis."""
     X, W = _gauss_rule(sys)
     sys._check_k(k)
-    vk = sys._rows(slice(k - 1, k), X, deriv=False)[0]
+    vk = _rule_basis(sys, slice(k - 1, k))[0]
     return float(np.dot(W, _eval_vec(g, X) * vk))
 
 
@@ -272,15 +276,37 @@ def fourier_coeff(g, sys: EigenSystem, k: int) -> float:
 # sigma_0 = 0 < ... < sigma_n = s is integrated exactly,
 #     int_0^s k_b(s - sigma) g = g(0) P0(s) + sum_i slope_i (Q(y_i) - Q(y_i+1)),
 # and the kernel endpoint singularity costs nothing.  With y_i = s c_i the
-# ratios c_i are the same for every target and mode, so Q comes from the
-# ratio tables of special._ml_table.
+# ratios c_i are the same for every target and mode.  Summed by parts once
+# more, the slope part is sum_i w_i Q(y_i) with w_i = slope_i - slope_i-1
+# (slope_-1 = slope_n = 0), which special._ml_sums evaluates against its
+# cached contour bands: the GEMM runs on the source's time curves, and
+# each mode adds only its reciprocals.
 
 
-#: points per mode in a block of the 2-D product integration: a block's
-#: (modes, targets, nodes) arrays take 128 KB per mode, 2 MB at K = 16
+#: points per curve in a block of the 2-D product integration: a block's
+#: (curves, targets, nodes) arrays take 128 KB per curve (the modes' sums
+#: keep their own bound, special._SUM_ROWS)
 _BLOCK_POINTS = 16384
 #: cells of the product rule from 0 to each target time (assemble's default)
 _CONV_CELLS = 128
+
+
+@dataclass(frozen=True)
+class _Signal:
+    """A time-varying mode source f_k(t) = sum_r C[k, r] g_r(t): R time
+    curves g, t -> (R,) + t.shape, mixed into the K modes by the (K, R)
+    matrix C.  C is a column (R = 1: one curve shared by every mode, as a
+    SeparableSource's time factor) or None, the identity (R = K: each mode
+    its own curve, as a general f(x, t) or one ModeODE's source).  The
+    source convolution runs on the curves, so its GEMMs cost R rows, not K;
+    called, the signal gives the modes' values C @ g(t)."""
+
+    g: Callable
+    C: Optional[np.ndarray] = None
+
+    def __call__(self, t) -> np.ndarray:
+        G = self.g(np.asarray(t, dtype=float))
+        return G if self.C is None else np.tensordot(self.C, G, axes=1)
 
 
 def _loads(source, K: int, t) -> np.ndarray:
@@ -292,25 +318,12 @@ def _loads(source, K: int, t) -> np.ndarray:
     return np.multiply.outer(c, np.ones(t.shape))
 
 
-def _conv_nodes(warp: TimeWarp, S: np.ndarray, frac: np.ndarray):
-    """Cell nodes sigma = S frac, frac_i = (i/n)^2, i = 0..n, of the
-    convolution up to each target S > 0 (one row per target), and their
-    times t(sigma) in [a, t(S)]."""
-    sigma = S[:, None] * frac
+def _conv_times(warp: TimeWarp, S: np.ndarray, frac: np.ndarray):
+    """The times t(sigma) in [a, t(S)] of the cell nodes sigma = S frac,
+    frac_i = (i/n)^2, i = 0..n, of the convolution up to each target S > 0
+    (one row per target)."""
     # t(0) may round below a; t is monotone, and its last column is t(S)
-    return sigma, np.maximum(warp_inverse(warp, sigma), warp.a)
-
-
-def _slope_sums(slopes, S, alpha, b, x, c: tuple) -> np.ndarray:
-    """The slope part of the product integration against the kernel k_b,
-    one row per (mode, target S): the sum over the cells of
-    slopes_i (Q(y_i) - Q(y_i+1)), with Q(y) = S^(b+1) P_{b+2}(x, y/S),
-    P_B(x, c) = c^(B-1) E_{alpha,B}(-x c^alpha), at the node ratios c and
-    x = -lam S^alpha for each mode.  P comes from the ratio tables of
-    _ml_table at every alpha <= 1 (B = b + 2 lies within its beta bound)."""
-    Q = _ml_table(alpha, (b + 2.0,), x.ravel(), c)[0]
-    dQ = np.diff(Q.reshape(slopes.shape[:-1] + Q.shape[-1:]), axis=-1)
-    return -(S ** (b + 1.0)) * np.vecdot(slopes, dQ)
+    return np.maximum(warp_inverse(warp, S[:, None] * frac), warp.a)
 
 
 def _mode_values(ode: ModeODE, S_arr: np.ndarray, form: str,
@@ -318,7 +331,7 @@ def _mode_values(ode: ModeODE, S_arr: np.ndarray, form: str,
     """u_k of one mode at the warped times S_arr: a batch of one mode."""
     f = ode.f_k
     if callable(f):
-        source = lambda t: _eval_vec(f, t)[None]
+        source = _Signal(lambda t: _eval_vec(f, t)[None])
     else:
         source = None if f is None else np.array([float(f)])
     return _modes_values(ode.alpha, ode.warp, [ode.lambda_k], [ode.phi_k],
@@ -330,13 +343,13 @@ def _modes_values(alpha: float, warp: TimeWarp, lambdas, phis, source,
     """(K, S.size) values of the modes D^alpha u_k + lambda_k u_k = f_k,
     u_k(a+) = phis[k], at the warped times S_arr, with the mode index on
     the leading axis.  source is None, an array of K declared constants,
-    or one signal t -> (K,) + t.shape.  The phi term, declared constants
-    and a signal's start value share the argument lambda* S^alpha, so one
-    contour pass gives all three for every mode.  A signal's slopes are
-    integrated over (targets S > 0) x (conv_cells + 1) nodes in row blocks
-    of about _BLOCK_POINTS points per mode; each block reads the signal
-    once and stacks every mode's rows into one _slope_sums call per
-    kernel."""
+    or a _Signal.  The phi term, declared constants and a signal's start
+    value share the argument lambda* S^alpha, so one contour pass gives
+    all three for every mode.  A signal's slopes are integrated over
+    (targets S > 0) x (conv_cells + 1) nodes in row blocks of about
+    _BLOCK_POINTS points per curve; each block reads the signal's curves
+    once, and one _ml_sums call per kernel sums every mode's rows, so the
+    mix C scales finished sums."""
     Sa = np.asarray(S_arr, dtype=float)
     pa = warp.p ** alpha
     lam_s = -np.asarray(lambdas, dtype=float) / pa
@@ -371,13 +384,20 @@ def _modes_values(alpha: float, warp: TimeWarp, lambdas, phis, source,
     ratios = tuple(1.0 - frac)  # c_i = y_i/S, the same for every target
     for lo in range(0, pos.size, rows):
         idx = pos[lo:lo + rows]
-        sigma, t = _conv_nodes(warp, Sa[idx], frac)
-        slopes = np.diff(source(t), axis=-1)
-        slopes /= np.diff(sigma, axis=-1)
+        g = source.g(_conv_times(warp, Sa[idx], frac))
+        # the curves' slopes, with slope_-1 = slope_n = 0 at the ends
+        slopes = np.zeros(g.shape[:-1] + (conv_cells + 2,))
+        np.subtract(g[..., 1:], g[..., :-1], out=slopes[..., 1:-1])
+        slopes[..., 1:-1] /= np.multiply.outer(Sa[idx], np.diff(frac))
+        # sum_i slopes_i (Q_i+1 - Q_i) = -sum_i w_i Q_i, Q_i = S^(b+1)
+        # P_{b+2}(x, c_i) at x = -lam S^alpha for each mode
+        w = np.diff(slopes, axis=-1)
         for b, on, scl in parts:
             x = -Z[:, idx] if on else np.zeros((Z.shape[0], idx.size))
-            out[:, idx] += scl * _slope_sums(slopes, Sa[idx], alpha, b, x,
-                                             ratios)
+            sums = _ml_sums(alpha, b + 2.0, x, w, ratios)
+            if source.C is not None:
+                sums *= source.C
+            out[:, idx] += scl * Sa[idx] ** (b + 1.0) * sums
     return out
 
 
@@ -451,20 +471,22 @@ def _source_times(spec: ProblemSpec) -> np.ndarray:
 
 def _source_coeffs(spec: ProblemSpec, K: int, X, W, basis):
     """The modes' source f_k(t) = int f(x,t) v_k(x) dx (None, K declared
-    constants, or one signal t -> (K,) + t.shape), and the largest
-    projection defect of f(., t) over [a, T] on the source time table."""
+    constants, or a _Signal: the time factor mixed by the coefficients of
+    fx for a SeparableSource, one curve per mode otherwise), and the
+    largest projection defect of f(., t) over [a, T] on the source time
+    table."""
     if spec.f is None:
         return None, 0.0
     if isinstance(spec.f, SeparableSource):
-        fx = _finite("f", "(0, 1)", _eval_vec(spec.f.fx, X))
+        fx = _sampled("f", "(0, 1)", spec.f.fx, X)
         cks = basis @ (W * fx)
         ft = spec.f.ft
         # f - P_K f = ft(t) (fx - P_K fx): the defect scales with |ft|
         fx_defect = _projection_defect(W, fx, cks, basis)
         if _is_real(ft):
             return cks * float(ft), abs(ft) * fx_defect
-        ft_table = _finite("f", "[a, T]", _eval_vec(ft, _source_times(spec)))
-        return (lambda t: np.multiply.outer(cks, _eval_vec(ft, t)),
+        ft_table = _sampled("f", "[a, T]", ft, _source_times(spec))
+        return (_Signal(lambda t: _eval_vec(ft, t)[None], cks[:, None]),
                 float(np.max(np.abs(ft_table))) * fx_defect)
     # tabulated route: spatial quadrature on a shared warped-graded t-grid,
     # one monotone cubic through the (K, nodes) table
@@ -472,11 +494,10 @@ def _source_coeffs(spec: ProblemSpec, K: int, X, W, basis):
     F = np.empty((K, tg.size))
     defect = 0.0
     for j, tj in enumerate(tg):
-        fj = _finite("f", "(0, 1) x [a, T]",
-                     _eval_vec(lambda xx: spec.f(xx, tj), X))
+        fj = _sampled("f", "(0, 1) x [a, T]", lambda xx: spec.f(xx, tj), X)
         F[:, j] = basis @ (W * fj)
         defect = max(defect, _projection_defect(W, fj, F[:, j], basis))
-    return SampledFunction.from_table(tg, F), defect
+    return _Signal(SampledFunction.from_table(tg, F)), defect
 
 
 def assemble(spec: ProblemSpec, sys: EigenSystem, K: int, x_grid, t_grid,
@@ -504,8 +525,8 @@ def assemble(spec: ProblemSpec, sys: EigenSystem, K: int, x_grid, t_grid,
     _check_count("conv_cells", conv_cells)
 
     X, W = _gauss_rule(sys)
-    basis = sys.basis_matrix(X)[:K]
-    phi_vals = _finite("phi", "(0, 1)", _eval_vec(spec.phi, X))
+    basis = _rule_basis(sys, slice(K))
+    phi_vals = _sampled("phi", "(0, 1)", spec.phi, X)
     phi_c = basis @ (W * phi_vals)
 
     _warn_bc_compat(spec, phi_vals)
@@ -677,6 +698,7 @@ def residual_weak(field: SolutionField, spec: ProblemSpec, test_set=None,
     r, scale, load = _mode_residuals(field, spec, ts, hb_n, dense_n)
     sys = field.system
     X, W = _gauss_rule(sys)
+    basis = None
     viols = []
     for w in test_set:
         if isinstance(w, (int, np.integer)):
@@ -685,7 +707,9 @@ def residual_weak(field: SolutionField, spec: ProblemSpec, test_set=None,
             viols.append(float(np.max(np.abs(r[:, int(w) - 1]))))
             continue
         wx = _eval_vec(w, X)
-        wk = sys.basis_matrix(X)[: field.K] @ (W * wx)
+        if basis is None:
+            basis = _rule_basis(sys, slice(field.K))
+        wk = basis @ (W * wx)
         # the in-span part reduces to the mode residuals; add the source
         # component orthogonal to the computed modes
         v = r @ wk

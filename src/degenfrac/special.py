@@ -15,12 +15,15 @@ Mittag-Leffler routes.  One dispatcher, _ml, picks them, first match wins:
    rule on one fixed parabolic Hankel contour (mu = 4, h = 0.12, nodes
    u = 0..46 h on its upper half, of which c = 1 needs the first 33), all
    betas in one pass.  It is the one-column case c = 1 of the ratio
-   tables P_B(x, c) = c^(B-1) E_{alpha,B}(-x c^alpha) (_ml_table), which
-   serve the solver's source convolution at every 0 < alpha <= 1 (at
-   alpha = 1 the pole sits on the cut, inside the parabola, and the
-   convolution's kernels B = 3, 4 match route 1 to 1e-14): ratios in a band
-   hi/4 < c <= hi, hi = 4^-m, share one cached table e^(s c/hi), so each
-   band is one real GEMM.  Public values at alpha = 1 keep route 1.
+   tables P_B(x, c) = c^(B-1) E_{alpha,B}(-x c^alpha) (_ml_table), whose
+   rule also serves the solver's source convolution at every
+   0 < alpha <= 1 (at alpha = 1 the pole sits on the cut, inside the
+   parabola, and the convolution's kernels B = 3, 4 match route 1 to
+   1e-14): ratios in a band hi/4 < c <= hi, hi = 4^-m, share one table
+   built from e^(s c/hi) and cached per (alpha, betas, ratios)
+   (_band_tables).  _ml_table reads a band with one real GEMM; _ml_sums
+   sums a convolution by parts against it without forming P.  Public
+   values at alpha = 1 keep route 1.
 3. Every other point, one by one (_ml_scalar):
    a. z > 0: the series up to z^(1/alpha) = 40, then the exponential
       asymptotics (in log form up to the double limit);
@@ -134,10 +137,10 @@ def _ml_series(alpha: float, beta: float, z: float, cap: int = _TERM_CAP) -> flo
 # at Im u = 1, and the trapezoid rule in u converges geometrically
 # (Weideman & Trefethen, Math. Comp. 76 (2007) 1341-1356; Garrappa, SIAM
 # J. Numer. Anal. 53 (2015) 1350-1369).  A contour costs a few array
-# operations to build, so only the ratio tables e^(s c), which every block
-# of a source convolution reuses, are cached (Lopez-Fernandez, Lubich &
-# Schaedle, SIAM J. Sci. Comput. 30 (2008) 1015-1037: one contour serves a
-# geometric band of a memory convolution).
+# operations to build, so only the band tables of the ratios, which every
+# block of a source convolution reuses, are cached (Lopez-Fernandez,
+# Lubich & Schaedle, SIAM J. Sci. Comput. 30 (2008) 1015-1037: one contour
+# serves a geometric band of a memory convolution).
 
 #: the parabola for arguments with no pole on the principal sheet (every
 #: z <= 0) or a pole on the cut, also rescaled by the ratio bands of
@@ -176,7 +179,6 @@ def _parabola(mu: float, h: float, n: int, k0: int):
 _LOG_NEGLIGIBLE = -55.0
 
 
-@functools.lru_cache(maxsize=16)
 def _bands(c: tuple) -> tuple:
     """The ratios c (decreasing, in [0, 1]) cut into bands hi/4 < c <= hi,
     hi = 4^-m: per band its column slice, hi and the table
@@ -208,6 +210,36 @@ _CHUNK = 512
 _FAR = 1e100
 
 
+@functools.lru_cache(maxsize=32)
+def _band_tables(alpha: float, betas: tuple, c: tuple) -> tuple:
+    """The x-free half of the ratio tables of _ml_table, built once per
+    (alpha, betas, ratios): (p, q, exact, bands), with v^alpha = p + iq at
+    the nodes u >= 0 of the fixed parabola, exact = c^(B-1)/Gamma(B), shape
+    (len(betas), len(c)), and per band of _bands(c) its column slice, hi
+    and the read-only (2 m, len(betas) * band columns) table
+    [p Im G - q Re G; Im G] of G = hi^(B-1) v^(alpha-B) (dv/du)
+    e^(v c/hi) / pi over the band's m nodes.  A key holds about 100 KB
+    for one B and the 129 ratios of the default convolution."""
+    v, dv = _parabola(_MU, _H, _N, 0)
+    dv[0] *= 0.5
+    va = v**alpha
+    p, q = va.real, va.imag
+    b = np.asarray(betas, dtype=float)
+    W = v ** (alpha - b[:, None]) * dv / math.pi
+    exact = np.asarray(c, dtype=float) ** (b[:, None] - 1.0) * sp.rgamma(b)[:, None]
+    exact.flags.writeable = False
+    bands = []
+    for cols, hi, E in _bands(c):
+        m = E.shape[0]
+        # G, (betas, nodes, cols), and the band's table for [d | x d]
+        G = (W[:, :m] * hi ** (b - 1.0)[:, None])[:, :, None] * E
+        table = np.concatenate((p[:m, None] * G.imag - q[:m, None] * G.real, G.imag),
+                               axis=1).transpose(1, 0, 2).reshape(2 * m, -1)
+        table.flags.writeable = False
+        bands.append((cols, hi, table))
+    return p, q, exact, tuple(bands)
+
+
 def _ml_table(alpha: float, betas, x: np.ndarray, c: tuple) -> np.ndarray:
     """P_B(x, c) = c^(B-1) E_{alpha,B}(-x c^alpha) for 0 < alpha <= 1, real
     x >= 0 (rows), the ratios c (columns: a tuple, decreasing, in [0, 1])
@@ -225,26 +257,20 @@ def _ml_table(alpha: float, betas, x: np.ndarray, c: tuple) -> np.ndarray:
     v^alpha = p + iq, each node adds
     Im G/(v^alpha + x) = d (p Im G - q Re G) + x d Im G,  d = 1/|v^alpha + x|^2.
     Only the reciprocals d depend on x, one set per row and band, shared
-    by every B; the rest is a table per band, so each band is one real GEMM
-    [d | x d] @ [p Im G - q Re G; Im G] over every B and ratio at once.
-    Where x c^alpha = 0 the value is c^(B-1)/Gamma(B) exactly."""
-    v, dv = _parabola(_MU, _H, _N, 0)
-    dv[0] *= 0.5
-    va = v**alpha
-    p, q = va.real, va.imag
+    by every B; the rest is a table per band (_band_tables, cached), so
+    each band is one real GEMM [d | x d] @ [p Im G - q Re G; Im G] over
+    every B and ratio at once.  Where x c^alpha = 0 the value is
+    c^(B-1)/Gamma(B) exactly."""
     b = np.asarray(betas, dtype=float)
-    W = v ** (alpha - b[:, None]) * dv / math.pi
+    p, q, exact, bands = _band_tables(alpha, tuple(b.tolist()), c)
     x = np.asarray(x, dtype=float).ravel()
-    ca = np.asarray(c, dtype=float)
-    out = np.empty((b.size, x.size, ca.size))
-    exact = ca ** (b[:, None] - 1.0) * sp.rgamma(b)[:, None]
-    out[:, :, ca == 0.0] = exact[:, None, ca == 0.0]
-    for cols, hi, E in _bands(c):
-        m = E.shape[0]
-        # G, (betas, nodes, cols), and the band's table for [d | x d]
-        G = (W[:, :m] * hi ** (b - 1.0)[:, None])[:, :, None] * E
-        table = np.concatenate((p[:m, None] * G.imag - q[:m, None] * G.real, G.imag),
-                               axis=1).transpose(1, 0, 2).reshape(2 * m, -1)
+    out = np.empty((b.size, x.size, len(c)))
+    # the columns c = 0, after the last band
+    rest = slice(bands[-1][0].stop if bands else 0, None)
+    out[:, :, rest] = exact[:, None, rest]
+    for cols, hi, table in bands:
+        m = table.shape[0] // 2
+        ncols = cols.stop - cols.start
         xh = x * hi**alpha
         near = np.minimum(xh, _FAR)
         q2 = (q[:m] ** 2)[:, None]
@@ -260,13 +286,65 @@ def _ml_table(alpha: float, betas, x: np.ndarray, c: tuple) -> np.ndarray:
             np.multiply(dk[0], xs, out=dk[1])
             val = dk.reshape(2 * m, xs.size).T @ table
             out[:, lo:lo + xs.size, cols] = (
-                val.reshape((xs.size, b.size) + E.shape[1:]).transpose(1, 0, 2))
+                val.reshape(xs.size, b.size, ncols).transpose(1, 0, 2))
         far = np.flatnonzero(xh > _FAR)
         if far.size:  # d = 0 and x d = 1/x
             val = np.multiply.outer(1.0 / xh[far], table[m:].sum(axis=0))
             out[:, far, cols] = (
-                val.reshape((far.size, b.size) + E.shape[1:]).transpose(1, 0, 2))
+                val.reshape(far.size, b.size, ncols).transpose(1, 0, 2))
     out[:, x == 0.0] = exact[:, None, :]
+    return out
+
+
+#: rows x[k, j] per chunk of _ml_sums: its two (nodes, rows) temporaries
+#: take up to 3 MB each
+_SUM_ROWS = 8192
+
+
+def _ml_sums(alpha: float, B: float, x: np.ndarray, coef: np.ndarray,
+             c: tuple) -> np.ndarray:
+    """sum_i coef[r, j, i] P_B(x[k, j], c_i) for x >= 0 of shape (K, J) and
+    coefficients of shape (R, J, len(c)), R = 1 (one set shared by every
+    k) or R = K: shape (K, J).  The rule of _ml_table, summed before the
+    table is formed: per band one GEMM table @ coef[..., band].T gives the
+    node sums Y0, Y1 of shape (m, R J), and each row finishes its sum with
+    its own reciprocals, sum over the nodes of (Y0 + x' Y1) / |v^alpha + x'|^2,
+    x' = x hi^alpha, so no (K J, len(c)) table of P is built.  Rows with
+    x = 0 and columns with c = 0 take the exact value c^(B-1)/Gamma(B)."""
+    p, q, exact, bands = _band_tables(alpha, (float(B),), c)
+    exact = exact[0]
+    (K, J), R = x.shape, coef.shape[0]
+    live = x > 0.0
+    if not np.any(live):
+        return np.broadcast_to(coef @ exact, x.shape).copy()
+    # the columns c = 0, after the last band
+    rest = slice(bands[-1][0].stop if bands else 0, None)
+    out = np.broadcast_to(coef[..., rest] @ exact[rest], x.shape).copy()
+    step = max(1, _SUM_ROWS // J)  # modes per chunk
+    for cols, hi, table in bands:
+        m = table.shape[0] // 2
+        Y = (table @ coef[..., cols].reshape(R * J, -1).T).reshape(2, m, R, J)
+        xh = x * hi**alpha
+        near = np.minimum(xh, _FAR)
+        for lo in range(0, K, step):
+            ks = slice(lo, lo + step)
+            Yk = Y[:, :, ks] if R > 1 else Y
+            # (nodes, modes, J): the rows on the last axes, where the loops
+            # run long
+            den = np.add.outer(p[:m], near[ks])
+            den *= den
+            den += (q[:m] ** 2)[:, None, None]
+            num = Yk[1] * near[ks]
+            num += Yk[0]
+            num /= den
+            val = num.sum(axis=0)
+            far = xh[ks] > _FAR
+            if np.any(far):  # d = 0 and x d = 1/x
+                val[far] = (np.broadcast_to(Yk[1].sum(axis=0), val.shape)[far]
+                            / xh[ks][far])
+            out[ks] += val
+    if not np.all(live):
+        out[~live] = np.broadcast_to(coef @ exact, x.shape)[~live]
     return out
 
 

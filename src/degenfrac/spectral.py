@@ -497,6 +497,21 @@ def _gauss_rule(sys: EigenSystem):
     return sys._rule
 
 
+def _rule_basis(sys: EigenSystem, rows: slice) -> np.ndarray:
+    """The modes in rows at the nodes X of `_gauss_rule`, shape (modes,
+    X.size): sys.basis_matrix(X)[rows] bit for bit.  On a Galerkin system
+    the rule lies on the system's own mesh, cell j holding the nodes
+    _QUAD j .. _QUAD j + _QUAD - 1, so each cell's line is applied to its
+    nodes by broadcasting, with no search of the mesh."""
+    X, _ = _gauss_rule(sys)
+    if sys.method_tag != "galerkin_numeric":
+        return sys._rows(rows, X, deriv=False)
+    e, ynodes, vecs, slopes = sys._payload
+    v = slopes[rows, :, None] * (X.reshape(-1, _QUAD) ** e - ynodes[:-1, None])
+    v += vecs[rows, :-1, None]
+    return v.reshape(v.shape[0], -1)
+
+
 def orthogonality_report(sys: EigenSystem) -> OrthogonalityReport:
     """Gram matrices int v_i v_j dx and int x^beta v_i' v_j' dx under the
     projection rule (weighted products of the P1 system use the exact cell
@@ -504,7 +519,7 @@ def orthogonality_report(sys: EigenSystem) -> OrthogonalityReport:
     beta = sys.beta
     X, W = _gauss_rule(sys)
     if sys.method_tag == "galerkin_numeric":
-        V = sys._rows(slice(None), X, deriv=False)
+        V = _rule_basis(sys, slice(None))
         _, ynodes, _, slopes = sys._payload
         gram_w = (slopes * _cell_energy(beta, ynodes)) @ slopes.T
     else:

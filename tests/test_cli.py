@@ -300,6 +300,22 @@ def test_non_finite_data_exits_2_naming_it(tmp_path, capsys, keys, message):
     assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
 
 
+@pytest.mark.parametrize("keys,message", [
+    ("phi = poly:1e308,1e308", "phi must be finite on (0, 1)"),
+    ("f = sep:one|cos:inf", "f must be finite on [a, T]"),
+])
+def test_non_finite_data_prints_only_its_error_line(tmp_path, keys, message):
+    # numpy's overflow and invalid-value warnings from sampling such data
+    # once reached stderr ahead of the error line
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text(keys + "\nmodes = 2\n")
+    proc = subprocess.run([sys.executable, "-m", "degenfrac", "solve",
+                           "--config", str(cfgf), "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=_source_env())
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
+
+
 def test_solve_json_format(tmp_path):
     out = tmp_path / "o"
     rc = cli.main(["solve", "--beta", "0.5", "--modes", "4",

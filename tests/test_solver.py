@@ -441,20 +441,89 @@ def test_convolution_block_boundaries_change_nothing(monkeypatch):
     assert np.max(np.abs(blocked - whole)) <= 1e-15
 
 
-def test_separable_time_factor_is_evaluated_once_per_block(eig):
+def _tabulated_signal(warp, K):
+    """K curves through one table, one per mode (R = K), as a general
+    f(x, t) gives them."""
+    tg = np.linspace(warp.a, warp.a + 2.0, 41)
+    return solver._Signal(SampledFunction.from_table(
+        tg, np.stack([np.cos((k + 1) * tg) + tg ** 2 for k in range(K)])))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.9, 1.0])
+@pytest.mark.parametrize("form", ["single_kernel", "split_kernel"])
+def test_tabulated_modes_match_per_time_reference(alpha, form):
+    # the tabulated route (R = K curves, C = I) at the tolerance of the
+    # one-mode test above
+    warp = TimeWarp(0.3, 0.2)
+    K = 3
+    lams, phis = np.array([7.0, 40.0, 300.0]), np.array([0.4, -0.2, 0.1])
+    src = _tabulated_signal(warp, K)
+    t = np.concatenate(([warp.a], np.linspace(0.25, 2.2, 23)))
+    S = np.array([warp_forward(warp, float(v)) for v in t])
+    got = _modes_values(alpha, warp, lams, phis, src, form, 24, S)
+    for k in range(K):
+        ode = ModeODE(k + 1, alpha, float(lams[k]), float(phis[k]),
+                      _mode_source(src, k), warp)
+        ref = _per_time_reference(ode, S, form, 24)
+        assert np.max(np.abs(got[k] - ref)) <= 1e-14, np.max(np.abs(got[k] - ref))
+
+
+def test_tabulated_block_boundaries_change_nothing(monkeypatch):
+    warp = TimeWarp(0.3, 0.0)
+    K = 3
+    args = (0.6, warp, np.array([5.0, 30.0, 200.0]), np.ones(K),
+            _tabulated_signal(warp, K), "split_kernel", 16,
+            np.linspace(0.0, 1.3, 40))
+    whole = _modes_values(*args)
+    monkeypatch.setattr(solver, "_BLOCK_POINTS", 3 * 17 + 2)
+    assert np.max(np.abs(_modes_values(*args) - whole)) <= 1e-15
+
+
+def _table_sums(alpha, B, x, coef, c):
+    """special._ml_sums through the full ratio table: every P_B(x, c_i)
+    formed by special._ml_table, then summed against the coefficients."""
+    P = special._ml_table(alpha, (B,), x.ravel(), c)[0]
+    return np.vecdot(coef, P.reshape(x.shape + (len(c),)))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0])
+@pytest.mark.parametrize("form", ["single_kernel", "split_kernel"])
+@pytest.mark.parametrize("kind", ["shared", "table"])
+def test_sum_by_parts_matches_the_ratio_table(monkeypatch, alpha, form, kind):
+    warp = TimeWarp(0.3, 0.2)
+    K = 5
+    lams, phis = 2.0 + 9.0 * np.arange(K), 0.4 - 0.1 * np.arange(K)
+    source = _batch_source(kind, K, warp)
+    S = warp_forward(warp, np.concatenate(([warp.a],
+                                           np.linspace(0.25, 2.2, 23))))
+    args = (alpha, warp, lams, phis, source, form, 24, S)
+    got = _modes_values(*args)
+    monkeypatch.setattr(solver, "_ml_sums", _table_sums)
+    ref = _modes_values(*args)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_separable_time_factor_is_evaluated_once_per_block(eig, monkeypatch):
     # a SeparableSource's modes share its time factor: one evaluation on
-    # a block of convolution nodes serves every mode
-    sizes = []
+    # a block of convolution nodes serves every mode, and each kernel's
+    # band GEMMs run on that one curve (R = 1) for all K modes
+    sizes, sums = [], []
 
     def ft(t):
         sizes.append(np.size(t))
         return np.sin(3.0 * np.asarray(t))
 
+    def ml_sums(alpha, B, x, coef, c):
+        sums.append((x.shape[0], coef.shape[0]))
+        return special._ml_sums(alpha, B, x, coef, c)
+
+    monkeypatch.setattr(solver, "_ml_sums", ml_sums)
     K, tg = 4, np.linspace(0.1, 1.0, 5)
     spec = _basic_spec(0.5, SeparableSource(lambda x: np.ones_like(x), ft))
     fld = assemble(spec, eig(0.5, K), K, np.linspace(0.0, 1.0, 9), tg,
                    conv_cells=32)
     assert sizes.count(tg.size * 33) == 1
+    assert sums == [(K, 1)]
     S = np.array([warp_forward(spec.warp, float(t)) for t in tg])
     for k in range(K):
         ode = ModeODE(k + 1, 0.6, float(fld.mode_lambdas[k]),
@@ -483,12 +552,12 @@ def _batch_source(kind, K, warp):
         return None
     if kind == "constant":
         return 0.5 * np.arange(1.0, K + 1.0)
-    if kind == "shared":  # one SeparableSource time factor
+    if kind == "shared":  # one SeparableSource time factor: R = 1
         c = 0.3 * np.arange(1.0, K + 1.0)
-        return lambda t: np.multiply.outer(c, np.sin(3.0 * t))
-    tg = np.linspace(warp.a, warp.a + 2.0, 41)
-    return SampledFunction.from_table(
-        tg, np.stack([np.cos((k + 1) * tg) + tg for k in range(K)]))
+        return solver._Signal(lambda t: np.sin(3.0 * t)[None], c[:, None])
+    tg = np.linspace(warp.a, warp.a + 2.0, 41)  # one curve per mode: R = K
+    return solver._Signal(SampledFunction.from_table(
+        tg, np.stack([np.cos((k + 1) * tg) + tg for k in range(K)])))
 
 
 @pytest.mark.parametrize("alpha", [0.6, 1.0])
@@ -511,9 +580,10 @@ def test_modes_values_match_one_mode_calls(alpha, form, kind):
 
 
 def test_modes_values_peak_memory_stays_flat():
-    # a block of 16,384 points per mode holds three (modes, targets, nodes)
-    # arrays of 2.1 MB at K = 16 (the slopes, the Q table and its
-    # differences) plus the table rule's chunk temporaries: 7.2 MB measured
+    # a block of 127 targets holds the one curve's (targets, nodes) slopes
+    # and weights, and each kernel's sums two (contour nodes, modes,
+    # targets) temporaries of 0.8 MB at K = 16: 3.7 MB measured (7.2 MB
+    # when each block formed every mode's table of Q)
     import tracemalloc
     warp = TimeWarp(0.3, 0.0)
     K = 16
@@ -521,7 +591,7 @@ def test_modes_values_peak_memory_stays_flat():
     source = _batch_source("shared", K, warp)
     S = warp_forward(warp, np.linspace(0.0, 1.0, 1025))
     args = (0.6, warp, lams, phis, source, "single_kernel", 128, S)
-    _modes_values(*args)  # the cached ratio tables are not counted
+    _modes_values(*args)  # the cached band tables are not counted
     tracemalloc.start()
     try:
         _modes_values(*args)

@@ -8,11 +8,13 @@ from scipy import special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degenfrac import special
 from degenfrac.errors import DomainError, ResolutionError
 from degenfrac.special import (
     _bands,
     _bessel_j_zeros,
     _ml,
+    _ml_sums,
     _ml_table,
     bessel_j,
     bessel_j_zero,
@@ -400,6 +402,46 @@ def test_ml_ratio_table_at_alpha_one_matches_the_closed_forms(B):
     P = _ml_table(1.0, (B,), x, c)[0]
     ref = _ml(1.0, (B,), -np.multiply.outer(x, ca))[0] * ca ** (B - 1.0)
     assert np.all(np.abs(P - ref) <= 1e-13 * np.abs(ref))
+
+
+def test_ml_table_bits_survive_a_cache_hit():
+    # the band tables are built once per (alpha, betas, ratios) and then
+    # read from the cache, which must change no bit and cannot be written
+    c = tuple(1.0 - np.linspace(0.0, 1.0, 129) ** 2)
+    x = np.concatenate(([0.0], np.logspace(-3.0, 8.0, 31), [1e150]))
+    special._band_tables.cache_clear()
+    first = _ml_table(0.6, (1.6, 2.6), x, c)
+    hits = special._band_tables.cache_info().hits
+    again = _ml_table(0.6, (1.6, 2.6), x, c)
+    assert special._band_tables.cache_info().hits == hits + 1
+    assert np.array_equal(first, again)
+    *_, exact, bands = special._band_tables(0.6, (1.6, 2.6), c)
+    for frozen in (exact, bands[0][2]):
+        with pytest.raises(ValueError):
+            frozen[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("al", [0.3, 1.0])
+@pytest.mark.parametrize("curves", [1, 6])
+def test_ml_sums_match_the_ratio_table_summed_by_parts(al, curves):
+    # sum_i s_i (P_i+1 - P_i) = -sum_i w_i P_i, w_i = s_i - s_i-1 (s_-1 =
+    # s_n = 0), for the kernels of both forms: B = alpha + 2 and 2 alpha + 2
+    # at x > 0, and B = alpha + 2 at x = 0 (the split form's power part)
+    c = tuple(1.0 - np.linspace(0.0, 1.0, 129) ** 2)
+    rng = np.random.default_rng(3)
+    J = 7
+    x = np.logspace(-4.0, 6.0, 6 * J).reshape(6, J)
+    x[0, 0], x[5, 6] = 0.0, 1e120  # an exact row and a far one
+    tn = np.linspace(0.0, 2.0, 129)
+    g = np.sin(np.multiply.outer(rng.uniform(1.0, 4.0, (curves, J)), tn))
+    slopes = np.diff(g, axis=-1) / np.diff(tn)
+    w = np.diff(slopes, axis=-1, prepend=0.0, append=0.0)
+    for B, xs in ((al + 2.0, x), (2.0 * al + 2.0, x), (al + 2.0, 0.0 * x)):
+        P = _ml_table(al, (B,), xs.ravel(), c)[0].reshape(xs.shape + (len(c),))
+        ref = -np.vecdot(slopes, np.diff(P, axis=-1))
+        got = _ml_sums(al, B, xs, w, c)
+        assert got.shape == xs.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), B
 
 
 _SCALAR_VS_MANY = [(0.5, 1.0), (0.5, 1.5), (0.8, 2.6), (1.0, 1.0), (1.0, 2.0),

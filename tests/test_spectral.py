@@ -15,6 +15,7 @@ from degenfrac.spectral import (
     _gauss_rule,
     _mesh,
     _rule,
+    _rule_basis,
     _shift_invert_lanczos,
     bc_requirements,
     bessel_eigen,
@@ -265,6 +266,25 @@ def test_basis_matrix_matches_stacked_eigen_eval(eig, beig, route, beta):
         np.testing.assert_allclose(B, ref, rtol=1e-14, atol=0.0)
     with pytest.raises(DomainError):
         sys.eigen_eval(1, np.array([0.5, np.nan]))
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.5, 0.95, 1.5, 1.95])
+@pytest.mark.parametrize("K", [1, 8, 16, 64])
+def test_rule_basis_is_the_searched_basis_bit_for_bit(eig, beta, K):
+    # cell j of a Galerkin mesh holds the rule's nodes 8j..8j+7, so the
+    # broadcast evaluation must give what the search of the mesh gives;
+    # beta 0.95 resolves K > 8 on the finest mesh only
+    sys = eig(beta, K, 16384 if beta == 0.95 else 2048)
+    X, _ = _gauss_rule(sys)
+    ref = sys.basis_matrix(X)
+    assert np.array_equal(_rule_basis(sys, slice(K)), ref)
+    assert np.array_equal(_rule_basis(sys, slice(K - 1, K)), ref[K - 1:])
+
+
+def test_rule_basis_of_the_closed_form_route_is_its_basis(beig):
+    sys = beig(0.5, 4)
+    X, _ = _gauss_rule(sys)
+    assert np.array_equal(_rule_basis(sys, slice(4)), sys.basis_matrix(X))
 
 
 @pytest.mark.parametrize("beta, K, mesh", [

@@ -57,6 +57,8 @@ MATRIX = (
     ("solve-spow", ["solve", "--modes", "16"], {"f": "sep:one|spow:0.3"}),
     # the README forced example, and the stiff end of the kernels
     ("solve-sin3-k16", ["solve", "--modes", "16"], SIN3),
+    # the most modes whose by-parts roundoff one forced case sums
+    ("solve-sin3-k64", ["solve", "--modes", "64"], SIN3),
     ("solve-sin30-k16", ["solve", "--modes", "16"], {"f": "sep:one|sin:30"}),
     ("solve-nosource", ["solve", "--modes", "8"], {}),
     ("solve-bessel", ["solve", "--modes", "8", "--oracle", "bessel"], {}),

@@ -6,10 +6,11 @@ classical Caputo derivative that powers it after the change of variable
 s = t^p - a^p (p = 1 - theta), which turns the hyper-Bessel operator into
 p^alpha times a plain Caputo derivative in s.
 
-_l1_rows is the one L1 rule, for every alpha in (0, 1]: caputo_l1,
-hb_caputo and the FD oracle's march all apply its weight rows to the
-increments of the data, and at alpha = 1 its rows are backward
-differences.
+_l1_rows is the one L1 rule, for every alpha in (0, 1]: caputo_l1 and
+the FD oracle's march apply its weight rows to the increments of the
+data, and at alpha = 1 its rows are backward differences.  hb_caputo and
+the residual's _l1_cells need only its last row, on one grid or many:
+_l1_last_rows.
 """
 from __future__ import annotations
 
@@ -283,6 +284,20 @@ def _l1_rows(alpha: float, s: np.ndarray, n0: int, n1: int) -> np.ndarray:
     return w / (ds * math.gamma(2.0 - alpha))
 
 
+def _l1_last_rows(alpha: float, s: np.ndarray) -> np.ndarray:
+    """The last row of _l1_rows for a grid s of m nodes, or for each grid
+    s[j] of a (J, m) array at once; shape s.shape[:-1] + (m - 1,).  Bit
+    for bit the row _l1_rows gives on the grid with its repeated nodes
+    dropped, as hb_caputo drops them, and 0 on each zero-length cell."""
+    e = 1.0 - alpha
+    ds = np.diff(s, axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = _l1_weight_diffs(e, s[..., -1:] - s, ds)
+        w[..., -1] = ds[..., -1] ** e
+        w /= ds * math.gamma(2.0 - alpha)
+    return w if np.all(ds > 0.0) else np.where(ds > 0.0, w, 0.0)
+
+
 def caputo_l1(g, alpha: float, s_grid) -> np.ndarray:
     """Classical Caputo derivative of order alpha in (0, 1] of g on a grid
     starting at 0, by the L1 scheme (_l1_rows, one block of rows at a
@@ -351,6 +366,58 @@ def hb_caputo(f, alpha: float, warp: TimeWarp, t: float, n: int = 2048,
     if not np.all(np.isfinite(gv)):
         raise DomainError("f must be finite on [a, t]")
     # only the final L1 row is needed here
-    w = _l1_rows(alpha, s, s.size - 1, s.size)[0]
-    out = warp.p ** alpha * (np.diff(gv) @ w)
+    out = warp.p ** alpha * (np.diff(gv) @ _l1_last_rows(alpha, s))
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _l1_cells(table: _Pchip, alpha: float, S: np.ndarray, n: int) -> np.ndarray:
+    """The L1 sum that hb_caputo(table, alpha, warp, t_j, n, warped=True)
+    takes before its factor p^alpha, at the warped times S_j > 0 of t_j and
+    for every curve of a (K, cells + 1) table at once: shape (J, K).
+
+    The nodes and weights are hb_caputo's; only the summation differs.
+    Each increment g(s_i+1) - g(s_i) is summed from the cubics of the table
+    cells that [s_i, s_i+1] meets, as c2 (hi - lo) + c1 (hi^2 - lo^2) +
+    c0 (hi^3 - lo^3) with lo and hi the offsets of the piece from its
+    cell's start, so no interpolated value is differenced.  Weighted and
+    summed over i, these moments form three (J, cells) matrices L_q that no
+    curve enters, and the sums are three products of L_q with the
+    coefficients.  A cell lying wholly inside an interval (where the L1
+    grid is coarser than the table) takes that interval's weight through
+    one cumulative sum.
+    """
+    s = S[:, None] * graded_grid(1.0, n, 2.0 / alpha)
+    x = table._x
+    h = np.diff(x)
+    J, N = S.size, h.size
+    # the samples' grids as one chain of nodes and of flat cell indices
+    # j N + c: the step from one grid's last node to the next grid's
+    # first is an interval of weight 0
+    w = np.concatenate((_l1_last_rows(alpha, s), np.zeros((J, 1))),
+                       axis=1).ravel()[:-1]
+    c = np.searchsorted(x[1:-1], s, side="right")
+    off = (s - x[c]).ravel()
+    c = (c + N * np.arange(J)[:, None]).ravel()
+    c0, c1, lo, hi = c[:-1], c[1:], off[:-1], off[1:].copy()
+    # an interval that leaves its first cell: that cell's piece ends at the
+    # cell's end, and its last cell takes the piece [0, b]
+    cut = np.flatnonzero(c1 > c0)
+    hf = np.tile(h, J)
+    b, wc, c1c = hi[cut], w[cut], c1[cut]
+    hi[cut] = hf[c0[cut]]
+    wd = w * (hi - lo)
+    wb = wc * b
+    # +w from the cell after the first, -w from the last: the running sum
+    # holds one interval's weight at a time, so it is exact
+    inside = np.cumsum(np.bincount(np.concatenate((c0[cut] + 1, c1c)),
+                                   np.concatenate((wc, -wc)), J * N))
+    cubic, quadratic, linear, _ = table._c
+    out = 0.0
+    for q, first, last, coef in (
+            (1, wd, wb, linear),
+            (2, wd * (hi + lo), wb * b, quadratic),
+            (3, wd * (hi * (hi + lo) + lo * lo), wb * b * b, cubic)):
+        L = (np.bincount(c0, first, J * N) + np.bincount(c1c, last, J * N)
+             + inside * hf ** q)
+        out = out + L.reshape(J, N) @ coef.T
+    return out

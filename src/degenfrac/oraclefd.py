@@ -62,7 +62,11 @@ class FDMesh:
         """Standard graded mesh: x_i = (i/nx)^{gx} toward the degenerate
         endpoint, with gx = grading_exponent(beta), and s_j = s_final
         (j/nt)^{gs} toward the initial time (to resolve the weakly singular
-        startup layer), with gs = min(2/alpha, 4)."""
+        startup layer), with gs = min(2/alpha, 4).  alpha and beta are
+        validated as ProblemSpec validates them."""
+        if not (0.0 < alpha <= 1.0):
+            raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+        bc_requirements(beta)
         if s_final <= 0.0:
             raise DomainError(f"need a positive time horizon, got {s_final}")
         _check_count("nx", nx)

@@ -29,10 +29,12 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, RegimeError, ResolutionError, _check_count
-from .fracops import (SampledFunction, TimeWarp, _Pchip, hb_caputo,
+from .fracops import (SampledFunction, TimeWarp, _l1_cells, _Pchip,
                       warp_forward, warp_inverse)
 from .special import _ml, _ml_sums
-# perfbench/layertrace.py traces the name degenfrac.solver.ml_eval_many
+# perfbench/layertrace.py traces the names degenfrac.solver.ml_eval_many
+# and degenfrac.solver.hb_caputo, which no solver path calls
+from .fracops import hb_caputo  # noqa: F401
 from .special import ml_eval_many  # noqa: F401
 from .spectral import EigenSystem, _gauss_rule, _rule_basis, bc_requirements
 
@@ -632,15 +634,16 @@ def _mode_residuals(field, spec, ts, hb_n, dense_n):
     """r[j, k] = D^alpha u_k + lambda_k u_k - f_k at the sample times,
     with the fractional derivative taken numerically (L1) on an
     interpolant of the mode trajectories -- independent of the closed form
-    used to produce them.  Each sample time takes one graded grid and one
-    L1 weight row for every mode.  Also returns the scale of the terms and
-    the loads f_k(t_j), shape (J, K)."""
+    used to produce them.  The L1 sums of every mode at every sample time
+    are taken at once, cell by cell on the cubics (fracops._l1_cells).
+    Also returns the scale of the terms and the loads f_k(t_j), shape
+    (J, K)."""
     _check_count("hb_n", hb_n)
     _check_count("dense_n", dense_n)
     u = _mode_interpolants(field, spec, dense_n)
-    hb = np.array([hb_caputo(u, spec.alpha, spec.warp, float(tj), n=hb_n,
-                             warped=True) for tj in ts])
-    relax = field.mode_lambdas * u(warp_forward(spec.warp, ts)).T
+    S = warp_forward(spec.warp, ts)
+    hb = spec.warp.p ** spec.alpha * _l1_cells(u, spec.alpha, S, hb_n)
+    relax = field.mode_lambdas * u(S).T
     load = _loads(field.mode_sources, field.K, ts).T
     scale = max(float(np.max(np.abs(hb))), float(np.max(np.abs(relax))),
                 float(np.max(np.abs(load))), 1e-300)

@@ -16,6 +16,7 @@ from degenfrac.fracops import (
     _BLOCK,
     TimeWarp,
     _Pchip,
+    _l1_last_rows,
     _l1_rows,
     caputo_l1,
     ek_integral,
@@ -273,6 +274,26 @@ def test_l1_rows_at_alpha_one_are_backward_differences(n0, n1):
     for r in range(n1 - n0):
         ref[r, n0 - 1 + r] = 1.0 / (s[n0 + r] - s[n0 - 1 + r])
     assert np.array_equal(_l1_rows(1.0, s, n0, n1), ref)
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.05, 0.6, 1.0])
+def test_l1_last_rows_are_the_last_l1_rows_bit_for_bit(alpha):
+    # one row per grid S_j (i/n)^(2/alpha), each the last row _l1_rows
+    # gives on that grid with its repeated nodes dropped (below alpha ~
+    # 0.0206 the first ones underflow onto 0); the zero-length cells take
+    # weight 0
+    S = np.array([3.4e-14, 0.37, 1.3])
+    s = S[:, None] * graded_grid(1.0, 2048, 2.0 / alpha)
+    w = _l1_last_rows(alpha, s)
+    assert np.any(np.diff(s) == 0.0) == (alpha < 0.0206)
+    for wj, sj in zip(w, s):
+        step = np.diff(sj) > 0.0
+        kept = sj[np.concatenate(([True], step))]
+        assert np.array_equal(wj[step],
+                              _l1_rows(alpha, kept, kept.size - 1,
+                                       kept.size)[0])
+        assert np.all(wj[~step] == 0.0)
+    assert np.all(np.isfinite(w))
 
 
 def test_hb_caputo_monomial_in_s():

@@ -35,6 +35,24 @@ def test_mesh_build_validation():
         FDMesh.build(0.5, 0.6, 0.0)
 
 
+@pytest.mark.parametrize("beta,alpha", [
+    (0.5, 0.0),   # once ZeroDivisionError
+    (0.5, 1.5),   # once a mesh
+    (0.5, -0.3),
+    (0.5, math.nan),
+    (1.0, 0.6),   # once a mesh
+    (2.5, 0.6),   # once "x nodes must increase"
+    (0.0, 0.6),
+    (math.nan, 0.6),
+])
+def test_mesh_build_validates_alpha_and_beta_as_the_spec_does(beta, alpha):
+    with pytest.raises(DomainError) as mesh_err:
+        FDMesh.build(beta, alpha, 1.0, nx=64, nt=32)
+    with pytest.raises(DomainError) as spec_err:
+        ProblemSpec(alpha, 0.3, beta, 0.0, 1.0, lambda x: x)
+    assert type(mesh_err.value) is type(spec_err.value)
+
+
 def test_mesh_array_validation():
     good_x = np.linspace(0.0, 1.0, 9)
     good_s = np.linspace(0.0, 1.0, 9)

@@ -51,6 +51,9 @@ MATRIX = (
     ("solve-sin3-alpha1", ["solve", "--modes", "8", "--alpha", "1"], SIN3),
     # the residual's graded grid at a small alpha, where no node underflows
     ("solve-alpha0.05", ["solve", "--modes", "8", "--alpha", "0.05"], SIN3),
+    # the residual's first nodes underflow onto 0, and its last L1
+    # intervals span several cells of the mode table
+    ("solve-alpha0.02", ["solve", "--modes", "8", "--alpha", "0.02"], SIN3),
     ("solve-quad-b1.5", ["solve", "--modes", "8", "--beta", "1.5"], QUAD1),
     ("solve-quad-a0.3", ["solve", "--modes", "8", "--a", "0.3",
                          "--T", "1.4"], QUAD1),

@@ -1,7 +1,10 @@
-"""Exception taxonomy shared across the package, and the one check of a
-count at the public boundary."""
+"""Exception taxonomy shared across the package, and the checks of a count
+and of a real number at the public boundary."""
 
+import math
 from numbers import Integral
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -30,6 +33,11 @@ class ConfigError(ValueError):
 
 class VerificationError(RuntimeError):
     """One or more verification suites failed their tolerance."""
+
+
+def _is_real(v) -> bool:
+    """True for a finite int, float or numpy scalar of either kind."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and math.isfinite(v)
 
 
 def _check_count(name: str, n) -> None:

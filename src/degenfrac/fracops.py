@@ -256,10 +256,20 @@ _BLOCK = 64
 
 def _l1_weight_diffs(e: float, d: np.ndarray, ds: np.ndarray) -> np.ndarray:
     """(d_j^e - d_{j+1}^e) for d_j = s_i - s_j, without the cancellation
-    that zeroes out cells finer than ~eps*s_i on strongly graded grids.
-    d holds one row, or one row per node s_i along its leading axes."""
+    that zeroes out cells finer than ~eps*s_i on strongly graded grids:
+    d_j^e (-expm1(e log1p(-ds_j / d_j))).  d holds one row, or one row per
+    node s_i along its leading axes; it is overwritten, and the result is
+    one new array."""
+    head = d[..., :-1]
     with np.errstate(divide="ignore"):
-        return d[..., :-1] ** e * (-np.expm1(e * np.log1p(-ds / d[..., :-1])))
+        q = np.divide(-ds, head)
+        np.log1p(q, out=q)
+        np.multiply(e, q, out=q)
+        np.expm1(q, out=q)
+        np.negative(q, out=q)
+        head **= e
+        q *= head
+    return q
 
 
 def _l1_rows(alpha: float, s: np.ndarray, n0: int, n1: int) -> np.ndarray:
@@ -281,7 +291,8 @@ def _l1_rows(alpha: float, s: np.ndarray, n0: int, n1: int) -> np.ndarray:
         w = np.tril(_l1_weight_diffs(e, d, ds), n0 - 2)
     r = np.arange(n1 - n0)
     w[r, n0 - 1 + r] = ds[n0 - 1:] ** e
-    return w / (ds * math.gamma(2.0 - alpha))
+    w /= ds * math.gamma(2.0 - alpha)
+    return w
 
 
 def _l1_last_rows(alpha: float, s: np.ndarray) -> np.ndarray:

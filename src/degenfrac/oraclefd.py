@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .errors import DomainError, ResolutionError, SolverError, _check_count
+from .errors import (DomainError, ResolutionError, SolverError, _check_count,
+                     _is_real)
 from .fracops import _BLOCK, _l1_rows, warp_forward
 from .solver import ProblemSpec, SolutionField, _eval_vec
 from .spectral import bc_requirements, grading_exponent
@@ -64,11 +65,12 @@ class FDMesh:
         (j/nt)^{gs} toward the initial time (to resolve the weakly singular
         startup layer), with gs = min(2/alpha, 4).  alpha and beta are
         validated as ProblemSpec validates them."""
-        if not (0.0 < alpha <= 1.0):
-            raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+        if not (_is_real(alpha) and 0.0 < alpha <= 1.0):
+            raise DomainError(f"alpha must lie in (0, 1], got {alpha!r}")
         bc_requirements(beta)
-        if s_final <= 0.0:
-            raise DomainError(f"need a positive time horizon, got {s_final}")
+        if not (_is_real(s_final) and s_final > 0.0):
+            raise DomainError(f"need a finite positive time horizon, "
+                              f"got {s_final!r}")
         _check_count("nx", nx)
         _check_count("nt", nt)
         if nx < 8 or nt < 4:
@@ -94,18 +96,34 @@ def _transmissibilities(beta: float, x: np.ndarray) -> np.ndarray:
     return tau
 
 
+def _check_finite(u: np.ndarray, n0: int, n1: int) -> None:
+    """SolverError naming the first step n0 <= n < n1 whose update u[n] is
+    not finite."""
+    bad = ~np.isfinite(u[n0:n1]).all(axis=1)
+    if bad.any():
+        raise SolverError(f"non-finite update at step {n0 + int(bad.argmax())}")
+
+
 def fd_solve(spec: ProblemSpec, mesh: FDMesh) -> SolutionField:
     """March the implicit L1 / finite-volume scheme over the mesh.
 
     Each step solves one tridiagonal system.  The steps march in blocks
-    of _BLOCK: at the start of a block one matrix-matrix product applies
+    of _BLOCK.  At the start of a block one matrix-matrix product applies
     the block's L1 weight rows (fracops._l1_rows) to every increment
-    u^{j+1} - u^j finished before it, and each step then adds only its
-    in-block increments, one short matrix-vector product.  A march costs
-    O(nt^2 nx) flops, at the speed of the matrix-matrix product, and
-    copies no history.  At alpha = 1 the rows are backward differences:
-    the march is backward Euler, and a block whose rows weigh the earlier
-    increments with zeros alone skips its matrix-matrix product.
+    u^{j+1} - u^j finished before it, and the block's diagonals main +
+    p^alpha g_last are formed, one per step.  Each step then makes only
+    the calls its arithmetic needs, in scratch rows: one short
+    matrix-vector product over its in-block increments, four in-place
+    ufuncs for the right-hand side p^alpha (g_last u^{n-1} - history),
+    one call of the source f(x, t_n), one dgtsv that overwrites its
+    diagonal row and the right-hand side with the solution, and one
+    subtraction into the increment.  A march costs O(nt^2 nx) flops, at
+    the speed of the matrix-matrix product, and copies no history.  The
+    updates are checked once per block: a non-finite one is a SolverError
+    naming the first step that made it.  At alpha = 1 the rows are
+    backward differences: the march is backward Euler, and a block whose
+    rows weigh the earlier increments with zeros alone skips its
+    matrix-matrix product.
 
     Returns a SolutionField whose first time row is the initial profile
     at t = a; no spectral mode data is attached."""
@@ -150,31 +168,46 @@ def fd_solve(spec: ProblemSpec, mesh: FDMesh) -> SolutionField:
 
     u = np.zeros((s.size, x.size))
     u[0, inner] = _eval_vec(spec.phi, xe)[inner]
+    ui = u[:, inner]  # the unknowns of every step
     du = np.empty((mesh.nt, main.size))  # du[j] = u^{j+1} - u^j
-    for n0 in range(1, s.size, _BLOCK):
-        n1 = min(n0 + _BLOCK, s.size)
-        # L1 weights G[n - n0, j] = g_j of Caputo_s u(s_n) ~ sum_j g_j
-        # (u^{j+1} - u^j), and the history of every increment finished
-        # before the block; rows that weigh it with zeros alone (backward
-        # differences at alpha = 1) skip the product
-        G = _l1_rows(al, s, n0, n1)
-        Gh = G[:, :n0 - 1]
-        H = Gh @ du[:n0 - 1] if Gh.any() else np.zeros((n1 - n0, main.size))
-        for n in range(n0, n1):
-            r = n - n0
-            g_last = G[r, n - 1]
-            hist = H[r] + G[r, n0 - 1:n - 1] @ du[n0 - 1:n - 1]
-            rhs = pa * g_last * u[n - 1, inner] - pa * hist
-            if spec.f is not None:
-                t_n = float(t_nodes[n])
-                rhs += _eval_vec(lambda xx: spec.f(xx, t_n), xe)[inner]
-            _, _, _, sol, info = dgtsv(lower, main + pa * g_last, upper, rhs)
-            if info != 0:
-                raise SolverError(f"tridiagonal solve failed at step {n}")
-            if not np.all(np.isfinite(sol)):
-                raise SolverError(f"non-finite update at step {n}")
-            du[n - 1] = sol - u[n - 1, inner]
-            u[n, inner] = sol
+    hist = np.empty(main.size)
+    rhs = np.empty(main.size)
+    # numpy's floating-point warnings are silenced, the source's included,
+    # as solver._sampled silences them: a step marched past a non-finite
+    # update would warn (inf - inf), and each block's check refuses such
+    # an update, naming the first step that made one
+    with np.errstate(all="ignore"):
+        for n0 in range(1, s.size, _BLOCK):
+            n1 = min(n0 + _BLOCK, s.size)
+            # L1 weights G[n - n0, j] = g_j of Caputo_s u(s_n) ~ sum_j g_j
+            # (u^{j+1} - u^j), and the history of every increment finished
+            # before the block; rows that weigh it with zeros alone
+            # (backward differences at alpha = 1) skip the product
+            G = _l1_rows(al, s, n0, n1)
+            Gh = G[:, :n0 - 1]
+            H = Gh @ du[:n0 - 1] if Gh.any() else np.zeros((n1 - n0, main.size))
+            # the last weight of each row, times p^alpha, and the shifted
+            # diagonals, which dgtsv overwrites
+            c = pa * G.diagonal(n0 - 1)
+            diag = main + c[:, None]
+            for n in range(n0, n1):
+                r = n - n0
+                np.dot(G[r, n0 - 1:n - 1], du[n0 - 1:n - 1], out=hist)
+                hist += H[r]
+                hist *= pa
+                np.multiply(c[r], ui[n - 1], out=rhs)
+                rhs -= hist
+                if spec.f is not None:
+                    t_n = float(t_nodes[n])
+                    rhs += _eval_vec(lambda xx: spec.f(xx, t_n), xe)[inner]
+                _, _, _, sol, info = dgtsv(lower, diag[r], upper, rhs,
+                                           overwrite_d=1, overwrite_b=1)
+                if info != 0:
+                    _check_finite(ui, n0, n)
+                    raise SolverError(f"tridiagonal solve failed at step {n}")
+                np.subtract(sol, ui[n - 1], out=du[n - 1])
+                ui[n] = sol
+            _check_finite(ui, n0, n1)
 
     return SolutionField(
         x_grid=x, t_grid=t_nodes, values=u, K=0, regime=spec.regime,

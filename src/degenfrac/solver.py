@@ -28,7 +28,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError, RegimeError, ResolutionError, _check_count
+from .errors import (DomainError, RegimeError, ResolutionError, _check_count,
+                     _is_real)
 from .fracops import (SampledFunction, TimeWarp, _l1_cells, _Pchip,
                       warp_forward, warp_inverse)
 from .special import _ml, _ml_sums
@@ -101,15 +102,17 @@ class ProblemSpec:
     f: object = None
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not (self.theta < 1.0):
-            raise DomainError(f"theta must be < 1, got {self.theta}")
+        if not (_is_real(self.alpha) and 0.0 < self.alpha <= 1.0):
+            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha!r}")
+        if not (_is_real(self.theta) and self.theta < 1.0):
+            raise DomainError(f"theta must be a finite real < 1, "
+                              f"got {self.theta!r}")
         bc_requirements(self.beta)  # validates beta, fixes the BC set
-        if self.a < 0.0 or not math.isfinite(self.a):
-            raise DomainError(f"a must be a finite nonnegative real, got {self.a}")
-        if not (self.T > self.a) or not math.isfinite(self.T):
-            raise DomainError(f"need a < T < inf, got T={self.T}")
+        if not (_is_real(self.a) and self.a >= 0.0):
+            raise DomainError(f"a must be a finite nonnegative real, "
+                              f"got {self.a!r}")
+        if not (_is_real(self.T) and self.T > self.a):
+            raise DomainError(f"need a < T < inf, got T={self.T!r}")
         if not isinstance(self.phi, SampledFunction):
             if not callable(self.phi):
                 raise DomainError("phi must be callable or a SampledFunction")
@@ -216,10 +219,6 @@ class ResidualReport:
 # ---------------------------------------------------------------------------
 # Quadrature helpers
 # ---------------------------------------------------------------------------
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float, np.integer, np.floating)) and math.isfinite(v)
 
 
 def _value_at(f, t: float) -> float:

@@ -25,7 +25,7 @@ from scipy import special as sp
 from scipy.linalg.lapack import dpttrf, dpttrs, dstemr
 
 from .errors import (DegeneracyError, DomainError, ResolutionError, SolverError,
-                     _check_count)
+                     _check_count, _is_real)
 from .special import _bessel_j_zeros
 
 __all__ = [
@@ -51,10 +51,10 @@ _MESH_MAX = 16384
 
 
 def _check_beta(beta: float) -> None:
+    if not (_is_real(beta) and 0.0 < beta < 2.0):
+        raise DomainError(f"beta must lie in (0, 2), got {beta!r}")
     if beta == 1.0:
         raise DegeneracyError("beta = 1 (log-degenerate case) is not supported")
-    if not (0.0 < beta < 2.0):
-        raise DomainError(f"beta must lie in (0, 2), got {beta}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Finite-volume / L1 reference solver and field comparison."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,8 +32,11 @@ def test_mesh_build_validation():
         FDMesh.build(0.5, 0.6, 1.0, nx=4, nt=32)
     with pytest.raises(ResolutionError):
         FDMesh.build(0.5, 0.6, 1.0, nx=64, nt=2)
-    with pytest.raises(DomainError):
-        FDMesh.build(0.5, 0.6, 0.0)
+    # a string horizon once failed with "'<' not supported" (TypeError),
+    # an infinite one with "s nodes must increase"
+    for s_final in (0.0, "1", math.inf):
+        with pytest.raises(DomainError, match="positive time horizon"):
+            FDMesh.build(0.5, 0.6, s_final)
 
 
 @pytest.mark.parametrize("beta,alpha", [
@@ -44,6 +48,8 @@ def test_mesh_build_validation():
     (2.5, 0.6),   # once "x nodes must increase"
     (0.0, 0.6),
     (math.nan, 0.6),
+    ("x", 0.6),   # once TypeError, here and in the spec
+    (0.5, None),  # once TypeError, here and in the spec
 ])
 def test_mesh_build_validates_alpha_and_beta_as_the_spec_does(beta, alpha):
     with pytest.raises(DomainError) as mesh_err:
@@ -234,6 +240,43 @@ def test_non_finite_source_is_solver_error():
                  lambda x, t: np.full(np.shape(x), np.nan))
     with pytest.raises(SolverError):
         fd_solve(spec, FDMesh.build(0.5, 0.6, 1.0, nx=16, nt=8))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("beta", [0.5, 1.5])
+def test_first_non_finite_step_is_named_without_warnings(beta, bad):
+    # finiteness is checked once per block of steps: the error must still
+    # name the first bad step, here mid-way through the second of three
+    # blocks, and the steps marched past it must not warn (inf - inf)
+    nt, n_bad = 2 * _BLOCK + 5, _BLOCK + 26
+    mesh = FDMesh.build(beta, 0.6, 1.0, nx=16, nt=nt)
+    t_nodes = mesh.s ** (1.0 / 0.7)  # a = 0, p = 1 - theta = 0.7
+    t_bad = 0.5 * (t_nodes[n_bad - 1] + t_nodes[n_bad])
+
+    def f(x, t):
+        return np.full(np.shape(x), bad if t > t_bad else 1.0)
+
+    spec = _spec(beta, lambda x: np.asarray(x) * (1.0 - np.asarray(x)), f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError,
+                           match=f"^non-finite update at step {n_bad}$"):
+            fd_solve(spec, mesh)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.5])
+def test_march_leaves_its_inputs_alone_and_repeats_itself(beta):
+    # the march solves in place in its scratch rows: the mesh must come
+    # through untouched, and a second solve must give the same bytes
+    spec = _spec(beta, lambda x: np.asarray(x) * (1.0 - np.asarray(x)) + 0.5,
+                 lambda x, t: np.cos(2.0 * x) * (1.0 + math.sin(5.0 * t)))
+    mesh = FDMesh.build(beta, spec.alpha, warp_forward(spec.warp, spec.T),
+                        nx=32, nt=2 * _BLOCK + 5)
+    x0, s0 = mesh.x.tobytes(), mesh.s.tobytes()
+    first = fd_solve(spec, mesh).values
+    second = fd_solve(spec, mesh).values
+    assert mesh.x.tobytes() == x0 and mesh.s.tobytes() == s0
+    assert first.tobytes() == second.tobytes()
 
 
 @pytest.mark.parametrize("weak", [False, True])

@@ -60,6 +60,18 @@ def test_problem_spec_validation():
         ProblemSpec(0.5, 0.0, 0.5, 0.0, 1.0, _quadratic, (np.sin, 1.0))
 
 
+@pytest.mark.parametrize("field,message", [
+    ("alpha", "^alpha must"), ("theta", "^theta must"), ("beta", "^beta must"),
+    ("a", "^a must"), ("T", "^need a < T")])
+@pytest.mark.parametrize("bad", ["0", None, -math.inf])
+def test_problem_spec_refuses_a_non_number_scalar(field, message, bad):
+    # "0" and None once failed with "'<' not supported" (TypeError), and
+    # theta = -inf made a spec whose warp exponent p was infinite
+    good = dict(alpha=0.6, theta=0.3, beta=0.5, a=0.0, T=1.0)
+    with pytest.raises(DomainError, match=message):
+        ProblemSpec(**dict(good, **{field: bad}), phi=_quadratic)
+
+
 def test_problem_spec_regime():
     assert ProblemSpec(0.5, 0.0, 0.5, 0.0, 1.0, _quadratic).regime == "classical"
     assert ProblemSpec(0.5, 0.0, 1.5, 0.0, 1.0, _quadratic).regime == "weak"

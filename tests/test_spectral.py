@@ -77,6 +77,18 @@ def test_bc_requirements_rejects_degenerate_exponents():
             bc_requirements(bad)
 
 
+@pytest.mark.parametrize("beta", ["0.5", None, [0.5], math.inf])
+@pytest.mark.parametrize("call", [
+    bc_requirements,
+    lambda beta: solve_eigen(beta, 4),
+    lambda beta: bessel_eigen(beta, 4),
+], ids=["bc_requirements", "solve_eigen", "bessel_eigen"])
+def test_a_non_number_beta_is_a_domain_error(call, beta):
+    # a string or None once failed with "'<' not supported" (TypeError)
+    with pytest.raises(DomainError, match="beta must lie in"):
+        call(beta)
+
+
 def test_grading_exponent():
     assert grading_exponent(1.0e-6) == pytest.approx(1.0, rel=1e-5)
     assert grading_exponent(1.5) == pytest.approx(4.0)

@@ -74,6 +74,10 @@ MATRIX = (
     # differences
     ("verify-alpha1", ["verify", "--alpha", "1"], {}),
     ("convergence", ["convergence"], {}),
+    # FD marches of 72 = 64 + 8 and 133 = 2 * 64 + 5 steps, both ending in
+    # a partial block, with a source that changes from step to step
+    ("convergence-fd-partial", ["convergence"],
+     {"mesh_ladder": "72,133", "f": "sep:one|sin:3"}),
 )
 
 

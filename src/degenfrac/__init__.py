@@ -13,9 +13,6 @@ from .errors import (
 )
 from .special import (
     MLBoundFit,
-    bessel_j,
-    bessel_j_zero,
-    gamma_eval,
     ml_bound_fit,
     ml_eval,
     ml_eval_many,
@@ -51,7 +48,6 @@ from .solver import (
     ResidualReport,
     SeparableSource,
     SolutionField,
-    TailReport,
     assemble,
     fourier_coeff,
     mode_solution,
@@ -59,7 +55,6 @@ from .solver import (
     residual_strong,
     residual_weak,
     solution_norms,
-    tail_estimate,
 )
 from .oraclefd import CompareReport, FDMesh, compare, fd_solve
 

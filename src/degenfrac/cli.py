@@ -34,8 +34,6 @@ from .special import ml_eval_many
 from .spectral import (bc_requirements, bessel_eigen, flux_limit_check,
                        orthogonality_report, solve_eigen)
 
-__all__ = ["RunConfig", "load_config", "main"]
-
 
 @dataclass
 class RunConfig:

@@ -21,19 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError, _check_count
-
-__all__ = [
-    "TimeWarp",
-    "EKParams",
-    "SampledFunction",
-    "warp_forward",
-    "warp_inverse",
-    "graded_grid",
-    "ek_integral",
-    "caputo_l1",
-    "hb_caputo",
-]
+from .errors import DomainError, _check_count, _is_real
 
 
 @dataclass(frozen=True)
@@ -47,10 +35,12 @@ class TimeWarp:
     a: float = 0.0
 
     def __post_init__(self):
-        if not (self.theta < 1.0):
-            raise DomainError(f"theta must be < 1, got {self.theta}")
-        if self.a < 0.0 or not math.isfinite(self.a):
-            raise DomainError(f"starting point must be >= 0, got {self.a}")
+        if not (_is_real(self.theta) and self.theta < 1.0):
+            raise DomainError(f"theta must be a finite real < 1, "
+                              f"got {self.theta!r}")
+        if not (_is_real(self.a) and self.a >= 0.0):
+            raise DomainError(f"starting point must be a finite real >= 0, "
+                              f"got {self.a!r}")
 
     @property
     def p(self) -> float:
@@ -68,10 +58,15 @@ class EKParams:
     a: float = 0.0
 
     def __post_init__(self):
-        if self.beta_ek <= 0.0:
-            raise DomainError(f"beta_ek must be positive, got {self.beta_ek}")
-        if self.a < 0.0:
-            raise DomainError(f"starting point must be >= 0, got {self.a}")
+        if not (_is_real(self.gamma_ek) and _is_real(self.delta)):
+            raise DomainError(f"gamma_ek and delta must be finite reals, "
+                              f"got {self.gamma_ek!r}, {self.delta!r}")
+        if not (_is_real(self.beta_ek) and self.beta_ek > 0.0):
+            raise DomainError(f"beta_ek must be a finite positive real, "
+                              f"got {self.beta_ek!r}")
+        if not (_is_real(self.a) and self.a >= 0.0):
+            raise DomainError(f"starting point must be a finite real >= 0, "
+                              f"got {self.a!r}")
 
 
 def _pchip_end_slope(h0, h1, m0, m1):
@@ -198,6 +193,8 @@ def graded_grid(length: float, n: int, exponent: float) -> np.ndarray:
     if not 0.0 <= length < math.inf:
         raise DomainError(f"need a finite length >= 0, got {length}")
     _check_count("n", n)
+    if not (_is_real(exponent) and exponent > 0.0):
+        raise DomainError(f"need a finite exponent > 0, got {exponent!r}")
     return length * np.linspace(0.0, 1.0, n + 1) ** exponent
 
 

@@ -22,7 +22,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from numbers import Integral
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -38,25 +37,6 @@ from .special import _ml, _ml_sums
 from .fracops import hb_caputo  # noqa: F401
 from .special import ml_eval_many  # noqa: F401
 from .spectral import EigenSystem, _gauss_rule, _rule_basis, bc_requirements
-
-__all__ = [
-    "ProblemSpec",
-    "SeparableSource",
-    "ModeODE",
-    "ModeTrajectory",
-    "SolutionField",
-    "NormReport",
-    "TailReport",
-    "ResidualReport",
-    "fourier_coeff",
-    "mode_solution",
-    "mode_solution_alt",
-    "assemble",
-    "tail_estimate",
-    "residual_strong",
-    "residual_weak",
-    "solution_norms",
-]
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +125,15 @@ class ModeODE:
     warp: TimeWarp
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not (self.lambda_k > 0.0):
-            raise DomainError(f"lambda_k must be positive, got {self.lambda_k}")
+        if not (_is_real(self.alpha) and 0.0 < self.alpha <= 1.0):
+            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha!r}")
+        if not (_is_real(self.lambda_k) and self.lambda_k > 0.0):
+            raise DomainError(f"lambda_k must be a finite positive real, "
+                              f"got {self.lambda_k!r}")
+        if not _is_real(self.phi_k):
+            raise DomainError(f"phi_k must be a finite real, got {self.phi_k!r}")
+        if not isinstance(self.warp, TimeWarp):
+            raise DomainError(f"warp must be a TimeWarp, got {self.warp!r}")
         if not (self.f_k is None or callable(self.f_k) or _is_real(self.f_k)):
             raise DomainError("f_k must be None, callable or a real number")
 
@@ -159,6 +144,10 @@ class ModeODE:
 
 @dataclass
 class ModeTrajectory:
+    """Mode k's values u_k on t_grid, and the kernel representation that
+    made them: "single_kernel" (mode_solution) or "split_kernel"
+    (mode_solution_alt)."""
+
     k: int
     t_grid: np.ndarray
     values: np.ndarray
@@ -192,6 +181,12 @@ class SolutionField:
 
 @dataclass
 class NormReport:
+    """solution_norms' result: the sup over the time grid of the L2, the
+    weighted-energy and the weighted-Sobolev norm of the field, and the
+    series sum lambda_k^2 phi_k^2, sum lambda_k^2 f_k(a)^2 and
+    sum lambda_k^2 int |f_k'|^2 dt of the a-priori estimate (the two
+    source series are 0 without a source)."""
+
     sup_l2: float
     sup_energy: float
     sup_weighted: float
@@ -201,14 +196,12 @@ class NormReport:
 
 
 @dataclass
-class TailReport:
-    partial_sum: float
-    satisfied: bool
-    tail_bound: float
-
-
-@dataclass
 class ResidualReport:
+    """residual_strong's or residual_weak's result: the largest residual
+    sup_abs over the sample times t_samples, the largest magnitude of its
+    terms (scale), their ratio sup_rel, and per_test, the largest value
+    per mode (strong) or per test function (weak)."""
+
     sup_abs: float
     sup_rel: float
     scale: float
@@ -587,19 +580,6 @@ def _truncation_diagnostics(spec, sys, K, W, basis, phi_vals, phi_c,
         "lambda_K": float(sys.lambdas[K - 1]),
         "last_mode_sup": float(np.max(np.abs(mv[-1]))),
     }
-
-
-def tail_estimate(coeffs, lambdas, m: int, weighted_rhs: float) -> TailReport:
-    """Bessel-type inequality check: sum of lambda^{m+1} g_n^2 over the
-    computed modes against the weighted Rayleigh quotient integral supplied
-    by the caller, plus the implied bound on the unassembled tail."""
-    g = np.asarray(coeffs, dtype=float)
-    lam = np.asarray(lambdas, dtype=float)[: g.size]
-    if not (isinstance(m, Integral) and m >= 0):
-        raise DomainError(f"m must be a nonnegative integer, got {m}")
-    part = float(np.sum(lam ** (m + 1) * g * g))
-    ok = part <= weighted_rhs * (1.0 + 1e-9) + 1e-12
-    return TailReport(part, bool(ok), float(max(weighted_rhs - part, 0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 Two-parameter Mittag-Leffler function E_{alpha,beta}(z) on the real line
 (high accuracy on the negative ray, where the relaxation kernels live),
-the Gamma function, Bessel functions J_nu of real order and their zeros,
 and an empirical fit of the algebraic decay bound
 
     |E_{alpha,beta}(-x)| <= M / (1 + x),   x >= 0,  0 < alpha < 2.
@@ -40,7 +39,7 @@ x = 0 value.
 Bessel zeros.  _bessel_j_zeros finds the first k zeros of J_nu in one
 sweep: a scan in unit steps, which brackets each zero alone because
 consecutive zeros lie more than 3 apart, then one batched bisection down
-to adjacent doubles.  bessel_j_zero returns the last of them.
+to adjacent doubles.
 
 Accuracy contract: see ml_eval_many.
 """
@@ -56,29 +55,6 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, ResolutionError
-
-__all__ = [
-    "gamma_eval",
-    "ml_eval",
-    "ml_eval_many",
-    "MLBoundFit",
-    "ml_bound_fit",
-    "bessel_j",
-    "bessel_j_zero",
-]
-
-
-def gamma_eval(x: float) -> float:
-    """Gamma(x) for real x, rejecting the poles at 0, -1, -2, ...
-
-    Relative accuracy is at machine level on [0.5, 50] (Lanczos-type
-    kernel underneath) and degrades gracefully elsewhere.
-    """
-    if not math.isfinite(x):
-        raise DomainError(f"gamma_eval: non-finite argument {x!r}")
-    if x <= 0.0 and x == math.floor(x):
-        raise DomainError(f"gamma_eval: pole at non-positive integer {x}")
-    return math.gamma(x)
 
 
 # ---------------------------------------------------------------------------
@@ -612,19 +588,8 @@ def ml_bound_fit(alpha: float, beta: float, ray_samples: Sequence[float]) -> MLB
 
 
 # ---------------------------------------------------------------------------
-# Bessel J and its zeros
+# Zeros of Bessel J
 # ---------------------------------------------------------------------------
-
-
-def bessel_j(order: float, x: float | np.ndarray):
-    """Bessel function of the first kind J_order(x) for real order, x >= 0."""
-    xarr = np.asarray(x, dtype=float)
-    if not math.isfinite(order):
-        raise DomainError("bessel_j: non-finite order")
-    if xarr.size and (not np.all(np.isfinite(xarr)) or np.min(xarr) < 0.0):
-        raise DomainError("bessel_j: argument must be finite and >= 0")
-    out = sp.jv(order, xarr)
-    return float(out) if np.isscalar(x) or xarr.ndim == 0 else out
 
 
 #: a scan of this many unit steps that has not found the wanted zeros is a
@@ -657,7 +622,7 @@ def _bessel_j_zeros(order: float, k: int) -> np.ndarray:
         if flips.size == k:
             break
         if n == _SCAN_CAP:
-            raise ResolutionError(f"bessel_j_zero: no {k} zeros of J_{order} "
+            raise ResolutionError(f"no {k} zeros of J_{order} "
                                   f"within {_SCAN_CAP} steps of x = {start}")
         n *= 2
     lo, hi = x[flips], x[flips + 1]
@@ -669,13 +634,3 @@ def _bessel_j_zeros(order: float, k: int) -> np.ndarray:
         # at adjacent doubles mid is lo or hi, and the update keeps it
         left = np.signbit(sp.jv(order, mid)) == neg
         lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
-
-
-def bessel_j_zero(order: float, k: int) -> float:
-    """k-th positive zero of J_order (k = 1, 2, ...), order > -1: the last
-    of _bessel_j_zeros(order, k), within one double of the true zero."""
-    if not math.isfinite(order) or order <= -1.0:
-        raise DomainError(f"bessel_j_zero: order must be > -1, got {order}")
-    if k < 1 or k != int(k):
-        raise DomainError(f"bessel_j_zero: zero index must be a positive integer, got {k}")
-    return float(_bessel_j_zeros(float(order), int(k))[-1])

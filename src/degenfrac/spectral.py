@@ -28,20 +28,6 @@ from .errors import (DegeneracyError, DomainError, ResolutionError, SolverError,
                      _check_count, _is_real)
 from .special import _bessel_j_zeros
 
-__all__ = [
-    "LEFT_DIRICHLET",
-    "LEFT_NONE",
-    "BCDescriptor",
-    "EigenSystem",
-    "bc_requirements",
-    "solve_eigen",
-    "bessel_eigen",
-    "FluxLimitReport",
-    "flux_limit_check",
-    "OrthogonalityReport",
-    "orthogonality_report",
-]
-
 LEFT_DIRICHLET = "dirichlet_at_zero"
 LEFT_NONE = "none_at_zero"
 
@@ -75,9 +61,12 @@ def bc_requirements(beta: float) -> BCDescriptor:
 
 
 def grading_exponent(beta: float) -> float:
-    # capped: past 20 the first cell's weight integral x1^{beta+1} underflows
-    # to zero (x1 = N^{-40} at beta = 1.95), leaving its stiffness row empty;
-    # the cap also fixes the mesh, and so the artifacts
+    """The exponent q = 2/(2 - beta), capped at 20, of the graded x-meshes
+    x_i = (i/n)^q of the eigensolver and of FDMesh.build.
+
+    Past 20 the first cell's weight integral x1^{beta+1} underflows to zero
+    (x1 = n^{-40} at beta = 1.95), leaving its stiffness row empty; the
+    cap also fixes the mesh, and so the artifacts."""
     return min(2.0 / (2.0 - beta), 20.0)
 
 
@@ -160,13 +149,6 @@ class EigenSystem:
     def basis_matrix(self, x) -> np.ndarray:
         """All eigenfunctions on x at once, shape (K, len(x))."""
         return self._rows(slice(None), x, deriv=False)
-
-    def mesh_x(self) -> np.ndarray:
-        """Graded x-mesh underlying the discretization (the default graded
-        mesh for the closed-form route); useful as a quadrature partition."""
-        ynodes = (self._payload[1] if self.method_tag == "galerkin_numeric"
-                  else _mesh(self.beta, _DEFAULT_MESH_N))
-        return ynodes ** (1.0 / _exponent(self.beta))
 
 
 #: Gauss points per cell of the projection rule
@@ -482,6 +464,10 @@ def flux_limit_check(v, beta: float) -> FluxLimitReport:
 
 @dataclass
 class OrthogonalityReport:
+    """orthogonality_report's result: the Gram matrices of the modes in L2
+    and in the weighted energy product, and the largest off-diagonal entry
+    of each."""
+
     gram_l2: np.ndarray
     gram_weighted: np.ndarray
     max_offdiag_l2: float

@@ -1,0 +1,33 @@
+"""The public surface: the names `import degenfrac` binds are the names the
+README's "Public API" section lists, and each has a docstring of its own."""
+
+import inspect
+import re
+from pathlib import Path
+
+import degenfrac
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_api() -> set:
+    text = _README.read_text()
+    section = text.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"`([^`]*)`", section))
+
+
+def _exported() -> dict:
+    return {n: v for n, v in vars(degenfrac).items()
+            if not n.startswith("_") and not inspect.ismodule(v)}
+
+
+def test_exports_are_the_readme_public_api():
+    assert set(_exported()) == _readme_api()
+
+
+def test_every_public_name_has_its_own_docstring():
+    for name, obj in _exported().items():
+        # a class's own __doc__, not an inherited one; a dataclass without
+        # one gets its signature, "Name(field: type, ...)"
+        doc = vars(obj).get("__doc__") if isinstance(obj, type) else obj.__doc__
+        assert doc and not doc.startswith(name + "("), name

@@ -27,7 +27,6 @@ from degenfrac.solver import (
     residual_strong,
     residual_weak,
     solution_norms,
-    tail_estimate,
     _eval_vec,
     _mode_residuals,
     _mode_values,
@@ -344,37 +343,6 @@ def test_solution_norms_parseval_single_mode(eig):
     assert rep.sup_weighted == pytest.approx(
         math.hypot(rep.sup_l2, rep.sup_energy), rel=1e-12)
     assert rep.series_phi == pytest.approx(sys.lambdas[0] ** 2, rel=1e-5)
-
-
-def test_tail_estimate_equality_single_eigenfunction(eig):
-    sys = eig(0.5, 6)
-    coeffs = np.zeros(6)
-    coeffs[0] = 1.0
-    lam1 = float(sys.lambdas[0])
-    out = tail_estimate(coeffs, sys.lambdas, 0, lam1)
-    assert out.satisfied
-    assert out.partial_sum == pytest.approx(lam1, rel=1e-12)
-    assert out.tail_bound <= 1e-9 * lam1
-
-
-def test_tail_estimate_inequality_random_smooth(eig, rng):
-    sys = eig(0.5, 8)
-    from degenfrac.solver import fourier_coeff as fc
-    for _ in range(3):
-        c = rng.normal(size=4)
-        g = lambda x: x * (1.0 - x) * (c[0] + c[1] * x + c[2] * x * x
-                                       + c[3] * x ** 3)
-        gp = lambda x: ((1.0 - 2.0 * x) * (c[0] + c[1] * x + c[2] * x * x
-                                           + c[3] * x ** 3)
-                        + x * (1.0 - x) * (c[1] + 2.0 * c[2] * x
-                                           + 3.0 * c[3] * x * x))
-        from scipy import integrate
-        rhs, _ = integrate.quad(lambda x: x ** 0.5 * gp(x) ** 2, 0.0, 1.0,
-                                epsabs=1e-13, epsrel=1e-12)
-        coeffs = np.array([fc(g, sys, k) for k in range(1, 9)])
-        out = tail_estimate(coeffs, sys.lambdas, 0, rhs)
-        assert out.satisfied
-        assert out.tail_bound >= 0.0
 
 
 def test_assemble_field_carries_mode_data(eig):
@@ -776,17 +744,40 @@ _EK = EKParams(0.0, 0.5, 1.0)
     lambda: ek_integral(np.sin, _EK, math.nan),
     lambda: graded_grid(math.nan, 4, 2.0),
     lambda: graded_grid(1.0, 2.5, 2.0),
-    lambda: tail_estimate([1.0], [1.0], math.nan, 1.0),
 ], ids=["solve_eigen-K", "solve_eigen-mesh", "bessel_eigen-K", "FDMesh-nx", "FDMesh-nt",
         "hb_caputo-n", "hb_caputo-t-inf", "hb_caputo-t-nan",
         "ek_integral-n", "ek_integral-t", "graded_grid-length",
-        "graded_grid-n", "tail_estimate-m"])
+        "graded_grid-n"])
 def test_public_counts_and_scalars_are_domain_errors(call):
     # these once raised TypeError, SciPy's ValueError, returned NaN,
     # blamed f for a bad t, or cut a mesh of 256.9 cells to 256
     with pytest.raises(DomainError) as exc:
         call()
     assert "f must be finite" not in str(exc.value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: TimeWarp("0"),
+    lambda: TimeWarp(0.3, None),
+    lambda: TimeWarp(-math.inf),
+    lambda: EKParams(0.1, 0.5, "1"),
+    lambda: EKParams(math.nan, 0.5, 1),
+    lambda: EKParams(0.1, math.nan, 1),
+    lambda: EKParams(0.1, 0.5, math.nan),
+    lambda: ModeODE(1, "0.5", 1.0, 1.0, None, _W),
+    lambda: ModeODE(1, 0.5, 1.0, math.nan, None, _W),
+    lambda: ModeODE(1, 0.5, math.inf, 1.0, None, _W),
+    lambda: ModeODE(1, 0.5, 1.0, 1.0, None, None),
+    lambda: graded_grid(1.0, 4, math.nan),
+], ids=["TimeWarp-theta-str", "TimeWarp-a-None", "TimeWarp-theta-inf",
+        "EKParams-beta-str", "EKParams-gamma-nan", "EKParams-delta-nan",
+        "EKParams-beta-nan", "ModeODE-alpha-str", "ModeODE-phi-nan",
+        "ModeODE-lambda-inf", "ModeODE-warp-None", "graded_grid-exponent-nan"])
+def test_public_dataclass_scalars_are_domain_errors(call):
+    # these once raised TypeError, or were accepted and later gave SciPy's
+    # ValueError, NaN nodes or a NaN mode
+    with pytest.raises(DomainError):
+        call()
 
 
 @pytest.mark.parametrize("phi,f,name", [

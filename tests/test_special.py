@@ -16,9 +16,6 @@ from degenfrac.special import (
     _ml,
     _ml_sums,
     _ml_table,
-    bessel_j,
-    bessel_j_zero,
-    gamma_eval,
     ml_bound_fit,
     ml_eval,
     ml_eval_many,
@@ -775,30 +772,22 @@ def test_ml_bound_fit_rejects_alpha_2():
         ml_bound_fit(2.0, 1.0, [0.0, 1.0])
 
 
-def test_gamma_eval():
-    assert gamma_eval(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-    assert gamma_eval(6.0) == 120.0
-    assert gamma_eval(-1.5) == pytest.approx(math.gamma(-1.5), rel=1e-14)
-    for bad in (0.0, -3.0):
-        with pytest.raises(DomainError):
-            gamma_eval(bad)
-
-
 def test_bessel_j_zero_is_a_zero():
     for nu in (0.0, 0.4, 1.0, 5.0 / 3.0, 7.2):
+        zeros = _bessel_j_zeros(nu, 11)
         for k in (1, 2, 5, 11):
-            x = bessel_j_zero(nu, k)
-            assert abs(bessel_j(nu, x)) <= 1e-11
+            x = zeros[k - 1]
+            assert abs(sp.jv(nu, x)) <= 1e-11
             # derivative scale keeps the residual meaningful
             d = 1e-6 * x
-            slope = (bessel_j(nu, x + d) - bessel_j(nu, x - d)) / (2.0 * d)
-            assert abs(bessel_j(nu, x) / slope) <= 1e-10
+            slope = (sp.jv(nu, x + d) - sp.jv(nu, x - d)) / (2.0 * d)
+            assert abs(sp.jv(nu, x) / slope) <= 1e-10
 
 
 def test_bessel_j_zeros_increase_and_interlace():
     nu = 0.4
-    z_nu = [bessel_j_zero(nu, k) for k in range(1, 8)]
-    z_up = [bessel_j_zero(nu + 1.0, k) for k in range(1, 8)]
+    z_nu = _bessel_j_zeros(nu, 7)
+    z_up = _bessel_j_zeros(nu + 1.0, 7)
     assert all(a < b for a, b in zip(z_nu, z_nu[1:]))
     # zeros of J_nu and J_{nu+1} interlace
     for k in range(6):
@@ -806,19 +795,9 @@ def test_bessel_j_zeros_increase_and_interlace():
 
 
 def test_bessel_j_zero_matches_scipy_integer_order():
-    from scipy import special as sp
     ref = sp.jn_zeros(0, 6)
-    got = [bessel_j_zero(0.0, k) for k in range(1, 7)]
-    assert np.max(np.abs(np.array(got) - ref)) <= 1e-10
-
-
-def test_bessel_invalid_inputs():
-    with pytest.raises(DomainError):
-        bessel_j_zero(-1.5, 1)
-    with pytest.raises(DomainError):
-        bessel_j_zero(0.5, 0)
-    with pytest.raises(DomainError):
-        bessel_j(0.5, -1.0)
+    got = _bessel_j_zeros(0.0, 6)
+    assert np.max(np.abs(got - ref)) <= 1e-10
 
 
 def test_bessel_zeros_match_scipy_to_the_last_double():
@@ -826,7 +805,6 @@ def test_bessel_zeros_match_scipy_to_the_last_double():
         ref = sp.jn_zeros(n, 100)
         got = _bessel_j_zeros(float(n), 100)
         assert np.max(np.abs(got - ref) / ref) <= 1e-15, n
-        assert bessel_j_zero(n, 100) == got[-1]
 
 
 @pytest.mark.parametrize("nu", [-0.9, -0.11, 0.0, 0.4, 4.0, 19.0, 39.0])
@@ -846,13 +824,13 @@ def test_bessel_first_zero_near_order_minus_one():
     # j_{nu,1} -> 0 as nu -> -1 (below 2 sqrt(nu + 1) < 1e-3 here): a scan
     # from x = 1e-3 would start past it and return the second zero
     nu = -1.0 + 1e-8
-    x = bessel_j_zero(nu, 1)
+    x, x2 = _bessel_j_zeros(nu, 2)
     assert x < 1e-3
     assert abs(sp.jv(nu, x)) <= 1e-15
-    assert bessel_j_zero(nu, 2) == pytest.approx(sp.jn_zeros(1, 1)[0], rel=1e-6)
+    assert x2 == pytest.approx(sp.jn_zeros(1, 1)[0], rel=1e-6)
 
 
 def test_bessel_zero_scan_stops_at_its_cap():
     # J_0 has about 318,000 zeros within the 10^6 unit steps of the scan
     with pytest.raises(ResolutionError, match="400000 zeros"):
-        bessel_j_zero(0.0, 400_000)
+        _bessel_j_zeros(0.0, 400_000)

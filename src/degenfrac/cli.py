@@ -24,7 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import (ConfigError, DegeneracyError, DomainError, RegimeError,
-                     ResolutionError, SolverError, VerificationError)
+                     ResolutionError, SolverError, VerificationError,
+                     _check_alpha)
 from .fracops import TimeWarp, warp_forward
 from .oraclefd import FDMesh, compare, fd_solve
 from .solver import (ProblemSpec, SeparableSource, ModeODE, assemble,
@@ -62,8 +63,7 @@ class RunConfig:
     def validate(self) -> None:
         bc_requirements(self.beta)          # beta in (0,2), beta != 1
         TimeWarp(self.theta, self.a)        # theta < 1, a >= 0
-        if not 0.0 < self.alpha <= 1.0:
-            raise DomainError(f"alpha must be in (0, 1], got {self.alpha}")
+        _check_alpha(self.alpha)
         if not self.a < self.T:
             raise DomainError(f"need a < T, got a={self.a}, T={self.T}")
         if self.modes != "auto":

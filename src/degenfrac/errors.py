@@ -40,7 +40,13 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float, np.integer, np.floating)) and math.isfinite(v)
 
 
+def _check_alpha(alpha) -> None:
+    """DomainError unless alpha, a fractional order, is a real in (0, 1]."""
+    if not (_is_real(alpha) and 0.0 < alpha <= 1.0):
+        raise DomainError(f"alpha must lie in (0, 1], got {alpha!r}")
+
+
 def _check_count(name: str, n) -> None:
-    """DomainError unless n is an integer >= 1."""
-    if not isinstance(n, Integral) or n < 1:
+    """DomainError unless n is an integer >= 1 (a bool is no count)."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
         raise DomainError(f"{name} must be an integer >= 1, got {n!r}")

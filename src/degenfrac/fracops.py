@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError, _check_count, _is_real
+from .errors import DomainError, _check_alpha, _check_count, _is_real
 
 
 @dataclass(frozen=True)
@@ -311,8 +311,7 @@ def caputo_l1(g, alpha: float, s_grid) -> np.ndarray:
     starting at 0, by the L1 scheme (_l1_rows, one block of rows at a
     time); returns one value per node (0 at the first node).  At alpha = 1
     these are the backward differences."""
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     s = np.asarray(s_grid, dtype=float)
     if s.ndim != 1 or s.size < 2 or s[0] != 0.0:
         raise DomainError("grid must be 1-d, start at 0, and have >= 2 nodes")
@@ -345,8 +344,7 @@ def hb_caputo(f, alpha: float, warp: TimeWarp, t: float, n: int = 2048,
     then has those leading axes, and one grid and one L1 weight row serve
     every curve.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     if not warp.a < t < math.inf:
         raise DomainError(f"need a finite t > a, got t={t}, a={warp.a}")
     _check_count("n", n)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .errors import (DomainError, ResolutionError, SolverError, _check_count,
-                     _is_real)
+from .errors import (DomainError, ResolutionError, SolverError, _check_alpha,
+                     _check_count, _is_real)
 from .fracops import _BLOCK, _l1_rows, warp_forward
 from .solver import ProblemSpec, SolutionField, _eval_vec
 from .spectral import bc_requirements, grading_exponent
@@ -63,8 +63,7 @@ class FDMesh:
         (j/nt)^{gs} toward the initial time (to resolve the weakly singular
         startup layer), with gs = min(2/alpha, 4).  alpha and beta are
         validated as ProblemSpec validates them."""
-        if not (_is_real(alpha) and 0.0 < alpha <= 1.0):
-            raise DomainError(f"alpha must lie in (0, 1], got {alpha!r}")
+        _check_alpha(alpha)
         bc_requirements(beta)
         if not (_is_real(s_final) and s_final > 0.0):
             raise DomainError(f"need a finite positive time horizon, "

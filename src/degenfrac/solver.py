@@ -22,13 +22,13 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy import special as sp
 
-from .errors import (DomainError, RegimeError, ResolutionError, _check_count,
-                     _is_real)
+from .errors import (DomainError, RegimeError, ResolutionError, _check_alpha,
+                     _check_count, _is_real)
 from .fracops import (SampledFunction, TimeWarp, _l1_cells, _Pchip,
                       warp_forward, warp_inverse)
 from .special import _ml, _ml_sums
@@ -53,9 +53,11 @@ class SeparableSource:
     source convolution telescopes to a closed form.
     """
 
-    def __init__(self, fx: Callable, ft: Union[Callable, float]):
-        if not (callable(ft) or _is_real(ft)):
-            raise DomainError("ft must be callable or a finite real number")
+    def __init__(self, fx: Union[Callable, float], ft: Union[Callable, float]):
+        for name, g in (("fx", fx), ("ft", ft)):
+            if not (callable(g) or _is_real(g)):
+                raise DomainError(f"{name} must be callable or a finite real "
+                                  "number")
         self.fx = fx
         self.ft = ft
 
@@ -82,8 +84,7 @@ class ProblemSpec:
     f: object = None
 
     def __post_init__(self):
-        if not (_is_real(self.alpha) and 0.0 < self.alpha <= 1.0):
-            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if not (_is_real(self.theta) and self.theta < 1.0):
             raise DomainError(f"theta must be a finite real < 1, "
                               f"got {self.theta!r}")
@@ -125,8 +126,8 @@ class ModeODE:
     warp: TimeWarp
 
     def __post_init__(self):
-        if not (_is_real(self.alpha) and 0.0 < self.alpha <= 1.0):
-            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha!r}")
+        _check_count("k", self.k)
+        _check_alpha(self.alpha)
         if not (_is_real(self.lambda_k) and self.lambda_k > 0.0):
             raise DomainError(f"lambda_k must be a finite positive real, "
                               f"got {self.lambda_k!r}")
@@ -200,7 +201,7 @@ class ResidualReport:
     """residual_strong's or residual_weak's result: the largest residual
     sup_abs over the sample times t_samples, the largest magnitude of its
     terms (scale), their ratio sup_rel, and per_test, the largest value
-    per mode (strong) or per test function (weak)."""
+    per mode."""
 
     sup_abs: float
     sup_rel: float
@@ -283,6 +284,10 @@ def fourier_coeff(g, sys: EigenSystem, k: int) -> float:
 _BLOCK_POINTS = 16384
 #: cells of the product rule from 0 to each target time (assemble's default)
 _CONV_CELLS = 128
+#: the residual's L1 cells from 0 to each sample time, and the cells of its
+#: dense table of the modes on [0, S_T]
+_L1_CELLS = 2048
+_TABLE_CELLS = 1024
 
 
 @dataclass(frozen=True)
@@ -495,18 +500,17 @@ def _source_coeffs(spec: ProblemSpec, K: int, X, W, basis):
 
 
 def assemble(spec: ProblemSpec, sys: EigenSystem, K: int, x_grid, t_grid,
-             conv_cells: int = _CONV_CELLS,
-             tail_tol: Optional[float] = None) -> SolutionField:
+             conv_cells: int = _CONV_CELLS) -> SolutionField:
     """Truncated eigenfunction-series solution on the tensor grid.
 
     Projections take 8 Gauss points per cell of the eigensystem's mesh.
     A time-varying source is integrated over conv_cells cells up to each
     time; its sup over [a, T] (for the tail) and a general f(x, t) are
     sampled at up to 193 times, graded toward a.  Populates tail/truncation
-    diagnostics; raises ResolutionError when tail_tol is given and the L2
-    tail estimate exceeds it.  Residual diagnostics are separate
-    (residual_strong / residual_weak)."""
-    if not (1 <= K <= sys.count):
+    diagnostics.  Residual diagnostics are separate (residual_strong /
+    residual_weak)."""
+    _check_count("K", K)
+    if K > sys.count:
         raise DomainError(f"need 1 <= K <= {sys.count}, got {K}")
     if abs(sys.beta - spec.beta) > 1e-12:
         raise DomainError("eigensystem beta does not match the problem")
@@ -534,10 +538,6 @@ def assemble(spec: ProblemSpec, sys: EigenSystem, K: int, x_grid, t_grid,
 
     diags = _truncation_diagnostics(spec, sys, K, W, basis, phi_vals, phi_c,
                                     src_defect, mv)
-    if tail_tol is not None and diags["tail_estimate_l2"] > tail_tol:
-        raise ResolutionError(
-            f"truncation tail {diags['tail_estimate_l2']:.3e} exceeds "
-            f"{tail_tol:.3e} at K={K}")
     fld = SolutionField(x, t, values, K, spec.regime, diags,
                         mode_lambdas=lams, mode_values=mv, mode_phi=phi_c,
                         mode_sources=source, system=sys, modes_at=modes_at)
@@ -588,7 +588,7 @@ def _truncation_diagnostics(spec, sys, K, W, basis, phi_vals, phi_c,
 
 
 def _mode_interpolants(field: SolutionField, spec: ProblemSpec,
-                       dense_n: int = 1024) -> _Pchip:
+                       dense_n: int) -> _Pchip:
     """One monotone cubic (PCHIP) through the (K, dense_n + 1) table of the
     modes u_k as functions of warped time s on [0, S_T], densely sampled on
     the same graded family the L1 rule uses.  The table re-samples the
@@ -600,25 +600,13 @@ def _mode_interpolants(field: SolutionField, spec: ProblemSpec,
     return _Pchip(sg, field.modes_at(sg))
 
 
-def _default_samples(field: SolutionField, spec: ProblemSpec,
-                     t_samples) -> np.ndarray:
-    if t_samples is not None:
-        return _check_t_grid(t_samples, spec.a, spec.T)
-    t = field.t_grid
-    idx = np.unique(np.linspace(0, t.size - 1, min(7, t.size)).astype(int))
-    return t[idx]
-
-
 def _mode_residuals(field, spec, ts, hb_n, dense_n):
     """r[j, k] = D^alpha u_k + lambda_k u_k - f_k at the sample times,
     with the fractional derivative taken numerically (L1) on an
     interpolant of the mode trajectories -- independent of the closed form
     used to produce them.  The L1 sums of every mode at every sample time
     are taken at once, cell by cell on the cubics (fracops._l1_cells).
-    Also returns the scale of the terms and the loads f_k(t_j), shape
-    (J, K)."""
-    _check_count("hb_n", hb_n)
-    _check_count("dense_n", dense_n)
+    Also returns the scale of the terms."""
     u = _mode_interpolants(field, spec, dense_n)
     S = warp_forward(spec.warp, ts)
     hb = spec.warp.p ** spec.alpha * _l1_cells(u, spec.alpha, S, hb_n)
@@ -626,22 +614,36 @@ def _mode_residuals(field, spec, ts, hb_n, dense_n):
     load = _loads(field.mode_sources, field.K, ts).T
     scale = max(float(np.max(np.abs(hb))), float(np.max(np.abs(relax))),
                 float(np.max(np.abs(load))), 1e-300)
-    return hb + relax - load, scale, load
+    return hb + relax - load, scale
 
 
-def _residual_report(sup_abs: float, scale: float, ts,
-                     per_test) -> ResidualReport:
-    """The report, or ResolutionError when the residual is not finite: a
-    NaN or an infinity confirms nothing about the field."""
+def _residual(field: SolutionField, spec: ProblemSpec) -> ResidualReport:
+    """The mode residuals at up to 7 times of the field's own t_grid,
+    first and last included, reported as their sup over the interior x
+    of the field's grid (classical regime) or over the modes (weak
+    regime).  A NaN or an infinity confirms nothing about the field, so
+    it is a ResolutionError."""
+    if field.mode_lambdas is None:
+        raise DomainError("field carries no mode data")
+    t = field.t_grid
+    ts = t[np.unique(np.linspace(0, t.size - 1, min(7, t.size)).astype(int))]
+    r, scale = _mode_residuals(field, spec, ts, _L1_CELLS, _TABLE_CELLS)
+    per_mode = np.max(np.abs(r), axis=0)
+    if spec.regime == "weak":
+        sup_abs = float(np.max(per_mode))
+    else:
+        xs = field.x_grid[(field.x_grid > 0.0) & (field.x_grid < 1.0)]
+        if xs.size < 2:
+            xs = np.linspace(0.05, 0.95, 19)
+        sup_abs = float(np.max(np.abs(
+            r @ field.system.basis_matrix(xs)[: field.K])))
     if not (math.isfinite(sup_abs) and math.isfinite(scale)):
         raise ResolutionError(f"residual is not finite: sup {sup_abs}, "
                               f"scale {scale}")
-    return ResidualReport(sup_abs, sup_abs / scale, scale, ts, per_test)
+    return ResidualReport(sup_abs, sup_abs / scale, scale, ts, per_mode)
 
 
-def residual_strong(field: SolutionField, spec: ProblemSpec,
-                    t_samples=None, hb_n: int = 2048,
-                    dense_n: int = 1024) -> ResidualReport:
+def residual_strong(field: SolutionField, spec: ProblemSpec) -> ResidualReport:
     """Pointwise residual D^alpha u - (x^beta u_x)_x - f of the assembled
     field, evaluated mode-wise through the eigen identity
     (x^beta v_k')' = -lambda_k v_k.  Classical regime (beta < 1) only."""
@@ -649,61 +651,19 @@ def residual_strong(field: SolutionField, spec: ProblemSpec,
         raise RegimeError(
             f"strong residual needs the classical regime (beta < 1), "
             f"got beta={spec.beta}")
-    if field.mode_lambdas is None:
-        raise DomainError("field carries no mode data")
-    ts = _default_samples(field, spec, t_samples)
-    r, scale, _ = _mode_residuals(field, spec, ts, hb_n, dense_n)
-    xs = field.x_grid[(field.x_grid > 0.0) & (field.x_grid < 1.0)]
-    if xs.size < 2:
-        xs = np.linspace(0.05, 0.95, 19)
-    R = r @ field.system.basis_matrix(xs)[: field.K]
-    return _residual_report(float(np.max(np.abs(R))), scale, ts,
-                            np.max(np.abs(r), axis=0))
+    return _residual(field, spec)
 
 
-def residual_weak(field: SolutionField, spec: ProblemSpec, test_set=None,
-                  t_samples=None, hb_n: int = 2048,
-                  dense_n: int = 1024) -> ResidualReport:
-    """Weak-form residual against test functions: for each test w,
-    D^alpha (u, w) + sum_k lambda_k u_k w_k - (f, w) at the sample times.
-    Weak regime (beta > 1) only.  test_set entries are mode indices or
-    callables w(x) vanishing at x=1 with finite weighted energy."""
+def residual_weak(field: SolutionField, spec: ProblemSpec) -> ResidualReport:
+    """Weak-form residual against each computed mode v_k as test function:
+    D^alpha (u, v_k) + lambda_k u_k - (f, v_k) at the sample times.  Weak
+    regime (beta > 1) only.  The source's part outside the span of the
+    modes is the assembly's source_projection_defect_l2."""
     if spec.regime != "weak":
         raise RegimeError(
             f"weak residual needs the weak regime (beta > 1), "
             f"got beta={spec.beta}")
-    if field.mode_lambdas is None:
-        raise DomainError("field carries no mode data")
-    ts = _default_samples(field, spec, t_samples)
-    if test_set is None:
-        test_set = list(range(1, field.K + 1))
-    r, scale, load = _mode_residuals(field, spec, ts, hb_n, dense_n)
-    sys = field.system
-    X, W = _gauss_rule(sys)
-    basis = None
-    viols = []
-    for w in test_set:
-        if isinstance(w, (int, np.integer)):
-            if not (1 <= int(w) <= field.K):
-                raise DomainError(f"test mode index {w} outside 1..{field.K}")
-            viols.append(float(np.max(np.abs(r[:, int(w) - 1]))))
-            continue
-        wx = _eval_vec(w, X)
-        if basis is None:
-            basis = _rule_basis(sys, slice(field.K))
-        wk = basis @ (W * wx)
-        # the in-span part reduces to the mode residuals; add the source
-        # component orthogonal to the computed modes
-        v = r @ wk
-        if spec.f is not None:
-            f_span = load @ wk
-            for j, tj in enumerate(ts):
-                f_full = float(np.dot(W, _eval_vec(
-                    lambda xx: spec.f(xx, tj), X) * wx))
-                v[j] -= f_full - f_span[j]
-        viols.append(float(np.max(np.abs(v))))
-    viols = np.asarray(viols)
-    return _residual_report(float(np.max(viols)), scale, ts, viols)
+    return _residual(field, spec)
 
 
 def solution_norms(field: SolutionField, spec: ProblemSpec) -> NormReport:

@@ -54,7 +54,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError, ResolutionError
+from .errors import DomainError, ResolutionError, _is_real
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +550,8 @@ def ml_eval_many(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     beyond -z = 1e7: 1.7e-12 up to 1e8, 1.8e-10 up to 1e12.
     """
     z = np.asarray(z, dtype=float)
-    if not (math.isfinite(alpha) and math.isfinite(beta)) or not np.all(np.isfinite(z)):
-        raise DomainError("ml_eval_many: non-finite argument")
+    if not (_is_real(alpha) and _is_real(beta)) or not np.all(np.isfinite(z)):
+        raise DomainError("ml_eval_many: alpha, beta and z must be finite reals")
     if alpha <= 0.0:
         raise DomainError(f"ml_eval_many: order must be positive, got {alpha}")
     return _ml(float(alpha), (float(beta),), z)[0]
@@ -577,7 +577,7 @@ def ml_bound_fit(alpha: float, beta: float, ray_samples: Sequence[float]) -> MLB
     Only meaningful for 0 < alpha < 2, where E is algebraically decaying on
     the negative ray.  The samples must be finite and >= 0.
     """
-    if not 0.0 < alpha < 2.0:
+    if not (_is_real(alpha) and 0.0 < alpha < 2.0):
         raise DomainError(f"ml_bound_fit: requires 0 < alpha < 2, got {alpha}")
     xs = np.asarray(list(ray_samples), dtype=float)
     if xs.size == 0 or np.any(xs < 0.0) or not np.all(np.isfinite(xs)):

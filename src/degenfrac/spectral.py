@@ -101,7 +101,8 @@ class EigenSystem:
         return self.lambdas.size
 
     def _check_k(self, k: int) -> None:
-        if not (1 <= k <= self.count):
+        _check_count("mode index", k)
+        if k > self.count:
             raise DomainError(f"mode index must be in 1..{self.count}, got {k}")
 
     def eigen_eval(self, k: int, x):

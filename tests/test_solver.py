@@ -1,6 +1,7 @@
 """Mode reduction, closed-form relaxation kernels, field assembly,
 residual dispatch."""
 
+import inspect
 import math
 import warnings
 
@@ -13,8 +14,8 @@ from scipy.interpolate import PchipInterpolator
 from degenfrac import solver, special
 from degenfrac.errors import DomainError, RegimeError, ResolutionError
 from degenfrac.fracops import (EKParams, SampledFunction, TimeWarp, _l1_cells,
-                               _l1_rows, ek_integral, graded_grid, hb_caputo,
-                               warp_forward)
+                               _l1_rows, caputo_l1, ek_integral, graded_grid,
+                               hb_caputo, warp_forward)
 from degenfrac.oraclefd import FDMesh
 from degenfrac.solver import (
     ModeODE,
@@ -33,7 +34,7 @@ from degenfrac.solver import (
     _modes_values,
     _value_at,
 )
-from degenfrac.special import ml_eval, ml_eval_many
+from degenfrac.special import ml_bound_fit, ml_eval, ml_eval_many
 from degenfrac.spectral import bessel_eigen, solve_eigen
 
 
@@ -235,14 +236,6 @@ def test_assemble_validation(eig):
         assemble(spec, eig(1.5, 4), 4, np.linspace(0, 1, 9), np.array([0.5]))
     with pytest.raises(DomainError):
         assemble(spec, sys, 4, np.linspace(0, 1, 9), np.array([0.0, 0.5]))
-
-
-def test_assemble_tail_tol_enforced(eig):
-    spec = _basic_spec(0.5, f=SeparableSource(lambda x: np.ones_like(x),
-                                              lambda t: 1.0))
-    with pytest.raises(ResolutionError):
-        assemble(spec, eig(0.5, 2), 2, np.linspace(0.0, 1.0, 17),
-                 np.array([1.0]), tail_tol=1e-10)
 
 
 def test_assemble_warns_on_incompatible_initial_profile(eig):
@@ -638,11 +631,10 @@ def test_batched_residuals_match_per_mode_reference(eig, beta, alpha, f):
     fld = assemble(spec, eig(beta, 6), 6, np.linspace(0.0, 1.0, 17),
                    np.linspace(0.3, 1.3, 5))
     ts = np.array([0.3, 0.8, 1.3])
-    r, scale, load = _mode_residuals(fld, spec, ts, 1024, 256)
+    r, scale = _mode_residuals(fld, spec, ts, 1024, 256)
     r_ref, scale_ref = _per_mode_residuals(fld, spec, ts, 1024, 256)
     assert scale == pytest.approx(scale_ref, rel=1e-14)
     assert np.max(np.abs(r - r_ref)) <= 1e-14 * scale_ref
-    assert load.shape == (ts.size, 6)
 
 
 @pytest.mark.parametrize("alpha,theta,hb_n,dense_n", [
@@ -701,13 +693,14 @@ def test_residual_follows_the_field(eig):
 @pytest.mark.parametrize("beta,residual", [(0.5, residual_strong),
                                            (1.5, residual_weak)])
 def test_residual_sample_times_are_validated(eig, beta, residual):
-    # past T a separable source's residual once read an extrapolated cubic
+    # past T a separable source's residual once read an extrapolated cubic;
+    # it samples 7 times of the field's own grid, which assemble validates
     spec, fld = _forced_field(eig, 16, beta)
     for bad in ([1.5], [0.0, 0.5], [[0.5]], [], [0.5, np.nan], [0.6, 0.4]):
         with pytest.raises(DomainError):
-            residual(fld, spec, t_samples=bad, hb_n=64, dense_n=32)
-    rep = residual(fld, spec, t_samples=[0.25, 1.0], hb_n=64, dense_n=32)
-    assert rep.t_samples.tolist() == [0.25, 1.0]
+            assemble(spec, fld.system, 8, fld.x_grid, bad, conv_cells=16)
+    rep = residual(fld, spec)
+    assert np.array_equal(rep.t_samples, fld.t_grid[[0, 2, 5, 8, 10, 13, 16]])
 
 
 @pytest.mark.parametrize("beta,residual", [(0.5, residual_strong),
@@ -715,16 +708,13 @@ def test_residual_sample_times_are_validated(eig, beta, residual):
 def test_cell_and_node_counts_are_validated(eig, beta, residual):
     # conv_cells = 0 once dropped the source's slope sums without a word,
     # and other bad counts raised ZeroDivisionError, TypeError, IndexError
-    # or ValueError
+    # or ValueError; the residual's own counts are constants
     spec, fld = _forced_field(eig, 16, beta)
     for bad in (0, -1, -3, 2.5):
         with pytest.raises(DomainError, match="conv_cells"):
             assemble(spec, fld.system, 8, fld.x_grid, fld.t_grid,
                      conv_cells=bad)
-        with pytest.raises(DomainError, match="dense_n"):
-            residual(fld, spec, hb_n=64, dense_n=bad)
-        with pytest.raises(DomainError, match="hb_n"):
-            residual(fld, spec, hb_n=bad, dense_n=32)
+    assert list(inspect.signature(residual).parameters) == ["field", "spec"]
 
 
 _W = TimeWarp(0.3)
@@ -744,13 +734,32 @@ _EK = EKParams(0.0, 0.5, 1.0)
     lambda: ek_integral(np.sin, _EK, math.nan),
     lambda: graded_grid(math.nan, 4, 2.0),
     lambda: graded_grid(1.0, 2.5, 2.0),
+    lambda: caputo_l1(np.sin, "0.5", [0.0, 0.5, 1.0]),
+    lambda: hb_caputo(np.sin, None, _W, 0.5),
+    lambda: fourier_coeff(np.sin, solve_eigen(0.5, 4), 1.5),
+    lambda: solve_eigen(0.5, 4).eigen_eval(1.5, 0.5),
+    lambda: solve_eigen(0.5, 4).mode(2.5),
+    lambda: assemble(_basic_spec(0.5), solve_eigen(0.5, 4), 2.5,
+                     np.linspace(0.0, 1.0, 9), [0.5]),
+    lambda: assemble(_basic_spec(0.5), solve_eigen(0.5, 4), "2",
+                     np.linspace(0.0, 1.0, 9), [0.5]),
+    lambda: ml_eval_many("0.5", 1.0, [0.0, -1.0]),
+    lambda: ml_eval(0.5, None, -1.0),
+    lambda: ml_bound_fit("0.5", 1.0, [1.0]),
+    lambda: ml_bound_fit(0.5, None, [1.0]),
+    lambda: solve_eigen(0.5, True),
 ], ids=["solve_eigen-K", "solve_eigen-mesh", "bessel_eigen-K", "FDMesh-nx", "FDMesh-nt",
         "hb_caputo-n", "hb_caputo-t-inf", "hb_caputo-t-nan",
         "ek_integral-n", "ek_integral-t", "graded_grid-length",
-        "graded_grid-n"])
+        "graded_grid-n", "caputo_l1-alpha-str", "hb_caputo-alpha-None",
+        "fourier_coeff-k", "eigen_eval-k", "mode-k", "assemble-K-float",
+        "assemble-K-str", "ml_eval_many-alpha-str", "ml_eval-beta-None",
+        "ml_bound_fit-alpha-str", "ml_bound_fit-beta-None",
+        "solve_eigen-K-bool"])
 def test_public_counts_and_scalars_are_domain_errors(call):
     # these once raised TypeError, SciPy's ValueError, returned NaN,
-    # blamed f for a bad t, or cut a mesh of 256.9 cells to 256
+    # blamed f for a bad t, cut a mesh of 256.9 cells to 256, or gave an
+    # evaluator of mode 2.5 that failed when called
     with pytest.raises(DomainError) as exc:
         call()
     assert "f must be finite" not in str(exc.value)
@@ -769,13 +778,17 @@ def test_public_counts_and_scalars_are_domain_errors(call):
     lambda: ModeODE(1, 0.5, math.inf, 1.0, None, _W),
     lambda: ModeODE(1, 0.5, 1.0, 1.0, None, None),
     lambda: graded_grid(1.0, 4, math.nan),
+    lambda: ModeODE("x", 0.5, 1.0, 1.0, None, _W),
+    lambda: SeparableSource("abc", 1.0),
+    lambda: SeparableSource(None, 1.0),
 ], ids=["TimeWarp-theta-str", "TimeWarp-a-None", "TimeWarp-theta-inf",
         "EKParams-beta-str", "EKParams-gamma-nan", "EKParams-delta-nan",
         "EKParams-beta-nan", "ModeODE-alpha-str", "ModeODE-phi-nan",
-        "ModeODE-lambda-inf", "ModeODE-warp-None", "graded_grid-exponent-nan"])
+        "ModeODE-lambda-inf", "ModeODE-warp-None", "graded_grid-exponent-nan",
+        "ModeODE-k-str", "SeparableSource-fx-str", "SeparableSource-fx-None"])
 def test_public_dataclass_scalars_are_domain_errors(call):
     # these once raised TypeError, or were accepted and later gave SciPy's
-    # ValueError, NaN nodes or a NaN mode
+    # ValueError, NaN nodes, a NaN mode or a TypeError inside assemble
     with pytest.raises(DomainError):
         call()
 
@@ -811,22 +824,7 @@ def test_residuals_refuse_a_non_finite_value(eig, beta, residual):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(ResolutionError, match="not finite"):
-            residual(fld, spec, hb_n=64, dense_n=32)
-
-
-def test_residual_weak_projects_callable_tests_once(eig):
-    # a callable test function's coefficients are its projection on the
-    # computed modes, the same as one fourier_coeff per mode
-    spec, fld = _forced_field(eig, 16, 1.5)
-    w = lambda x: x * (1.0 - x) ** 2
-    got = residual_weak(fld, spec, test_set=[w], hb_n=64, dense_n=32)
-    r, _, load = _mode_residuals(fld, spec, got.t_samples, 64, 32)
-    wk = np.array([fourier_coeff(w, fld.system, k) for k in range(1, 9)])
-    X, W = solver._gauss_rule(fld.system)
-    wx = _eval_vec(w, X)
-    ref = r @ wk - (np.array([np.dot(W, spec.f(X, tj) * wx)
-                              for tj in got.t_samples]) - load @ wk)
-    assert got.per_test[0] == pytest.approx(np.max(np.abs(ref)), rel=1e-12)
+            residual(fld, spec)
 
 
 def test_tail_covers_the_whole_time_interval(eig):
@@ -887,7 +885,7 @@ def test_no_solver_path_takes_the_point_by_point_ml_route(eig, alpha, monkeypatc
         for f in sources:
             spec = _basic_spec(beta, f=f, alpha=alpha, a=0.2, T=1.3)
             fld = assemble(spec, eig(beta, 4), 4, xg, tg, conv_cells=16)
-            residual(fld, spec, hb_n=128, dense_n=64)
+            residual(fld, spec)
     warp = TimeWarp(0.3, 0.2)
     for src in (None, 1.5, np.cos):
         mode_solution_alt(ModeODE(1, alpha, 7.0, 0.4, src, warp), tg)

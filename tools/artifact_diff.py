@@ -28,6 +28,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 SIN3 = {"f": "sep:one|sin:3"}
 QUAD1 = {"f": "sep:quadratic|one"}
+SHORT = {"x_points": 3, "t_points": 2, **SIN3}
 
 #: (case name, CLI arguments, config-file keys); --out is added per run
 MATRIX = (
@@ -63,6 +64,12 @@ MATRIX = (
     # the most modes whose by-parts roundoff one forced case sums
     ("solve-sin3-k64", ["solve", "--modes", "64"], SIN3),
     ("solve-sin30-k16", ["solve", "--modes", "16"], {"f": "sep:one|sin:30"}),
+    # short grids: one interior x, so the strong residual takes its
+    # fallback x grid, and fewer than 7 times for the residual to sample
+    ("solve-short-b0.5", ["solve", "--modes", "8", "--beta", "0.5"],
+     SHORT),
+    ("solve-short-b1.5", ["solve", "--modes", "8", "--beta", "1.5"],
+     SHORT),
     ("solve-nosource", ["solve", "--modes", "8"], {}),
     ("solve-bessel", ["solve", "--modes", "8", "--oracle", "bessel"], {}),
     # the README's --modes auto example

@@ -14,6 +14,7 @@ _l1_last_rows.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -376,29 +377,30 @@ def hb_caputo(f, alpha: float, warp: TimeWarp, t: float, n: int = 2048,
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _l1_cells(table: _Pchip, alpha: float, S: np.ndarray, n: int) -> np.ndarray:
-    """The L1 sum that hb_caputo(table, alpha, warp, t_j, n, warped=True)
-    takes before its factor p^alpha, at the warped times S_j > 0 of t_j and
-    for every curve of a (K, cells + 1) table at once: shape (J, K).
+@functools.lru_cache(maxsize=1)
+def _l1_moments(nodes: bytes, alpha: float, S: bytes, n: int) -> tuple:
+    """The curve-free half of _l1_cells: its three read-only (J, cells)
+    moment matrices L_1, L_2, L_3 for the table nodes and the warped
+    sample times S_j > 0, both given as the bytes of float64 arrays.  They
+    depend on no curve, so a sweep that keeps the time setup (alpha, the
+    sample times and the table's nodes) and changes only the curves reads
+    them from the cache; a key holds 3 J cells doubles.
 
-    The nodes and weights are hb_caputo's; only the summation differs.
-    Each increment g(s_i+1) - g(s_i) is summed from the cubics of the table
-    cells that [s_i, s_i+1] meets, as c2 (hi - lo) + c1 (hi^2 - lo^2) +
-    c0 (hi^3 - lo^3) with lo and hi the offsets of the piece from its
-    cell's start, so no interpolated value is differenced.  Weighted and
-    summed over i, these moments form three (J, cells) matrices L_q that no
-    curve enters, and the sums are three products of L_q with the
-    coefficients.  A cell lying wholly inside an interval (where the L1
-    grid is coarser than the table) takes that interval's weight through
-    one cumulative sum.
-    """
+    hb_caputo's nodes of each sample time form one chain of nodes and of
+    flat cell indices j N + c: the step from one grid's last node to the
+    next grid's first is an interval of weight 0.  Each L1 interval
+    [s_i, s_i+1] contributes w_i (hi^q - lo^q) to the cells it meets, with
+    lo and hi the offsets of the piece from its cell's start.  A cell lying
+    wholly inside an interval (where the L1 grid is coarser than the table)
+    takes that interval's weight through one cumulative sum."""
+    x = np.frombuffer(nodes)
+    S = np.frombuffer(S)
+    J, N = S.size, x.size - 1
+    # the kept block goes first, below the temporaries: allocated after
+    # them, it would sit amid their freed space for the cache's lifetime
+    moments = np.empty((3, J, N))
     s = S[:, None] * graded_grid(1.0, n, 2.0 / alpha)
-    x = table._x
     h = np.diff(x)
-    J, N = S.size, h.size
-    # the samples' grids as one chain of nodes and of flat cell indices
-    # j N + c: the step from one grid's last node to the next grid's
-    # first is an interval of weight 0
     w = np.concatenate((_l1_last_rows(alpha, s), np.zeros((J, 1))),
                        axis=1).ravel()[:-1]
     c = np.searchsorted(x[1:-1], s, side="right")
@@ -417,13 +419,33 @@ def _l1_cells(table: _Pchip, alpha: float, S: np.ndarray, n: int) -> np.ndarray:
     # holds one interval's weight at a time, so it is exact
     inside = np.cumsum(np.bincount(np.concatenate((c0[cut] + 1, c1c)),
                                    np.concatenate((wc, -wc)), J * N))
+    for q, first, last in ((1, wd, wb),
+                           (2, wd * (hi + lo), wb * b),
+                           (3, wd * (hi * (hi + lo) + lo * lo), wb * b * b)):
+        moments[q - 1] = (np.bincount(c0, first, J * N)
+                          + np.bincount(c1c, last, J * N)
+                          + inside * hf ** q).reshape(J, N)
+    moments.flags.writeable = False
+    return tuple(moments)
+
+
+def _l1_cells(table: _Pchip, alpha: float, S: np.ndarray, n: int) -> np.ndarray:
+    """The L1 sum that hb_caputo(table, alpha, warp, t_j, n, warped=True)
+    takes before its factor p^alpha, at the warped times S_j > 0 of t_j and
+    for every curve of a (K, cells + 1) table at once: shape (J, K).
+
+    The nodes and weights are hb_caputo's; only the summation differs.
+    Each increment g(s_i+1) - g(s_i) is summed from the cubics of the table
+    cells that [s_i, s_i+1] meets, as c2 (hi - lo) + c1 (hi^2 - lo^2) +
+    c0 (hi^3 - lo^3), so no interpolated value is differenced.  Weighted
+    and summed over i, these moments form three (J, cells) matrices L_q
+    that no curve enters (_l1_moments, cached), and the sums are three
+    products of L_q with the coefficients.
+    """
     cubic, quadratic, linear, _ = table._c
+    moments = _l1_moments(table._x.tobytes(), alpha,
+                          np.asarray(S, dtype=float).tobytes(), n)
     out = 0.0
-    for q, first, last, coef in (
-            (1, wd, wb, linear),
-            (2, wd * (hi + lo), wb * b, quadratic),
-            (3, wd * (hi * (hi + lo) + lo * lo), wb * b * b, cubic)):
-        L = (np.bincount(c0, first, J * N) + np.bincount(c1c, last, J * N)
-             + inside * hf ** q)
-        out = out + L.reshape(J, N) @ coef.T
+    for L, coef in zip(moments, (linear, quadratic, cubic)):
+        out = out + L @ coef.T
     return out

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
+from functools import lru_cache, partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -164,7 +164,8 @@ class SolutionField:
     the modes' source f_k(t): None, an array of K declared constants, or
     a _Signal, called as t -> (K,) + t.shape.  modes_at maps warped times
     S to the (K, S.size) mode values by the very rule, source and
-    convolution cells that produced mode_values."""
+    convolution cells that produced mode_values.  spec is a copy of the
+    assembling ProblemSpec: the diagnostics refuse any other time setup."""
 
     x_grid: np.ndarray
     t_grid: np.ndarray
@@ -178,6 +179,7 @@ class SolutionField:
     mode_sources: object = field(default=None, repr=False)
     system: EigenSystem = field(default=None, repr=False)
     modes_at: Callable = field(default=None, repr=False)
+    spec: ProblemSpec = field(default=None, repr=False)
 
 
 @dataclass
@@ -223,10 +225,16 @@ def _value_at(f, t: float) -> float:
 def _eval_vec(fn, x: np.ndarray) -> np.ndarray:
     """Evaluate fn on an array.  A real number is a constant function; a
     callable that rejects arrays the way scalar-only code does (TypeError,
-    ValueError) or returns the wrong shape is evaluated point by point."""
+    ValueError) or returns the wrong shape is evaluated point by point.
+    fn sees a read-only view of x, so one that writes into its argument
+    fails over to the points too, and the caller's x (a cached time table
+    or quadrature rule, say) keeps its values."""
     x = np.asarray(x, dtype=float)
     if _is_real(fn):
         return np.full(x.shape, float(fn))
+    if x.flags.writeable:
+        x = x.view()
+        x.flags.writeable = False
     try:
         out = np.asarray(fn(x), dtype=float)
         if out.shape == x.shape:
@@ -317,12 +325,25 @@ def _loads(source, K: int, t) -> np.ndarray:
     return np.multiply.outer(c, np.ones(t.shape))
 
 
-def _conv_times(warp: TimeWarp, S: np.ndarray, frac: np.ndarray):
-    """The times t(sigma) in [a, t(S)] of the cell nodes sigma = S frac,
-    frac_i = (i/n)^2, i = 0..n, of the convolution up to each target S > 0
-    (one row per target)."""
-    # t(0) may round below a; t is monotone, and its last column is t(S)
-    return np.maximum(warp_inverse(warp, S[:, None] * frac), warp.a)
+@lru_cache(maxsize=2)
+def _conv_times(warp: TimeWarp, n: int, S: bytes) -> np.ndarray:
+    """The read-only (J, n + 1) times t(sigma) in [a, t(S_j)] of the cell
+    nodes sigma = S_j frac, frac_i = (i/n)^2, i = 0..n, of the convolution
+    up to each target S_j > 0 (one row per target; S the bytes of a
+    float64 array).  They depend on no curve, so a sweep that keeps the
+    time setup reads them from the cache: one key for the output times and
+    one for the residual's dense table, which holds 1,024 x 129 doubles.
+    Filled in the row blocks of _modes_values."""
+    S = np.frombuffer(S)
+    frac = np.linspace(0.0, 1.0, n + 1) ** 2
+    out = np.empty((S.size, n + 1))
+    rows = max(1, _BLOCK_POINTS // (n + 1))
+    for lo in range(0, S.size, rows):
+        # t(0) may round below a; t is monotone, and its last column is t(S)
+        np.maximum(warp_inverse(warp, S[lo:lo + rows, None] * frac), warp.a,
+                   out=out[lo:lo + rows])
+    out.flags.writeable = False
+    return out
 
 
 def _mode_values(ode: ModeODE, S_arr: np.ndarray, form: str,
@@ -381,9 +402,10 @@ def _modes_values(alpha: float, warp: TimeWarp, lambdas, phis, source,
     rows = max(1, _BLOCK_POINTS // (conv_cells + 1))
     frac = np.linspace(0.0, 1.0, conv_cells + 1) ** 2
     ratios = tuple(1.0 - frac)  # c_i = y_i/S, the same for every target
+    times = _conv_times(warp, conv_cells, Sa[pos].tobytes())
     for lo in range(0, pos.size, rows):
         idx = pos[lo:lo + rows]
-        g = source.g(_conv_times(warp, Sa[idx], frac))
+        g = source.g(times[lo:lo + rows])
         # the curves' slopes, with slope_-1 = slope_n = 0 at the ends
         slopes = np.zeros(g.shape[:-1] + (conv_cells + 2,))
         np.subtract(g[..., 1:], g[..., :-1], out=slopes[..., 1:-1])
@@ -540,7 +562,8 @@ def assemble(spec: ProblemSpec, sys: EigenSystem, K: int, x_grid, t_grid,
                                     src_defect, mv)
     fld = SolutionField(x, t, values, K, spec.regime, diags,
                         mode_lambdas=lams, mode_values=mv, mode_phi=phi_c,
-                        mode_sources=source, system=sys, modes_at=modes_at)
+                        mode_sources=source, system=sys, modes_at=modes_at,
+                        spec=replace(spec))
     nr = solution_norms(fld, spec)
     diags["norms"] = {
         "sup_l2": nr.sup_l2, "sup_energy": nr.sup_energy,
@@ -587,6 +610,19 @@ def _truncation_diagnostics(spec, sys, K, W, basis, phi_vals, phi_c,
 # ---------------------------------------------------------------------------
 
 
+def _check_field_spec(field: SolutionField, spec: ProblemSpec) -> None:
+    """DomainError unless field carries the mode data of an assembly whose
+    spec agrees with spec in alpha, theta, beta, a and T: the diagnostics
+    read the time setup from spec and the modes from field."""
+    if field.mode_lambdas is None or field.spec is None:
+        raise DomainError("field carries no mode data")
+    for name in ("alpha", "theta", "beta", "a", "T"):
+        given, own = getattr(spec, name), getattr(field.spec, name)
+        if given != own:
+            raise DomainError(f"spec.{name} = {given!r} is not the field's "
+                              f"{own!r}")
+
+
 def _mode_interpolants(field: SolutionField, spec: ProblemSpec,
                        dense_n: int) -> _Pchip:
     """One monotone cubic (PCHIP) through the (K, dense_n + 1) table of the
@@ -623,8 +659,6 @@ def _residual(field: SolutionField, spec: ProblemSpec) -> ResidualReport:
     of the field's grid (classical regime) or over the modes (weak
     regime).  A NaN or an infinity confirms nothing about the field, so
     it is a ResolutionError."""
-    if field.mode_lambdas is None:
-        raise DomainError("field carries no mode data")
     t = field.t_grid
     ts = t[np.unique(np.linspace(0, t.size - 1, min(7, t.size)).astype(int))]
     r, scale = _mode_residuals(field, spec, ts, _L1_CELLS, _TABLE_CELLS)
@@ -647,6 +681,7 @@ def residual_strong(field: SolutionField, spec: ProblemSpec) -> ResidualReport:
     """Pointwise residual D^alpha u - (x^beta u_x)_x - f of the assembled
     field, evaluated mode-wise through the eigen identity
     (x^beta v_k')' = -lambda_k v_k.  Classical regime (beta < 1) only."""
+    _check_field_spec(field, spec)
     if spec.regime != "classical":
         raise RegimeError(
             f"strong residual needs the classical regime (beta < 1), "
@@ -659,6 +694,7 @@ def residual_weak(field: SolutionField, spec: ProblemSpec) -> ResidualReport:
     D^alpha (u, v_k) + lambda_k u_k - (f, v_k) at the sample times.  Weak
     regime (beta > 1) only.  The source's part outside the span of the
     modes is the assembly's source_projection_defect_l2."""
+    _check_field_spec(field, spec)
     if spec.regime != "weak":
         raise RegimeError(
             f"weak residual needs the weak regime (beta > 1), "
@@ -670,8 +706,7 @@ def solution_norms(field: SolutionField, spec: ProblemSpec) -> NormReport:
     """Sup-in-time L2, weighted-energy and weighted-Sobolev norms of the
     assembled field (via Parseval in the orthonormal eigenbasis), plus the
     raw values of the three series controlling the a-priori estimate."""
-    if field.mode_lambdas is None:
-        raise DomainError("field carries no mode data")
+    _check_field_spec(field, spec)
     mv = field.mode_values
     lam = field.mode_lambdas
     l2_t = np.sqrt(np.sum(mv ** 2, axis=0))

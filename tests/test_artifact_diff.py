@@ -1,8 +1,9 @@
-"""The numeric comparison and the child environment of
-tools/artifact_diff.py (its CLI matrix is run by hand: python
+"""The numeric comparison, the child environment and the warm leg's
+driver of tools/artifact_diff.py (its CLI matrix is run by hand: python
 tools/artifact_diff.py REV)."""
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "artifact_diff.py"
@@ -65,3 +66,45 @@ def test_run_case_pins_blas_to_one_thread_in_the_child(tmp_path,
                                              "OMP_NUM_THREADS",
                                              "MKL_NUM_THREADS"))
     assert seen["argv"][-3:] == ["eigen", "--out", str(tmp_path / "w" / "out")]
+
+
+def test_run_warm_drives_every_case_through_one_main_in_order(tmp_path,
+                                                              monkeypatch):
+    # the warm leg runs the solve cases in one interpreter, so a cache key
+    # that misses a field of the time setup shows as changed bytes; its
+    # child gets the same environment as a fresh run's
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                 "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "2")
+    seen = {}
+
+    class Done:
+        returncode = 0
+        stdout = b"solve: regime=classical\n[0, 3]\n"
+
+    def run(argv, **kwargs):
+        seen.update(argv=argv, **kwargs)
+        return Done()
+
+    monkeypatch.setattr(artifact_diff.subprocess, "run", run)
+    src, root = tmp_path / "src", tmp_path / "warm"
+    root.mkdir()
+    cases = [("one", ["solve", "--modes", "8"], {"f": "sep:one|sin:3"}),
+             ("two", ["solve", "--beta", "1.5"], {})]
+    assert artifact_diff.run_warm(src, root, cases) == [0, 3]
+    env = seen["env"]
+    assert env["PYTHONPATH"] == str(src)
+    assert all(env[name] == "1" for name in ("OPENBLAS_NUM_THREADS",
+                                             "OMP_NUM_THREADS",
+                                             "MKL_NUM_THREADS"))
+    assert seen["argv"][:3] == [sys.executable, "-c", artifact_diff._WARM]
+    assert "from degenfrac.cli import main" in artifact_diff._WARM
+    cfg = root / "one" / "run.cfg"
+    assert json.loads(seen["argv"][3]) == [
+        ["solve", "--modes", "8", "--out", str(root / "one" / "out"),
+         "--config", str(cfg)],
+        ["solve", "--beta", "1.5", "--out", str(root / "two" / "out")]]
+    assert cfg.read_text() == "f = sep:one|sin:3\n"
+    # a child that dies leaves every case failed
+    Done.returncode = 1
+    assert artifact_diff.run_warm(src, tmp_path / "again", cases) == [1, 1]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
+from degenfrac import fracops
 from degenfrac.errors import DomainError
 from degenfrac.fracops import (
     EKParams,
@@ -16,7 +17,9 @@ from degenfrac.fracops import (
     _BLOCK,
     TimeWarp,
     _Pchip,
+    _l1_cells,
     _l1_last_rows,
+    _l1_moments,
     _l1_rows,
     caputo_l1,
     ek_integral,
@@ -385,3 +388,29 @@ def test_hb_caputo_validation():
         hb_caputo(lambda s: s, 0.5, w, 0.4)
     with pytest.raises(DomainError):
         hb_caputo(lambda s: s, 1.2, w, 1.0)
+
+
+def test_l1_moments_are_cached_read_only_and_change_no_bit():
+    # the moments depend on the table's nodes, alpha, the sample times and
+    # n, not on the curves: new curves on the same nodes hit the one key,
+    # and a cleared cache gives the same sums bit for bit
+    nodes = 2.0 * np.linspace(0.0, 1.0, 65) ** 3
+    S = np.array([0.3, 1.1, 2.0])
+    rng = np.random.default_rng(5)
+    first, second = (_Pchip(nodes, rng.standard_normal((3, nodes.size)))
+                     for _ in range(2))
+    fracops._l1_moments.cache_clear()
+    _l1_cells(first, 0.6, S, 256)
+    warm = _l1_cells(second, 0.6, S, 256)
+    info = fracops._l1_moments.cache_info()
+    assert (info.hits, info.misses, info.currsize, info.maxsize) == (1, 1, 1, 1)
+    moments = _l1_moments(nodes.tobytes(), 0.6, S.tobytes(), 256)
+    assert all(L.shape == (3, 64) and not L.flags.writeable for L in moments)
+    fracops._l1_moments.cache_clear()
+    assert np.array_equal(warm, _l1_cells(second, 0.6, S, 256))
+    # a new sample set, alpha or n replaces the one key
+    for args in ((0.6, S[:2], 256), (0.7, S, 256), (0.6, S, 128)):
+        misses = fracops._l1_moments.cache_info().misses
+        _l1_cells(second, *args)
+        info = fracops._l1_moments.cache_info()
+        assert (info.misses, info.currsize) == (misses + 1, 1)

@@ -1,6 +1,7 @@
 """Mode reduction, closed-form relaxation kernels, field assembly,
 residual dispatch."""
 
+import dataclasses
 import inspect
 import math
 import warnings
@@ -11,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
-from degenfrac import solver, special
+from degenfrac import cli, fracops, solver, special
 from degenfrac.errors import DomainError, RegimeError, ResolutionError
 from degenfrac.fracops import (EKParams, SampledFunction, TimeWarp, _l1_cells,
                                _l1_rows, caputo_l1, ek_integral, graded_grid,
@@ -336,6 +337,23 @@ def test_solution_norms_parseval_single_mode(eig):
     assert rep.sup_weighted == pytest.approx(
         math.hypot(rep.sup_l2, rep.sup_energy), rel=1e-12)
     assert rep.series_phi == pytest.approx(sys.lambdas[0] ** 2, rel=1e-5)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("alpha", 0.8), ("theta", -0.5), ("beta", 0.7), ("a", 0.1), ("T", 2.0)])
+def test_diagnostics_refuse_a_spec_that_is_not_the_fields(eig, name, value):
+    # the diagnostics read the time setup from spec and the modes from the
+    # field: on the README forced example the strong residual read 0.128
+    # at alpha 0.8 and 0.766 at theta -0.5, where the field's own spec
+    # gives 1.5e-4, and a spec at beta 0.7 was ignored without a word
+    spec, fld = _forced_field(eig, 16)
+    other = dataclasses.replace(spec, **{name: value})
+    for diagnostic in (residual_strong, solution_norms):
+        with pytest.raises(DomainError, match=f"^spec.{name} = "):
+            diagnostic(fld, other)
+    # an equal spec is the field's own, whatever object carries it
+    assert (residual_strong(fld, dataclasses.replace(spec)).sup_abs
+            == residual_strong(fld, spec).sup_abs)
 
 
 def test_assemble_field_carries_mode_data(eig):
@@ -889,3 +907,120 @@ def test_no_solver_path_takes_the_point_by_point_ml_route(eig, alpha, monkeypatc
     warp = TimeWarp(0.3, 0.2)
     for src in (None, 1.5, np.cos):
         mode_solution_alt(ModeODE(1, alpha, 7.0, 0.4, src, warp), tg)
+
+
+# ---------------------------------------------------------------------------
+# The curve-free time tables, memoized by value
+
+
+def _cache_counts():
+    return [(c.hits, c.misses) for c in (solver._conv_times.cache_info(),
+                                         fracops._l1_moments.cache_info())]
+
+
+def _clear_time_caches():
+    solver._conv_times.cache_clear()
+    fracops._l1_moments.cache_clear()
+
+
+def _cli_solve(tmp_path, name, beta):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(f"beta = {beta}\nmodes = 2\nf = sep:one|sin:3\n")
+    out = tmp_path / name
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    return [(out / n).read_bytes() for n in ("solution.csv",
+                                             "diagnostics.json")]
+
+
+def test_a_beta_sweep_reads_both_time_tables_from_the_caches(tmp_path):
+    # a beta sweep keeps (alpha, theta, a, T, t_grid, conv_cells): its
+    # second solve finds the convolution times of the output times and of
+    # the residual's dense table, and the residual's L1 moments, cached
+    _clear_time_caches()
+    _cli_solve(tmp_path, "first", 0.3)
+    before = _cache_counts()
+    warm = _cli_solve(tmp_path, "warm", 0.5)
+    assert _cache_counts() == [(before[0][0] + 2, before[0][1]),
+                               (before[1][0] + 1, before[1][1])]
+    _clear_time_caches()
+    assert warm == _cli_solve(tmp_path, "cold", 0.5)
+
+
+def _setup_solve(eig, setup):
+    """assemble at K = 2 with f = sep:one|sin:3 on a time setup, and its
+    strong residual."""
+    setup = dict(setup)
+    t_grid, conv_cells = setup.pop("t_grid"), setup.pop("conv_cells")
+    warp = TimeWarp(setup["theta"], setup["a"])
+    spec = _basic_spec(0.5, f=cli.source_expr("sep:one|sin:3", warp), **setup)
+    fld = assemble(spec, eig(0.5, 2), 2, np.linspace(0.0, 1.0, 9), t_grid,
+                   conv_cells=conv_cells)
+    return fld, residual_strong(fld, spec)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("alpha", 0.8), ("theta", -0.5), ("a", 0.1), ("T", 1.5),
+    ("t_grid", np.linspace(0.3, 1.0, 4)), ("conv_cells", 64)])
+def test_a_new_time_setup_misses_the_caches(eig, name, value):
+    # each field of the time setup enters the keys: the second solve
+    # misses, and matches a solve on cleared caches bit for bit
+    base = dict(alpha=0.6, theta=0.3, a=0.0, T=1.0,
+                t_grid=np.linspace(0.25, 1.0, 4), conv_cells=128)
+    _clear_time_caches()
+    _setup_solve(eig, base)
+    before = _cache_counts()
+    fld, rep = _setup_solve(eig, dict(base, **{name: value}))
+    after = _cache_counts()
+    assert after[0][1] > before[0][1]
+    # the L1 moments do not depend on the convolution's cells
+    assert after[1][1] == before[1][1] + (name != "conv_cells")
+    _clear_time_caches()
+    ref, ref_rep = _setup_solve(eig, dict(base, **{name: value}))
+    assert np.array_equal(fld.mode_values, ref.mode_values)
+    assert np.array_equal(fld.values, ref.values)
+    assert (rep.sup_abs, rep.scale) == (ref_rep.sup_abs, ref_rep.scale)
+    assert np.array_equal(rep.per_test, ref_rep.per_test)
+
+
+def test_cached_times_are_read_only_and_a_writing_time_factor_is_served(eig):
+    # the cached times reach the source's time factor: one that writes
+    # into its argument is refused the write, and _eval_vec's fallback
+    # serves it point by point, so no later solve reads clobbered times.
+    # The norms' time grid once took such a write, and read NaN
+    S = warp_forward(TimeWarp(0.3, 0.0), np.linspace(0.25, 1.0, 4))
+    times = solver._conv_times(TimeWarp(0.3, 0.0), 16, S.tobytes())
+    assert times.shape == (4, 17) and not times.flags.writeable
+    with pytest.raises(ValueError):
+        times[0, 0] = 0.0
+
+    def writing(t):
+        t = np.asarray(t)
+        out = t * (2.0 - t)
+        t *= 0.0
+        return out
+
+    fields = []
+    for ft in (lambda t: t * (2.0 - t), writing, writing):
+        spec = _basic_spec(0.5, f=SeparableSource(np.ones_like, ft))
+        fld = assemble(spec, eig(0.5, 2), 2, np.linspace(0.0, 1.0, 9),
+                       np.linspace(0.25, 1.0, 4), conv_cells=16)
+        rep = residual_strong(fld, spec)
+        fields.append((fld.values, rep.sup_abs, rep.t_samples,
+                       fld.diagnostics["norms"]))
+    for values, sup_abs, t_samples, norms in fields[1:]:
+        assert np.array_equal(values, fields[0][0])
+        assert sup_abs == fields[0][1]
+        assert np.array_equal(t_samples, fields[0][2])
+        assert norms == fields[0][3]
+
+
+def test_the_time_caches_hold_their_declared_keys(eig):
+    assert solver._conv_times.cache_info().maxsize == 2
+    assert fracops._l1_moments.cache_info().maxsize == 1
+    for T in (1.0, 1.1, 1.2):
+        for conv_cells in (16, 32):
+            _setup_solve(eig, dict(alpha=0.6, theta=0.3, a=0.0, T=T,
+                                   t_grid=np.linspace(0.25, 1.0, 4),
+                                   conv_cells=conv_cells))
+            assert solver._conv_times.cache_info().currsize <= 2
+            assert fracops._l1_moments.cache_info().currsize <= 1

@@ -5,11 +5,15 @@
 Extracts REV's src/ with `git archive` into a temporary directory, runs one
 fixed matrix of CLI commands (MATRIX) as `python -m degenfrac` with
 PYTHONPATH set to each tree's src/, REV's and then the working tree's, and
-BLAS pinned to one thread in both.  Prints one line per artifact:
-"identical", or the largest absolute and relative change of a numeric CSV
-cell or JSON leaf.  Exits 0 only when every command exits 0 on both trees
-and every artifact is identical.  Everything is written under the
-temporary directory, which is removed at the end.
+BLAS pinned to one thread in both.  Each of these runs is a fresh process.
+A warm leg then runs the matrix's solve cases again in one interpreter of
+the working tree, in matrix order, through degenfrac.cli.main, so each
+solve meets the caches its predecessors filled; their artifacts must equal
+the fresh runs' bytes.  Prints one line per artifact: "identical", or the
+largest absolute and relative change of a numeric CSV cell or JSON leaf.
+Exits 0 only when every command exits 0 and every artifact is identical.
+Everything is written under the temporary directory, which is removed at
+the end.
 """
 from __future__ import annotations
 
@@ -103,20 +107,49 @@ def extract_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def run_case(src: Path, work: Path, args, keys) -> int:
-    """One CLI run against the package under src, writing into work/out;
-    returns its exit code."""
+def _child_env(src: Path) -> dict:
+    """The environment of a run against the package under src."""
+    return dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
+                **{name: "1" for name in _BLAS_THREADS})
+
+
+def _cli_args(work: Path, args, keys) -> list:
+    """The CLI arguments of one case writing into work/out, with its
+    config-file keys in work/run.cfg."""
     work.mkdir(parents=True)
-    argv = [sys.executable, "-m", "degenfrac", *args,
-            "--out", str(work / "out")]
+    argv = [*args, "--out", str(work / "out")]
     if keys:
         cfg = work / "run.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
         argv += ["--config", str(cfg)]
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
-               **{name: "1" for name in _BLAS_THREADS})
-    return subprocess.run(argv, cwd=work, env=env,
+    return argv
+
+
+def run_case(src: Path, work: Path, args, keys) -> int:
+    """One CLI run against the package under src, writing into work/out;
+    returns its exit code."""
+    argv = [sys.executable, "-m", "degenfrac", *_cli_args(work, args, keys)]
+    return subprocess.run(argv, cwd=work, env=_child_env(src),
                           capture_output=True).returncode
+
+
+#: the warm leg's interpreter: every case's CLI arguments, from a JSON
+#: list, through one degenfrac.cli.main; its last line is their exit codes
+_WARM = ("import json, sys\n"
+         "from degenfrac.cli import main\n"
+         "print(json.dumps([main(a) for a in json.loads(sys.argv[1])]))\n")
+
+
+def run_warm(src: Path, root: Path, cases) -> list:
+    """The cases (name, CLI arguments, config-file keys) in order, in one
+    interpreter against the package under src, case name writing into
+    root/name/out; returns their exit codes."""
+    argvs = [_cli_args(root / name, args, keys) for name, args, keys in cases]
+    proc = subprocess.run([sys.executable, "-c", _WARM, json.dumps(argvs)],
+                          cwd=root, env=_child_env(src), capture_output=True)
+    if proc.returncode != 0:
+        return [proc.returncode] * len(cases)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def _leaves(text: str, suffix: str):
@@ -179,6 +212,25 @@ def diff_artifact(old: bytes, new: bytes, suffix: str) -> str | None:
     return f"max abs change {big_abs:.3e}, max rel change {big_rel:.3e}"
 
 
+def _compare(label: str, outs, sides) -> bool:
+    """Prints one verdict per artifact of the two output directories outs,
+    whose trees are named sides; True when every artifact is identical."""
+    files = sorted({p.relative_to(o).as_posix()
+                    for o in outs if o.is_dir()
+                    for p in o.rglob("*") if p.is_file()})
+    ok = True
+    for rel in files:
+        old, new = (o / rel for o in outs)
+        if not (old.is_file() and new.is_file()):
+            verdict = "only in " + sides[0 if old.is_file() else 1]
+        else:
+            verdict = diff_artifact(old.read_bytes(), new.read_bytes(),
+                                    Path(rel).suffix)
+        ok = ok and verdict is None
+        print(f"{label}/{rel}: {verdict or 'identical'}")
+    return ok
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
@@ -197,19 +249,18 @@ def main(argv=None) -> int:
                 print(f"{name}: exit codes {codes[0]} (REV), {codes[1]} "
                       "(working tree); every case should exit 0")
             outs = [tmp / side / "runs" / name / "out" for side, _ in trees]
-            files = sorted({p.relative_to(o).as_posix()
-                            for o in outs if o.is_dir()
-                            for p in o.rglob("*") if p.is_file()})
-            for rel in files:
-                old, new = (o / rel for o in outs)
-                if not (old.is_file() and new.is_file()):
-                    verdict = "only in " + ("REV" if old.is_file() else
-                                            "the working tree")
-                else:
-                    verdict = diff_artifact(old.read_bytes(), new.read_bytes(),
-                                            Path(rel).suffix)
-                ok = ok and verdict is None
-                print(f"{name}/{rel}: {verdict or 'identical'}")
+            ok = _compare(name, outs, ("REV", "the working tree")) and ok
+        solves = [case for case in MATRIX if case[1][0] == "solve"]
+        codes = run_warm(REPO / "src", tmp / "warm", solves)
+        for (name, _, _), code in zip(solves, codes):
+            if code != 0:
+                ok = False
+                print(f"warm/{name}: exit code {code}; every case should "
+                      "exit 0")
+            outs = [tmp / "work" / "runs" / name / "out",
+                    tmp / "warm" / name / "out"]
+            ok = _compare(f"warm/{name}", outs, ("the fresh run",
+                                                 "the warm run")) and ok
     print("all artifacts identical" if ok else "artifacts differ")
     return 0 if ok else 1
 

@@ -18,11 +18,8 @@ from .special import (
     ml_eval_many,
 )
 from .fracops import (
-    EKParams,
     SampledFunction,
     TimeWarp,
-    caputo_l1,
-    ek_integral,
     graded_grid,
     hb_caputo,
     warp_forward,

@@ -1,15 +1,15 @@
 """Fractional operators in time.
 
-Erdelyi-Kober integral, the regularized hyper-Bessel derivative of order
-alpha with arbitrary starting point a, and the L1 discretization of the
-classical Caputo derivative that powers it after the change of variable
-s = t^p - a^p (p = 1 - theta), which turns the hyper-Bessel operator into
-p^alpha times a plain Caputo derivative in s.
+The regularized hyper-Bessel derivative of order alpha with arbitrary
+starting point a, and the L1 discretization of the classical Caputo
+derivative that powers it after the change of variable s = t^p - a^p
+(p = 1 - theta), which turns the hyper-Bessel operator into p^alpha times
+a plain Caputo derivative in s.
 
-_l1_rows is the one L1 rule, for every alpha in (0, 1]: caputo_l1 and
-the FD oracle's march apply its weight rows to the increments of the
-data, and at alpha = 1 its rows are backward differences.  hb_caputo and
-the residual's _l1_cells need only its last row, on one grid or many:
+_l1_rows is the one L1 rule, for every alpha in (0, 1]: the FD oracle's
+march applies its weight rows to the increments of the data, and at
+alpha = 1 its rows are backward differences.  hb_caputo and the
+residual's _l1_cells need only its last row, on one grid or many:
 _l1_last_rows.
 """
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import DomainError, _check_alpha, _check_count, _is_real
 
@@ -40,34 +39,11 @@ class TimeWarp:
             raise DomainError(f"theta must be a finite real < 1, "
                               f"got {self.theta!r}")
         if not (_is_real(self.a) and self.a >= 0.0):
-            raise DomainError(f"starting point must be a finite real >= 0, "
-                              f"got {self.a!r}")
+            raise DomainError(f"a must be a finite real >= 0, got {self.a!r}")
 
     @property
     def p(self) -> float:
         return 1.0 - self.theta
-
-
-@dataclass(frozen=True)
-class EKParams:
-    """Parameters (gamma, delta, beta) of the Erdelyi-Kober integral
-    I^{gamma,delta}_beta taken from starting point a."""
-
-    gamma_ek: float
-    delta: float
-    beta_ek: float
-    a: float = 0.0
-
-    def __post_init__(self):
-        if not (_is_real(self.gamma_ek) and _is_real(self.delta)):
-            raise DomainError(f"gamma_ek and delta must be finite reals, "
-                              f"got {self.gamma_ek!r}, {self.delta!r}")
-        if not (_is_real(self.beta_ek) and self.beta_ek > 0.0):
-            raise DomainError(f"beta_ek must be a finite positive real, "
-                              f"got {self.beta_ek!r}")
-        if not (_is_real(self.a) and self.a >= 0.0):
-            raise DomainError(f"starting point must be a finite real >= 0, "
-                              f"got {self.a!r}")
 
 
 def _pchip_end_slope(h0, h1, m0, m1):
@@ -105,7 +81,7 @@ class _Pchip:
             w2 = h[1:] + 2 * h[:-1]
             ml, mr = m[..., :-1], m[..., 1:]
             flat = (np.sign(mr) != np.sign(ml)) | (mr == 0) | (ml == 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 hmean = (w1 / ml + w2 / mr) / (w1 + w2)
                 inner = np.where(flat, 0.0, 1.0 / hmean)
             d = np.concatenate((
@@ -164,10 +140,6 @@ class SampledFunction:
         return float(out) if out.ndim == 0 else out
 
 
-def _as_fn(f) -> SampledFunction:
-    return f if isinstance(f, SampledFunction) else SampledFunction(f)
-
-
 def _shift(warp: TimeWarp, like):
     """a^p by the pow that like ** p takes: numpy's vector pow and C pow
     can differ in the last bit, and s(a) must be 0 exactly."""
@@ -197,59 +169,6 @@ def graded_grid(length: float, n: int, exponent: float) -> np.ndarray:
     if not (_is_real(exponent) and exponent > 0.0):
         raise DomainError(f"need a finite exponent > 0, got {exponent!r}")
     return length * np.linspace(0.0, 1.0, n + 1) ** exponent
-
-
-def ek_integral(f, params: EKParams, t: float, n: int = 96) -> float:
-    """Erdelyi-Kober integral
-
-        t^{-b(g+d)}/Gamma(d) * int_a^t (t^b - tau^b)^{d-1} tau^{b g} f(tau) d(tau^b)
-
-    with (g, d, b) = (gamma_ek, delta, beta_ek).  The endpoint factor
-    (t - tau)^{delta-1} (and, when a = 0, the algebraic factor at tau = 0)
-    is absorbed into a Gauss-Jacobi rule, so smooth f is integrated to
-    near machine accuracy.
-    """
-    g, d, b, a = params.gamma_ek, params.delta, params.beta_ek, params.a
-    if d <= 0.0:
-        raise DomainError(f"delta must be positive for the integral, got {d}")
-    _check_count("n", n)
-    if not math.isfinite(t):
-        raise DomainError(f"t must be finite, got {t}")
-    if t < a:
-        raise DomainError(f"t={t} below starting point a={a}")
-    if t == a:
-        return 0.0
-
-    fn = _as_fn(f)
-    if a == 0.0 and g <= -1.0:
-        raise DomainError("tau^{beta*gamma} weight not integrable at 0")
-    if a == 0.0 and b <= 1.0:
-        # integrate in y = tau^b; tau(y) = y^{1/b} is then C^1 at 0 and both
-        # algebraic endpoint factors sit in the Jacobi weight
-        x, w = sp.roots_jacobi(n, d - 1.0, g)
-        Y = t ** b
-        y = 0.5 * Y * (1.0 + x)
-        vals = fn(y ** (1.0 / b))
-        total = (0.5 * Y) ** (d + g) * np.dot(w, vals)
-    else:
-        # integrate in tau; (t^b - tau^b)/(t - tau) is smooth and positive
-        # up to tau = t, and for a = 0 the remaining tau-power goes into
-        # the weight exponent mu
-        mu = b - 1.0 + b * g if a == 0.0 else 0.0
-        x, w = sp.roots_jacobi(n, d - 1.0, mu)
-        half = 0.5 * (t - a)
-        tau = a + half * (1.0 + x)
-        ratio = (t ** b - tau ** b) / (t - tau)
-        vals = b * ratio ** (d - 1.0) * fn(tau)
-        if a == 0.0:
-            total = half ** (d + mu) * np.dot(w, vals)
-        else:
-            total = half ** d * np.dot(w, vals * tau ** (b - 1.0 + b * g))
-    return float(t ** (-b * (g + d)) * total / sp.gamma(d))
-
-
-#: L1 rows built, and applied, as one block
-_BLOCK = 64
 
 
 def _l1_weight_diffs(e: float, d: np.ndarray, ds: np.ndarray) -> np.ndarray:
@@ -307,28 +226,6 @@ def _l1_last_rows(alpha: float, s: np.ndarray) -> np.ndarray:
     return w if np.all(ds > 0.0) else np.where(ds > 0.0, w, 0.0)
 
 
-def caputo_l1(g, alpha: float, s_grid) -> np.ndarray:
-    """Classical Caputo derivative of order alpha in (0, 1] of g on a grid
-    starting at 0, by the L1 scheme (_l1_rows, one block of rows at a
-    time); returns one value per node (0 at the first node).  At alpha = 1
-    these are the backward differences."""
-    _check_alpha(alpha)
-    s = np.asarray(s_grid, dtype=float)
-    if s.ndim != 1 or s.size < 2 or s[0] != 0.0:
-        raise DomainError("grid must be 1-d, start at 0, and have >= 2 nodes")
-    if not np.all(np.diff(s) > 0.0):
-        raise DomainError("grid nodes must be strictly increasing")
-    gv = _as_fn(g)(s)
-    if not np.all(np.isfinite(gv)):
-        raise DomainError("g must be finite on the grid")
-    dg = np.diff(gv)
-    out = np.zeros(s.size)
-    for n0 in range(1, s.size, _BLOCK):
-        n1 = min(n0 + _BLOCK, s.size)
-        out[n0:n1] = _l1_rows(alpha, s, n0, n1) @ dg[:n1 - 1]
-    return out
-
-
 def hb_caputo(f, alpha: float, warp: TimeWarp, t: float, n: int = 2048,
               warped: bool = False):
     """Regularized Caputo-like hyper-Bessel derivative of order alpha at t.
@@ -353,9 +250,8 @@ def hb_caputo(f, alpha: float, warp: TimeWarp, t: float, n: int = 2048,
     s = graded_grid(S, n, 2.0 / alpha)
     # below alpha ~ 0.02 the first nodes underflow onto s = 0: one is kept
     s = s[np.concatenate(([True], np.diff(s) > 0.0))]
-    fn = _as_fn(f)
     if warped:
-        gv = fn(s)
+        gv = np.asarray(f(s), dtype=float)
     else:
         shift = warp.a ** warp.p
         if shift > 0.0:
@@ -369,7 +265,7 @@ def hb_caputo(f, alpha: float, warp: TimeWarp, t: float, n: int = 2048,
             tt = s ** (1.0 / warp.p)
         tt[0] = warp.a
         tt[-1] = t
-        gv = fn(tt)
+        gv = np.asarray(f(tt), dtype=float)
     if not np.all(np.isfinite(gv)):
         raise DomainError("f must be finite on [a, t]")
     # only the final L1 row is needed here

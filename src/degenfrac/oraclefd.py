@@ -21,12 +21,14 @@ from scipy.linalg.lapack import dgtsv
 
 from .errors import (DomainError, ResolutionError, SolverError, _check_alpha,
                      _check_count, _is_real)
-from .fracops import _BLOCK, _l1_rows, warp_forward
+from .fracops import _l1_rows, warp_forward
 from .solver import ProblemSpec, SolutionField, _eval_vec
 from .spectral import bc_requirements, grading_exponent
 
 #: cap on the time grading exponent 2/alpha of FDMesh.build
 _MAX_GRADE_S = 4.0
+#: L1 rows built, and applied, as one block of time steps
+_BLOCK = 64
 
 
 @dataclass(frozen=True)

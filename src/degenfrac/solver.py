@@ -85,13 +85,8 @@ class ProblemSpec:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if not (_is_real(self.theta) and self.theta < 1.0):
-            raise DomainError(f"theta must be a finite real < 1, "
-                              f"got {self.theta!r}")
+        TimeWarp(self.theta, self.a)  # theta < 1, a >= 0
         bc_requirements(self.beta)  # validates beta, fixes the BC set
-        if not (_is_real(self.a) and self.a >= 0.0):
-            raise DomainError(f"a must be a finite nonnegative real, "
-                              f"got {self.a!r}")
         if not (_is_real(self.T) and self.T > self.a):
             raise DomainError(f"need a < T < inf, got T={self.T!r}")
         if not isinstance(self.phi, SampledFunction):

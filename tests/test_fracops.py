@@ -1,7 +1,8 @@
-"""Time-fractional operator layer: warp, Erdelyi-Kober, L1 Caputo,
-hyper-Bessel derivative."""
+"""Time-fractional operator layer: warp, L1 Caputo rule, hyper-Bessel
+derivative."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,22 +13,19 @@ from scipy.interpolate import PchipInterpolator
 from degenfrac import fracops
 from degenfrac.errors import DomainError
 from degenfrac.fracops import (
-    EKParams,
     SampledFunction,
-    _BLOCK,
     TimeWarp,
     _Pchip,
     _l1_cells,
     _l1_last_rows,
     _l1_moments,
     _l1_rows,
-    caputo_l1,
-    ek_integral,
     graded_grid,
     hb_caputo,
     warp_forward,
     warp_inverse,
 )
+from degenfrac.oraclefd import _BLOCK
 from degenfrac.special import ml_eval_many
 
 
@@ -148,6 +146,21 @@ def test_pchip_matches_scipy_reference(case):
     assert np.ndim(_Pchip(x, y)(float(x[1]))) == y.ndim - 1
 
 
+def test_pchip_on_tiny_secants_warns_nothing():
+    # secants near 1e-310 overflow the harmonic mean's reciprocals; the
+    # slope is still SciPy's, and no numpy warning escapes.  SciPy warns
+    # on the same data, so its values are taken outside the filter.
+    x = np.linspace(0.0, 1.0, 6)
+    y = np.array([0.0, 1.0, 3.0, 2.0, 5.0, 6.0]) * 1e-310
+    xp = np.concatenate((x, 0.5 * (x[1:] + x[:-1])))
+    with np.errstate(all="ignore"):
+        ref = PchipInterpolator(x, y)(xp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _Pchip(x, y)(xp)
+    np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+
 def test_sampled_function_table_matches_scipy_reference():
     nodes = np.linspace(0.0, 1.0, 30) ** 2
     vals = np.sin(7.0 * nodes)
@@ -158,114 +171,55 @@ def test_sampled_function_table_matches_scipy_reference():
     assert isinstance(sf(0.3), float)
 
 
-def test_ek_integral_power_law():
-    """I^{g,d}_b t^c has the closed form
-    Gamma(g + c/b + 1)/Gamma(g + c/b + 1 + d) * t^c   (a = 0)."""
-    for (g, d, b, c) in [(0.0, 0.4, 1.0, 1.0), (0.5, 0.7, 0.7, 2.0),
-                         (-0.3, 1.2, 1.4, 2.0), (1.0, 0.25, 2.0, 3.0)]:
-        params = EKParams(g, d, b)
-        for t in (0.3, 1.0, 2.5):
-            got = ek_integral(lambda x: x ** c, params, t)
-            mu = g + c / b + 1.0
-            ref = math.gamma(mu) / math.gamma(mu + d) * t ** c
-            assert got == pytest.approx(ref, rel=1e-12), (g, d, b, c, t)
-
-
-def test_ek_integral_rough_data_converges():
-    # sqrt data is not polynomial in the b>1 chart: accuracy must improve
-    # with the rule size and reach the closed form
-    params = EKParams(-0.3, 1.2, 1.4)
-    mu = -0.3 + 0.5 / 1.4 + 1.0
-    ref = math.gamma(mu) / math.gamma(mu + 1.2) * 1.0
-    e96 = abs(ek_integral(lambda x: np.sqrt(x), params, 1.0, n=96) - ref)
-    e400 = abs(ek_integral(lambda x: np.sqrt(x), params, 1.0, n=400) - ref)
-    assert e400 < e96 * 0.2
-    assert e400 <= 1e-8 * abs(ref)
-
-
-def test_ek_integral_constant_any_start():
-    # a > 0: compare against independent quadrature in y = tau^b after the
-    # substitution u = (t^b - y)^d that removes the endpoint singularity
-    from scipy import integrate
-
-    params = EKParams(0.4, 0.6, 0.8, a=0.5)
-    t = 1.7
-    got = ek_integral(lambda x: np.ones_like(x), params, t)
-    g, d, b, a = 0.4, 0.6, 0.8, 0.5
-    Y, yl = t ** b, a ** b
-    integ, _ = integrate.quad(
-        lambda u: (Y - u ** (1.0 / d)) ** g / d, 0.0, (Y - yl) ** d,
-        epsabs=0.0, epsrel=1e-13)
-    ref = t ** (-b * (g + d)) / math.gamma(d) * integ
-    assert got == pytest.approx(ref, rel=1e-11)
-
-
-def test_ek_integral_validation():
-    with pytest.raises(DomainError):
-        EKParams(0.0, 0.5, 0.0)
-    with pytest.raises(DomainError):
-        ek_integral(lambda x: x, EKParams(0.0, -0.5, 1.0), 1.0)
-    with pytest.raises(DomainError):
-        ek_integral(lambda x: x, EKParams(0.0, 0.5, 1.0, a=2.0), 1.0)
-    assert ek_integral(lambda x: x, EKParams(0.0, 0.5, 1.0, a=1.0), 1.0) == 0.0
+def _l1_apply(alpha, s, gv):
+    """The L1 derivative at every node of s, one block of _l1_rows at a
+    time, as the FD march applies them; 0 at the first node."""
+    dg = np.diff(gv)
+    out = np.zeros(s.size)
+    for n0 in range(1, s.size, _BLOCK):
+        n1 = min(n0 + _BLOCK, s.size)
+        out[n0:n1] = _l1_rows(alpha, s, n0, n1) @ dg[:n1 - 1]
+    return out
 
 
 def test_caputo_l1_power_function():
     # Caputo^alpha of s: s^(1-alpha)/Gamma(2-alpha); frozen alpha=0.5 value
     # at s=1 is 1/Gamma(1.5) = 1.1283791670955126 (analytic)
     s = graded_grid(1.0, 2048, 4.0)
-    out = caputo_l1(lambda x: x, 0.5, s)
+    out = _l1_apply(0.5, s, s)
     assert out[-1] == pytest.approx(1.1283791670955126, rel=1e-6)
     ref = s[1:] ** 0.5 / math.gamma(1.5)
     assert np.max(np.abs(out[1:] - ref) / ref) <= 5e-4
 
 
 def test_caputo_l1_quadratic():
+    # Caputo^alpha of s^2: 2 s^(2-alpha)/Gamma(3-alpha)
     s = graded_grid(2.0, 4096, 6.0)
     al = 0.3
-    out = caputo_l1(lambda x: x * x, al, s)
+    out = _l1_apply(al, s, s * s)
     ref = 2.0 / math.gamma(3.0 - al) * s[1:] ** (2.0 - al)
     assert np.max(np.abs(out[1:] - ref) / np.max(ref)) <= 1e-5
 
 
 def test_caputo_l1_matches_per_node_sums():
-    # two full blocks of rows and a partial one, against the L1 sum written
-    # out node by node
+    # two full blocks of _l1_rows and a partial one, against the L1 sum
+    # written out node by node
     al = 0.4
     s = graded_grid(1.0, 2 * _BLOCK + 5, 2.5)
     gv = s ** 1.3 + np.sin(s)
-    out = caputo_l1(lambda x: x ** 1.3 + np.sin(x), al, s)
     ref = [0.0]
     for i in range(1, s.size):
         ref.append(sum(((s[i] - s[j]) ** (1 - al) - (s[i] - s[j + 1]) ** (1 - al))
                        * (gv[j + 1] - gv[j]) / (s[j + 1] - s[j])
                        for j in range(i)) / math.gamma(2 - al))
-    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(_l1_apply(al, s, gv), ref, rtol=1e-12, atol=0.0)
 
 
 def test_caputo_l1_constant_is_zero():
+    # a constant has zero increments, and its derivative is 0 exactly
     s = np.linspace(0.0, 1.0, 100)
-    out = caputo_l1(lambda x: 3.0 * np.ones_like(x), 0.7, s)
+    out = _l1_apply(0.7, s, np.full(s.size, 3.0))
     assert np.max(np.abs(out)) == 0.0
-
-
-def test_caputo_l1_validation():
-    with pytest.raises(DomainError):
-        caputo_l1(lambda x: x, 1.5, np.linspace(0.0, 1.0, 10))
-    with pytest.raises(DomainError):
-        caputo_l1(lambda x: x, 0.5, np.linspace(0.5, 1.0, 10))
-    with pytest.raises(DomainError):
-        caputo_l1(lambda x: x, 0.5, np.array([0.0]))
-
-
-def test_caputo_l1_at_alpha_one_is_the_backward_difference():
-    # (0, 1] as _l1_rows and hb_caputo serve it; two blocks of rows
-    s = graded_grid(1.3, _BLOCK + 7, 2.0)
-    g = lambda x: np.sin(3.0 * x) + x ** 1.5
-    out = caputo_l1(g, 1.0, s)
-    assert out[0] == 0.0
-    np.testing.assert_allclose(out[1:], np.diff(g(s)) / np.diff(s),
-                               rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("n0,n1", [(1, 9), (5, 12)])

@@ -1,6 +1,8 @@
 """The public surface: the names `import degenfrac` binds are the names the
-README's "Public API" section lists, and each has a docstring of its own."""
+README's "Public API" section lists, each has a docstring of its own, and
+each has a caller beyond its own tests."""
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import degenfrac
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
+_ACCEPTANCE = Path(__file__).resolve().with_name("test_acceptance.py")
 
 
 def _readme_api() -> set:
@@ -31,3 +34,26 @@ def test_every_public_name_has_its_own_docstring():
         # one gets its signature, "Name(field: type, ...)"
         doc = vars(obj).get("__doc__") if isinstance(obj, type) else obj.__doc__
         assert doc and not doc.startswith(name + "("), name
+
+
+def _names_used(path: Path) -> set:
+    """Every name, attribute and import in the module at path; definitions
+    and strings do not count."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    # a name that only its own tests call is run by no solver path, CLI
+    # command or acceptance gate
+    package = Path(degenfrac.__file__).parent
+    modules = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    used = set().union(*map(_names_used, modules + [_ACCEPTANCE]))
+    assert sorted(set(_exported()) - used) == []

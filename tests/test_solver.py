@@ -14,9 +14,8 @@ from scipy.interpolate import PchipInterpolator
 
 from degenfrac import cli, fracops, solver, special
 from degenfrac.errors import DomainError, RegimeError, ResolutionError
-from degenfrac.fracops import (EKParams, SampledFunction, TimeWarp, _l1_cells,
-                               _l1_rows, caputo_l1, ek_integral, graded_grid,
-                               hb_caputo, warp_forward)
+from degenfrac.fracops import (SampledFunction, TimeWarp, _l1_cells, _l1_rows,
+                               graded_grid, hb_caputo, warp_forward)
 from degenfrac.oraclefd import FDMesh
 from degenfrac.solver import (
     ModeODE,
@@ -736,7 +735,6 @@ def test_cell_and_node_counts_are_validated(eig, beta, residual):
 
 
 _W = TimeWarp(0.3)
-_EK = EKParams(0.0, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("call", [
@@ -748,11 +746,8 @@ _EK = EKParams(0.0, 0.5, 1.0)
     lambda: hb_caputo(np.sin, 0.6, _W, 0.5, n=2.5),
     lambda: hb_caputo(np.sin, 0.6, _W, math.inf),
     lambda: hb_caputo(np.sin, 0.6, _W, math.nan),
-    lambda: ek_integral(np.sin, _EK, 0.5, n=0),
-    lambda: ek_integral(np.sin, _EK, math.nan),
     lambda: graded_grid(math.nan, 4, 2.0),
     lambda: graded_grid(1.0, 2.5, 2.0),
-    lambda: caputo_l1(np.sin, "0.5", [0.0, 0.5, 1.0]),
     lambda: hb_caputo(np.sin, None, _W, 0.5),
     lambda: fourier_coeff(np.sin, solve_eigen(0.5, 4), 1.5),
     lambda: solve_eigen(0.5, 4).eigen_eval(1.5, 0.5),
@@ -768,8 +763,7 @@ _EK = EKParams(0.0, 0.5, 1.0)
     lambda: solve_eigen(0.5, True),
 ], ids=["solve_eigen-K", "solve_eigen-mesh", "bessel_eigen-K", "FDMesh-nx", "FDMesh-nt",
         "hb_caputo-n", "hb_caputo-t-inf", "hb_caputo-t-nan",
-        "ek_integral-n", "ek_integral-t", "graded_grid-length",
-        "graded_grid-n", "caputo_l1-alpha-str", "hb_caputo-alpha-None",
+        "graded_grid-length", "graded_grid-n", "hb_caputo-alpha-None",
         "fourier_coeff-k", "eigen_eval-k", "mode-k", "assemble-K-float",
         "assemble-K-str", "ml_eval_many-alpha-str", "ml_eval-beta-None",
         "ml_bound_fit-alpha-str", "ml_bound_fit-beta-None",
@@ -787,10 +781,6 @@ def test_public_counts_and_scalars_are_domain_errors(call):
     lambda: TimeWarp("0"),
     lambda: TimeWarp(0.3, None),
     lambda: TimeWarp(-math.inf),
-    lambda: EKParams(0.1, 0.5, "1"),
-    lambda: EKParams(math.nan, 0.5, 1),
-    lambda: EKParams(0.1, math.nan, 1),
-    lambda: EKParams(0.1, 0.5, math.nan),
     lambda: ModeODE(1, "0.5", 1.0, 1.0, None, _W),
     lambda: ModeODE(1, 0.5, 1.0, math.nan, None, _W),
     lambda: ModeODE(1, 0.5, math.inf, 1.0, None, _W),
@@ -800,8 +790,7 @@ def test_public_counts_and_scalars_are_domain_errors(call):
     lambda: SeparableSource("abc", 1.0),
     lambda: SeparableSource(None, 1.0),
 ], ids=["TimeWarp-theta-str", "TimeWarp-a-None", "TimeWarp-theta-inf",
-        "EKParams-beta-str", "EKParams-gamma-nan", "EKParams-delta-nan",
-        "EKParams-beta-nan", "ModeODE-alpha-str", "ModeODE-phi-nan",
+        "ModeODE-alpha-str", "ModeODE-phi-nan",
         "ModeODE-lambda-inf", "ModeODE-warp-None", "graded_grid-exponent-nan",
         "ModeODE-k-str", "SeparableSource-fx-str", "SeparableSource-fx-None"])
 def test_public_dataclass_scalars_are_domain_errors(call):

@@ -10,14 +10,22 @@ For beta > 1 the x = 0 face carries zero flux (the degenerate-limit
 boundary behavior) and the first interior face uses the bounded-branch
 closure u ~ A + B x^{2-beta}, because the harmonic integral diverges
 there.
+
+Scaled by the cell volumes, each implicit step is a symmetric positive
+definite tridiagonal system, solved by LAPACK dptsv without pivoting.  The
+L1 weights depend only on alpha and the time nodes: they are built once
+per time mesh and kept for the next march (_weight_blocks), so a sweep
+over beta or the data on one time mesh pays for them once.  The source is
+read only through f(x, t).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dptsv
 
 from .errors import (DomainError, ResolutionError, SolverError, _check_alpha,
                      _check_count, _is_real)
@@ -103,26 +111,48 @@ def _check_finite(u: np.ndarray, n0: int, n1: int) -> None:
         raise SolverError(f"non-finite update at step {n0 + int(bad.argmax())}")
 
 
+@functools.lru_cache(maxsize=1)
+def _weight_blocks(alpha: float, s: bytes) -> tuple:
+    """The march's L1 weights on the time nodes s (the bytes of a float64
+    array): for each block of _BLOCK steps from n0 = 1, the read-only rows
+    _l1_rows(alpha, s, n0, n1) and whether they weigh any increment
+    finished before the block (at alpha = 1 they do not).  They depend on
+    no field, so a sweep over beta, data or mesh x on one time mesh reads
+    them from the cache; a key holds about nt^2 / 2 doubles."""
+    s = np.frombuffer(s)
+    blocks = []
+    for n0 in range(1, s.size, _BLOCK):
+        G = _l1_rows(alpha, s, n0, min(n0 + _BLOCK, s.size))
+        G.flags.writeable = False
+        blocks.append((G, bool(G[:, :n0 - 1].any())))
+    return tuple(blocks)
+
+
 def fd_solve(spec: ProblemSpec, mesh: FDMesh) -> SolutionField:
     """March the implicit L1 / finite-volume scheme over the mesh.
 
-    Each step solves one tridiagonal system.  The steps march in blocks
-    of _BLOCK.  At the start of a block one matrix-matrix product applies
-    the block's L1 weight rows (fracops._l1_rows) to every increment
-    u^{j+1} - u^j finished before it, and the block's diagonals main +
-    p^alpha g_last are formed, one per step.  Each step then makes only
-    the calls its arithmetic needs, in scratch rows: one short
-    matrix-vector product over its in-block increments, four in-place
-    ufuncs for the right-hand side p^alpha (g_last u^{n-1} - history),
-    one call of the source f(x, t_n), one dgtsv that overwrites its
-    diagonal row and the right-hand side with the solution, and one
-    subtraction into the increment.  A march costs O(nt^2 nx) flops, at
-    the speed of the matrix-matrix product, and copies no history.  The
-    updates are checked once per block: a non-finite one is a SolverError
-    naming the first step that made it.  At alpha = 1 the rows are
-    backward differences: the march is backward Euler, and a block whose
-    rows weigh the earlier increments with zeros alone skips its
-    matrix-matrix product.
+    Each step solves one tridiagonal system, scaled by the cell volumes
+    omega so that it is symmetric positive definite:
+    (S + p^alpha g_last diag(omega)) u^n = omega (p^alpha (g_last u^{n-1}
+    - history) + f(x, t_n)), with S the transmissibility stiffness.  The
+    steps march in blocks of _BLOCK.  The blocks' L1 weight rows
+    (fracops._l1_rows) are built once per time mesh and alpha
+    (_weight_blocks, cached).  At the start of a block one matrix-matrix
+    product applies its rows to every increment u^{j+1} - u^j finished
+    before it, and the block's diagonals S + p^alpha g_last omega are
+    formed, one per step.  Each step then makes only the calls its
+    arithmetic needs, in scratch rows: one short matrix-vector product
+    over its in-block increments, four in-place ufuncs for the right-hand
+    side, one call of the source f(x, t_n) on the read-only nodes of the
+    unknowns and two in-place ufuncs that weigh it by omega and add it,
+    one dptsv (LDL^T, no pivoting) that overwrites its diagonal row and the
+    right-hand side with the solution, one subtraction into the increment
+    and one row copy.  A march costs O(nt^2 nx) flops, at the speed of the
+    matrix-matrix product, and copies no history.  The updates are checked
+    once per block: a non-finite one is a SolverError naming the first
+    step that made it.  At alpha = 1 the rows are backward differences:
+    the march is backward Euler, and a block whose rows weigh the earlier
+    increments with zeros alone skips its matrix-matrix product.
 
     Returns a SolutionField whose first time row is the initial profile
     at t = a; no spectral mode data is attached."""
@@ -144,14 +174,14 @@ def fd_solve(spec: ProblemSpec, mesh: FDMesh) -> SolutionField:
 
     # unknowns: every node but x = 1, and x = 0 only when beta > 1
     inner = slice(1 if spec.beta < 1.0 else 0, x.size - 1)
-    # stiffness action rows for the unknowns: (A u)_i, scaled by 1/omega_i;
-    # the x = 0 face carries no flux
+    # the symmetric stiffness S on the unknowns: face fluxes tau (u_i -
+    # u_i+1); the x = 0 face carries no flux
     left = np.concatenate(([0.0], tau))[inner]
     right = tau[inner]
     w = omega[inner]
-    main = (left + right) / w
-    lower = -left[1:] / w[1:]
-    upper = -right[:-1] / w[:-1]
+    main = left + right
+    off = -right[:-1]
+    paw = pa * w
 
     ap = warp.a ** p
     t_nodes = (s + ap) ** (1.0 / p)
@@ -164,6 +194,8 @@ def fd_solve(spec: ProblemSpec, mesh: FDMesh) -> SolutionField:
     xe = x.copy()
     xe[0] = x[1] * 1e-6
     xe[-1] = 1.0 - h[-1] * 1e-6
+    xi = xe[inner]  # read-only, so the source call makes no view of it
+    xi.flags.writeable = False
 
     u = np.zeros((s.size, x.size))
     u[0, inner] = _eval_vec(spec.phi, xe)[inner]
@@ -171,36 +203,40 @@ def fd_solve(spec: ProblemSpec, mesh: FDMesh) -> SolutionField:
     du = np.empty((mesh.nt, main.size))  # du[j] = u^{j+1} - u^j
     hist = np.empty(main.size)
     rhs = np.empty(main.size)
+    blocks = _weight_blocks(float(al), s.tobytes())
     # numpy's floating-point warnings are silenced, the source's included,
     # as solver._sampled silences them: a step marched past a non-finite
     # update would warn (inf - inf), and each block's check refuses such
     # an update, naming the first step that made one
     with np.errstate(all="ignore"):
-        for n0 in range(1, s.size, _BLOCK):
-            n1 = min(n0 + _BLOCK, s.size)
+        for n0, (G, weighs_history) in zip(range(1, s.size, _BLOCK), blocks):
+            n1 = n0 + G.shape[0]
             # L1 weights G[n - n0, j] = g_j of Caputo_s u(s_n) ~ sum_j g_j
             # (u^{j+1} - u^j), and the history of every increment finished
             # before the block; rows that weigh it with zeros alone
             # (backward differences at alpha = 1) skip the product
-            G = _l1_rows(al, s, n0, n1)
-            Gh = G[:, :n0 - 1]
-            H = Gh @ du[:n0 - 1] if Gh.any() else np.zeros((n1 - n0, main.size))
-            # the last weight of each row, times p^alpha, and the shifted
-            # diagonals, which dgtsv overwrites
-            c = pa * G.diagonal(n0 - 1)
-            diag = main + c[:, None]
+            H = (G[:, :n0 - 1] @ du[:n0 - 1] if weighs_history
+                 else np.zeros((n1 - n0, main.size)))
+            # the last weight of each row times p^alpha omega, and the
+            # shifted diagonals, which dptsv overwrites
+            cw = np.multiply.outer(pa * G.diagonal(n0 - 1), w)
+            diag = main + cw
+            # rhs = omega (p^alpha (g_last u^{n-1} - history) + f(x, t_n)),
+            # with hist the scratch row of the history and then the source
             for n in range(n0, n1):
                 r = n - n0
                 np.dot(G[r, n0 - 1:n - 1], du[n0 - 1:n - 1], out=hist)
                 hist += H[r]
-                hist *= pa
-                np.multiply(c[r], ui[n - 1], out=rhs)
+                hist *= paw
+                np.multiply(cw[r], ui[n - 1], out=rhs)
                 rhs -= hist
                 if spec.f is not None:
                     t_n = float(t_nodes[n])
-                    rhs += _eval_vec(lambda xx: spec.f(xx, t_n), xe)[inner]
-                _, _, _, sol, info = dgtsv(lower, diag[r], upper, rhs,
-                                           overwrite_d=1, overwrite_b=1)
+                    np.multiply(w, _eval_vec(lambda xx: spec.f(xx, t_n), xi),
+                                out=hist)
+                    rhs += hist
+                _, _, sol, info = dptsv(diag[r], off, rhs,
+                                        overwrite_d=1, overwrite_b=1)
                 if info != 0:
                     _check_finite(ui, n0, n)
                     raise SolverError(f"tridiagonal solve failed at step {n}")
@@ -255,7 +291,13 @@ def compare(reference: SolutionField, other: SolutionField,
     """L2(0,1) and sup-norm differences at shared times, relative to the
     reference field's norms (guarding zero rows).  other is interpolated
     linearly onto the reference x-grid, which it must cover: DomainError
-    otherwise, rather than extending its end values."""
+    otherwise, rather than extending its end values.
+
+    The times compared are the reference's grid times within both fields'
+    time ranges, or t_subset: a non-empty 1-d list of finite times inside
+    both ranges, each read from a field's nearest row within 1e-9 or
+    blended linearly between its rows.  Any other t_subset, a scalar, an
+    empty list or one holding NaN, is a DomainError."""
     xr, xo = reference.x_grid, other.x_grid
     pad = 1e-12 * (1.0 + abs(xo[-1]))
     if xr[0] < xo[0] - pad or xr[-1] > xo[-1] + pad:
@@ -270,7 +312,13 @@ def compare(reference: SolutionField, other: SolutionField,
         ts = reference.t_grid[(reference.t_grid >= lo - 1e-12)
                               & (reference.t_grid <= hi + 1e-12)]
     else:
-        ts = np.asarray(t_subset, dtype=float)
+        try:
+            ts = np.asarray(t_subset, dtype=float)
+        except (TypeError, ValueError):
+            ts = np.empty(0)  # no times: refused below
+        if ts.ndim != 1 or ts.size == 0 or not np.all(np.isfinite(ts)):
+            raise DomainError(f"t_subset must be a non-empty 1-d list of "
+                              f"finite times, got {t_subset!r}")
     xs = reference.x_grid
     l2r, spr = [], []
     for t in ts:

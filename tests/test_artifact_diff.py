@@ -70,9 +70,16 @@ def test_run_case_pins_blas_to_one_thread_in_the_child(tmp_path,
 
 def test_run_warm_drives_every_case_through_one_main_in_order(tmp_path,
                                                               monkeypatch):
-    # the warm leg runs the solve cases in one interpreter, so a cache key
-    # that misses a field of the time setup shows as changed bytes; its
-    # child gets the same environment as a fresh run's
+    # the warm leg runs the solve cases and then the FD-marching verify and
+    # convergence cases in one interpreter, so a cache key that misses a
+    # field of the time setup shows as changed bytes; its child gets the
+    # same environment as a fresh run's
+    commands = [args[0] for _, args, _ in artifact_diff.WARM]
+    assert commands == sorted(commands, key=["solve", "verify",
+                                             "convergence"].index)
+    assert {"solve", "verify", "convergence"} == set(commands)
+    assert list(artifact_diff.WARM) == [
+        case for case in artifact_diff.MATRIX if case[1][0] != "eigen"]
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                  "MKL_NUM_THREADS"):
         monkeypatch.setenv(name, "2")
@@ -80,7 +87,7 @@ def test_run_warm_drives_every_case_through_one_main_in_order(tmp_path,
 
     class Done:
         returncode = 0
-        stdout = b"solve: regime=classical\n[0, 3]\n"
+        stdout = b"solve: regime=classical\n[0, 3, 0]\n"
 
     def run(argv, **kwargs):
         seen.update(argv=argv, **kwargs)
@@ -90,8 +97,9 @@ def test_run_warm_drives_every_case_through_one_main_in_order(tmp_path,
     src, root = tmp_path / "src", tmp_path / "warm"
     root.mkdir()
     cases = [("one", ["solve", "--modes", "8"], {"f": "sep:one|sin:3"}),
-             ("two", ["solve", "--beta", "1.5"], {})]
-    assert artifact_diff.run_warm(src, root, cases) == [0, 3]
+             ("two", ["solve", "--beta", "1.5"], {}),
+             ("three", ["verify", "--alpha", "1"], {})]
+    assert artifact_diff.run_warm(src, root, cases) == [0, 3, 0]
     env = seen["env"]
     assert env["PYTHONPATH"] == str(src)
     assert all(env[name] == "1" for name in ("OPENBLAS_NUM_THREADS",
@@ -103,8 +111,9 @@ def test_run_warm_drives_every_case_through_one_main_in_order(tmp_path,
     assert json.loads(seen["argv"][3]) == [
         ["solve", "--modes", "8", "--out", str(root / "one" / "out"),
          "--config", str(cfg)],
-        ["solve", "--beta", "1.5", "--out", str(root / "two" / "out")]]
+        ["solve", "--beta", "1.5", "--out", str(root / "two" / "out")],
+        ["verify", "--alpha", "1", "--out", str(root / "three" / "out")]]
     assert cfg.read_text() == "f = sep:one|sin:3\n"
     # a child that dies leaves every case failed
     Done.returncode = 1
-    assert artifact_diff.run_warm(src, tmp_path / "again", cases) == [1, 1]
+    assert artifact_diff.run_warm(src, tmp_path / "again", cases) == [1, 1, 1]

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenfrac.errors import DomainError, ResolutionError, SolverError
-from degenfrac.fracops import warp_forward
-from degenfrac.oraclefd import (_BLOCK, FDMesh, _transmissibilities, compare,
-                                fd_solve)
+from degenfrac.fracops import _l1_rows, warp_forward
+from degenfrac.oraclefd import (_BLOCK, FDMesh, _transmissibilities,
+                                _weight_blocks, compare, fd_solve)
 from degenfrac.solver import ProblemSpec, SeparableSource, SolutionField, assemble
 from degenfrac.special import ml_eval
 
@@ -279,6 +279,73 @@ def test_march_leaves_its_inputs_alone_and_repeats_itself(beta):
     assert first.tobytes() == second.tobytes()
 
 
+# ---------------------------------------------------------------------------
+# The L1 weight blocks, memoized by value
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.0])
+def test_weight_blocks_are_read_only_l1_rows(alpha):
+    # each block is the one L1 rule's rows, bit for bit; its flag says
+    # whether they weigh an increment finished before the block, which
+    # the rows at alpha = 1 (backward differences) never do, so there
+    # the march skips every block's matrix-matrix product
+    s = FDMesh.build(0.5, alpha, 1.0, nx=16, nt=2 * _BLOCK + 5).s
+    blocks = _weight_blocks(alpha, s.tobytes())
+    assert len(blocks) == 3
+    for n0, (G, weighs_history) in zip(range(1, s.size, _BLOCK), blocks):
+        n1 = min(n0 + _BLOCK, s.size)
+        assert not G.flags.writeable
+        assert G.tobytes() == _l1_rows(alpha, s, n0, n1).tobytes()
+        assert weighs_history == (alpha < 1.0 and n0 > 1)
+
+
+def _sweep_spec(beta, alpha=0.6):
+    return _spec(beta, lambda x: np.asarray(x) * (1.0 - np.asarray(x)) + 0.5,
+                 lambda x, t: np.cos(2.0 * x) * (1.0 + math.sin(5.0 * t)),
+                 alpha=alpha)
+
+
+def _sweep_mesh(beta, s_final=1.0, nt=2 * _BLOCK + 5):
+    return FDMesh.build(beta, 0.6, s_final, nx=24, nt=nt)
+
+
+def _weight_counts():
+    info = _weight_blocks.cache_info()
+    return info.hits, info.misses
+
+
+def test_a_beta_sweep_on_one_time_mesh_builds_the_weights_once():
+    # beta changes the x-mesh and the stiffness, not the time nodes: the
+    # second march reads the weights from the cache, and matches a march
+    # on a cleared cache bit for bit
+    _weight_blocks.cache_clear()
+    fd_solve(_sweep_spec(0.5), _sweep_mesh(0.5))
+    assert _weight_counts() == (0, 1)
+    warm = fd_solve(_sweep_spec(0.8), _sweep_mesh(0.8)).values
+    assert _weight_counts() == (1, 1)
+    _weight_blocks.cache_clear()
+    cold = fd_solve(_sweep_spec(0.8), _sweep_mesh(0.8)).values
+    assert warm.tobytes() == cold.tobytes()
+    assert _weight_blocks.cache_info().maxsize == 1
+
+
+@pytest.mark.parametrize("spec_alpha,mesh_args", [
+    (0.7, {}),                  # the same time nodes, another order
+    (0.6, {"nt": 2 * _BLOCK}),
+    (0.6, {"s_final": 0.9})])
+def test_a_new_time_mesh_or_alpha_misses_the_weight_cache(spec_alpha,
+                                                          mesh_args):
+    mesh = _sweep_mesh(0.5)
+    fd_solve(_sweep_spec(0.5), mesh)
+    hits, misses = _weight_counts()
+    other = _sweep_mesh(0.5, **mesh_args)
+    got = fd_solve(_sweep_spec(0.5, spec_alpha), other).values
+    assert _weight_counts() == (hits, misses + 1)
+    _weight_blocks.cache_clear()
+    ref = fd_solve(_sweep_spec(0.5, spec_alpha), other).values
+    assert got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("weak", [False, True])
 @given(beta_pos=st.floats(0.0, 1.0), alpha=st.floats(0.3, 0.9),
        c0=st.floats(0.1, 2.0), c1=st.floats(-2.0, 2.0), c2=st.floats(0.0, 1.0))
@@ -321,6 +388,17 @@ def test_compare_validation():
         compare(a, b)
     with pytest.raises(DomainError):
         compare(a, a, t_subset=[5.0])
+
+
+@pytest.mark.parametrize("t_subset", [
+    [math.nan],  # once an l2_rel of NaN
+    [],          # once a report whose max_l2_rel raised a bare ValueError
+    0.5,         # once TypeError
+    [[0.5]], ["soon"]])
+def test_compare_refuses_a_t_subset_that_is_no_list_of_finite_times(t_subset):
+    fld = _tiny_field([0.0, 0.5, 1.0])
+    with pytest.raises(DomainError, match="t_subset"):
+        compare(fld, fld, t_subset=t_subset)
 
 
 def test_compare_interpolates_between_grids():

@@ -6,11 +6,13 @@ Extracts REV's src/ with `git archive` into a temporary directory, runs one
 fixed matrix of CLI commands (MATRIX) as `python -m degenfrac` with
 PYTHONPATH set to each tree's src/, REV's and then the working tree's, and
 BLAS pinned to one thread in both.  Each of these runs is a fresh process.
-A warm leg then runs the matrix's solve cases again in one interpreter of
-the working tree, in matrix order, through degenfrac.cli.main, so each
-solve meets the caches its predecessors filled; their artifacts must equal
-the fresh runs' bytes.  Prints one line per artifact: "identical", or the
-largest absolute and relative change of a numeric CSV cell or JSON leaf.
+A warm leg then runs the matrix's solve cases, and after them its verify
+and convergence cases (the ones that march the FD oracle), again in one
+interpreter of the working tree, in matrix order, through
+degenfrac.cli.main (WARM), so each case meets the caches its predecessors
+filled; their artifacts must equal the fresh runs' bytes.  Prints one line
+per artifact: "identical", or the largest absolute and relative change of
+a numeric CSV cell or JSON leaf.
 Exits 0 only when every command exits 0 and every artifact is identical.
 Everything is written under the temporary directory, which is removed at
 the end.
@@ -90,6 +92,11 @@ MATRIX = (
     ("convergence-fd-partial", ["convergence"],
      {"mesh_ladder": "72,133", "f": "sep:one|sin:3"}),
 )
+
+#: the warm leg's cases, in matrix order: the solves, then the verify and
+#: convergence cases, whose FD marches share the L1 weight cache
+WARM = tuple(case for case in MATRIX
+             if case[1][0] in ("solve", "verify", "convergence"))
 
 
 #: BLAS is pinned to one thread in both trees: some artifacts change in
@@ -250,9 +257,8 @@ def main(argv=None) -> int:
                       "(working tree); every case should exit 0")
             outs = [tmp / side / "runs" / name / "out" for side, _ in trees]
             ok = _compare(name, outs, ("REV", "the working tree")) and ok
-        solves = [case for case in MATRIX if case[1][0] == "solve"]
-        codes = run_warm(REPO / "src", tmp / "warm", solves)
-        for (name, _, _), code in zip(solves, codes):
+        codes = run_warm(REPO / "src", tmp / "warm", WARM)
+        for (name, _, _), code in zip(WARM, codes):
             if code != 0:
                 ok = False
                 print(f"warm/{name}: exit code {code}; every case should "

@@ -28,9 +28,9 @@ from .errors import (ConfigError, DegeneracyError, DomainError, RegimeError,
                      _check_alpha)
 from .fracops import TimeWarp, warp_forward
 from .oraclefd import FDMesh, compare, fd_solve
-from .solver import (ProblemSpec, SeparableSource, ModeODE, assemble,
-                     mode_solution, mode_solution_alt, residual_strong,
-                     residual_weak)
+from .solver import (ProblemSpec, SeparableSource, ModeODE, _TimeFactor,
+                     assemble, mode_solution, mode_solution_alt,
+                     residual_strong, residual_weak)
 from .special import ml_eval_many
 from .spectral import (bc_requirements, bessel_eigen, flux_limit_check,
                        orthogonality_report, solve_eigen)
@@ -143,7 +143,7 @@ def _number(name: str, arg: str, kind=float):
         raise ConfigError(f"{name} wants {what}, got {arg!r}") from None
 
 
-def _parse_poly(arg: str):
+def _poly_coefs(arg: str) -> list:
     try:
         coefs = [float(c) for c in arg.split(",")]
     except ValueError:
@@ -151,7 +151,7 @@ def _parse_poly(arg: str):
                           f"got {arg!r}") from None
     if not coefs:
         raise ConfigError("poly needs at least one coefficient")
-    return lambda x: np.polynomial.polynomial.polyval(x, coefs)
+    return coefs
 
 
 def space_expr(text: str, system=None):
@@ -174,7 +174,8 @@ def space_expr(text: str, system=None):
         k = _number(name, arg)
         return lambda x: np.cos(k * np.pi * x)
     if name == "poly":
-        return _parse_poly(arg)
+        coefs = _poly_coefs(arg)
+        return lambda x: np.polynomial.polynomial.polyval(x, coefs)
     if name == "mode":
         k = _number(name, arg, int)
         if system is None:
@@ -189,26 +190,24 @@ def time_expr(text: str, warp: TimeWarp):
     """Builtin time factors: one | const:c | sin:w | cos:w |
     poly:c0,c1,... (in t) | spow:q for (t^p - a^p)^q.  The constant
     factors one and const:c come back as numbers, which the solver takes
-    as a declared constant; the others as callables of t that take
-    arrays."""
+    as a declared constant; the others as values (solver._TimeFactor):
+    callables of t that take arrays, equal when their kind, numbers and
+    (for spow) warp are, so the solver memoizes their convolution's slope
+    table by value."""
     name, _, arg = text.strip().partition(":")
     if name == "one":
         return 1.0
     if name == "const":
         return _number(name, arg)
-    if name == "sin":
-        w = _number(name, arg)
-        return lambda t: np.sin(w * t)
-    if name == "cos":
-        w = _number(name, arg)
-        return lambda t: np.cos(w * t)
+    if name in ("sin", "cos"):
+        return _TimeFactor(name, (_number(name, arg),))
     if name == "poly":
-        return _parse_poly(arg)
+        return _TimeFactor(name, _poly_coefs(arg))
     if name == "spow":
         q = _number(name, arg)
         if q < 0.0:
             raise ConfigError(f"spow exponent must be >= 0, got {q}")
-        return lambda t: warp_forward(warp, t) ** q
+        return _TimeFactor(name, (q,), warp)
     raise ConfigError(f"unknown time factor {text!r}")
 
 

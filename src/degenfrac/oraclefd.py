@@ -114,17 +114,25 @@ def _check_finite(u: np.ndarray, n0: int, n1: int) -> None:
 @functools.lru_cache(maxsize=1)
 def _weight_blocks(alpha: float, s: bytes) -> tuple:
     """The march's L1 weights on the time nodes s (the bytes of a float64
-    array): for each block of _BLOCK steps from n0 = 1, the read-only rows
-    _l1_rows(alpha, s, n0, n1) and whether they weigh any increment
-    finished before the block (at alpha = 1 they do not).  They depend on
-    no field, so a sweep over beta, data or mesh x on one time mesh reads
-    them from the cache; a key holds about nt^2 / 2 doubles."""
+    array): for each block of _BLOCK steps from n0 = 1, the rows G =
+    _l1_rows(alpha, s, n0, n1) split in two read-only parts, the square
+    G[:, n0 - 1:] on the block's own increments and the history columns
+    G[:, :n0 - 1] on every increment finished before it, or None where
+    those weigh nothing (at alpha = 1, backward differences, they never
+    do).  They depend on no field, so a sweep over beta, data or mesh x on
+    one time mesh reads them from the cache; a key holds about nt^2 / 2
+    doubles below alpha = 1 and nt _BLOCK at alpha = 1."""
     s = np.frombuffer(s)
     blocks = []
     for n0 in range(1, s.size, _BLOCK):
         G = _l1_rows(alpha, s, n0, min(n0 + _BLOCK, s.size))
-        G.flags.writeable = False
-        blocks.append((G, bool(G[:, :n0 - 1].any())))
+        square = G[:, n0 - 1:].copy()
+        square.flags.writeable = False
+        history = None
+        if G[:, :n0 - 1].any():
+            history = G[:, :n0 - 1].copy()
+            history.flags.writeable = False
+        blocks.append((square, history))
     return tuple(blocks)
 
 
@@ -209,23 +217,24 @@ def fd_solve(spec: ProblemSpec, mesh: FDMesh) -> SolutionField:
     # update would warn (inf - inf), and each block's check refuses such
     # an update, naming the first step that made one
     with np.errstate(all="ignore"):
-        for n0, (G, weighs_history) in zip(range(1, s.size, _BLOCK), blocks):
-            n1 = n0 + G.shape[0]
-            # L1 weights G[n - n0, j] = g_j of Caputo_s u(s_n) ~ sum_j g_j
-            # (u^{j+1} - u^j), and the history of every increment finished
-            # before the block; rows that weigh it with zeros alone
-            # (backward differences at alpha = 1) skip the product
-            H = (G[:, :n0 - 1] @ du[:n0 - 1] if weighs_history
+        for n0, (Q, G_hist) in zip(range(1, s.size, _BLOCK), blocks):
+            n1 = n0 + Q.shape[0]
+            # L1 weights g_j of Caputo_s u(s_n) ~ sum_j g_j (u^{j+1} - u^j):
+            # the square Q[n - n0, j - n0 + 1] on the block's increments,
+            # and G_hist on every increment finished before the block; a
+            # block whose history weights are all zero (backward
+            # differences at alpha = 1) has no G_hist and skips its product
+            H = (G_hist @ du[:n0 - 1] if G_hist is not None
                  else np.zeros((n1 - n0, main.size)))
             # the last weight of each row times p^alpha omega, and the
             # shifted diagonals, which dptsv overwrites
-            cw = np.multiply.outer(pa * G.diagonal(n0 - 1), w)
+            cw = np.multiply.outer(pa * Q.diagonal(), w)
             diag = main + cw
             # rhs = omega (p^alpha (g_last u^{n-1} - history) + f(x, t_n)),
             # with hist the scratch row of the history and then the source
             for n in range(n0, n1):
                 r = n - n0
-                np.dot(G[r, n0 - 1:n - 1], du[n0 - 1:n - 1], out=hist)
+                np.dot(Q[r, :r], du[n0 - 1:n - 1], out=hist)
                 hist += H[r]
                 hist *= paw
                 np.multiply(cw[r], ui[n - 1], out=rhs)

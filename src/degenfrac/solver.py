@@ -65,6 +65,43 @@ class SeparableSource:
         return np.asarray(_eval_vec(self.fx, np.atleast_1d(x))) * _value_at(self.ft, t)
 
 
+@dataclass(frozen=True, eq=False)
+class _TimeFactor:
+    """A time factor of the CLI grammar as a value: kind "sin" (sin(w t),
+    nums (w,)), "cos" (cos(w t)), "poly" (sum_i c_i t^i, nums the c_i) or
+    "spow" (s(t)^q = (t^p - a^p)^q on warp, nums (q,)); warp is None but
+    for spow.  It is equal and hashed by its kind, the bits of its numbers
+    and its warp, and called it evaluates its expression, so work on its
+    values can be memoized by value (_factor_slopes)."""
+
+    kind: str
+    nums: tuple
+    warp: Optional[TimeWarp] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "nums", tuple(float(c) for c in self.nums))
+
+    def _key(self):
+        return self.kind, np.array(self.nums).tobytes(), self.warp
+
+    def __eq__(self, other):
+        if type(other) is not _TimeFactor:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __call__(self, t):
+        if self.kind == "sin":
+            return np.sin(self.nums[0] * t)
+        if self.kind == "cos":
+            return np.cos(self.nums[0] * t)
+        if self.kind == "poly":
+            return np.polynomial.polynomial.polyval(t, self.nums)
+        return warp_forward(self.warp, t) ** self.nums[0]
+
+
 @dataclass
 class ProblemSpec:
     """Data of the mixed problem on (0, 1) x (a, T].
@@ -301,10 +338,13 @@ class _Signal:
     SeparableSource's time factor) or None, the identity (R = K: each mode
     its own curve, as a general f(x, t) or one ModeODE's source).  The
     source convolution runs on the curves, so its GEMMs cost R rows, not K;
-    called, the signal gives the modes' values C @ g(t)."""
+    called, the signal gives the modes' values C @ g(t).  factor is the
+    _TimeFactor that g evaluates (R = 1), whose slope table the
+    convolution reads from _factor_slopes, or None."""
 
     g: Callable
     C: Optional[np.ndarray] = None
+    factor: Optional[_TimeFactor] = None
 
     def __call__(self, t) -> np.ndarray:
         G = self.g(np.asarray(t, dtype=float))
@@ -320,6 +360,28 @@ def _loads(source, K: int, t) -> np.ndarray:
     return np.multiply.outer(c, np.ones(t.shape))
 
 
+def _block_times(warp: TimeWarp, S: np.ndarray,
+                 frac: np.ndarray) -> np.ndarray:
+    """The (S.size, frac.size) times t(S_j frac_i) in [a, t(S_j)]."""
+    # t(0) may round below a; t is monotone, and its last column is t(S)
+    return np.maximum(warp_inverse(warp, S[:, None] * frac), warp.a)
+
+
+def _slope_diffs(G: np.ndarray, S: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """w_i = slope_i - slope_i-1, shape (R, J, n + 1), of the curves G
+    (same shape) on the cells S_j frac of the targets S, with slope_-1 =
+    slope_n = 0 at the ends."""
+    slopes = np.zeros(G.shape[:-1] + (frac.size + 1,))
+    np.subtract(G[..., 1:], G[..., :-1], out=slopes[..., 1:-1])
+    slopes[..., 1:-1] /= np.multiply.outer(S, np.diff(frac))
+    return np.diff(slopes, axis=-1)
+
+
+def _conv_rows(n: int) -> int:
+    """Targets per row block of a convolution on n cells."""
+    return max(1, _BLOCK_POINTS // (n + 1))
+
+
 @lru_cache(maxsize=2)
 def _conv_times(warp: TimeWarp, n: int, S: bytes) -> np.ndarray:
     """The read-only (J, n + 1) times t(sigma) in [a, t(S_j)] of the cell
@@ -328,15 +390,37 @@ def _conv_times(warp: TimeWarp, n: int, S: bytes) -> np.ndarray:
     float64 array).  They depend on no curve, so a sweep that keeps the
     time setup reads them from the cache: one key for the output times and
     one for the residual's dense table, which holds 1,024 x 129 doubles.
-    Filled in the row blocks of _modes_values."""
+    Filled in the row blocks of _modes_values.  A CLI time factor's
+    convolution reads _factor_slopes instead."""
     S = np.frombuffer(S)
     frac = np.linspace(0.0, 1.0, n + 1) ** 2
     out = np.empty((S.size, n + 1))
-    rows = max(1, _BLOCK_POINTS // (n + 1))
+    rows = _conv_rows(n)
     for lo in range(0, S.size, rows):
-        # t(0) may round below a; t is monotone, and its last column is t(S)
-        np.maximum(warp_inverse(warp, S[lo:lo + rows, None] * frac), warp.a,
-                   out=out[lo:lo + rows])
+        out[lo:lo + rows] = _block_times(warp, S[lo:lo + rows], frac)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=2)
+def _factor_slopes(factor: _TimeFactor, warp: TimeWarp, n: int,
+                   S: bytes) -> np.ndarray:
+    """The read-only (1, J, n + 1) slope differences w of the time factor
+    on the convolution cells of _conv_times, for each target S_j > 0 (S the
+    bytes of a float64 array), built in the row blocks of _modes_values
+    from times that are not cached.  w depends on no mode, beta or phi, and
+    the key holds the factor by value, so a sweep that keeps the time
+    setup and the factor reads it from the cache: one key for the output
+    times and one for the residual's dense table, which holds 1,024 x 129
+    doubles."""
+    S = np.frombuffer(S)
+    frac = np.linspace(0.0, 1.0, n + 1) ** 2
+    out = np.empty((1, S.size, n + 1))
+    rows = _conv_rows(n)
+    for lo in range(0, S.size, rows):
+        Sb = S[lo:lo + rows]
+        G = _eval_vec(factor, _block_times(warp, Sb, frac))[None]
+        out[:, lo:lo + rows] = _slope_diffs(G, Sb, frac)
     out.flags.writeable = False
     return out
 
@@ -363,8 +447,9 @@ def _modes_values(alpha: float, warp: TimeWarp, lambdas, phis, source,
     all three for every mode.  A signal's slopes are integrated over
     (targets S > 0) x (conv_cells + 1) nodes in row blocks of about
     _BLOCK_POINTS points per curve; each block reads the signal's curves
-    once, and one _ml_sums call per kernel sums every mode's rows, so the
-    mix C scales finished sums."""
+    once (a CLI time factor's whole slope table is read from
+    _factor_slopes), and one _ml_sums call per kernel sums every mode's
+    rows, so the mix C scales finished sums."""
     Sa = np.asarray(S_arr, dtype=float)
     pa = warp.p ** alpha
     lam_s = -np.asarray(lambdas, dtype=float) / pa
@@ -394,20 +479,23 @@ def _modes_values(alpha: float, warp: TimeWarp, lambdas, phis, source,
     if const:
         return out
     pos = np.flatnonzero(Sa > 0.0)
-    rows = max(1, _BLOCK_POINTS // (conv_cells + 1))
+    S = Sa[pos]
+    rows = _conv_rows(conv_cells)
     frac = np.linspace(0.0, 1.0, conv_cells + 1) ** 2
     ratios = tuple(1.0 - frac)  # c_i = y_i/S, the same for every target
-    times = _conv_times(warp, conv_cells, Sa[pos].tobytes())
+    if source.factor is None:
+        times = _conv_times(warp, conv_cells, S.tobytes())
+    else:
+        table = _factor_slopes(source.factor, warp, conv_cells, S.tobytes())
     for lo in range(0, pos.size, rows):
         idx = pos[lo:lo + rows]
-        g = source.g(times[lo:lo + rows])
-        # the curves' slopes, with slope_-1 = slope_n = 0 at the ends
-        slopes = np.zeros(g.shape[:-1] + (conv_cells + 2,))
-        np.subtract(g[..., 1:], g[..., :-1], out=slopes[..., 1:-1])
-        slopes[..., 1:-1] /= np.multiply.outer(Sa[idx], np.diff(frac))
         # sum_i slopes_i (Q_i+1 - Q_i) = -sum_i w_i Q_i, Q_i = S^(b+1)
         # P_{b+2}(x, c_i) at x = -lam S^alpha for each mode
-        w = np.diff(slopes, axis=-1)
+        if source.factor is None:
+            w = _slope_diffs(source.g(times[lo:lo + rows]), S[lo:lo + rows],
+                             frac)
+        else:
+            w = table[:, lo:lo + rows]
         for b, on, scl in parts:
             x = -Z[:, idx] if on else np.zeros((Z.shape[0], idx.size))
             sums = _ml_sums(alpha, b + 2.0, x, w, ratios)
@@ -502,7 +590,9 @@ def _source_coeffs(spec: ProblemSpec, K: int, X, W, basis):
         if _is_real(ft):
             return cks * float(ft), abs(ft) * fx_defect
         ft_table = _sampled("f", "[a, T]", ft, _source_times(spec))
-        return (_Signal(lambda t: _eval_vec(ft, t)[None], cks[:, None]),
+        factor = ft if type(ft) is _TimeFactor else None
+        return (_Signal(lambda t: _eval_vec(ft, t)[None], cks[:, None],
+                        factor),
                 float(np.max(np.abs(ft_table))) * fx_defect)
     # tabulated route: spatial quadrature on a shared warped-graded t-grid,
     # one monotone cubic through the (K, nodes) table

@@ -117,3 +117,28 @@ def test_run_warm_drives_every_case_through_one_main_in_order(tmp_path,
     # a child that dies leaves every case failed
     Done.returncode = 1
     assert artifact_diff.run_warm(src, tmp_path / "again", cases) == [1, 1, 1]
+
+
+def test_the_matrix_solves_every_time_factor_kind_twice_in_a_row():
+    # each time factor that the solver memoizes by value (sin, cos, poly,
+    # spow, spow at a > 0) has a solve case; cos and spow at a > 0 are
+    # solved at two betas one after the other on the same time setup, so
+    # the warm leg reads their second solve's slope tables from the memo
+    def setup(case):
+        args = list(case[1])
+        i = args.index("--beta") if "--beta" in args else None
+        if i is not None:
+            del args[i:i + 2]
+        return args, case[2]
+
+    solves = [case for case in artifact_diff.WARM if case[1][0] == "solve"]
+    factors = [case[2].get("f", "").rpartition("|")[2] for case in solves]
+    for kind in ("sin:", "cos:", "poly:", "spow:"):
+        assert any(f.startswith(kind) for f in factors), kind
+    assert any(f.startswith("spow:") and "--a" in case[1]
+               for f, case in zip(factors, solves))
+    for kind, needs_a in (("cos:", False), ("spow:", True)):
+        assert any(
+            f.startswith(kind) and ("--a" in one[1]) == needs_a
+            and setup(one) == setup(two) and one[1] != two[1]
+            for f, one, two in zip(factors, solves, solves[1:])), kind

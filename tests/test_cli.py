@@ -515,6 +515,59 @@ def test_time_factors_take_arrays_and_match_scalar_forms():
             spow(below)
 
 
+def _lambda_time_factor(text, warp):
+    """A frozen copy of time_expr's lambdas before its factors became
+    values: the reference for their bits."""
+    name, _, arg = text.partition(":")
+    if name == "sin":
+        w = float(arg)
+        return lambda t: np.sin(w * t)
+    if name == "cos":
+        w = float(arg)
+        return lambda t: np.cos(w * t)
+    if name == "poly":
+        coefs = [float(c) for c in arg.split(",")]
+        return lambda x: np.polynomial.polynomial.polyval(x, coefs)
+    q = float(arg)
+    return lambda t: warp_forward(warp, t) ** q
+
+
+@pytest.mark.parametrize("text,a", [
+    ("sin:3", 0.0), ("cos:2", 0.0), ("poly:0,1,-0.5", 0.0),
+    ("poly:1.5", 0.0), ("spow:0.5", 0.0), ("spow:0.5", 0.3),
+    ("spow:1.7", 0.3)])
+def test_time_factor_values_evaluate_the_lambdas_bit_for_bit(text, a):
+    warp = TimeWarp(0.3, a)
+    got, want = cli.time_expr(text, warp), _lambda_time_factor(text, warp)
+    t = a + np.linspace(0.0, 1.4, 257) ** 2
+    assert got(t).tobytes() == want(t).tobytes()
+    for v in (a, a + 0.75, a + 1.4):
+        g, w = got(v), want(v)
+        assert type(g) is type(w)
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def test_time_factors_are_immutable_values():
+    warp, other = TimeWarp(0.3, 0.0), TimeWarp(0.3, 0.3)
+    for text in ("sin:3", "cos:2", "poly:0,1,-0.5", "spow:0.5"):
+        one, two = cli.time_expr(text, warp), cli.time_expr(text, warp)
+        assert one is not two
+        assert one == two and hash(one) == hash(two)
+        with pytest.raises(AttributeError):
+            one.nums = (4.0,)
+        assert isinstance(one.nums, tuple)
+    # a different number, or its sign at zero, is another value
+    for a, b in (("sin:3", "sin:4"), ("cos:2", "cos:2.000000001"),
+                 ("sin:0", "sin:-0"), ("poly:0,1", "poly:0,1,0"),
+                 ("poly:0,1,-0.5", "poly:0,1,-0.25"), ("sin:3", "cos:3"),
+                 ("spow:0.5", "spow:1.5")):
+        assert cli.time_expr(a, warp) != cli.time_expr(b, warp), (a, b)
+    # the warp is part of spow's value, and of no other factor's
+    assert cli.time_expr("spow:0.5", warp) != cli.time_expr("spow:0.5", other)
+    assert cli.time_expr("sin:3", warp) == cli.time_expr("sin:3", other)
+    assert cli.time_expr("sin:3", warp) != (lambda t: np.sin(3.0 * t))
+
+
 def test_source_expr_forms():
     warp = TimeWarp(0.0, 0.0)
     assert cli.source_expr("none", warp) is None

@@ -285,18 +285,37 @@ def test_march_leaves_its_inputs_alone_and_repeats_itself(beta):
 
 @pytest.mark.parametrize("alpha", [0.6, 1.0])
 def test_weight_blocks_are_read_only_l1_rows(alpha):
-    # each block is the one L1 rule's rows, bit for bit; its flag says
-    # whether they weigh an increment finished before the block, which
-    # the rows at alpha = 1 (backward differences) never do, so there
-    # the march skips every block's matrix-matrix product
+    # each block is the one L1 rule's rows, bit for bit, split into the
+    # square on the block's own increments and the history columns on the
+    # increments finished before it.  The history is kept only where it
+    # weighs something, which the rows at alpha = 1 (backward
+    # differences) never do: there the march skips every block's
+    # matrix-matrix product, and the key holds only the squares
     s = FDMesh.build(0.5, alpha, 1.0, nx=16, nt=2 * _BLOCK + 5).s
     blocks = _weight_blocks(alpha, s.tobytes())
     assert len(blocks) == 3
-    for n0, (G, weighs_history) in zip(range(1, s.size, _BLOCK), blocks):
+    for n0, (square, history) in zip(range(1, s.size, _BLOCK), blocks):
         n1 = min(n0 + _BLOCK, s.size)
-        assert not G.flags.writeable
-        assert G.tobytes() == _l1_rows(alpha, s, n0, n1).tobytes()
-        assert weighs_history == (alpha < 1.0 and n0 > 1)
+        G = _l1_rows(alpha, s, n0, n1)
+        assert square.shape == (n1 - n0, n1 - n0)
+        assert not square.flags.writeable
+        assert square.tobytes() == np.ascontiguousarray(
+            G[:, n0 - 1:]).tobytes()
+        if alpha < 1.0 and n0 > 1:
+            assert not history.flags.writeable
+            assert history.tobytes() == np.ascontiguousarray(
+                G[:, :n0 - 1]).tobytes()
+        else:
+            assert history is None
+            assert not G[:, :n0 - 1].any()
+    if alpha == 1.0:
+        # nt _BLOCK doubles at most: gate 16's 2048 steps, 16.8 MB of
+        # mostly-zero rows once, hold 32 squares of 64 x 64, 1 MB
+        assert sum(sq.nbytes for sq, _ in blocks) <= 8 * s.size * _BLOCK
+        s = FDMesh.build(0.5, 1.0, 1.0, nx=16, nt=2048).s
+        gate16 = _weight_blocks.__wrapped__(1.0, s.tobytes())
+        assert sum(sq.nbytes for sq, _ in gate16) == 32 * 64 * 64 * 8
+        assert all(history is None for _, history in gate16)
 
 
 def _sweep_spec(beta, alpha=0.6):

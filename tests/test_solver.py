@@ -899,17 +899,34 @@ def test_no_solver_path_takes_the_point_by_point_ml_route(eig, alpha, monkeypatc
 
 
 # ---------------------------------------------------------------------------
-# The curve-free time tables, memoized by value
+# The curve-free time tables, and a CLI time factor's slope table, memoized
+# by value
 
 
 def _cache_counts():
+    """(hits, misses) of the convolution times, of the CLI time factors'
+    slope tables and of the residual's L1 moments."""
     return [(c.hits, c.misses) for c in (solver._conv_times.cache_info(),
+                                         solver._factor_slopes.cache_info(),
                                          fracops._l1_moments.cache_info())]
 
 
 def _clear_time_caches():
     solver._conv_times.cache_clear()
+    solver._factor_slopes.cache_clear()
     fracops._l1_moments.cache_clear()
+
+
+def _library_sin3(t):
+    return np.sin(3.0 * t)
+
+
+def _conv_cache(ft) -> int:
+    """The index in _cache_counts of the cache that serves the convolution
+    of a time factor: the CLI grammar's text (a value) reads its slope
+    tables from _factor_slopes, a library callable its times from
+    _conv_times."""
+    return 1 if isinstance(ft, str) else 0
 
 
 def _cli_solve(tmp_path, name, beta):
@@ -921,54 +938,99 @@ def _cli_solve(tmp_path, name, beta):
                                              "diagnostics.json")]
 
 
-def test_a_beta_sweep_reads_both_time_tables_from_the_caches(tmp_path):
-    # a beta sweep keeps (alpha, theta, a, T, t_grid, conv_cells): its
-    # second solve finds the convolution times of the output times and of
-    # the residual's dense table, and the residual's L1 moments, cached
-    _clear_time_caches()
-    _cli_solve(tmp_path, "first", 0.3)
-    before = _cache_counts()
-    warm = _cli_solve(tmp_path, "warm", 0.5)
-    assert _cache_counts() == [(before[0][0] + 2, before[0][1]),
-                               (before[1][0] + 1, before[1][1])]
-    _clear_time_caches()
-    assert warm == _cli_solve(tmp_path, "cold", 0.5)
+_BASE_SETUP = dict(alpha=0.6, theta=0.3, a=0.0, T=1.0,
+                   t_grid=np.linspace(0.25, 1.0, 4), conv_cells=128)
 
 
-def _setup_solve(eig, setup):
-    """assemble at K = 2 with f = sep:one|sin:3 on a time setup, and its
-    strong residual."""
+def _setup_solve(eig, setup, beta=0.5):
+    """assemble at K = 2 with f = one * ft on a time setup, and its
+    strong residual (beta < 1).  setup["ft"] is the CLI grammar's text of
+    the time factor (sin:3 if absent) or a library callable."""
     setup = dict(setup)
     t_grid, conv_cells = setup.pop("t_grid"), setup.pop("conv_cells")
+    ft = setup.pop("ft", "sin:3")
     warp = TimeWarp(setup["theta"], setup["a"])
-    spec = _basic_spec(0.5, f=cli.source_expr("sep:one|sin:3", warp), **setup)
-    fld = assemble(spec, eig(0.5, 2), 2, np.linspace(0.0, 1.0, 9), t_grid,
+    f = (cli.source_expr(f"sep:one|{ft}", warp) if isinstance(ft, str)
+         else SeparableSource(lambda x: np.ones_like(x), ft))
+    spec = _basic_spec(beta, f=f, **setup)
+    fld = assemble(spec, eig(beta, 2), 2, np.linspace(0.0, 1.0, 9), t_grid,
                    conv_cells=conv_cells)
     return fld, residual_strong(fld, spec)
+
+
+def _solve_bytes(solved) -> list:
+    """The values, mode values and residual of a _setup_solve, as bytes."""
+    fld, rep = solved
+    return [fld.values.tobytes(), fld.mode_values.tobytes(),
+            rep.per_test.tobytes(),
+            np.array([rep.sup_abs, rep.scale]).tobytes()]
+
+
+def test_a_beta_sweep_reads_both_time_tables_from_the_caches(tmp_path, eig):
+    # a beta sweep keeps (alpha, theta, a, T, t_grid, conv_cells) and the
+    # source: its second solve finds the convolution's tables of the output
+    # times and of the residual's dense table, and the residual's L1
+    # moments, cached.  The CLI's sin:3 is a value, whose slope tables
+    # _factor_slopes keeps in place of the times; a library lambda's
+    # convolution reads the times from _conv_times
+    def cli_solve(name, beta):
+        return _cli_solve(tmp_path, name, beta)
+
+    def library_solve(name, beta):
+        return _solve_bytes(_setup_solve(
+            eig, dict(_BASE_SETUP, ft=_library_sin3), beta))
+
+    for solve, conv in ((cli_solve, _conv_cache("sin:3")),
+                        (library_solve, _conv_cache(_library_sin3))):
+        _clear_time_caches()
+        solve("first", 0.3)
+        before = _cache_counts()
+        assert before[1 - conv] == (0, 0)  # the other cache is not reached
+        warm = solve("warm", 0.5)
+        want = list(before)
+        want[conv] = (before[conv][0] + 2, before[conv][1])
+        want[2] = (before[2][0] + 1, before[2][1])
+        assert _cache_counts() == want
+        _clear_time_caches()
+        assert warm == solve("cold", 0.5)
+
+
+def _assert_misses(eig, base, name, value, moments_miss):
+    """A solve on base misses its convolution cache once base[name] is
+    value, reaches no other convolution cache, misses the L1 moments as
+    moments_miss says, and matches a solve on cleared caches bit for bit."""
+    conv = _conv_cache(base["ft"])
+    _clear_time_caches()
+    _setup_solve(eig, base)
+    before = _cache_counts()
+    got = _setup_solve(eig, dict(base, **{name: value}))
+    after = _cache_counts()
+    assert after[conv][1] > before[conv][1]
+    assert after[1 - conv] == before[1 - conv] == (0, 0)
+    assert after[2][1] == before[2][1] + moments_miss
+    _clear_time_caches()
+    ref = _setup_solve(eig, dict(base, **{name: value}))
+    assert _solve_bytes(got) == _solve_bytes(ref)
 
 
 @pytest.mark.parametrize("name,value", [
     ("alpha", 0.8), ("theta", -0.5), ("a", 0.1), ("T", 1.5),
     ("t_grid", np.linspace(0.3, 1.0, 4)), ("conv_cells", 64)])
 def test_a_new_time_setup_misses_the_caches(eig, name, value):
-    # each field of the time setup enters the keys: the second solve
-    # misses, and matches a solve on cleared caches bit for bit
-    base = dict(alpha=0.6, theta=0.3, a=0.0, T=1.0,
-                t_grid=np.linspace(0.25, 1.0, 4), conv_cells=128)
-    _clear_time_caches()
-    _setup_solve(eig, base)
-    before = _cache_counts()
-    fld, rep = _setup_solve(eig, dict(base, **{name: value}))
-    after = _cache_counts()
-    assert after[0][1] > before[0][1]
-    # the L1 moments do not depend on the convolution's cells
-    assert after[1][1] == before[1][1] + (name != "conv_cells")
-    _clear_time_caches()
-    ref, ref_rep = _setup_solve(eig, dict(base, **{name: value}))
-    assert np.array_equal(fld.mode_values, ref.mode_values)
-    assert np.array_equal(fld.values, ref.values)
-    assert (rep.sup_abs, rep.scale) == (ref_rep.sup_abs, ref_rep.scale)
-    assert np.array_equal(rep.per_test, ref_rep.per_test)
+    # each field of the time setup enters the keys, for the CLI's sin:3
+    # (_factor_slopes) and a library lambda (_conv_times) alike; the L1
+    # moments do not depend on the convolution's cells
+    for ft in ("sin:3", _library_sin3):
+        _assert_misses(eig, dict(_BASE_SETUP, ft=ft), name, value,
+                       name != "conv_cells")
+
+
+@pytest.mark.parametrize("ft,name,value", [
+    ("sin:3", "ft", "sin:4"), ("spow:0.5", "theta", -0.5)])
+def test_a_new_cli_time_factor_misses_the_slope_memo(eig, ft, name, value):
+    # a CLI time factor's numbers enter the memo's key (the L1 moments do
+    # not depend on the source), and spow's warp changes with theta
+    _assert_misses(eig, dict(_BASE_SETUP, ft=ft), name, value, name != "ft")
 
 
 def test_cached_times_are_read_only_and_a_writing_time_factor_is_served(eig):
@@ -1005,11 +1067,60 @@ def test_cached_times_are_read_only_and_a_writing_time_factor_is_served(eig):
 
 def test_the_time_caches_hold_their_declared_keys(eig):
     assert solver._conv_times.cache_info().maxsize == 2
+    assert solver._factor_slopes.cache_info().maxsize == 2
     assert fracops._l1_moments.cache_info().maxsize == 1
-    for T in (1.0, 1.1, 1.2):
-        for conv_cells in (16, 32):
-            _setup_solve(eig, dict(alpha=0.6, theta=0.3, a=0.0, T=T,
-                                   t_grid=np.linspace(0.25, 1.0, 4),
-                                   conv_cells=conv_cells))
-            assert solver._conv_times.cache_info().currsize <= 2
-            assert fracops._l1_moments.cache_info().currsize <= 1
+    for ft in ("sin:3", _library_sin3):
+        for T in (1.0, 1.1, 1.2):
+            for conv_cells in (16, 32):
+                _setup_solve(eig, dict(_BASE_SETUP, T=T,
+                                       conv_cells=conv_cells, ft=ft))
+                assert solver._conv_times.cache_info().currsize <= 2
+                assert solver._factor_slopes.cache_info().currsize <= 2
+                assert fracops._l1_moments.cache_info().currsize <= 1
+
+
+def test_a_factor_slope_table_is_the_read_only_slope_differences():
+    # the memo holds w = diff(slopes) of the factor on the convolution's
+    # cells, one row per target, read only; a library factor of the same
+    # expression gives the same bits by the blocks of _modes_values
+    warp = TimeWarp(0.3, 0.0)
+    S = warp_forward(warp, np.linspace(0.25, 1.0, 4))
+    ft = cli.time_expr("sin:3", warp)
+    w = solver._factor_slopes(ft, warp, 16, S.tobytes())
+    assert w.shape == (1, 4, 17) and not w.flags.writeable
+    times = solver._conv_times(warp, 16, S.tobytes())
+    frac = np.linspace(0.0, 1.0, 17) ** 2
+    ref = solver._slope_diffs(_library_sin3(times)[None], S, frac)
+    assert w.tobytes() == ref.tobytes()
+
+
+def test_a_mutable_library_time_factor_is_read_afresh(eig):
+    # nothing is keyed on a callable's identity: a library time factor
+    # that closes over a mutable array, changed between two assemblies on
+    # one time setup, gives the new field, that of a solve on cleared caches
+    amp = np.array([3.0])
+    setup = dict(_BASE_SETUP, ft=lambda t: np.sin(amp[0] * t))
+    first = _solve_bytes(_setup_solve(eig, setup))
+    amp[0] = 4.0
+    got = _solve_bytes(_setup_solve(eig, setup))
+    assert got[0] != first[0]
+    _clear_time_caches()
+    assert got == _solve_bytes(_setup_solve(eig, setup))
+
+
+def test_only_a_cli_time_factor_enters_the_slope_memo(eig):
+    # a library lambda, a tabulated time factor and a general f(x, t) keep
+    # the times path: the memo's keys and counts do not move
+    _setup_solve(eig, _BASE_SETUP)
+    info = solver._factor_slopes.cache_info()
+    assert info.currsize == 2
+    table = SampledFunction.from_table(np.linspace(0.0, 1.0, 33),
+                                       np.sin(3.0 * np.linspace(0.0, 1.0, 33)))
+    for f in (SeparableSource(np.ones_like, _library_sin3),
+              SeparableSource(np.ones_like, table),
+              lambda x, t: np.ones_like(x) * np.sin(3.0 * t)):
+        spec = _basic_spec(0.5, f=f)
+        fld = assemble(spec, eig(0.5, 2), 2, np.linspace(0.0, 1.0, 9),
+                       _BASE_SETUP["t_grid"])
+        residual_strong(fld, spec)
+        assert solver._factor_slopes.cache_info() == info

@@ -35,6 +35,9 @@ REPO = Path(__file__).resolve().parents[1]
 SIN3 = {"f": "sep:one|sin:3"}
 QUAD1 = {"f": "sep:quadratic|one"}
 SHORT = {"x_points": 3, "t_points": 2, **SIN3}
+COS2 = {"f": "sep:one|cos:2"}
+SPOW_A = {"f": "sep:one|spow:0.5"}
+A03 = ["--a", "0.3", "--T", "1.4"]
 
 #: (case name, CLI arguments, config-file keys); --out is added per run
 MATRIX = (
@@ -62,9 +65,19 @@ MATRIX = (
     # intervals span several cells of the mode table
     ("solve-alpha0.02", ["solve", "--modes", "8", "--alpha", "0.02"], SIN3),
     ("solve-quad-b1.5", ["solve", "--modes", "8", "--beta", "1.5"], QUAD1),
-    ("solve-quad-a0.3", ["solve", "--modes", "8", "--a", "0.3",
-                         "--T", "1.4"], QUAD1),
+    ("solve-quad-a0.3", ["solve", "--modes", "8", *A03], QUAD1),
     ("solve-spow", ["solve", "--modes", "16"], {"f": "sep:one|spow:0.3"}),
+    # every time factor the solver memoizes by value; a second beta on the
+    # same factor and time setup, next in the matrix, meets the warm leg's
+    # memo hits
+    ("solve-cos2-b0.5", ["solve", "--modes", "8", "--beta", "0.5"], COS2),
+    ("solve-cos2-b1.5", ["solve", "--modes", "8", "--beta", "1.5"], COS2),
+    ("solve-poly", ["solve", "--modes", "8"],
+     {"f": "sep:one|poly:0,1,-0.5"}),
+    ("solve-spow-a0.3-b0.5", ["solve", "--modes", "8", "--beta", "0.5",
+                              *A03], SPOW_A),
+    ("solve-spow-a0.3-b1.5", ["solve", "--modes", "8", "--beta", "1.5",
+                              *A03], SPOW_A),
     # the README forced example, and the stiff end of the kernels
     ("solve-sin3-k16", ["solve", "--modes", "16"], SIN3),
     # the most modes whose by-parts roundoff one forced case sums

@@ -16,7 +16,10 @@ definite tridiagonal system, solved by LAPACK dptsv without pivoting.  The
 L1 weights depend only on alpha and the time nodes: they are built once
 per time mesh and kept for the next march (_weight_blocks), so a sweep
 over beta or the data on one time mesh pays for them once.  The source is
-read only through f(x, t).
+read through f(x, t), or, for a SeparableSource, through its two factors
+fx(x) and ft(t), by the calls its own __call__ makes.  Nothing numerical
+is imported from the spectral side: from solver only the data types and
+the helpers that evaluate the data.
 """
 from __future__ import annotations
 
@@ -30,7 +33,8 @@ from scipy.linalg.lapack import dptsv
 from .errors import (DomainError, ResolutionError, SolverError, _check_alpha,
                      _check_count, _is_real)
 from .fracops import _l1_rows, warp_forward
-from .solver import ProblemSpec, SolutionField, _eval_vec
+from .solver import (ProblemSpec, SeparableSource, SolutionField, _eval_vec,
+                     _value_at)
 from .spectral import bc_requirements, grading_exponent
 
 #: cap on the time grading exponent 2/alpha of FDMesh.build
@@ -41,7 +45,11 @@ _BLOCK = 64
 
 @dataclass(frozen=True)
 class FDMesh:
-    """Graded space/time mesh for the reference solver."""
+    """Graded space/time mesh for the reference solver.  x and s are kept
+    as native float64 arrays (a list or an array of another real dtype is
+    converted), so the march and its weight cache read them as doubles;
+    complex, non-numeric or non-finite nodes, and grades that are not
+    finite reals, are DomainErrors."""
 
     x: np.ndarray
     s: np.ndarray
@@ -49,13 +57,29 @@ class FDMesh:
     grade_s: float
 
     def __post_init__(self):
-        for name, arr, lo in (("x", self.x, 0.0), ("s", self.s, 0.0)):
+        for name, lo in (("x", 0.0), ("s", 0.0)):
+            raw = getattr(self, name)
+            try:
+                arr = np.asarray(raw)
+            except ValueError:  # a ragged list
+                arr = np.asarray(None)
+            if arr.dtype.kind not in "iuf":
+                raise DomainError(f"{name} nodes must be real numbers, "
+                                  f"got dtype {arr.dtype}")
+            arr = arr.astype(np.float64, copy=False)
             if arr.ndim != 1 or arr.size < 3:
                 raise DomainError(f"{name} nodes must be a 1-d array")
+            if not np.all(np.isfinite(arr)):
+                raise DomainError(f"{name} nodes must be finite")
             if arr[0] != lo or not np.all(np.diff(arr) > 0.0):
                 raise DomainError(f"{name} nodes must increase from {lo}")
+            object.__setattr__(self, name, arr)
         if self.x[-1] != 1.0:
             raise DomainError("last spatial node must be 1")
+        for name in ("grade_x", "grade_s"):
+            g = getattr(self, name)
+            if not _is_real(g):
+                raise DomainError(f"{name} must be a finite real, got {g!r}")
 
     @property
     def nx(self) -> int:
@@ -148,12 +172,16 @@ def fd_solve(spec: ProblemSpec, mesh: FDMesh) -> SolutionField:
     (_weight_blocks, cached).  At the start of a block one matrix-matrix
     product applies its rows to every increment u^{j+1} - u^j finished
     before it, and the block's diagonals S + p^alpha g_last omega are
-    formed, one per step.  Each step then makes only the calls its
-    arithmetic needs, in scratch rows: one short matrix-vector product
-    over its in-block increments, four in-place ufuncs for the right-hand
-    side, one call of the source f(x, t_n) on the read-only nodes of the
-    unknowns and two in-place ufuncs that weigh it by omega and add it,
-    one dptsv (LDL^T, no pivoting) that overwrites its diagonal row and the
+    formed, one per step.  Before that, and so before any of the block's
+    solves, the block's source rows omega f(x, t_n) fill one scratch array:
+    a SeparableSource's space factor is evaluated on the read-only nodes of
+    the unknowns once per march and its time factor once per step, as a
+    scalar, and the rows are their outer product times omega; any other
+    f(x, t_n) is called on the nodes once per step.  Each step then makes
+    only the calls its arithmetic needs, in scratch rows: one short
+    matrix-vector product over its in-block increments, four in-place
+    ufuncs for the right-hand side and one that adds its source row, one
+    dptsv (LDL^T, no pivoting) that overwrites its diagonal row and the
     right-hand side with the solution, one subtraction into the increment
     and one row copy.  A march costs O(nt^2 nx) flops, at the speed of the
     matrix-matrix product, and copies no history.  The updates are checked
@@ -212,6 +240,13 @@ def fd_solve(spec: ProblemSpec, mesh: FDMesh) -> SolutionField:
     hist = np.empty(main.size)
     rhs = np.empty(main.size)
     blocks = _weight_blocks(float(al), s.tobytes())
+    f = spec.f
+    if f is not None:
+        # src[r] = omega f(x, t_n) for the block's step n = n0 + r.  A
+        # SeparableSource's factors are read by the calls its __call__
+        # makes, so each row keeps the bits of f(x, t_n)
+        src = np.empty((min(_BLOCK, mesh.nt), main.size))
+        fx = _eval_vec(f.fx, xi) if isinstance(f, SeparableSource) else None
     # numpy's floating-point warnings are silenced, the source's included,
     # as solver._sampled silences them: a step marched past a non-finite
     # update would warn (inf - inf), and each block's check refuses such
@@ -219,6 +254,16 @@ def fd_solve(spec: ProblemSpec, mesh: FDMesh) -> SolutionField:
     with np.errstate(all="ignore"):
         for n0, (Q, G_hist) in zip(range(1, s.size, _BLOCK), blocks):
             n1 = n0 + Q.shape[0]
+            if f is not None:
+                F = src[:n1 - n0]  # the block's source rows
+                if fx is not None:
+                    np.multiply.outer([_value_at(f.ft, float(t_nodes[n]))
+                                       for n in range(n0, n1)], fx, out=F)
+                else:
+                    for n in range(n0, n1):
+                        t_n = float(t_nodes[n])
+                        F[n - n0] = _eval_vec(lambda xx: f(xx, t_n), xi)
+                F *= w
             # L1 weights g_j of Caputo_s u(s_n) ~ sum_j g_j (u^{j+1} - u^j):
             # the square Q[n - n0, j - n0 + 1] on the block's increments,
             # and G_hist on every increment finished before the block; a
@@ -231,7 +276,7 @@ def fd_solve(spec: ProblemSpec, mesh: FDMesh) -> SolutionField:
             cw = np.multiply.outer(pa * Q.diagonal(), w)
             diag = main + cw
             # rhs = omega (p^alpha (g_last u^{n-1} - history) + f(x, t_n)),
-            # with hist the scratch row of the history and then the source
+            # with hist the scratch row of the history
             for n in range(n0, n1):
                 r = n - n0
                 np.dot(Q[r, :r], du[n0 - 1:n - 1], out=hist)
@@ -239,11 +284,8 @@ def fd_solve(spec: ProblemSpec, mesh: FDMesh) -> SolutionField:
                 hist *= paw
                 np.multiply(cw[r], ui[n - 1], out=rhs)
                 rhs -= hist
-                if spec.f is not None:
-                    t_n = float(t_nodes[n])
-                    np.multiply(w, _eval_vec(lambda xx: spec.f(xx, t_n), xi),
-                                out=hist)
-                    rhs += hist
+                if f is not None:
+                    rhs += F[r]
                 _, _, sol, info = dptsv(diag[r], off, rhs,
                                         overwrite_d=1, overwrite_b=1)
                 if info != 0:

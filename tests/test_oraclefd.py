@@ -70,6 +70,47 @@ def test_mesh_array_validation():
         FDMesh(good_x * 0.5, good_s, 1.0, 1.0)  # does not end at 1
     with pytest.raises(DomainError):
         FDMesh(good_x, good_s[:2], 1.0, 1.0)
+    # once a march on the real parts (complex x), an IndexError (complex
+    # s) or an AttributeError (a list of strings)
+    bad_nodes = [good_x.astype(complex), ["0", "0.5", "1"],
+                 np.array([0.0, 0.5, None, 1.0], dtype=object),
+                 [[0.0, 0.5], [1.0]], np.array([0.0, 0.5, np.nan, 1.0]),
+                 np.array([0.0, 0.5, np.inf])]
+    for bad in bad_nodes:
+        with pytest.raises(DomainError):
+            FDMesh(bad, good_s, 1.0, 1.0)
+    for bad in [good_s.astype(complex), *bad_nodes[1:-1],
+                np.array([0.0, 0.5, np.inf])]:
+        with pytest.raises(DomainError):
+            FDMesh(good_x, bad, 1.0, 1.0)
+    for grade in (math.nan, math.inf, "1", None, 1j):
+        with pytest.raises(DomainError, match="grade_x"):
+            FDMesh(good_x, good_s, grade, 1.0)
+        with pytest.raises(DomainError, match="grade_s"):
+            FDMesh(good_x, good_s, 1.0, grade)
+
+
+@pytest.mark.parametrize("convert", [
+    lambda a: a.astype(np.float32),  # once garbage weights, or ValueError
+    lambda a: a.astype(">f8"),       # once "non-finite update at step 1"
+    lambda a: a.astype(np.float32).tolist()],  # once AttributeError
+    ids=["float32", "big-endian", "list"])
+@pytest.mark.parametrize("nt", [9, 10])
+def test_mesh_nodes_are_native_doubles(convert, nt):
+    # the march keys its weights on the bytes of s and reads them back as
+    # native doubles: a mesh of another real dtype must march bit for bit
+    # like one of its values as float64
+    base = FDMesh.build(0.5, 0.6, 1.0, nx=16, nt=nt)
+    x, s = convert(base.x), convert(base.s)
+    mesh = FDMesh(x, s, base.grade_x, base.grade_s)
+    ref = FDMesh(np.asarray(x, dtype=np.float64),
+                 np.asarray(s, dtype=np.float64), base.grade_x, base.grade_s)
+    for arr in (mesh.x, mesh.s):
+        assert arr.dtype == np.float64 and arr.dtype.isnative
+    spec = _spec(0.5, lambda x: np.asarray(x) * (1.0 - np.asarray(x)),
+                 lambda x, t: np.cos(2.0 * x) * (1.0 + t))
+    assert (fd_solve(spec, mesh).values.tobytes()
+            == fd_solve(spec, ref).values.tobytes())
 
 
 def _spec(beta, phi, f=None, alpha=0.6, theta=0.3, a=0.0, T=1.0):
@@ -247,7 +288,9 @@ def test_non_finite_source_is_solver_error():
 def test_first_non_finite_step_is_named_without_warnings(beta, bad):
     # finiteness is checked once per block of steps: the error must still
     # name the first bad step, here mid-way through the second of three
-    # blocks, and the steps marched past it must not warn (inf - inf)
+    # blocks, and the steps marched past it must not warn (inf - inf).
+    # A separable source's rows are formed from its two factors, the bad
+    # value coming from the time factor
     nt, n_bad = 2 * _BLOCK + 5, _BLOCK + 26
     mesh = FDMesh.build(beta, 0.6, 1.0, nx=16, nt=nt)
     t_nodes = mesh.s ** (1.0 / 0.7)  # a = 0, p = 1 - theta = 0.7
@@ -256,12 +299,48 @@ def test_first_non_finite_step_is_named_without_warnings(beta, bad):
     def f(x, t):
         return np.full(np.shape(x), bad if t > t_bad else 1.0)
 
-    spec = _spec(beta, lambda x: np.asarray(x) * (1.0 - np.asarray(x)), f)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(SolverError,
-                           match=f"^non-finite update at step {n_bad}$"):
-            fd_solve(spec, mesh)
+    separable = SeparableSource(lambda x: 1.0 + x,
+                                lambda t: bad if t > t_bad else 1.0)
+    for source in (f, separable):
+        spec = _spec(beta, lambda x: np.asarray(x) * (1.0 - np.asarray(x)),
+                     source)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError,
+                               match=f"^non-finite update at step {n_bad}$"):
+                fd_solve(spec, mesh)
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.0])
+@pytest.mark.parametrize("beta", [0.5, 1.5])
+def test_a_separable_source_costs_one_space_call_per_march(beta, alpha):
+    # the march forms each block's source rows from a SeparableSource's
+    # two factors: the space factor on the nodes once per march, the time
+    # factor once per step, and the field is the general f(x, t)'s bit for
+    # bit; a general f(x, t) is still called once per step
+    calls = {"fx": 0, "ft": 0, "f": 0}
+
+    def fx(x):
+        calls["fx"] += 1
+        return np.cos(2.0 * x) + x
+
+    def ft(t):
+        calls["ft"] += 1
+        return 1.0 + math.sin(5.0 * t)
+
+    def f(x, t):
+        calls["f"] += 1
+        return (np.cos(2.0 * x) + x) * (1.0 + math.sin(5.0 * t))
+
+    phi = lambda x: np.asarray(x) * (1.0 - np.asarray(x)) + 0.5  # noqa: E731
+    nt = 2 * _BLOCK + 5
+    mesh = FDMesh.build(beta, alpha, 1.0, nx=24, nt=nt)
+    sep = fd_solve(_spec(beta, phi, SeparableSource(fx, ft), alpha=alpha),
+                   mesh).values
+    assert calls == {"fx": 1, "ft": nt, "f": 0}
+    gen = fd_solve(_spec(beta, phi, f, alpha=alpha), mesh).values
+    assert calls == {"fx": 1, "ft": nt, "f": nt}
+    assert sep.tobytes() == gen.tobytes()
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.5])

@@ -104,6 +104,10 @@ MATRIX = (
     # a partial block, with a source that changes from step to step
     ("convergence-fd-partial", ["convergence"],
      {"mesh_ladder": "72,133", "f": "sep:one|sin:3"}),
+    # the same partial blocks in the weak regime, where x = 0 is an
+    # unknown, with a space factor that is not constant
+    ("convergence-fd-weak", ["convergence", "--beta", "1.5"],
+     {"mesh_ladder": "72,133", "f": "sep:quadratic|cos:2"}),
 )
 
 #: the warm leg's cases, in matrix order: the solves, then the verify and

@@ -1,5 +1,5 @@
-"""Exception taxonomy shared across the package, and the checks of a count
-and of a real number at the public boundary."""
+"""Exception taxonomy shared across the package, and the checks of a count,
+of a real number and of a real array at the public boundary."""
 
 import math
 from numbers import Integral
@@ -38,6 +38,19 @@ class VerificationError(RuntimeError):
 def _is_real(v) -> bool:
     """True for a finite int, float or numpy scalar of either kind."""
     return isinstance(v, (int, float, np.integer, np.floating)) and math.isfinite(v)
+
+
+def _real_array(name: str, x) -> np.ndarray:
+    """x as a native float64 array (float64 input keeps its bits), or
+    DomainError unless its dtype is integer or floating: a complex, string,
+    object or ragged input is refused, not cut to its real parts."""
+    try:
+        arr = np.asarray(x)
+    except ValueError:  # a ragged list
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be real numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
 
 
 def _check_alpha(alpha) -> None:

@@ -17,11 +17,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, _check_alpha, _check_count, _is_real
+from .errors import (DomainError, _check_alpha, _check_count, _is_real,
+                     _real_array)
 
 
 @dataclass(frozen=True)
@@ -114,8 +116,8 @@ class SampledFunction:
 
     @classmethod
     def from_table(cls, nodes, values) -> "SampledFunction":
-        nodes = np.asarray(nodes, dtype=float)
-        values = np.asarray(values, dtype=float)
+        nodes = _real_array("table nodes", nodes)
+        values = _real_array("table values", values)
         if (nodes.ndim != 1 or nodes.size < 2 or values.ndim not in (1, 2)
                 or values.shape[-1] != nodes.size):
             raise DomainError("table needs 1-d nodes and (n,) or (K, n) values")
@@ -163,8 +165,8 @@ def warp_inverse(warp: TimeWarp, s):
 
 def graded_grid(length: float, n: int, exponent: float) -> np.ndarray:
     """Nodes length * (j/n)^exponent, j = 0..n, clustered at 0 for exponent > 1."""
-    if not 0.0 <= length < math.inf:
-        raise DomainError(f"need a finite length >= 0, got {length}")
+    if not (_is_real(length) and length >= 0.0):
+        raise DomainError(f"need a finite length >= 0, got {length!r}")
     _check_count("n", n)
     if not (_is_real(exponent) and exponent > 0.0):
         raise DomainError(f"need a finite exponent > 0, got {exponent!r}")
@@ -243,8 +245,14 @@ def hb_caputo(f, alpha: float, warp: TimeWarp, t: float, n: int = 2048,
     every curve.
     """
     _check_alpha(alpha)
-    if not warp.a < t < math.inf:
-        raise DomainError(f"need a finite t > a, got t={t}, a={warp.a}")
+    if not isinstance(warp, TimeWarp):
+        raise DomainError(f"warp must be a TimeWarp, got {warp!r}")
+    # one real: a number, or a 0-d array of bools, integers or floats
+    one = isinstance(t, Real) or (isinstance(t, (np.ndarray, np.generic))
+                                  and t.shape == () and t.dtype.kind in "biuf")
+    if not (one and warp.a < t < math.inf):
+        raise DomainError(f"need one finite real t > a, got t={t!r}, "
+                          f"a={warp.a}")
     _check_count("n", n)
     S = warp_forward(warp, t)
     s = graded_grid(S, n, 2.0 / alpha)

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg.lapack import dptsv
 
 from .errors import (DomainError, ResolutionError, SolverError, _check_alpha,
-                     _check_count, _is_real)
+                     _check_count, _is_real, _real_array)
 from .fracops import _l1_rows, warp_forward
 from .solver import (ProblemSpec, SeparableSource, SolutionField, _eval_vec,
                      _value_at)
@@ -58,15 +58,7 @@ class FDMesh:
 
     def __post_init__(self):
         for name, lo in (("x", 0.0), ("s", 0.0)):
-            raw = getattr(self, name)
-            try:
-                arr = np.asarray(raw)
-            except ValueError:  # a ragged list
-                arr = np.asarray(None)
-            if arr.dtype.kind not in "iuf":
-                raise DomainError(f"{name} nodes must be real numbers, "
-                                  f"got dtype {arr.dtype}")
-            arr = arr.astype(np.float64, copy=False)
+            arr = _real_array(f"{name} nodes", getattr(self, name))
             if arr.ndim != 1 or arr.size < 3:
                 raise DomainError(f"{name} nodes must be a 1-d array")
             if not np.all(np.isfinite(arr)):
@@ -363,10 +355,7 @@ def compare(reference: SolutionField, other: SolutionField,
         ts = reference.t_grid[(reference.t_grid >= lo - 1e-12)
                               & (reference.t_grid <= hi + 1e-12)]
     else:
-        try:
-            ts = np.asarray(t_subset, dtype=float)
-        except (TypeError, ValueError):
-            ts = np.empty(0)  # no times: refused below
+        ts = _real_array("t_subset", t_subset)
         if ts.ndim != 1 or ts.size == 0 or not np.all(np.isfinite(ts)):
             raise DomainError(f"t_subset must be a non-empty 1-d list of "
                               f"finite times, got {t_subset!r}")

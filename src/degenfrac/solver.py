@@ -28,7 +28,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import (DomainError, RegimeError, ResolutionError, _check_alpha,
-                     _check_count, _is_real)
+                     _check_count, _is_real, _real_array)
 from .fracops import (SampledFunction, TimeWarp, _l1_cells, _Pchip,
                       warp_forward, warp_inverse)
 from .special import _ml, _ml_sums
@@ -259,8 +259,8 @@ def _eval_vec(fn, x: np.ndarray) -> np.ndarray:
     callable that rejects arrays the way scalar-only code does (TypeError,
     ValueError) or returns the wrong shape is evaluated point by point.
     fn sees a read-only view of x, so one that writes into its argument
-    fails over to the points too, and the caller's x (a cached time table
-    or quadrature rule, say) keeps its values."""
+    fails over to the points too, and the caller's x (a block of
+    convolution times or a quadrature rule, say) keeps its values."""
     x = np.asarray(x, dtype=float)
     if _is_real(fn):
         return np.full(x.shape, float(fn))
@@ -362,7 +362,8 @@ def _loads(source, K: int, t) -> np.ndarray:
 
 def _block_times(warp: TimeWarp, S: np.ndarray,
                  frac: np.ndarray) -> np.ndarray:
-    """The (S.size, frac.size) times t(S_j frac_i) in [a, t(S_j)]."""
+    """The (S.size, frac.size) times t(S_j frac_i) in [a, t(S_j)]: the
+    convolution's node times of one row block of targets S."""
     # t(0) may round below a; t is monotone, and its last column is t(S)
     return np.maximum(warp_inverse(warp, S[:, None] * frac), warp.a)
 
@@ -383,32 +384,12 @@ def _conv_rows(n: int) -> int:
 
 
 @lru_cache(maxsize=2)
-def _conv_times(warp: TimeWarp, n: int, S: bytes) -> np.ndarray:
-    """The read-only (J, n + 1) times t(sigma) in [a, t(S_j)] of the cell
-    nodes sigma = S_j frac, frac_i = (i/n)^2, i = 0..n, of the convolution
-    up to each target S_j > 0 (one row per target; S the bytes of a
-    float64 array).  They depend on no curve, so a sweep that keeps the
-    time setup reads them from the cache: one key for the output times and
-    one for the residual's dense table, which holds 1,024 x 129 doubles.
-    Filled in the row blocks of _modes_values.  A CLI time factor's
-    convolution reads _factor_slopes instead."""
-    S = np.frombuffer(S)
-    frac = np.linspace(0.0, 1.0, n + 1) ** 2
-    out = np.empty((S.size, n + 1))
-    rows = _conv_rows(n)
-    for lo in range(0, S.size, rows):
-        out[lo:lo + rows] = _block_times(warp, S[lo:lo + rows], frac)
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=2)
 def _factor_slopes(factor: _TimeFactor, warp: TimeWarp, n: int,
                    S: bytes) -> np.ndarray:
     """The read-only (1, J, n + 1) slope differences w of the time factor
-    on the convolution cells of _conv_times, for each target S_j > 0 (S the
-    bytes of a float64 array), built in the row blocks of _modes_values
-    from times that are not cached.  w depends on no mode, beta or phi, and
+    on the convolution cells S_j frac, frac_i = (i/n)^2, i = 0..n, for each
+    target S_j > 0 (S the bytes of a float64 array), built in the row
+    blocks of _modes_values.  w depends on no mode, beta or phi, and
     the key holds the factor by value, so a sweep that keeps the time
     setup and the factor reads it from the cache: one key for the output
     times and one for the residual's dense table, which holds 1,024 x 129
@@ -483,17 +464,15 @@ def _modes_values(alpha: float, warp: TimeWarp, lambdas, phis, source,
     rows = _conv_rows(conv_cells)
     frac = np.linspace(0.0, 1.0, conv_cells + 1) ** 2
     ratios = tuple(1.0 - frac)  # c_i = y_i/S, the same for every target
-    if source.factor is None:
-        times = _conv_times(warp, conv_cells, S.tobytes())
-    else:
+    if source.factor is not None:
         table = _factor_slopes(source.factor, warp, conv_cells, S.tobytes())
     for lo in range(0, pos.size, rows):
         idx = pos[lo:lo + rows]
         # sum_i slopes_i (Q_i+1 - Q_i) = -sum_i w_i Q_i, Q_i = S^(b+1)
         # P_{b+2}(x, c_i) at x = -lam S^alpha for each mode
         if source.factor is None:
-            w = _slope_diffs(source.g(times[lo:lo + rows]), S[lo:lo + rows],
-                             frac)
+            Sb = S[lo:lo + rows]
+            w = _slope_diffs(source.g(_block_times(warp, Sb, frac)), Sb, frac)
         else:
             w = table[:, lo:lo + rows]
         for b, on, scl in parts:
@@ -507,7 +486,7 @@ def _modes_values(alpha: float, warp: TimeWarp, lambdas, phis, source,
 
 def _check_t_grid(t_grid, a: float, T: float = math.inf) -> np.ndarray:
     """A 1-d, finite, strictly increasing time grid inside (a, T]."""
-    t = np.asarray(t_grid, dtype=float)
+    t = _real_array("times", t_grid)
     if (t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t))
             or not np.all(np.diff(t) > 0.0)):
         raise DomainError("times must be 1-d, finite and strictly increasing")
@@ -621,7 +600,7 @@ def assemble(spec: ProblemSpec, sys: EigenSystem, K: int, x_grid, t_grid,
         raise DomainError(f"need 1 <= K <= {sys.count}, got {K}")
     if abs(sys.beta - spec.beta) > 1e-12:
         raise DomainError("eigensystem beta does not match the problem")
-    x = np.asarray(x_grid, dtype=float)
+    x = _real_array("x_grid", x_grid)
     if x.ndim != 1 or x.size < 2 or not np.all(np.diff(x) > 0.0):
         raise DomainError("x_grid must be 1-d strictly increasing")
     if x[0] < 0.0 or x[-1] > 1.0:

@@ -54,7 +54,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError, ResolutionError, _is_real
+from .errors import DomainError, ResolutionError, _is_real, _real_array
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +549,7 @@ def ml_eval_many(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     (E = cos sqrt(-z)) it costs about 1.6 sqrt(-z) eps, past the bound
     beyond -z = 1e7: 1.7e-12 up to 1e8, 1.8e-10 up to 1e12.
     """
-    z = np.asarray(z, dtype=float)
+    z = _real_array("ml_eval_many: z", z)
     if not (_is_real(alpha) and _is_real(beta)) or not np.all(np.isfinite(z)):
         raise DomainError("ml_eval_many: alpha, beta and z must be finite reals")
     if alpha <= 0.0:
@@ -579,7 +579,7 @@ def ml_bound_fit(alpha: float, beta: float, ray_samples: Sequence[float]) -> MLB
     """
     if not (_is_real(alpha) and 0.0 < alpha < 2.0):
         raise DomainError(f"ml_bound_fit: requires 0 < alpha < 2, got {alpha}")
-    xs = np.asarray(list(ray_samples), dtype=float)
+    xs = _real_array("ml_bound_fit: ray samples", list(ray_samples))
     if xs.size == 0 or np.any(xs < 0.0) or not np.all(np.isfinite(xs)):
         raise DomainError("ml_bound_fit: ray samples must be finite and >= 0")
     vals = ml_eval_many(alpha, beta, -xs)

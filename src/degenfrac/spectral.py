@@ -25,7 +25,7 @@ from scipy import special as sp
 from scipy.linalg.lapack import dpttrf, dpttrs, dstemr
 
 from .errors import (DegeneracyError, DomainError, ResolutionError, SolverError,
-                     _check_count, _is_real)
+                     _check_count, _is_real, _real_array)
 from .special import _bessel_j_zeros
 
 LEFT_DIRICHLET = "dirichlet_at_zero"
@@ -114,7 +114,7 @@ class EigenSystem:
         """(v, v') of the modes in rows at x, each of shape (modes,) +
         x.shape: one search of the mesh serves every mode.  With
         deriv=False, v alone."""
-        x = np.asarray(x, dtype=float)
+        x = _real_array("evaluation points", x)
         if not np.all((x >= 0.0) & (x <= 1.0)):
             raise DomainError("evaluation points must lie in [0, 1]")
         col = (slice(None),) + (None,) * x.ndim  # one value per mode

@@ -16,7 +16,7 @@ from degenfrac import cli, fracops, solver, special
 from degenfrac.errors import DomainError, RegimeError, ResolutionError
 from degenfrac.fracops import (SampledFunction, TimeWarp, _l1_cells, _l1_rows,
                                graded_grid, hb_caputo, warp_forward)
-from degenfrac.oraclefd import FDMesh
+from degenfrac.oraclefd import FDMesh, compare
 from degenfrac.solver import (
     ModeODE,
     ProblemSpec,
@@ -737,6 +737,12 @@ def test_cell_and_node_counts_are_validated(eig, beta, residual):
 _W = TimeWarp(0.3)
 
 
+def _compare_at(t_subset):
+    fld = assemble(_basic_spec(0.5), solve_eigen(0.5, 4), 2,
+                   np.linspace(0.0, 1.0, 5), [0.5, 1.0])
+    return compare(fld, fld, t_subset=t_subset)
+
+
 @pytest.mark.parametrize("call", [
     lambda: solve_eigen(0.5, 2.5),
     lambda: solve_eigen(0.5, 4, mesh=256.9),
@@ -761,17 +767,46 @@ _W = TimeWarp(0.3)
     lambda: ml_bound_fit("0.5", 1.0, [1.0]),
     lambda: ml_bound_fit(0.5, None, [1.0]),
     lambda: solve_eigen(0.5, True),
+    lambda: ml_eval_many(0.5, 1.0, np.array([-1.0 + 2.0j])),
+    lambda: ml_eval(0.5, 1.0, -1.0 + 2.0j),
+    lambda: ml_eval_many(0.5, 1.0, ["a"]),
+    lambda: ml_bound_fit(0.5, 1.0, [1.0 + 1.0j, 2.0]),
+    lambda: SampledFunction.from_table([0.0, 1.0], [1.0j, 2.0]),
+    lambda: SampledFunction.from_table([0.0, 1.0], [[1.0, 2.0], [3.0]]),
+    lambda: assemble(_basic_spec(0.5), solve_eigen(0.5, 4), 2,
+                     np.linspace(0.0, 1.0, 9) + 0j, [0.5]),
+    lambda: assemble(_basic_spec(0.5), solve_eigen(0.5, 4), 2,
+                     np.linspace(0.0, 1.0, 9), [0.5 + 0j]),
+    lambda: mode_solution(ModeODE(1, 0.6, 3.0, 1.0, None, _W), [0.5 + 0j]),
+    lambda: mode_solution_alt(ModeODE(1, 0.6, 3.0, 1.0, None, _W),
+                              [0.5 + 0j]),
+    lambda: solve_eigen(0.5, 4).basis_matrix(np.array([0.5 + 1.0j])),
+    lambda: solve_eigen(0.5, 4).eigen_eval(1, 0.5 + 1.0j),
+    lambda: _compare_at(np.array([0.5 + 0j])),
+    lambda: hb_caputo(np.sin, 0.6, _W, np.array([0.5, 0.6])),
+    lambda: hb_caputo(np.sin, 0.6, _W, "0.5"),
+    lambda: hb_caputo(np.sin, 0.6, _W, np.complex128(0.5)),
+    lambda: hb_caputo(np.sin, 0.6, None, 0.5),
+    lambda: graded_grid("1", 4, 2.0),
 ], ids=["solve_eigen-K", "solve_eigen-mesh", "bessel_eigen-K", "FDMesh-nx", "FDMesh-nt",
         "hb_caputo-n", "hb_caputo-t-inf", "hb_caputo-t-nan",
         "graded_grid-length", "graded_grid-n", "hb_caputo-alpha-None",
         "fourier_coeff-k", "eigen_eval-k", "mode-k", "assemble-K-float",
         "assemble-K-str", "ml_eval_many-alpha-str", "ml_eval-beta-None",
         "ml_bound_fit-alpha-str", "ml_bound_fit-beta-None",
-        "solve_eigen-K-bool"])
+        "solve_eigen-K-bool", "ml_eval_many-z-complex", "ml_eval-z-complex",
+        "ml_eval_many-z-str", "ml_bound_fit-samples-complex",
+        "from_table-values-complex", "from_table-values-ragged",
+        "assemble-x-complex", "assemble-t-complex", "mode_solution-t-complex",
+        "mode_solution_alt-t-complex", "basis_matrix-x-complex",
+        "eigen_eval-x-complex", "compare-t_subset-complex",
+        "hb_caputo-t-array", "hb_caputo-t-str", "hb_caputo-t-complex",
+        "hb_caputo-warp-None", "graded_grid-length-str"])
 def test_public_counts_and_scalars_are_domain_errors(call):
-    # these once raised TypeError, SciPy's ValueError, returned NaN,
-    # blamed f for a bad t, cut a mesh of 256.9 cells to 256, or gave an
-    # evaluator of mode 2.5 that failed when called
+    # these once raised TypeError, SciPy's ValueError, AttributeError,
+    # returned NaN, blamed f for a bad t, cut a mesh of 256.9 cells to 256,
+    # gave an evaluator of mode 2.5 that failed when called, or ran on the
+    # real parts of complex input
     with pytest.raises(DomainError) as exc:
         call()
     assert "f must be finite" not in str(exc.value)
@@ -899,34 +934,24 @@ def test_no_solver_path_takes_the_point_by_point_ml_route(eig, alpha, monkeypatc
 
 
 # ---------------------------------------------------------------------------
-# The curve-free time tables, and a CLI time factor's slope table, memoized
+# A CLI time factor's slope table and the residual's L1 moments, memoized
 # by value
 
 
 def _cache_counts():
-    """(hits, misses) of the convolution times, of the CLI time factors'
-    slope tables and of the residual's L1 moments."""
-    return [(c.hits, c.misses) for c in (solver._conv_times.cache_info(),
-                                         solver._factor_slopes.cache_info(),
+    """(hits, misses) of the CLI time factors' slope tables and of the
+    residual's L1 moments."""
+    return [(c.hits, c.misses) for c in (solver._factor_slopes.cache_info(),
                                          fracops._l1_moments.cache_info())]
 
 
 def _clear_time_caches():
-    solver._conv_times.cache_clear()
     solver._factor_slopes.cache_clear()
     fracops._l1_moments.cache_clear()
 
 
 def _library_sin3(t):
     return np.sin(3.0 * t)
-
-
-def _conv_cache(ft) -> int:
-    """The index in _cache_counts of the cache that serves the convolution
-    of a time factor: the CLI grammar's text (a value) reads its slope
-    tables from _factor_slopes, a library callable its times from
-    _conv_times."""
-    return 1 if isinstance(ft, str) else 0
 
 
 def _cli_solve(tmp_path, name, beta):
@@ -968,11 +993,10 @@ def _solve_bytes(solved) -> list:
 
 def test_a_beta_sweep_reads_both_time_tables_from_the_caches(tmp_path, eig):
     # a beta sweep keeps (alpha, theta, a, T, t_grid, conv_cells) and the
-    # source: its second solve finds the convolution's tables of the output
-    # times and of the residual's dense table, and the residual's L1
-    # moments, cached.  The CLI's sin:3 is a value, whose slope tables
-    # _factor_slopes keeps in place of the times; a library lambda's
-    # convolution reads the times from _conv_times
+    # source: its second solve finds the residual's L1 moments cached.  The
+    # CLI's sin:3 is a value, whose slope tables of the output times and of
+    # the residual's dense table _factor_slopes keeps; a library lambda's
+    # convolution reaches no memo and forms its times per row block
     def cli_solve(name, beta):
         return _cli_solve(tmp_path, name, beta)
 
@@ -980,34 +1004,34 @@ def test_a_beta_sweep_reads_both_time_tables_from_the_caches(tmp_path, eig):
         return _solve_bytes(_setup_solve(
             eig, dict(_BASE_SETUP, ft=_library_sin3), beta))
 
-    for solve, conv in ((cli_solve, _conv_cache("sin:3")),
-                        (library_solve, _conv_cache(_library_sin3))):
+    for solve, slope_hits in ((cli_solve, 2), (library_solve, 0)):
         _clear_time_caches()
         solve("first", 0.3)
         before = _cache_counts()
-        assert before[1 - conv] == (0, 0)  # the other cache is not reached
         warm = solve("warm", 0.5)
-        want = list(before)
-        want[conv] = (before[conv][0] + 2, before[conv][1])
-        want[2] = (before[2][0] + 1, before[2][1])
-        assert _cache_counts() == want
+        assert _cache_counts() == [(before[0][0] + slope_hits, before[0][1]),
+                                   (before[1][0] + 1, before[1][1])]
+        if not slope_hits:
+            assert before[0] == (0, 0)  # the slope memo is not reached
         _clear_time_caches()
         assert warm == solve("cold", 0.5)
 
 
 def _assert_misses(eig, base, name, value, moments_miss):
-    """A solve on base misses its convolution cache once base[name] is
-    value, reaches no other convolution cache, misses the L1 moments as
-    moments_miss says, and matches a solve on cleared caches bit for bit."""
-    conv = _conv_cache(base["ft"])
+    """Once base[name] is value, a solve on base misses the slope memo if
+    its time factor is the CLI grammar's text and reaches no convolution
+    memo if it is a library callable, misses the L1 moments as moments_miss
+    says, and matches a solve on cleared caches bit for bit."""
     _clear_time_caches()
     _setup_solve(eig, base)
     before = _cache_counts()
     got = _setup_solve(eig, dict(base, **{name: value}))
     after = _cache_counts()
-    assert after[conv][1] > before[conv][1]
-    assert after[1 - conv] == before[1 - conv] == (0, 0)
-    assert after[2][1] == before[2][1] + moments_miss
+    if isinstance(base["ft"], str):
+        assert after[0][1] > before[0][1]
+    else:
+        assert after[0] == before[0] == (0, 0)
+    assert after[1][1] == before[1][1] + moments_miss
     _clear_time_caches()
     ref = _setup_solve(eig, dict(base, **{name: value}))
     assert _solve_bytes(got) == _solve_bytes(ref)
@@ -1017,9 +1041,9 @@ def _assert_misses(eig, base, name, value, moments_miss):
     ("alpha", 0.8), ("theta", -0.5), ("a", 0.1), ("T", 1.5),
     ("t_grid", np.linspace(0.3, 1.0, 4)), ("conv_cells", 64)])
 def test_a_new_time_setup_misses_the_caches(eig, name, value):
-    # each field of the time setup enters the keys, for the CLI's sin:3
-    # (_factor_slopes) and a library lambda (_conv_times) alike; the L1
-    # moments do not depend on the convolution's cells
+    # each field of the time setup enters the keys of the CLI's sin:3
+    # (_factor_slopes) and of the L1 moments, which do not depend on the
+    # convolution's cells; a library lambda reaches no convolution memo
     for ft in ("sin:3", _library_sin3):
         _assert_misses(eig, dict(_BASE_SETUP, ft=ft), name, value,
                        name != "conv_cells")
@@ -1033,17 +1057,11 @@ def test_a_new_cli_time_factor_misses_the_slope_memo(eig, ft, name, value):
     _assert_misses(eig, dict(_BASE_SETUP, ft=ft), name, value, name != "ft")
 
 
-def test_cached_times_are_read_only_and_a_writing_time_factor_is_served(eig):
-    # the cached times reach the source's time factor: one that writes
-    # into its argument is refused the write, and _eval_vec's fallback
-    # serves it point by point, so no later solve reads clobbered times.
-    # The norms' time grid once took such a write, and read NaN
-    S = warp_forward(TimeWarp(0.3, 0.0), np.linspace(0.25, 1.0, 4))
-    times = solver._conv_times(TimeWarp(0.3, 0.0), 16, S.tobytes())
-    assert times.shape == (4, 17) and not times.flags.writeable
-    with pytest.raises(ValueError):
-        times[0, 0] = 0.0
-
+def test_a_writing_time_factor_is_served(eig):
+    # a time factor that writes into its argument is refused the write,
+    # and _eval_vec's fallback serves it point by point, so no later step
+    # reads clobbered times.  The norms' time grid once took such a write,
+    # and read NaN
     def writing(t):
         t = np.asarray(t)
         out = t * (2.0 - t)
@@ -1066,7 +1084,6 @@ def test_cached_times_are_read_only_and_a_writing_time_factor_is_served(eig):
 
 
 def test_the_time_caches_hold_their_declared_keys(eig):
-    assert solver._conv_times.cache_info().maxsize == 2
     assert solver._factor_slopes.cache_info().maxsize == 2
     assert fracops._l1_moments.cache_info().maxsize == 1
     for ft in ("sin:3", _library_sin3):
@@ -1074,7 +1091,6 @@ def test_the_time_caches_hold_their_declared_keys(eig):
             for conv_cells in (16, 32):
                 _setup_solve(eig, dict(_BASE_SETUP, T=T,
                                        conv_cells=conv_cells, ft=ft))
-                assert solver._conv_times.cache_info().currsize <= 2
                 assert solver._factor_slopes.cache_info().currsize <= 2
                 assert fracops._l1_moments.cache_info().currsize <= 1
 
@@ -1088,8 +1104,8 @@ def test_a_factor_slope_table_is_the_read_only_slope_differences():
     ft = cli.time_expr("sin:3", warp)
     w = solver._factor_slopes(ft, warp, 16, S.tobytes())
     assert w.shape == (1, 4, 17) and not w.flags.writeable
-    times = solver._conv_times(warp, 16, S.tobytes())
     frac = np.linspace(0.0, 1.0, 17) ** 2
+    times = solver._block_times(warp, S, frac)
     ref = solver._slope_diffs(_library_sin3(times)[None], S, frac)
     assert w.tobytes() == ref.tobytes()
 
@@ -1109,8 +1125,8 @@ def test_a_mutable_library_time_factor_is_read_afresh(eig):
 
 
 def test_only_a_cli_time_factor_enters_the_slope_memo(eig):
-    # a library lambda, a tabulated time factor and a general f(x, t) keep
-    # the times path: the memo's keys and counts do not move
+    # a library lambda, a tabulated time factor and a general f(x, t) form
+    # their times per row block: the memo's keys and counts do not move
     _setup_solve(eig, _BASE_SETUP)
     info = solver._factor_slopes.cache_info()
     assert info.currsize == 2

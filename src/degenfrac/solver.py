@@ -31,7 +31,7 @@ from .errors import (DomainError, RegimeError, ResolutionError, _check_alpha,
                      _check_count, _is_real, _real_array)
 from .fracops import (SampledFunction, TimeWarp, _l1_cells, _Pchip,
                       warp_forward, warp_inverse)
-from .special import _ml, _ml_sums
+from .special import _ml, _ml_finish, _ml_node_sums, _ml_sums
 # perfbench/layertrace.py traces the names degenfrac.solver.ml_eval_many
 # and degenfrac.solver.hb_caputo, which no solver path calls
 from .fracops import hb_caputo  # noqa: F401
@@ -72,7 +72,7 @@ class _TimeFactor:
     "spow" (s(t)^q = (t^p - a^p)^q on warp, nums (q,)); warp is None but
     for spow.  It is equal and hashed by its kind, the bits of its numbers
     and its warp, and called it evaluates its expression, so work on its
-    values can be memoized by value (_factor_slopes)."""
+    values can be memoized by value (_factor_sums)."""
 
     kind: str
     nums: tuple
@@ -315,7 +315,10 @@ def fourier_coeff(g, sys: EigenSystem, k: int) -> float:
 # more, the slope part is sum_i w_i Q(y_i) with w_i = slope_i - slope_i-1
 # (slope_-1 = slope_n = 0), which special._ml_sums evaluates against its
 # cached contour bands: the GEMM runs on the source's time curves, and
-# each mode adds only its reciprocals.
+# each mode adds only its reciprocals.  For a CLI time factor the GEMMs'
+# node sums depend on no mode, beta or phi and are memoized by value
+# (_factor_sums); the modes then finish them in slices of about
+# _FINISH_ROWS rows.
 
 
 #: points per curve in a block of the 2-D product integration: a block's
@@ -328,6 +331,11 @@ _CONV_CELLS = 128
 #: dense table of the modes on [0, S_T]
 _L1_CELLS = 2048
 _TABLE_CELLS = 1024
+#: rows (modes x targets) per slice of a CLI time factor's finish: at
+#: K = 1 the residual's 1,024 dense targets are one slice, and from K = 16
+#: on a slice is one row block, whose temporaries keep the bound of
+#: special._SUM_ROWS
+_FINISH_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -339,8 +347,8 @@ class _Signal:
     its own curve, as a general f(x, t) or one ModeODE's source).  The
     source convolution runs on the curves, so its GEMMs cost R rows, not K;
     called, the signal gives the modes' values C @ g(t).  factor is the
-    _TimeFactor that g evaluates (R = 1), whose slope table the
-    convolution reads from _factor_slopes, or None."""
+    _TimeFactor that g evaluates (R = 1), whose node sums the
+    convolution reads from _factor_sums, or None."""
 
     g: Callable
     C: Optional[np.ndarray] = None
@@ -384,26 +392,50 @@ def _conv_rows(n: int) -> int:
 
 
 @lru_cache(maxsize=2)
-def _factor_slopes(factor: _TimeFactor, warp: TimeWarp, n: int,
-                   S: bytes) -> np.ndarray:
-    """The read-only (1, J, n + 1) slope differences w of the time factor
-    on the convolution cells S_j frac, frac_i = (i/n)^2, i = 0..n, for each
-    target S_j > 0 (S the bytes of a float64 array), built in the row
-    blocks of _modes_values.  w depends on no mode, beta or phi, and
-    the key holds the factor by value, so a sweep that keeps the time
-    setup and the factor reads it from the cache: one key for the output
-    times and one for the residual's dense table, which holds 1,024 x 129
-    doubles."""
+def _factor_sums(factor: _TimeFactor, warp: TimeWarp, n: int, S: bytes,
+                 alpha: float, B: float) -> tuple:
+    """The read-only x-free half of the convolution of the time factor
+    against the kernel P_B at order alpha: special._ml_node_sums of its
+    slope differences w on the cells S_j frac, frac_i = (i/n)^2,
+    i = 0..n, for each target S_j > 0 (S the bytes of a float64 array).
+    It is built in the row blocks of _modes_values, whose blocked GEMMs
+    it gives bit for bit (one GEMM over every target does not).  It
+    depends on no mode, beta or phi, and the key holds the factor by
+    value, so a beta sweep that keeps the time setup and the factor reads
+    it from the cache: one key for the output times and one for the
+    residual's dense table, whose 1,024 targets hold 2.8 MB of node sums
+    at 128 cells."""
     S = np.frombuffer(S)
     frac = np.linspace(0.0, 1.0, n + 1) ** 2
-    out = np.empty((1, S.size, n + 1))
+    ratios = tuple(1.0 - frac)
     rows = _conv_rows(n)
+    out = None
     for lo in range(0, S.size, rows):
         Sb = S[lo:lo + rows]
         G = _eval_vec(factor, _block_times(warp, Sb, frac))[None]
-        out[:, lo:lo + rows] = _slope_diffs(G, Sb, frac)
-    out.flags.writeable = False
+        part = _ml_node_sums(alpha, B, _slope_diffs(G, Sb, frac), ratios)
+        if out is None:
+            out = tuple(np.empty(a.shape[:-1] + (S.size,)) for a in part)
+        for dst, src in zip(out, part):
+            dst[..., lo:lo + rows] = src
+    for a in out:
+        a.flags.writeable = False
     return out
+
+
+def _finish_slices(J: int, rows: int, K: int) -> list:
+    """The target slices in which K modes finish a CLI time factor's node
+    sums for J targets: whole row blocks of rows targets, about
+    _FINISH_ROWS rows (modes x targets) per slice.  At K = 1 a row block
+    of one target stays a slice of its own: numpy sums the nodes of a
+    single row pairwise, and those of more rows in order, so each value
+    keeps the bits of its row block."""
+    if K == 1 and rows == 1:
+        return [slice(j, j + 1) for j in range(J)]
+    cuts = list(range(0, J, rows * max(1, _FINISH_ROWS // (K * rows))))
+    if K == 1 and J % rows == 1 and cuts[-1] != J - 1:
+        cuts.append(J - 1)  # the last row block has one target
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:] + [J])]
 
 
 def _mode_values(ode: ModeODE, S_arr: np.ndarray, form: str,
@@ -428,9 +460,10 @@ def _modes_values(alpha: float, warp: TimeWarp, lambdas, phis, source,
     all three for every mode.  A signal's slopes are integrated over
     (targets S > 0) x (conv_cells + 1) nodes in row blocks of about
     _BLOCK_POINTS points per curve; each block reads the signal's curves
-    once (a CLI time factor's whole slope table is read from
-    _factor_slopes), and one _ml_sums call per kernel sums every mode's
-    rows, so the mix C scales finished sums."""
+    once, and one _ml_sums call per kernel sums every mode's rows, so the
+    mix C scales finished sums.  A CLI time factor's node sums are read
+    from _factor_sums, and each kernel finishes them in the slices of
+    _finish_slices."""
     Sa = np.asarray(S_arr, dtype=float)
     pa = warp.p ** alpha
     lam_s = -np.asarray(lambdas, dtype=float) / pa
@@ -457,27 +490,34 @@ def _modes_values(alpha: float, warp: TimeWarp, lambdas, phis, source,
     for b, on, scl in parts:
         e = next(E) if on else sp.rgamma(b + 1.0)  # E_{alpha,b+1}(0)
         out += scl * f0 * Sa ** b * e
-    if const:
-        return out
     pos = np.flatnonzero(Sa > 0.0)
+    if const or not pos.size:
+        return out
     S = Sa[pos]
     rows = _conv_rows(conv_cells)
     frac = np.linspace(0.0, 1.0, conv_cells + 1) ** 2
     ratios = tuple(1.0 - frac)  # c_i = y_i/S, the same for every target
-    if source.factor is not None:
-        table = _factor_slopes(source.factor, warp, conv_cells, S.tobytes())
-    for lo in range(0, pos.size, rows):
-        idx = pos[lo:lo + rows]
+    factor = source.factor
+    if factor is None:
+        blocks = [slice(lo, lo + rows) for lo in range(0, pos.size, rows)]
+    else:
+        memo = [_factor_sums(factor, warp, conv_cells, S.tobytes(), alpha,
+                             b + 2.0) for b, _, _ in parts]
+        blocks = _finish_slices(pos.size, rows, Z.shape[0])
+    for blk in blocks:
+        idx = pos[blk]
         # sum_i slopes_i (Q_i+1 - Q_i) = -sum_i w_i Q_i, Q_i = S^(b+1)
         # P_{b+2}(x, c_i) at x = -lam S^alpha for each mode
-        if source.factor is None:
-            Sb = S[lo:lo + rows]
-            w = _slope_diffs(source.g(_block_times(warp, Sb, frac)), Sb, frac)
-        else:
-            w = table[:, lo:lo + rows]
-        for b, on, scl in parts:
+        if factor is None:
+            w = _slope_diffs(source.g(_block_times(warp, S[blk], frac)),
+                             S[blk], frac)
+        for i, (b, on, scl) in enumerate(parts):
             x = -Z[:, idx] if on else np.zeros((Z.shape[0], idx.size))
-            sums = _ml_sums(alpha, b + 2.0, x, w, ratios)
+            if factor is None:
+                sums = _ml_sums(alpha, b + 2.0, x, w, ratios)
+            else:
+                sums = _ml_finish(alpha, b + 2.0, x,
+                                  tuple(a[..., blk] for a in memo[i]), ratios)
             if source.C is not None:
                 sums *= source.C
             out[:, idx] += scl * Sa[idx] ** (b + 1.0) * sums

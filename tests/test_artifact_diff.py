@@ -123,7 +123,7 @@ def test_the_matrix_solves_every_time_factor_kind_twice_in_a_row():
     # each time factor that the solver memoizes by value (sin, cos, poly,
     # spow, spow at a > 0) has a solve case; cos and spow at a > 0 are
     # solved at two betas one after the other on the same time setup, so
-    # the warm leg reads their second solve's slope tables from the memo
+    # the warm leg reads their second solve's node sums from the memo
     def setup(case):
         args = list(case[1])
         i = args.index("--beta") if "--beta" in args else None
@@ -142,3 +142,15 @@ def test_the_matrix_solves_every_time_factor_kind_twice_in_a_row():
             f.startswith(kind) and ("--a" in one[1]) == needs_a
             and setup(one) == setup(two) and one[1] != two[1]
             for f, one, two in zip(factors, solves, solves[1:])), kind
+
+
+def test_the_matrix_solves_one_mode_at_two_betas_in_a_row():
+    # forced_solve's beta sweep (K = 1, sin:3, beta 0.3 then 0.8): the one
+    # mode finishes the whole dense table in one pass, and the warm leg's
+    # second solve reads the first one's node sums
+    solves = [case for case in artifact_diff.WARM if case[1][0] == "solve"]
+    assert any(
+        one[1] == ["solve", "--modes", "1", "--beta", "0.3"]
+        and two[1] == ["solve", "--modes", "1", "--beta", "0.8"]
+        and one[2] == two[2] == artifact_diff.SIN3
+        for one, two in zip(solves, solves[1:]))

@@ -4,6 +4,7 @@ residual dispatch."""
 import dataclasses
 import inspect
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -494,6 +495,67 @@ def test_sum_by_parts_matches_the_ratio_table(monkeypatch, alpha, form, kind):
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("theta", [0.3, -0.5])
+@pytest.mark.parametrize("alpha", [0.6, 1.0])
+@pytest.mark.parametrize("K", [1, 16, 64])
+def test_a_cli_time_factor_finishes_its_memoized_node_sums(monkeypatch, K,
+                                                           alpha, theta):
+    # a CLI time factor's convolution reads its node sums from
+    # _factor_sums and finishes them in the slices of _finish_slices
+    # (two row blocks at once at K = 1, one from K = 16 on), without
+    # _ml_sums: bit for bit the per-block _ml_sums of a library callable
+    # of the same expression, cold and warm, and within roundoff of the
+    # full ratio table (spow:0.5, whose slopes blow up at s = 0, sums
+    # 1.1e-14 off it at alpha = 1, theta = -0.5, by both paths).  255
+    # targets at 128 cells are two row blocks of 127 and one of a single
+    # target, whose nodes numpy sums pairwise
+    warp = TimeWarp(theta, 0.0)
+    k = np.arange(1.0, K + 1.0)
+    lams, phis, C = (np.pi * k) ** 2, 1.0 / k, (1.0 / k**2)[:, None]
+    S = warp_forward(warp, 1.0) * np.linspace(0.0, 1.0, 256) ** 2
+    assert solver._conv_rows(128) == 127
+    for text in ("sin:3", "cos:2", "poly:0,1", "spow:0.5"):
+        ft = cli.time_expr(text, warp)
+        library = lambda t: ft(t)  # noqa: E731
+        args = [alpha, warp, lams, phis, None, "single_kernel", 128, S]
+        args[4] = solver._Signal(lambda t: _eval_vec(library, t)[None], C)
+        lib = _modes_values(*args)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_ml_sums", _table_sums)
+            ref = _modes_values(*args)
+        args[4] = solver._Signal(lambda t: _eval_vec(ft, t)[None], C, ft)
+        solver._factor_sums.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_ml_sums", None)  # the factor path skips it
+            cold = _modes_values(*args)
+            warm = _modes_values(*args)
+        assert solver._factor_sums.cache_info()[:2] == (1, 1)
+        assert cold.tobytes() == warm.tobytes() == lib.tobytes()
+        assert np.max(np.abs(cold - ref)) <= 2e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("K,bound_mb", [(16, 3.18), (64, 11.87)])
+def test_the_dense_table_finish_keeps_its_memory(eig, K, bound_mb):
+    # the README forced example's residual table, with the factor memo
+    # warm: from K = 16 on the modes finish the node sums one row block at
+    # a time, so the peak stays at that of the per-block sums (a single
+    # pass over the 1,024 targets took 10.5 MB at K = 16)
+    warp = TimeWarp(0.3, 0.0)
+    spec = _basic_spec(0.5, f=cli.source_expr("sep:one|sin:3", warp))
+    fld = assemble(spec, eig(0.5, K), K, np.linspace(0.0, 1.0, 65),
+                   np.linspace(0.0, 1.0, 18)[1:])
+    solver._mode_interpolants(fld, spec, solver._TABLE_CELLS)
+    hits = solver._factor_sums.cache_info().hits
+    tracemalloc.start()
+    try:
+        solver._mode_interpolants(fld, spec, solver._TABLE_CELLS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solver._factor_sums.cache_info().hits == hits + 1
+    assert peak <= bound_mb * 1e6
+
+
 def test_separable_time_factor_is_evaluated_once_per_block(eig, monkeypatch):
     # a SeparableSource's modes share its time factor: one evaluation on
     # a block of convolution nodes serves every mode, and each kernel's
@@ -934,19 +996,19 @@ def test_no_solver_path_takes_the_point_by_point_ml_route(eig, alpha, monkeypatc
 
 
 # ---------------------------------------------------------------------------
-# A CLI time factor's slope table and the residual's L1 moments, memoized
-# by value
+# A CLI time factor's convolution node sums and the residual's L1
+# moments, memoized by value
 
 
 def _cache_counts():
-    """(hits, misses) of the CLI time factors' slope tables and of the
-    residual's L1 moments."""
-    return [(c.hits, c.misses) for c in (solver._factor_slopes.cache_info(),
+    """(hits, misses) of the CLI time factors' convolution node sums and of
+    the residual's L1 moments."""
+    return [(c.hits, c.misses) for c in (solver._factor_sums.cache_info(),
                                          fracops._l1_moments.cache_info())]
 
 
 def _clear_time_caches():
-    solver._factor_slopes.cache_clear()
+    solver._factor_sums.cache_clear()
     fracops._l1_moments.cache_clear()
 
 
@@ -994,9 +1056,10 @@ def _solve_bytes(solved) -> list:
 def test_a_beta_sweep_reads_both_time_tables_from_the_caches(tmp_path, eig):
     # a beta sweep keeps (alpha, theta, a, T, t_grid, conv_cells) and the
     # source: its second solve finds the residual's L1 moments cached.  The
-    # CLI's sin:3 is a value, whose slope tables of the output times and of
-    # the residual's dense table _factor_slopes keeps; a library lambda's
-    # convolution reaches no memo and forms its times per row block
+    # CLI's sin:3 is a value, whose node sums of the output times and of
+    # the residual's dense table _factor_sums keeps (alpha and the kernel
+    # are the same); a library lambda's convolution reaches no memo and
+    # forms its times per row block
     def cli_solve(name, beta):
         return _cli_solve(tmp_path, name, beta)
 
@@ -1004,21 +1067,21 @@ def test_a_beta_sweep_reads_both_time_tables_from_the_caches(tmp_path, eig):
         return _solve_bytes(_setup_solve(
             eig, dict(_BASE_SETUP, ft=_library_sin3), beta))
 
-    for solve, slope_hits in ((cli_solve, 2), (library_solve, 0)):
+    for solve, sum_hits in ((cli_solve, 2), (library_solve, 0)):
         _clear_time_caches()
         solve("first", 0.3)
         before = _cache_counts()
         warm = solve("warm", 0.5)
-        assert _cache_counts() == [(before[0][0] + slope_hits, before[0][1]),
+        assert _cache_counts() == [(before[0][0] + sum_hits, before[0][1]),
                                    (before[1][0] + 1, before[1][1])]
-        if not slope_hits:
-            assert before[0] == (0, 0)  # the slope memo is not reached
+        if not sum_hits:
+            assert before[0] == (0, 0)  # the factor memo is not reached
         _clear_time_caches()
         assert warm == solve("cold", 0.5)
 
 
 def _assert_misses(eig, base, name, value, moments_miss):
-    """Once base[name] is value, a solve on base misses the slope memo if
+    """Once base[name] is value, a solve on base misses the factor memo if
     its time factor is the CLI grammar's text and reaches no convolution
     memo if it is a library callable, misses the L1 moments as moments_miss
     says, and matches a solve on cleared caches bit for bit."""
@@ -1042,7 +1105,7 @@ def _assert_misses(eig, base, name, value, moments_miss):
     ("t_grid", np.linspace(0.3, 1.0, 4)), ("conv_cells", 64)])
 def test_a_new_time_setup_misses_the_caches(eig, name, value):
     # each field of the time setup enters the keys of the CLI's sin:3
-    # (_factor_slopes) and of the L1 moments, which do not depend on the
+    # (_factor_sums) and of the L1 moments, which do not depend on the
     # convolution's cells; a library lambda reaches no convolution memo
     for ft in ("sin:3", _library_sin3):
         _assert_misses(eig, dict(_BASE_SETUP, ft=ft), name, value,
@@ -1084,30 +1147,42 @@ def test_a_writing_time_factor_is_served(eig):
 
 
 def test_the_time_caches_hold_their_declared_keys(eig):
-    assert solver._factor_slopes.cache_info().maxsize == 2
+    assert solver._factor_sums.cache_info().maxsize == 2
     assert fracops._l1_moments.cache_info().maxsize == 1
     for ft in ("sin:3", _library_sin3):
         for T in (1.0, 1.1, 1.2):
             for conv_cells in (16, 32):
                 _setup_solve(eig, dict(_BASE_SETUP, T=T,
                                        conv_cells=conv_cells, ft=ft))
-                assert solver._factor_slopes.cache_info().currsize <= 2
+                assert solver._factor_sums.cache_info().currsize <= 2
                 assert fracops._l1_moments.cache_info().currsize <= 1
 
 
-def test_a_factor_slope_table_is_the_read_only_slope_differences():
-    # the memo holds w = diff(slopes) of the factor on the convolution's
-    # cells, one row per target, read only; a library factor of the same
-    # expression gives the same bits by the blocks of _modes_values
+def test_the_factor_memo_holds_the_read_only_node_sums():
+    # the memo holds the x-free half of the convolution, special's
+    # _ml_node_sums of the factor's slope differences w, read only and
+    # target by target; on each _conv_rows block it is bit for bit that of
+    # a library factor of the same expression
     warp = TimeWarp(0.3, 0.0)
-    S = warp_forward(warp, np.linspace(0.25, 1.0, 4))
+    S = warp_forward(warp, np.linspace(0.01, 1.0, 300))
+    n, alpha, B = 128, 0.6, 2.6
     ft = cli.time_expr("sin:3", warp)
-    w = solver._factor_slopes(ft, warp, 16, S.tobytes())
-    assert w.shape == (1, 4, 17) and not w.flags.writeable
-    frac = np.linspace(0.0, 1.0, 17) ** 2
-    times = solver._block_times(warp, S, frac)
-    ref = solver._slope_diffs(_library_sin3(times)[None], S, frac)
-    assert w.tobytes() == ref.tobytes()
+    memo = solver._factor_sums(ft, warp, n, S.tobytes(), alpha, B)
+    frac = np.linspace(0.0, 1.0, n + 1) ** 2
+    ratios = tuple(1.0 - frac)
+    rows = solver._conv_rows(n)
+    assert rows == 127  # three row blocks, the last of 46 targets
+    for a in memo:
+        assert a.shape[-1] == S.size and not a.flags.writeable
+    assert len(memo) > 3  # rest, whole and several bands
+    for lo in range(0, S.size, rows):
+        Sb = S[lo:lo + rows]
+        w = solver._slope_diffs(
+            _library_sin3(solver._block_times(warp, Sb, frac))[None], Sb,
+            frac)
+        ref = special._ml_node_sums(alpha, B, w, ratios)
+        for got, want in zip(memo, ref, strict=True):
+            assert got[..., lo:lo + rows].tobytes() == want.tobytes()
 
 
 def test_a_mutable_library_time_factor_is_read_afresh(eig):
@@ -1128,7 +1203,7 @@ def test_only_a_cli_time_factor_enters_the_slope_memo(eig):
     # a library lambda, a tabulated time factor and a general f(x, t) form
     # their times per row block: the memo's keys and counts do not move
     _setup_solve(eig, _BASE_SETUP)
-    info = solver._factor_slopes.cache_info()
+    info = solver._factor_sums.cache_info()
     assert info.currsize == 2
     table = SampledFunction.from_table(np.linspace(0.0, 1.0, 33),
                                        np.sin(3.0 * np.linspace(0.0, 1.0, 33)))
@@ -1139,4 +1214,4 @@ def test_only_a_cli_time_factor_enters_the_slope_memo(eig):
         fld = assemble(spec, eig(0.5, 2), 2, np.linspace(0.0, 1.0, 9),
                        _BASE_SETUP["t_grid"])
         residual_strong(fld, spec)
-        assert solver._factor_slopes.cache_info() == info
+        assert solver._factor_sums.cache_info() == info

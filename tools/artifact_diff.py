@@ -78,6 +78,11 @@ MATRIX = (
                               *A03], SPOW_A),
     ("solve-spow-a0.3-b1.5", ["solve", "--modes", "8", "--beta", "1.5",
                               *A03], SPOW_A),
+    # forced_solve's settings: one mode, whose finish takes the whole
+    # dense table in one pass; the second beta, next in the matrix, is the
+    # warm leg's beta-sweep hit on the convolution's node sums
+    ("solve-sin3-k1-b0.3", ["solve", "--modes", "1", "--beta", "0.3"], SIN3),
+    ("solve-sin3-k1-b0.8", ["solve", "--modes", "1", "--beta", "0.8"], SIN3),
     # the README forced example, and the stiff end of the kernels
     ("solve-sin3-k16", ["solve", "--modes", "16"], SIN3),
     # the most modes whose by-parts roundoff one forced case sums

@@ -192,8 +192,8 @@ def time_expr(text: str, warp: TimeWarp):
     factors one and const:c come back as numbers, which the solver takes
     as a declared constant; the others as values (solver._TimeFactor):
     callables of t that take arrays, equal when their kind, numbers and
-    (for spow) warp are, so the solver memoizes their convolution's slope
-    table by value."""
+    (for spow) warp are, so the solver memoizes their convolution's node
+    sums by value."""
     name, _, arg = text.strip().partition(":")
     if name == "one":
         return 1.0

@@ -31,7 +31,7 @@ from .errors import (DomainError, RegimeError, ResolutionError, _check_alpha,
                      _check_count, _is_real, _real_array)
 from .fracops import (SampledFunction, TimeWarp, _l1_cells, _Pchip,
                       warp_forward, warp_inverse)
-from .special import _ml, _ml_finish, _ml_node_sums, _ml_sums
+from .special import _ml, _ml_finish, _ml_node_sums
 # perfbench/layertrace.py traces the names degenfrac.solver.ml_eval_many
 # and degenfrac.solver.hb_caputo, which no solver path calls
 from .fracops import hb_caputo  # noqa: F401
@@ -313,12 +313,13 @@ def fourier_coeff(g, sys: EigenSystem, k: int) -> float:
 # and the kernel endpoint singularity costs nothing.  With y_i = s c_i the
 # ratios c_i are the same for every target and mode.  Summed by parts once
 # more, the slope part is sum_i w_i Q(y_i) with w_i = slope_i - slope_i-1
-# (slope_-1 = slope_n = 0), which special._ml_sums evaluates against its
-# cached contour bands: the GEMM runs on the source's time curves, and
-# each mode adds only its reciprocals.  For a CLI time factor the GEMMs'
-# node sums depend on no mode, beta or phi and are memoized by value
-# (_factor_sums); the modes then finish them in slices of about
-# _FINISH_ROWS rows.
+# (slope_-1 = slope_n = 0), summed against the cached contour bands of
+# special in two halves: the band GEMMs on the source's time curves give
+# x-free node sums (_node_sums), and each mode finishes them with its own
+# reciprocals (special._ml_finish) in slices of about _FINISH_ROWS rows.
+# The node sums depend on no mode, beta or phi; for a CLI time factor they
+# are memoized by value (_factor_sums), and every other source builds them
+# slice by slice.
 
 
 #: points per curve in a block of the 2-D product integration: a block's
@@ -331,9 +332,9 @@ _CONV_CELLS = 128
 #: dense table of the modes on [0, S_T]
 _L1_CELLS = 2048
 _TABLE_CELLS = 1024
-#: rows (modes x targets) per slice of a CLI time factor's finish: at
-#: K = 1 the residual's 1,024 dense targets are one slice, and from K = 16
-#: on a slice is one row block, whose temporaries keep the bound of
+#: rows (modes x targets) per slice of the convolution's finish: at K = 1
+#: the residual's 1,024 dense targets are one slice, and from K = 16 on a
+#: slice is one row block, whose temporaries keep the bound of
 #: special._SUM_ROWS
 _FINISH_ROWS = 2048
 
@@ -348,7 +349,8 @@ class _Signal:
     source convolution runs on the curves, so its GEMMs cost R rows, not K;
     called, the signal gives the modes' values C @ g(t).  factor is the
     _TimeFactor that g evaluates (R = 1), whose node sums the
-    convolution reads from _factor_sums, or None."""
+    convolution reads from _factor_sums, or None: the convolution then
+    builds them for each slice it finishes (_node_sums)."""
 
     g: Callable
     C: Optional[np.ndarray] = None
@@ -391,40 +393,51 @@ def _conv_rows(n: int) -> int:
     return max(1, _BLOCK_POINTS // (n + 1))
 
 
-@lru_cache(maxsize=2)
-def _factor_sums(factor: _TimeFactor, warp: TimeWarp, n: int, S: bytes,
-                 alpha: float, B: float) -> tuple:
-    """The read-only x-free half of the convolution of the time factor
-    against the kernel P_B at order alpha: special._ml_node_sums of its
-    slope differences w on the cells S_j frac, frac_i = (i/n)^2,
-    i = 0..n, for each target S_j > 0 (S the bytes of a float64 array).
-    It is built in the row blocks of _modes_values, whose blocked GEMMs
-    it gives bit for bit (one GEMM over every target does not).  It
-    depends on no mode, beta or phi, and the key holds the factor by
-    value, so a beta sweep that keeps the time setup and the factor reads
-    it from the cache: one key for the output times and one for the
-    residual's dense table, whose 1,024 targets hold 2.8 MB of node sums
-    at 128 cells."""
-    S = np.frombuffer(S)
+def _node_sums(g: Callable, warp: TimeWarp, n: int, S: np.ndarray,
+               alpha: float, Bs: tuple) -> list:
+    """The x-free half of the convolution of the curves g against each
+    kernel P_B, B in Bs, at order alpha: per B, special._ml_node_sums of
+    the slope differences w of g on the cells S_j frac, frac_i = (i/n)^2,
+    i = 0..n, for each target S_j > 0, with the targets on the last axis.
+    It is filled in the row blocks of _conv_rows, each reading the curves
+    once for every kernel, so each value keeps the bits of its block's
+    GEMM (one GEMM over every target does not)."""
     frac = np.linspace(0.0, 1.0, n + 1) ** 2
     ratios = tuple(1.0 - frac)
     rows = _conv_rows(n)
     out = None
     for lo in range(0, S.size, rows):
         Sb = S[lo:lo + rows]
-        G = _eval_vec(factor, _block_times(warp, Sb, frac))[None]
-        part = _ml_node_sums(alpha, B, _slope_diffs(G, Sb, frac), ratios)
+        w = _slope_diffs(g(_block_times(warp, Sb, frac)), Sb, frac)
+        parts = [_ml_node_sums(alpha, B, w, ratios) for B in Bs]
         if out is None:
-            out = tuple(np.empty(a.shape[:-1] + (S.size,)) for a in part)
-        for dst, src in zip(out, part):
-            dst[..., lo:lo + rows] = src
-    for a in out:
-        a.flags.writeable = False
+            out = [tuple(np.empty(a.shape[:-1] + (S.size,)) for a in part)
+                   for part in parts]
+        for dst, src in zip(out, parts):
+            for d, a in zip(dst, src):
+                d[..., lo:lo + rows] = a
     return out
 
 
+@lru_cache(maxsize=2)
+def _factor_sums(factor: _TimeFactor, warp: TimeWarp, n: int, S: bytes,
+                 alpha: float, Bs: tuple) -> tuple:
+    """_node_sums of the time factor on n cells up to each target of S
+    (the bytes of a float64 array), read only.  They depend on no mode,
+    beta or phi, and the key holds the factor by value, so a beta sweep
+    that keeps the time setup and the factor reads them from the cache:
+    one key for the output times and one for the residual's dense table,
+    whose 1,024 targets hold 2.8 MB of node sums at 128 cells."""
+    sums = _node_sums(lambda t: _eval_vec(factor, t)[None], warp, n,
+                      np.frombuffer(S), alpha, Bs)
+    for node in sums:
+        for a in node:
+            a.flags.writeable = False
+    return tuple(sums)
+
+
 def _finish_slices(J: int, rows: int, K: int) -> list:
-    """The target slices in which K modes finish a CLI time factor's node
+    """The target slices in which K modes finish the convolution's node
     sums for J targets: whole row blocks of rows targets, about
     _FINISH_ROWS rows (modes x targets) per slice.  At K = 1 a row block
     of one target stays a slice of its own: numpy sums the nodes of a
@@ -458,12 +471,11 @@ def _modes_values(alpha: float, warp: TimeWarp, lambdas, phis, source,
     or a _Signal.  The phi term, declared constants and a signal's start
     value share the argument lambda* S^alpha, so one contour pass gives
     all three for every mode.  A signal's slopes are integrated over
-    (targets S > 0) x (conv_cells + 1) nodes in row blocks of about
-    _BLOCK_POINTS points per curve; each block reads the signal's curves
-    once, and one _ml_sums call per kernel sums every mode's rows, so the
-    mix C scales finished sums.  A CLI time factor's node sums are read
-    from _factor_sums, and each kernel finishes them in the slices of
-    _finish_slices."""
+    (targets S > 0) x (conv_cells + 1) nodes: in the slices of
+    _finish_slices, each kernel finishes the slice's node sums for every
+    mode in one _ml_finish call, and the mix C scales finished sums.  A
+    CLI time factor's node sums are read from _factor_sums; any other
+    signal's are built for the slice (_node_sums)."""
     Sa = np.asarray(S_arr, dtype=float)
     pa = warp.p ** alpha
     lam_s = -np.asarray(lambdas, dtype=float) / pa
@@ -494,33 +506,26 @@ def _modes_values(alpha: float, warp: TimeWarp, lambdas, phis, source,
     if const or not pos.size:
         return out
     S = Sa[pos]
-    rows = _conv_rows(conv_cells)
-    frac = np.linspace(0.0, 1.0, conv_cells + 1) ** 2
-    ratios = tuple(1.0 - frac)  # c_i = y_i/S, the same for every target
-    factor = source.factor
-    if factor is None:
-        blocks = [slice(lo, lo + rows) for lo in range(0, pos.size, rows)]
-    else:
-        memo = [_factor_sums(factor, warp, conv_cells, S.tobytes(), alpha,
-                             b + 2.0) for b, _, _ in parts]
-        blocks = _finish_slices(pos.size, rows, Z.shape[0])
-    for blk in blocks:
+    # c_i = y_i/S, the same for every target
+    ratios = tuple(1.0 - np.linspace(0.0, 1.0, conv_cells + 1) ** 2)
+    Bs = tuple(b + 2.0 for b, _, _ in parts)
+    if source.factor is not None:
+        memo = _factor_sums(source.factor, warp, conv_cells, S.tobytes(),
+                            alpha, Bs)
+    for blk in _finish_slices(pos.size, _conv_rows(conv_cells), Z.shape[0]):
         idx = pos[blk]
-        # sum_i slopes_i (Q_i+1 - Q_i) = -sum_i w_i Q_i, Q_i = S^(b+1)
-        # P_{b+2}(x, c_i) at x = -lam S^alpha for each mode
-        if factor is None:
-            w = _slope_diffs(source.g(_block_times(warp, S[blk], frac)),
-                             S[blk], frac)
-        for i, (b, on, scl) in enumerate(parts):
+        if source.factor is None:
+            sums = _node_sums(source.g, warp, conv_cells, S[blk], alpha, Bs)
+        else:
+            sums = [tuple(a[..., blk] for a in node) for node in memo]
+        for (b, on, scl), node in zip(parts, sums):
+            # sum_i slopes_i (Q_i+1 - Q_i) = -sum_i w_i Q_i, Q_i = S^(b+1)
+            # P_{b+2}(x, c_i) at x = -lam S^alpha for each mode
             x = -Z[:, idx] if on else np.zeros((Z.shape[0], idx.size))
-            if factor is None:
-                sums = _ml_sums(alpha, b + 2.0, x, w, ratios)
-            else:
-                sums = _ml_finish(alpha, b + 2.0, x,
-                                  tuple(a[..., blk] for a in memo[i]), ratios)
+            fin = _ml_finish(alpha, b + 2.0, x, node, ratios)
             if source.C is not None:
-                sums *= source.C
-            out[:, idx] += scl * Sa[idx] ** (b + 1.0) * sums
+                fin *= source.C
+            out[:, idx] += scl * Sa[idx] ** (b + 1.0) * fin
     return out
 
 

@@ -20,12 +20,12 @@ Mittag-Leffler routes.  One dispatcher, _ml, picks them, first match wins:
    parabola, and the convolution's kernels B = 3, 4 match route 1 to
    1e-14): ratios in a band hi/4 < c <= hi, hi = 4^-m, share one table
    built from e^(s c/hi) and cached per (alpha, betas, ratios)
-   (_band_tables).  _ml_table reads a band with one real GEMM; _ml_sums
-   sums a convolution by parts against it without forming P, in an
-   x-free half (_ml_node_sums: the band GEMMs on the convolution's
-   weights) and an x-dependent finish (_ml_finish: each row's
-   reciprocals), so a caller that keeps the weights may keep the first
-   half too.  Public values at alpha = 1 keep route 1.
+   (_band_tables).  _ml_table reads a band with one real GEMM.  A
+   convolution is summed by parts against the same bands without forming
+   P, in an x-free half (_ml_node_sums: the band GEMMs on the
+   convolution's weights) and an x-dependent finish (_ml_finish: each
+   row's reciprocals), so a caller that keeps the weights may keep the
+   first half too.  Public values at alpha = 1 keep route 1.
 3. Every other point, one by one (_ml_scalar):
    a. z > 0: the series up to z^(1/alpha) = 40, then the exponential
       asymptotics (in log form up to the double limit);
@@ -282,13 +282,13 @@ _SUM_ROWS = 8192
 
 def _ml_node_sums(alpha: float, B: float, coef: np.ndarray,
                   c: tuple) -> tuple:
-    """The x-free half of _ml_sums(alpha, B, x, coef, c) for coefficients
-    of shape (R, J, len(c)), with the J targets on the last axis of each
-    array: (rest, whole, *Y).  rest and whole, shape (R, J), sum coef
-    against the exact values c^(B-1)/Gamma(B) over the columns c = 0 and
-    over every column; per band of _band_tables, one GEMM
-    Y = table @ coef[..., band].T gives its node sums Y0, Y1, shape
-    (2, m, R, J)."""
+    """The x-free half of the sums sum_i coef[r, j, i] P_B(x[k, j], c_i)
+    (_ml_finish) for coefficients of shape (R, J, len(c)), with the J
+    targets on the last axis of each array: (rest, whole, *Y).  rest and
+    whole, shape (R, J), sum coef against the exact values
+    c^(B-1)/Gamma(B) over the columns c = 0 and over every column; per
+    band of _band_tables, one GEMM Y = table @ coef[..., band].T gives
+    its node sums Y0, Y1, shape (2, m, R, J)."""
     _, _, exact, bands = _band_tables(alpha, (float(B),), c)
     exact = exact[0]
     R, J = coef.shape[:2]
@@ -302,9 +302,15 @@ def _ml_node_sums(alpha: float, B: float, coef: np.ndarray,
 
 def _ml_finish(alpha: float, B: float, x: np.ndarray, sums: tuple,
                c: tuple) -> np.ndarray:
-    """The x-dependent half of _ml_sums(alpha, B, x, coef, c) from the node
-    sums (_ml_node_sums) of coef: each row's reciprocals, its far rows and
-    its rows with x = 0."""
+    """sum_i coef[r, j, i] P_B(x[k, j], c_i) for x >= 0 of shape (K, J),
+    from the node sums (_ml_node_sums) of coefficients of shape
+    (R, J, len(c)), R = 1 (one set shared by every k) or R = K: shape
+    (K, J).  The rule of _ml_table, summed before the table is formed:
+    each row finishes its sum with its own reciprocals, sum over the
+    nodes of (Y0 + x' Y1) / |v^alpha + x'|^2, x' = x hi^alpha, so no
+    (K J, len(c)) table of P is built.  Rows with x = 0 and columns with
+    c = 0 take the exact value c^(B-1)/Gamma(B), and far rows the
+    large-x form."""
     p, q, _, bands = _band_tables(alpha, (float(B),), c)
     rest, whole, *Ys = sums
     K, J = x.shape
@@ -337,26 +343,6 @@ def _ml_finish(alpha: float, B: float, x: np.ndarray, sums: tuple,
     if not np.all(live):
         out[~live] = np.broadcast_to(whole, x.shape)[~live]
     return out
-
-
-def _ml_sums(alpha: float, B: float, x: np.ndarray, coef: np.ndarray,
-             c: tuple) -> np.ndarray:
-    """sum_i coef[r, j, i] P_B(x[k, j], c_i) for x >= 0 of shape (K, J) and
-    coefficients of shape (R, J, len(c)), R = 1 (one set shared by every
-    k) or R = K: shape (K, J).  The rule of _ml_table, summed before the
-    table is formed, in two halves.  The x-free half (_ml_node_sums) is
-    per band one GEMM table @ coef[..., band].T, the node sums Y0, Y1 of
-    shape (m, R J).  The x-dependent half (_ml_finish) finishes each row's
-    sum with its own reciprocals, sum over the nodes of
-    (Y0 + x' Y1) / |v^alpha + x'|^2, x' = x hi^alpha, so no (K J, len(c))
-    table of P is built.  Rows with x = 0 and columns with c = 0 take the
-    exact value c^(B-1)/Gamma(B); when every row has x = 0 no GEMM runs.
-    A caller that keeps coef across calls may keep its node sums too
-    (solver._factor_sums)."""
-    if not np.any(x > 0.0):
-        exact = _band_tables(alpha, (float(B),), c)[2][0]
-        return np.broadcast_to(coef @ exact, x.shape).copy()
-    return _ml_finish(alpha, B, x, _ml_node_sums(alpha, B, coef, c), c)
 
 
 def _between(sq1: float, p: float, log_tol: float):

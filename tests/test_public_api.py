@@ -11,6 +11,7 @@ import degenfrac
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
 _ACCEPTANCE = Path(__file__).resolve().with_name("test_acceptance.py")
+_PYPROJECT = _README.with_name("pyproject.toml")
 
 
 def _readme_api() -> set:
@@ -57,3 +58,17 @@ def test_every_public_name_has_a_caller():
     modules = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     used = set().union(*map(_names_used, modules + [_ACCEPTANCE]))
     assert sorted(set(_exported()) - used) == []
+
+
+def test_the_declared_floors_have_what_the_package_calls():
+    # solver.solution_norms and oraclefd.compare call np.trapezoid, which
+    # NumPy 2.0 introduced; SciPy 1.13 is the first release built for
+    # NumPy 2
+    floors = {name: tuple(int(v) for v in ver.split("."))
+              for name, ver in re.findall(r'"(numpy|scipy)>=([\d.]+)"',
+                                          _PYPROJECT.read_text())}
+    src = _README.parent / "src" / "degenfrac"
+    assert "np.trapezoid" in (src / "solver.py").read_text()
+    assert "np.trapezoid" in (src / "oraclefd.py").read_text()
+    assert floors["numpy"] >= (2, 0)
+    assert floors["scipy"] >= (1, 13)

@@ -471,11 +471,25 @@ def test_tabulated_block_boundaries_change_nothing(monkeypatch):
     assert np.max(np.abs(_modes_values(*args) - whole)) <= 1e-15
 
 
-def _table_sums(alpha, B, x, coef, c):
-    """special._ml_sums through the full ratio table: every P_B(x, c_i)
-    formed by special._ml_table, then summed against the coefficients."""
+def _coef_node_sums(alpha, B, coef, c):
+    """A node-sum half that carries the coefficients themselves, with the
+    targets on the last axis, to _table_finish."""
+    return (np.moveaxis(coef, 1, -1),)
+
+
+def _table_finish(alpha, B, x, sums, c):
+    """special._ml_finish through the full ratio table: every P_B(x, c_i)
+    formed by special._ml_table, then summed against the coefficients
+    that _coef_node_sums carried."""
     P = special._ml_table(alpha, (B,), x.ravel(), c)[0]
-    return np.vecdot(coef, P.reshape(x.shape + (len(c),)))
+    return np.vecdot(np.moveaxis(sums[0], -1, 1),
+                     P.reshape(x.shape + (len(c),)))
+
+
+def _table_seam(m):
+    """Sum the convolution through the full ratio table (monkeypatch m)."""
+    m.setattr(solver, "_ml_node_sums", _coef_node_sums)
+    m.setattr(solver, "_ml_finish", _table_finish)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 1.0])
@@ -490,7 +504,7 @@ def test_sum_by_parts_matches_the_ratio_table(monkeypatch, alpha, form, kind):
                                            np.linspace(0.25, 2.2, 23))))
     args = (alpha, warp, lams, phis, source, form, 24, S)
     got = _modes_values(*args)
-    monkeypatch.setattr(solver, "_ml_sums", _table_sums)
+    _table_seam(monkeypatch)
     ref = _modes_values(*args)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -502,13 +516,13 @@ def test_a_cli_time_factor_finishes_its_memoized_node_sums(monkeypatch, K,
                                                            alpha, theta):
     # a CLI time factor's convolution reads its node sums from
     # _factor_sums and finishes them in the slices of _finish_slices
-    # (two row blocks at once at K = 1, one from K = 16 on), without
-    # _ml_sums: bit for bit the per-block _ml_sums of a library callable
-    # of the same expression, cold and warm, and within roundoff of the
-    # full ratio table (spow:0.5, whose slopes blow up at s = 0, sums
-    # 1.1e-14 off it at alpha = 1, theta = -0.5, by both paths).  255
-    # targets at 128 cells are two row blocks of 127 and one of a single
-    # target, whose nodes numpy sums pairwise
+    # (two row blocks at once at K = 1, one from K = 16 on), warm without
+    # a GEMM: bit for bit a library callable of the same expression, whose
+    # node sums are built for each slice, cold and warm, and within
+    # roundoff of the full ratio table (spow:0.5, whose slopes blow up at
+    # s = 0, sums 1.1e-14 off it at alpha = 1, theta = -0.5, by both
+    # paths).  255 targets at 128 cells are two row blocks of 127 and one
+    # of a single target, whose nodes numpy sums pairwise
     warp = TimeWarp(theta, 0.0)
     k = np.arange(1.0, K + 1.0)
     lams, phis, C = (np.pi * k) ** 2, 1.0 / k, (1.0 / k**2)[:, None]
@@ -521,62 +535,87 @@ def test_a_cli_time_factor_finishes_its_memoized_node_sums(monkeypatch, K,
         args[4] = solver._Signal(lambda t: _eval_vec(library, t)[None], C)
         lib = _modes_values(*args)
         with monkeypatch.context() as m:
-            m.setattr(solver, "_ml_sums", _table_sums)
+            _table_seam(m)
             ref = _modes_values(*args)
         args[4] = solver._Signal(lambda t: _eval_vec(ft, t)[None], C, ft)
         solver._factor_sums.cache_clear()
+        cold = _modes_values(*args)
         with monkeypatch.context() as m:
-            m.setattr(solver, "_ml_sums", None)  # the factor path skips it
-            cold = _modes_values(*args)
+            m.setattr(solver, "_ml_node_sums", None)  # warm, the memo serves
             warm = _modes_values(*args)
         assert solver._factor_sums.cache_info()[:2] == (1, 1)
         assert cold.tobytes() == warm.tobytes() == lib.tobytes()
         assert np.max(np.abs(cold - ref)) <= 2e-14 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("K,bound_mb", [(16, 3.18), (64, 11.87)])
-def test_the_dense_table_finish_keeps_its_memory(eig, K, bound_mb):
-    # the README forced example's residual table, with the factor memo
-    # warm: from K = 16 on the modes finish the node sums one row block at
-    # a time, so the peak stays at that of the per-block sums (a single
-    # pass over the 1,024 targets took 10.5 MB at K = 16)
+@pytest.mark.parametrize("ft,K,bound_mb", [
+    ("cli", 16, 3.18), ("cli", 64, 11.87),
+    ("library", 1, 4.5), ("library", 16, 3.57), ("library", 64, 12.26)])
+def test_the_dense_table_finish_keeps_its_memory(eig, monkeypatch, ft, K,
+                                                  bound_mb):
+    # the README forced example's residual table, with the CLI's sin:3
+    # read from the warm factor memo or a library callable's node sums
+    # built for each slice: from K = 16 on the modes finish the node sums
+    # one row block at a time, so the peak stays at that of the per-block
+    # sums (a single pass over the 1,024 targets took 10.5 MB at K = 16).
+    # At K = 1 the 1,024 targets are one slice, one _ml_finish call, whose
+    # 2.8 MB of node sums a library callable builds
     warp = TimeWarp(0.3, 0.0)
-    spec = _basic_spec(0.5, f=cli.source_expr("sep:one|sin:3", warp))
+    f = (cli.source_expr("sep:one|sin:3", warp) if ft == "cli" else
+         SeparableSource(np.ones_like, lambda t: np.sin(3.0 * t)))
+    spec = _basic_spec(0.5, f=f)
     fld = assemble(spec, eig(0.5, K), K, np.linspace(0.0, 1.0, 65),
                    np.linspace(0.0, 1.0, 18)[1:])
     solver._mode_interpolants(fld, spec, solver._TABLE_CELLS)
-    hits = solver._factor_sums.cache_info().hits
+    info = solver._factor_sums.cache_info()
+    finishes = []
+
+    def ml_finish(*args):
+        finishes.append(args[2].shape)
+        return special._ml_finish(*args)
+
+    monkeypatch.setattr(solver, "_ml_finish", ml_finish)
     tracemalloc.start()
     try:
         solver._mode_interpolants(fld, spec, solver._TABLE_CELLS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert solver._factor_sums.cache_info().hits == hits + 1
+    hits = info.hits + (ft == "cli")
+    assert solver._factor_sums.cache_info()[:2] == (hits, info.misses)
+    slices = solver._finish_slices(solver._TABLE_CELLS,
+                                   solver._conv_rows(128), K)
+    assert len(finishes) == len(slices) == (1 if K == 1 else 9)
     assert peak <= bound_mb * 1e6
 
 
 def test_separable_time_factor_is_evaluated_once_per_block(eig, monkeypatch):
     # a SeparableSource's modes share its time factor: one evaluation on
-    # a block of convolution nodes serves every mode, and each kernel's
-    # band GEMMs run on that one curve (R = 1) for all K modes
-    sizes, sums = [], []
+    # a block of convolution nodes serves every mode, each kernel's band
+    # GEMMs run on that one curve (R = 1), and one finish serves all K
+    # modes
+    sizes, calls = [], []
 
     def ft(t):
         sizes.append(np.size(t))
         return np.sin(3.0 * np.asarray(t))
 
-    def ml_sums(alpha, B, x, coef, c):
-        sums.append((x.shape[0], coef.shape[0]))
-        return special._ml_sums(alpha, B, x, coef, c)
+    def ml_node_sums(alpha, B, coef, c):
+        calls.append(("node sums", coef.shape[0]))
+        return special._ml_node_sums(alpha, B, coef, c)
 
-    monkeypatch.setattr(solver, "_ml_sums", ml_sums)
+    def ml_finish(alpha, B, x, node, c):
+        calls.append(("finish", x.shape[0]))
+        return special._ml_finish(alpha, B, x, node, c)
+
+    monkeypatch.setattr(solver, "_ml_node_sums", ml_node_sums)
+    monkeypatch.setattr(solver, "_ml_finish", ml_finish)
     K, tg = 4, np.linspace(0.1, 1.0, 5)
     spec = _basic_spec(0.5, SeparableSource(lambda x: np.ones_like(x), ft))
     fld = assemble(spec, eig(0.5, K), K, np.linspace(0.0, 1.0, 9), tg,
                    conv_cells=32)
     assert sizes.count(tg.size * 33) == 1
-    assert sums == [(K, 1)]
+    assert calls == [("node sums", 1), ("finish", K)]
     S = np.array([warp_forward(spec.warp, float(t)) for t in tg])
     for k in range(K):
         ode = ModeODE(k + 1, 0.6, float(fld.mode_lambdas[k]),
@@ -1159,30 +1198,34 @@ def test_the_time_caches_hold_their_declared_keys(eig):
 
 
 def test_the_factor_memo_holds_the_read_only_node_sums():
-    # the memo holds the x-free half of the convolution, special's
-    # _ml_node_sums of the factor's slope differences w, read only and
-    # target by target; on each _conv_rows block it is bit for bit that of
-    # a library factor of the same expression
+    # the memo holds the x-free half of the convolution, per kernel of
+    # its key (the split form's two here) special's _ml_node_sums of the
+    # factor's slope differences w, read only and target by target; on
+    # each _conv_rows block it is bit for bit that of a library factor of
+    # the same expression
     warp = TimeWarp(0.3, 0.0)
     S = warp_forward(warp, np.linspace(0.01, 1.0, 300))
-    n, alpha, B = 128, 0.6, 2.6
+    n, alpha, Bs = 128, 0.6, (2.6, 3.2)
     ft = cli.time_expr("sin:3", warp)
-    memo = solver._factor_sums(ft, warp, n, S.tobytes(), alpha, B)
+    memo = solver._factor_sums(ft, warp, n, S.tobytes(), alpha, Bs)
     frac = np.linspace(0.0, 1.0, n + 1) ** 2
     ratios = tuple(1.0 - frac)
     rows = solver._conv_rows(n)
     assert rows == 127  # three row blocks, the last of 46 targets
-    for a in memo:
-        assert a.shape[-1] == S.size and not a.flags.writeable
-    assert len(memo) > 3  # rest, whole and several bands
+    assert len(memo) == len(Bs)
+    for node in memo:
+        for a in node:
+            assert a.shape[-1] == S.size and not a.flags.writeable
+        assert len(node) > 3  # rest, whole and several bands
     for lo in range(0, S.size, rows):
         Sb = S[lo:lo + rows]
         w = solver._slope_diffs(
             _library_sin3(solver._block_times(warp, Sb, frac))[None], Sb,
             frac)
-        ref = special._ml_node_sums(alpha, B, w, ratios)
-        for got, want in zip(memo, ref, strict=True):
-            assert got[..., lo:lo + rows].tobytes() == want.tobytes()
+        for node, B in zip(memo, Bs, strict=True):
+            ref = special._ml_node_sums(alpha, B, w, ratios)
+            for got, want in zip(node, ref, strict=True):
+                assert got[..., lo:lo + rows].tobytes() == want.tobytes()
 
 
 def test_a_mutable_library_time_factor_is_read_afresh(eig):

@@ -6,6 +6,12 @@ cross-check), convergence (refinement tables).  Configuration comes from a
 flat key=value file plus flag overrides; outputs are deterministic CSV /
 JSON with no timestamps, so repeated runs are byte-identical.
 
+Each command cmd_*(cfg, files) computes its artifacts in memory: it adds
+them to the ordered map files, {path relative to cfg.out: text}, and
+touches no file.  main alone writes the map, once the command returns or
+raises (so a failing verify still leaves verify.json), creating cfg.out
+only when the map holds an artifact; an out that cannot take them exits 1.
+
 Exit codes: 0 success, 1 usage/config, 2 parameter-domain violation,
 3 resolution failure, 4 verification failure.
 """
@@ -113,12 +119,14 @@ def _set(cfg: RunConfig, key: str, raw: str, where: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """Flat key=value file; '#' starts a comment; unknown keys rejected."""
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
+    """Flat key=value file in UTF-8; '#' starts a comment; unknown keys
+    rejected; ConfigError when the file is missing or unreadable."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     cfg = RunConfig()
-    for ln, line in enumerate(p.read_text().splitlines(), start=1):
+    for ln, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -229,9 +237,10 @@ def source_expr(text: str, warp: TimeWarp, system=None):
 
 
 # ---------------------------------------------------------------------------
-# artifact writers
+# artifacts: each command adds {relative path: text} to the map it is
+# handed, and main alone writes the map (_write)
 
-def _write_csv(path: Path, header, rows) -> None:
+def _csv(header, rows) -> str:
     """One line for the header and one per row, each value written by its
     type: str and int by %s, any other value as %.16e.  The rows keep the
     column types of the first row."""
@@ -239,15 +248,15 @@ def _write_csv(path: Path, header, rows) -> None:
         return ",".join("%s" if isinstance(v, (str, int, np.integer))
                         else "%.16e" for v in row) + "\n"
 
-    with open(path, "w", newline="\n") as fh:
-        header = tuple(header)
-        fh.write(line(header) % header)
-        fmt = None
-        for row in rows:
-            row = tuple(row)
-            if fmt is None:
-                fmt = line(row)
-            fh.write(fmt % row)
+    header = tuple(header)
+    lines = [line(header) % header]
+    fmt = None
+    for row in rows:
+        row = tuple(row)
+        if fmt is None:
+            fmt = line(row)
+        lines.append(fmt % row)
+    return "".join(lines)
 
 
 def _jsonable(obj):
@@ -264,36 +273,37 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(_jsonable(obj), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _json(obj) -> str:
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
-def _field_rows(t_grid, values):
-    for j, t in enumerate(t_grid):
-        yield [t] + list(values[j])
-
-
-def _write_field(cfg: RunConfig, out: Path, stem: str, x_grid, t_grid,
-                 values) -> Path:
+def _field(cfg: RunConfig, files: dict, x, t, values) -> None:
+    """The field u(t, x) as solution.csv, one row per time, or as
+    solution.json, by cfg.format."""
     if cfg.format == "json":
-        path = out / f"{stem}.json"
-        _write_json(path, {"x": x_grid, "t": t_grid, "u": values})
+        files["solution.json"] = _json({"x": x, "t": t, "u": values})
     else:
-        path = out / f"{stem}.csv"
-        _write_csv(path, ["t", *x_grid], _field_rows(t_grid, values))
-    return path
+        rows = ([tj, *row] for tj, row in zip(t, values))
+        files["solution.csv"] = _csv(["t", *x], rows)
+
+
+def _write(out: Path, files: dict) -> None:
+    """Each artifact of files under out, which is created only when there
+    is one; ConfigError when out cannot take them."""
+    if not files:
+        return
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for rel, text in files.items():
+            (out / rel).write_bytes(text.encode())
+    except OSError as exc:
+        msg = f"cannot write the artifacts to {out}: {exc}"
+        raise ConfigError(msg) from None
 
 
 # ---------------------------------------------------------------------------
-# subcommands
-
-def _outdir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
+# subcommands: cmd_*(cfg, files) adds its artifacts to files and returns
+# the exit code
 
 def _eigen_count(cfg: RunConfig) -> int:
     if cfg.modes == "auto":
@@ -301,9 +311,8 @@ def _eigen_count(cfg: RunConfig) -> int:
     return int(cfg.modes)
 
 
-def cmd_eigen(cfg: RunConfig) -> int:
+def cmd_eigen(cfg: RunConfig, files: dict) -> int:
     K = _eigen_count(cfg)
-    out = _outdir(cfg)
     gal = solve_eigen(cfg.beta, K)
     system = gal
     extra = {}
@@ -312,15 +321,14 @@ def cmd_eigen(cfg: RunConfig) -> int:
         delta = np.abs(gal.lambdas - system.lambdas) / system.lambdas
         extra["cross_oracle_rel_delta"] = delta
         extra["cross_oracle_max_rel_delta"] = float(np.max(delta))
-    _write_csv(out / "eigenvalues.csv", ["k", "lambda"],
-               ([k + 1, lam] for k, lam in enumerate(system.lambdas)))
+    files["eigenvalues.csv"] = _csv(
+        ["k", "lambda"], ([k + 1, lam] for k, lam in enumerate(system.lambdas)))
     xs = np.linspace(0.0, 1.0, cfg.x_points)[1:]  # evaluator is defined on (0,1]
     grid = np.column_stack((xs, system.basis_matrix(xs).T))
-    _write_csv(out / "eigenfunctions.csv",
-               ["x"] + [f"v{k}" for k in range(1, K + 1)],
-               grid)
+    files["eigenfunctions.csv"] = _csv(
+        ["x"] + [f"v{k}" for k in range(1, K + 1)], grid)
     rep = orthogonality_report(system)
-    _write_json(out / "orthogonality.json", {
+    files["orthogonality.json"] = _json({
         "beta": cfg.beta, "modes": K, "method": system.method_tag,
         "lambdas": system.lambdas,
         "max_offdiag_l2": rep.max_offdiag_l2,
@@ -366,8 +374,7 @@ def _eigensystem(cfg: RunConfig, K: int):
     return route(cfg.beta, K)
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
+def cmd_solve(cfg: RunConfig, files: dict) -> int:
     xg, tg = _solve_grids(cfg)
     tol = 1e-6 if cfg.tol is None else cfg.tol
     for K in _modes_rungs(cfg):
@@ -388,11 +395,10 @@ def cmd_solve(cfg: RunConfig) -> int:
         res = residual_weak(field, spec)
         res_kind = "weak"
 
-    _write_field(cfg, out, "solution", field.x_grid, field.t_grid,
-                 field.values)
+    _field(cfg, files, field.x_grid, field.t_grid, field.values)
     diags = dict(field.diagnostics)
     norms = diags.pop("norms")
-    _write_json(out / "diagnostics.json", {
+    files["diagnostics.json"] = _json({
         "alpha": cfg.alpha, "theta": cfg.theta, "beta": cfg.beta,
         "a": cfg.a, "T": cfg.T, "modes": K,
         "regime": field.regime,
@@ -492,11 +498,10 @@ _SUITES = (
 )
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig, files: dict) -> int:
     if cfg.oracle != "galerkin":
         raise ConfigError("verify runs both eigen routes and takes no oracle; "
                           f"got oracle = {cfg.oracle}")
-    out = _outdir(cfg)
     report, failed = {}, []
     for name, fn, default_tol in _SUITES:
         tol = default_tol if cfg.tol is None else cfg.tol
@@ -507,8 +512,7 @@ def cmd_verify(cfg: RunConfig) -> int:
               f"(value {value:.3e} vs tol {tol:.3e})")
         if not ok:
             failed.append(name)
-    _write_json(out / "verify.json",
-                {"suites": report, "all_pass": not failed})
+    files["verify.json"] = _json({"suites": report, "all_pass": not failed})
     if failed:
         raise VerificationError("failing invariants: " + ", ".join(failed))
     return 0
@@ -541,13 +545,12 @@ def _orders(errs):
 _KREF_MAX = 96
 
 
-def cmd_convergence(cfg: RunConfig) -> int:
+def cmd_convergence(cfg: RunConfig, files: dict) -> int:
     kladder = _parse_ladder(cfg.modes_ladder, "modes")
     nladder = _parse_ladder(cfg.mesh_ladder, "mesh")
     if kladder[-1] >= _KREF_MAX:
         raise ConfigError(f"modes ladder must stay below the {_KREF_MAX} "
                           f"modes of its reference, got {kladder[-1]}")
-    out = _outdir(cfg)
     kref = min(2 * kladder[-1], _KREF_MAX)
     system = _eigensystem(cfg, kref)
     spec = _build_problem(cfg, system)
@@ -559,17 +562,17 @@ def cmd_convergence(cfg: RunConfig) -> int:
         return float(compare(ref, fld, t_subset=[cfg.T]).l2_rel[0])
 
     kerrs = [err(assemble(spec, system, K, xg, tg)) for K in kladder]
-    _write_csv(out / "convergence_modes.csv", ["modes", "err_l2_rel"],
-               zip(kladder, kerrs))
+    files["convergence_modes.csv"] = _csv(["modes", "err_l2_rel"],
+                                          zip(kladder, kerrs))
 
     S_T = warp_forward(spec.warp, cfg.T)
     nerrs = [err(fd_solve(spec, FDMesh.build(cfg.beta, cfg.alpha, S_T,
                                              nx=N, nt=N)))
              for N in nladder]
-    _write_csv(out / "convergence_mesh.csv", ["mesh", "err_l2_rel"],
-               zip(nladder, nerrs))
+    files["convergence_mesh.csv"] = _csv(["mesh", "err_l2_rel"],
+                                         zip(nladder, nerrs))
 
-    _write_json(out / "convergence.json", {
+    files["convergence.json"] = _json({
         "modes_ladder": kladder, "modes_err_l2_rel": kerrs,
         "modes_orders": _orders(kerrs),
         "mesh_ladder": nladder, "mesh_err_l2_rel": nerrs,
@@ -632,10 +635,14 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    files = {}
     try:
         args = _build_parser().parse_args(argv)
         cfg = _config_from_args(args)
-        return _COMMANDS[args.command][0](cfg)
+        try:
+            return _COMMANDS[args.command][0](cfg, files)
+        finally:  # a failing verify still leaves verify.json
+            _write(Path(cfg.out), files)
     except ConfigError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

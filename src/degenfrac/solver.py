@@ -31,7 +31,7 @@ from .errors import (DomainError, RegimeError, ResolutionError, _check_alpha,
                      _check_count, _is_real, _real_array)
 from .fracops import (SampledFunction, TimeWarp, _l1_cells, _Pchip,
                       warp_forward, warp_inverse)
-from .special import _ml, _ml_finish, _ml_node_sums
+from .special import _ml, _ml_exact_sums, _ml_finish, _ml_node_sums
 # perfbench/layertrace.py traces the names degenfrac.solver.ml_eval_many
 # and degenfrac.solver.hb_caputo, which no solver path calls
 from .fracops import hb_caputo  # noqa: F401
@@ -394,14 +394,17 @@ def _conv_rows(n: int) -> int:
 
 
 def _node_sums(g: Callable, warp: TimeWarp, n: int, S: np.ndarray,
-               alpha: float, Bs: tuple) -> list:
+               alpha: float, kernels: tuple) -> list:
     """The x-free half of the convolution of the curves g against each
-    kernel P_B, B in Bs, at order alpha: per B, special._ml_node_sums of
-    the slope differences w of g on the cells S_j frac, frac_i = (i/n)^2,
-    i = 0..n, for each target S_j > 0, with the targets on the last axis.
-    It is filled in the row blocks of _conv_rows, each reading the curves
-    once for every kernel, so each value keeps the bits of its block's
-    GEMM (one GEMM over every target does not)."""
+    kernel P_B, (B, live) in kernels, at order alpha: per kernel,
+    special._ml_node_sums of the slope differences w of g on the cells
+    S_j frac, frac_i = (i/n)^2, i = 0..n, for each target S_j > 0, with
+    the targets on the last axis; for a kernel that is not live (x = 0 on
+    every row) only its exact-value sum (special._ml_exact_sums), a
+    1-tuple, with no band GEMM.  It is filled in the row blocks of
+    _conv_rows, each reading the curves once for every kernel, so each
+    value keeps the bits of its block's GEMM (one GEMM over every target
+    does not)."""
     frac = np.linspace(0.0, 1.0, n + 1) ** 2
     ratios = tuple(1.0 - frac)
     rows = _conv_rows(n)
@@ -409,7 +412,8 @@ def _node_sums(g: Callable, warp: TimeWarp, n: int, S: np.ndarray,
     for lo in range(0, S.size, rows):
         Sb = S[lo:lo + rows]
         w = _slope_diffs(g(_block_times(warp, Sb, frac)), Sb, frac)
-        parts = [_ml_node_sums(alpha, B, w, ratios) for B in Bs]
+        parts = [_ml_node_sums(alpha, B, w, ratios) if live
+                 else (_ml_exact_sums(B, w, ratios),) for B, live in kernels]
         if out is None:
             out = [tuple(np.empty(a.shape[:-1] + (S.size,)) for a in part)
                    for part in parts]
@@ -421,7 +425,7 @@ def _node_sums(g: Callable, warp: TimeWarp, n: int, S: np.ndarray,
 
 @lru_cache(maxsize=2)
 def _factor_sums(factor: _TimeFactor, warp: TimeWarp, n: int, S: bytes,
-                 alpha: float, Bs: tuple) -> tuple:
+                 alpha: float, kernels: tuple) -> tuple:
     """_node_sums of the time factor on n cells up to each target of S
     (the bytes of a float64 array), read only.  They depend on no mode,
     beta or phi, and the key holds the factor by value, so a beta sweep
@@ -429,7 +433,7 @@ def _factor_sums(factor: _TimeFactor, warp: TimeWarp, n: int, S: bytes,
     one key for the output times and one for the residual's dense table,
     whose 1,024 targets hold 2.8 MB of node sums at 128 cells."""
     sums = _node_sums(lambda t: _eval_vec(factor, t)[None], warp, n,
-                      np.frombuffer(S), alpha, Bs)
+                      np.frombuffer(S), alpha, kernels)
     for node in sums:
         for a in node:
             a.flags.writeable = False
@@ -473,7 +477,8 @@ def _modes_values(alpha: float, warp: TimeWarp, lambdas, phis, source,
     all three for every mode.  A signal's slopes are integrated over
     (targets S > 0) x (conv_cells + 1) nodes: in the slices of
     _finish_slices, each kernel finishes the slice's node sums for every
-    mode in one _ml_finish call, and the mix C scales finished sums.  A
+    mode in one _ml_finish call (the split form's power kernel, at x = 0,
+    is its exact-value sum alone), and the mix C scales finished sums.  A
     CLI time factor's node sums are read from _factor_sums; any other
     signal's are built for the slice (_node_sums)."""
     Sa = np.asarray(S_arr, dtype=float)
@@ -508,21 +513,24 @@ def _modes_values(alpha: float, warp: TimeWarp, lambdas, phis, source,
     S = Sa[pos]
     # c_i = y_i/S, the same for every target
     ratios = tuple(1.0 - np.linspace(0.0, 1.0, conv_cells + 1) ** 2)
-    Bs = tuple(b + 2.0 for b, _, _ in parts)
+    kernels = tuple((b + 2.0, on) for b, on, _ in parts)
     if source.factor is not None:
         memo = _factor_sums(source.factor, warp, conv_cells, S.tobytes(),
-                            alpha, Bs)
+                            alpha, kernels)
     for blk in _finish_slices(pos.size, _conv_rows(conv_cells), Z.shape[0]):
         idx = pos[blk]
         if source.factor is None:
-            sums = _node_sums(source.g, warp, conv_cells, S[blk], alpha, Bs)
+            sums = _node_sums(source.g, warp, conv_cells, S[blk], alpha,
+                              kernels)
         else:
             sums = [tuple(a[..., blk] for a in node) for node in memo]
         for (b, on, scl), node in zip(parts, sums):
             # sum_i slopes_i (Q_i+1 - Q_i) = -sum_i w_i Q_i, Q_i = S^(b+1)
-            # P_{b+2}(x, c_i) at x = -lam S^alpha for each mode
-            x = -Z[:, idx] if on else np.zeros((Z.shape[0], idx.size))
-            fin = _ml_finish(alpha, b + 2.0, x, node, ratios)
+            # P_{b+2}(x, c_i) at x = -lam S^alpha for each mode, or x = 0
+            if on:
+                fin = _ml_finish(alpha, b + 2.0, -Z[:, idx], node, ratios)
+            else:
+                fin = np.broadcast_to(node[0], (Z.shape[0], idx.size)).copy()
             if source.C is not None:
                 fin *= source.C
             out[:, idx] += scl * Sa[idx] ** (b + 1.0) * fin

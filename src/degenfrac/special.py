@@ -25,7 +25,9 @@ Mittag-Leffler routes.  One dispatcher, _ml, picks them, first match wins:
    P, in an x-free half (_ml_node_sums: the band GEMMs on the
    convolution's weights) and an x-dependent finish (_ml_finish: each
    row's reciprocals), so a caller that keeps the weights may keep the
-   first half too.  Public values at alpha = 1 keep route 1.
+   first half too; a kernel whose rows all have x = 0 needs only the sum
+   against its exact values (_ml_exact_sums).  Public values at alpha = 1
+   keep route 1.
 3. Every other point, one by one (_ml_scalar):
    a. z > 0: the series up to z^(1/alpha) = 40, then the exponential
       asymptotics (in log form up to the double limit);
@@ -189,6 +191,11 @@ _CHUNK = 512
 _FAR = 1e100
 
 
+def _exact(b: np.ndarray, c: tuple) -> np.ndarray:
+    """P_B(0, c) = c^(B-1)/Gamma(B) for each B in b: shape (b.size, len(c))."""
+    return np.asarray(c, dtype=float) ** (b[:, None] - 1.0) * sp.rgamma(b)[:, None]
+
+
 @functools.lru_cache(maxsize=32)
 def _band_tables(alpha: float, betas: tuple, c: tuple) -> tuple:
     """The x-free half of the ratio tables of _ml_table, built once per
@@ -205,7 +212,7 @@ def _band_tables(alpha: float, betas: tuple, c: tuple) -> tuple:
     p, q = va.real, va.imag
     b = np.asarray(betas, dtype=float)
     W = v ** (alpha - b[:, None]) * dv / math.pi
-    exact = np.asarray(c, dtype=float) ** (b[:, None] - 1.0) * sp.rgamma(b)[:, None]
+    exact = _exact(b, c)
     exact.flags.writeable = False
     bands = []
     for cols, hi, E in _bands(c):
@@ -298,6 +305,13 @@ def _ml_node_sums(alpha: float, B: float, coef: np.ndarray,
             *((table @ coef[..., cols].reshape(R * J, -1).T)
               .reshape(2, table.shape[0] // 2, R, J)
               for cols, _, table in bands))
+
+
+def _ml_exact_sums(B: float, coef: np.ndarray, c: tuple) -> np.ndarray:
+    """The whole sum of _ml_node_sums alone, sum_i coef[r, j, i]
+    c_i^(B-1)/Gamma(B), shape (R, J): the value of _ml_finish on rows
+    with x = 0, with no band table and no band GEMM."""
+    return coef @ _exact(np.array([float(B)]), c)[0]
 
 
 def _ml_finish(alpha: float, B: float, x: np.ndarray, sums: tuple,

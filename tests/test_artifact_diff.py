@@ -154,3 +154,11 @@ def test_the_matrix_solves_one_mode_at_two_betas_in_a_row():
         and two[1] == ["solve", "--modes", "1", "--beta", "0.8"]
         and one[2] == two[2] == artifact_diff.SIN3
         for one, two in zip(solves, solves[1:]))
+
+
+def test_the_matrix_compares_the_field_in_both_formats():
+    # solution.csv and solution.json are formatted apart, so each is
+    # compared with the other tree's bytes, fresh and warm
+    formats = {"json" if "json" in args else "csv"
+               for _, args, _ in artifact_diff.WARM if args[0] == "solve"}
+    assert formats == {"csv", "json"}

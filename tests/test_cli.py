@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from degenfrac import cli
-from degenfrac.errors import ConfigError, DomainError
+from degenfrac.errors import ConfigError, DomainError, VerificationError
 from degenfrac.fracops import TimeWarp, warp_forward
 
 LAMBDA1_HALF = 4.739066397843349  # closed-form route, beta = 0.5
@@ -106,6 +106,39 @@ def test_json_artifacts_are_canonical(tmp_path):
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
+#: small grids for each command, as config-file keys
+_SMALL = {"modes": "3", "x_points": 5, "t_points": 3, "fd_nx": 32,
+          "fd_nt": 16, "modes_ladder": "2,4", "mesh_ladder": "16,32"}
+
+
+@pytest.mark.parametrize("command,keys,names", [
+    ("eigen", {}, ["eigenvalues.csv", "eigenfunctions.csv",
+                   "orthogonality.json"]),
+    ("solve", {"f": "sep:one|sin:3"}, ["solution.csv", "diagnostics.json"]),
+    ("solve", {"format": "json"}, ["solution.json", "diagnostics.json"]),
+    ("verify", {"tol": 1.0}, ["verify.json"]),
+    ("convergence", {}, ["convergence_modes.csv", "convergence_mesh.csv",
+                         "convergence.json"]),
+])
+def test_main_writes_exactly_the_map_a_command_fills(tmp_path, command, keys,
+                                                     names):
+    # a command called directly puts its artifacts in the map and touches
+    # no file; main writes exactly the map's bytes, and no other file
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("".join(f"{k} = {v}\n"
+                            for k, v in {**_SMALL, **keys}.items()))
+    out = tmp_path / "o"
+    cfg = cli.load_config(cfgf)
+    cfg.out = str(out)
+    files = {}
+    assert cli._COMMANDS[command][0](cfg, files) == 0
+    assert list(files) == names and not out.exists()
+    assert cli.main([command, "--config", str(cfgf), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    for name in names:
+        assert (out / name).read_bytes() == files[name].encode(), name
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -127,12 +160,36 @@ def test_usage_problems_exit_1(tmp_path, capsys):
     assert cli.main(["eigen", "--config", str(bad)]) == 1
     bad.write_text("alpha 0.5\n")
     assert cli.main(["eigen", "--config", str(bad)]) == 1
+    # not UTF-8 (a traceback once), and a file that cannot be read
+    bad.write_bytes(b"alpha = 0.5\xff\n")
+    for path in (bad, tmp_path):
+        capsys.readouterr()
+        assert cli.main(["eigen", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {path}: ")
+        assert len(err.splitlines()) == 1
     assert cli.main(["eigen", "--modes", "auto",
                      "--out", str(tmp_path)]) == 1
     bad.write_text("phi = sin:abc\n")
     capsys.readouterr()
     assert cli.main(["solve", "--config", str(bad), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "error: sin wants a number, got 'abc'\n"
+
+
+@pytest.mark.parametrize("argv", [["eigen", "--modes", "2"],
+                                  ["solve", "--modes", "2"]])
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_an_unwritable_out_exits_1(tmp_path, capsys, argv, sub):
+    # an out that is a file, or lies under one: an uncaught FileExistsError
+    # or NotADirectoryError once, with a traceback
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(afile / sub)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: cannot write the artifacts to {afile / sub}")
+    assert afile.read_text() == "keep\n"
 
 
 def test_nan_tol_exits_1(tmp_path):
@@ -164,6 +221,7 @@ def test_auto_modes_kmax_exhaustion_exit_3(tmp_path):
     rc = cli.main(["solve", "--config", str(cfgf), "--modes", "auto",
                    "--tol", "1e-13", "--out", str(tmp_path / "o")])
     assert rc == 3
+    assert not (tmp_path / "o").exists()  # no artifact, no directory
 
 
 def test_refined_mesh_tail_is_not_a_false_zero(tmp_path):
@@ -398,16 +456,22 @@ def test_verify_refuses_an_oracle_it_would_ignore(tmp_path, capsys):
         assert "oracle" in capsys.readouterr().err
         assert not out.exists()
     with pytest.raises(ConfigError, match="oracle"):
-        cli.cmd_verify(cli.RunConfig(oracle="bessel", out=str(tmp_path / "o")))
+        cli.cmd_verify(cli.RunConfig(oracle="bessel", out=str(tmp_path / "o")),
+                       {})
 
 
-def test_verify_impossible_tol_exits_4(tmp_path):
+def test_verify_impossible_tol_exits_4(tmp_path, capsys):
+    # main writes verify.json after cmd_verify raises VerificationError
     out = tmp_path / "o"
     rc = cli.main(["verify", "--beta", "0.5", "--tol", "0",
                    "--out", str(out)])
     assert rc == 4
     rep = json.loads((out / "verify.json").read_text())
     assert rep["all_pass"] is False
+    failed = [name for name, _, _ in cli._SUITES
+              if not rep["suites"][name]["pass"]]
+    assert capsys.readouterr().err == ("error: failing invariants: "
+                                       + ", ".join(failed) + "\n")
 
 
 def test_convergence_ladders(tmp_path):
@@ -633,7 +697,7 @@ def test_main_keeps_one_parser_across_calls(tmp_path):
                            shallow=False), name
 
 
-def test_write_csv_matches_per_value_format(tmp_path):
+def test_write_csv_matches_per_value_format():
     def per_value(header, rows):
         # each value by its own type: str for an int, %.16e for the rest
         lines = [",".join(str(h) for h in header)]
@@ -651,9 +715,7 @@ def test_write_csv_matches_per_value_format(tmp_path):
                                ("field", ["t", "u1", "u2", "u3", "u4"], field),
                                ("eigen", ["k", "lambda"], eigen),
                                ("ladder", ["modes", "err"], ladder)):
-        path = tmp_path / f"{name}.csv"
-        cli._write_csv(path, header, iter(rows))
-        assert path.read_text() == per_value(header, rows), name
+        assert cli._csv(header, iter(rows)) == per_value(header, rows), name
 
 
 # ---------------------------------------------------------------------------

@@ -1199,15 +1199,20 @@ def test_the_time_caches_hold_their_declared_keys(eig):
 
 def test_the_factor_memo_holds_the_read_only_node_sums():
     # the memo holds the x-free half of the convolution, per kernel of
-    # its key (the split form's two here) special's _ml_node_sums of the
-    # factor's slope differences w, read only and target by target; on
-    # each _conv_rows block it is bit for bit that of a library factor of
-    # the same expression
+    # its key (the split form's two B here, both live) special's
+    # _ml_node_sums of the factor's slope differences w, read only and
+    # target by target; on each _conv_rows block it is bit for bit that of
+    # a library factor of the same expression.  A kernel that is not live
+    # holds only the whole sum of its _ml_node_sums
     warp = TimeWarp(0.3, 0.0)
     S = warp_forward(warp, np.linspace(0.01, 1.0, 300))
     n, alpha, Bs = 128, 0.6, (2.6, 3.2)
     ft = cli.time_expr("sin:3", warp)
-    memo = solver._factor_sums(ft, warp, n, S.tobytes(), alpha, Bs)
+    memo = solver._factor_sums(ft, warp, n, S.tobytes(), alpha,
+                               tuple((B, True) for B in Bs))
+    split = solver._factor_sums(ft, warp, n, S.tobytes(), alpha,
+                                ((2.6, False), (3.2, True)))
+    assert len(split[0]) == 1 and not split[0][0].flags.writeable
     frac = np.linspace(0.0, 1.0, n + 1) ** 2
     ratios = tuple(1.0 - frac)
     rows = solver._conv_rows(n)
@@ -1226,6 +1231,43 @@ def test_the_factor_memo_holds_the_read_only_node_sums():
             ref = special._ml_node_sums(alpha, B, w, ratios)
             for got, want in zip(node, ref, strict=True):
                 assert got[..., lo:lo + rows].tobytes() == want.tobytes()
+        whole = special._ml_node_sums(alpha, 2.6, w, ratios)[1]
+        assert split[0][0][..., lo:lo + rows].tobytes() == whole.tobytes()
+    for got, want in zip(split[1], memo[1], strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("theta", [0.3, -0.5])
+@pytest.mark.parametrize("alpha", [0.6, 1.0])
+def test_the_split_forms_x_free_kernel_runs_no_band_gemm(monkeypatch, alpha,
+                                                         theta):
+    # the split form's kernel P_{alpha+2} has x = 0 on every row, where
+    # _ml_finish gives the exact-value sum alone, so its band GEMMs ran for
+    # nothing: only the live kernel P_{2 alpha + 2} runs them, and the
+    # values keep the bits they had when the whole sum came from
+    # _ml_node_sums, for a CLI time factor and a library callable
+    warp = TimeWarp(theta, 0.0)
+    tg = np.linspace(0.01, 1.0, 300)
+    seen = []
+
+    def ml_node_sums(al, B, coef, c):
+        seen.append(B)
+        return special._ml_node_sums(al, B, coef, c)
+
+    def whole_by_bands(B, coef, c):
+        return special._ml_node_sums(alpha, B, coef, c)[1]
+
+    for f in (cli.time_expr("sin:3", warp), _library_sin3):
+        ode = ModeODE(1, alpha, 40.0, 0.7, f, warp)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_ml_node_sums", ml_node_sums)
+            got = mode_solution_alt(ode, tg).values
+        assert seen and set(seen) == {2.0 * alpha + 2.0}
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_ml_exact_sums", whole_by_bands)
+            want = mode_solution_alt(ode, tg).values
+        assert got.tobytes() == want.tobytes()
 
 
 def test_a_mutable_library_time_factor_is_read_afresh(eig):

@@ -96,6 +96,8 @@ MATRIX = (
      SHORT),
     ("solve-nosource", ["solve", "--modes", "8"], {}),
     ("solve-bessel", ["solve", "--modes", "8", "--oracle", "bessel"], {}),
+    # the field as solution.json, the one JSON artifact of numpy rows
+    ("solve-json", ["solve", "--modes", "8", "--format", "json"], SIN3),
     # the README's --modes auto example
     ("solve-auto", ["solve", "--beta", "1.5", "--alpha", "0.6", "--theta",
                     "0.3", "--modes", "auto", "--tol", "1e-3"], {}),

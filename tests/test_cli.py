@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from degenfrac import cli
-from degenfrac.errors import ConfigError, DomainError, VerificationError
+from degenfrac.errors import ConfigError, DomainError
 from degenfrac.fracops import TimeWarp, warp_forward
 
 LAMBDA1_HALF = 4.739066397843349  # closed-form route, beta = 0.5

@@ -21,7 +21,6 @@ import argparse
 import functools
 import json
 import math
-import re
 import sys as _sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -162,6 +161,13 @@ def _poly_coefs(arg: str) -> list:
     return coefs
 
 
+def _mode_index(text: str) -> int:
+    """The k of a mode:k space profile, the grammar's one reading of a
+    mode index; 0 for any other profile."""
+    name, _, arg = text.strip().partition(":")
+    return _number(name, arg, int) if name == "mode" else 0
+
+
 def space_expr(text: str, system=None):
     """Builtin profiles on (0,1): zero | one | quadratic | const:c |
     sin:k | cos:k | poly:c0,c1,... | mode:k (k-th computed eigenfunction)."""
@@ -185,7 +191,7 @@ def space_expr(text: str, system=None):
         coefs = _poly_coefs(arg)
         return lambda x: np.polynomial.polynomial.polyval(x, coefs)
     if name == "mode":
-        k = _number(name, arg, int)
+        k = _mode_index(text)
         if system is None:
             raise ConfigError("mode:k needs a computed eigensystem")
         if not 1 <= k <= system.count:
@@ -219,21 +225,30 @@ def time_expr(text: str, warp: TimeWarp):
     raise ConfigError(f"unknown time factor {text!r}")
 
 
-def source_expr(text: str, warp: TimeWarp, system=None):
-    """'none' -> no source; 'sep:XSPEC|TSPEC' -> separable product;
-    a bare space profile -> time-independent source."""
+def _source_parts(text: str):
+    """The (XSPEC, TSPEC) texts of a source: None for 'none', and TSPEC
+    None for a bare space profile."""
     text = text.strip()
     if text in ("", "none"):
         return None
-    if text.startswith("sep:"):
-        body = text[4:]
-        if "|" not in body:
-            raise ConfigError("sep source wants 'sep:XSPEC|TSPEC'")
-        xs, ts = body.split("|", 1)
-        xs = xs.strip().strip("()")
-        ts = ts.strip().strip("()")
-        return SeparableSource(space_expr(xs, system), time_expr(ts, warp))
-    return SeparableSource(space_expr(text, system), 1.0)
+    if not text.startswith("sep:"):
+        return text, None
+    body = text[4:]
+    if "|" not in body:
+        raise ConfigError("sep source wants 'sep:XSPEC|TSPEC'")
+    xs, ts = body.split("|", 1)
+    return xs.strip().strip("()"), ts.strip().strip("()")
+
+
+def source_expr(text: str, warp: TimeWarp, system=None):
+    """'none' -> no source; 'sep:XSPEC|TSPEC' -> separable product;
+    a bare space profile -> time-independent source."""
+    parts = _source_parts(text)
+    if parts is None:
+        return None
+    xs, ts = parts
+    return SeparableSource(space_expr(xs, system),
+                           1.0 if ts is None else time_expr(ts, warp))
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +376,9 @@ def _modes_rungs(cfg: RunConfig):
     profile in phi or f, which needs K >= k."""
     if cfg.modes != "auto":
         return [int(cfg.modes)]
-    ks = re.findall(r"\bmode:(\d+)", f"{cfg.phi} {cfg.f}")
-    rungs = [min(max([4] + [int(k) for k in ks]), cfg.kmax)]
+    source = _source_parts(cfg.f)
+    profiles = (cfg.phi,) if source is None else (cfg.phi, source[0])
+    rungs = [min(max(4, *map(_mode_index, profiles)), cfg.kmax)]
     while rungs[-1] < cfg.kmax:
         rungs.append(min(2 * rungs[-1], cfg.kmax))
     return rungs

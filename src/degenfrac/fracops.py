@@ -6,11 +6,12 @@ derivative that powers it after the change of variable s = t^p - a^p
 (p = 1 - theta), which turns the hyper-Bessel operator into p^alpha times
 a plain Caputo derivative in s.
 
-_l1_rows is the one L1 rule, for every alpha in (0, 1]: the FD oracle's
-march applies its weight rows to the increments of the data, and at
-alpha = 1 its rows are backward differences.  hb_caputo and the
-residual's _l1_cells need only its last row, on one grid or many:
-_l1_last_rows.
+_l1_rows is the one L1 rule, for every alpha in (0, 1], on one grid or
+on a stack of grids, and the only code that forms L1 weights: the FD
+oracle's march applies its blocks of rows to the increments of the data,
+hb_caputo takes the last row of its one grid, and the residual's
+_l1_cells the last row of each grid of its stack.  At alpha = 1 the rows
+are backward differences.
 """
 from __future__ import annotations
 
@@ -173,57 +174,41 @@ def graded_grid(length: float, n: int, exponent: float) -> np.ndarray:
     return length * np.linspace(0.0, 1.0, n + 1) ** exponent
 
 
-def _l1_weight_diffs(e: float, d: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    """(d_j^e - d_{j+1}^e) for d_j = s_i - s_j, without the cancellation
-    that zeroes out cells finer than ~eps*s_i on strongly graded grids:
-    d_j^e (-expm1(e log1p(-ds_j / d_j))).  d holds one row, or one row per
-    node s_i along its leading axes; it is overwritten, and the result is
-    one new array."""
-    head = d[..., :-1]
-    with np.errstate(divide="ignore"):
-        q = np.divide(-ds, head)
-        np.log1p(q, out=q)
-        np.multiply(e, q, out=q)
-        np.expm1(q, out=q)
-        np.negative(q, out=q)
-        head **= e
-        q *= head
-    return q
-
-
 def _l1_rows(alpha: float, s: np.ndarray, n0: int, n1: int) -> np.ndarray:
     """The L1 rule for the Caputo derivative of order alpha in (0, 1] at
-    the nodes n0 <= n < n1 of s, shape (n1 - n0, n1 - 1): row n holds the
-    weights w_j of D^alpha g(s_n) ~ sum_j w_j (g_{j+1} - g_j),
+    the nodes n0 <= n < n1 of a grid s, shape (n1 - n0, n1 - 1), or of
+    each grid of a stack s of shape (..., m), shape (..., n1 - n0, n1 - 1):
+    row n holds the weights w_j of D^alpha g(s_n) ~ sum_j w_j (g_{j+1} -
+    g_j),
 
         w_j = (d_j^e - d_{j+1}^e) / (Gamma(2 - alpha) ds_j),
         e = 1 - alpha, d_j = s_n - s_j, ds_j = s_{j+1} - s_j,
 
     for j < n and zeros beyond, so a block applies to the increments as
-    one product.  The last cell's d_{n-1}^e - 0^e is written ds^e, whose
-    limit at alpha = 1 is 1: there every other weight is 0, and the rule is
-    the backward difference 1/ds_{n-1}."""
+    one product.  The difference of powers is formed as d_j^e
+    (1 - (1 - ds_j / d_j)^e), with the logarithm and the exponential of
+    that power each taken near 1 without cancellation, which would zero
+    out cells finer than ~eps s_n on strongly graded grids.  The last
+    cell's d_{n-1}^e - 0^e is written ds^e, whose limit at alpha = 1 is 1:
+    there every other weight is 0, and the rule is the backward difference
+    1/ds_{n-1}.  A zero-length cell (a repeated node) weighs 0, so each
+    row is bit for bit the row of its grid with the repeated nodes
+    dropped."""
     e = 1.0 - alpha
-    ds = np.diff(s[:n1])
-    d = s[n0:n1, None] - s[:n1]
-    with np.errstate(invalid="ignore"):  # j >= n - 1: set or zeroed below
-        w = np.tril(_l1_weight_diffs(e, d, ds), n0 - 2)
-    r = np.arange(n1 - n0)
-    w[r, n0 - 1 + r] = ds[n0 - 1:] ** e
-    w /= ds * math.gamma(2.0 - alpha)
-    return w
-
-
-def _l1_last_rows(alpha: float, s: np.ndarray) -> np.ndarray:
-    """The last row of _l1_rows for a grid s of m nodes, or for each grid
-    s[j] of a (J, m) array at once; shape s.shape[:-1] + (m - 1,).  Bit
-    for bit the row _l1_rows gives on the grid with its repeated nodes
-    dropped, as hb_caputo drops them, and 0 on each zero-length cell."""
-    e = 1.0 - alpha
-    ds = np.diff(s, axis=-1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w = _l1_weight_diffs(e, s[..., -1:] - s, ds)
-        w[..., -1] = ds[..., -1] ** e
+    ds = np.diff(s[..., :n1], axis=-1)[..., None, :]
+    d = s[..., n0:n1, None] - s[..., None, :n1 - 1]
+    # j >= n - 1 and zero cells divide by 0: set or zeroed below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.divide(-ds, d)
+        np.log1p(w, out=w)
+        w *= e
+        np.expm1(w, out=w)
+        np.negative(w, out=w)
+        d **= e
+        w *= d
+        w = np.tril(w, n0 - 2)
+        r = np.arange(n1 - n0)
+        w[..., r, n0 - 1 + r] = ds[..., 0, n0 - 1:] ** e
         w /= ds * math.gamma(2.0 - alpha)
     return w if np.all(ds > 0.0) else np.where(ds > 0.0, w, 0.0)
 
@@ -242,7 +227,8 @@ def hb_caputo(f, alpha: float, warp: TimeWarp, t: float, n: int = 2048,
 
     f may return values with leading axes, shape (..., nodes); the result
     then has those leading axes, and one grid and one L1 weight row serve
-    every curve.
+    every curve.  That row is the last one _l1_rows gives on the grid.  A
+    t > a whose s(t) rounds to 0 leaves no grid and is a DomainError.
     """
     _check_alpha(alpha)
     if not isinstance(warp, TimeWarp):
@@ -255,6 +241,8 @@ def hb_caputo(f, alpha: float, warp: TimeWarp, t: float, n: int = 2048,
                           f"a={warp.a}")
     _check_count("n", n)
     S = warp_forward(warp, t)
+    if S == 0.0:
+        raise DomainError(f"t={t!r} has s(t) = 0: t^p rounds onto a^p")
     s = graded_grid(S, n, 2.0 / alpha)
     # below alpha ~ 0.02 the first nodes underflow onto s = 0: one is kept
     s = s[np.concatenate(([True], np.diff(s) > 0.0))]
@@ -277,7 +265,8 @@ def hb_caputo(f, alpha: float, warp: TimeWarp, t: float, n: int = 2048,
     if not np.all(np.isfinite(gv)):
         raise DomainError("f must be finite on [a, t]")
     # only the final L1 row is needed here
-    out = warp.p ** alpha * (np.diff(gv) @ _l1_last_rows(alpha, s))
+    w = _l1_rows(alpha, s, s.size - 1, s.size)[0]
+    out = warp.p ** alpha * (np.diff(gv) @ w)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -288,7 +277,9 @@ def _l1_moments(nodes: bytes, alpha: float, S: bytes, n: int) -> tuple:
     sample times S_j > 0, both given as the bytes of float64 arrays.  They
     depend on no curve, so a sweep that keeps the time setup (alpha, the
     sample times and the table's nodes) and changes only the curves reads
-    them from the cache; a key holds 3 J cells doubles.
+    them from the cache; a key holds 3 J cells doubles.  The weights are
+    the last rows of one _l1_rows call on the stack of hb_caputo's J
+    grids, whose zero-length cells (nodes that underflow onto 0) weigh 0.
 
     hb_caputo's nodes of each sample time form one chain of nodes and of
     flat cell indices j N + c: the step from one grid's last node to the
@@ -305,8 +296,8 @@ def _l1_moments(nodes: bytes, alpha: float, S: bytes, n: int) -> tuple:
     moments = np.empty((3, J, N))
     s = S[:, None] * graded_grid(1.0, n, 2.0 / alpha)
     h = np.diff(x)
-    w = np.concatenate((_l1_last_rows(alpha, s), np.zeros((J, 1))),
-                       axis=1).ravel()[:-1]
+    w = np.concatenate((_l1_rows(alpha, s, n, n + 1)[:, 0],
+                        np.zeros((J, 1))), axis=1).ravel()[:-1]
     c = np.searchsorted(x[1:-1], s, side="right")
     off = (s - x[c]).ravel()
     c = (c + N * np.arange(J)[:, None]).ravel()

@@ -131,11 +131,12 @@ def _check_finite(u: np.ndarray, n0: int, n1: int) -> None:
 def _weight_blocks(alpha: float, s: bytes) -> tuple:
     """The march's L1 weights on the time nodes s (the bytes of a float64
     array): for each block of _BLOCK steps from n0 = 1, the rows G =
-    _l1_rows(alpha, s, n0, n1) split in two read-only parts, the square
-    G[:, n0 - 1:] on the block's own increments and the history columns
-    G[:, :n0 - 1] on every increment finished before it, or None where
-    those weigh nothing (at alpha = 1, backward differences, they never
-    do).  They depend on no field, so a sweep over beta, data or mesh x on
+    _l1_rows(alpha, s, n0, n1) of the one L1 rule (the rule hb_caputo and
+    the residual's _l1_cells take their last rows from) split in two
+    read-only parts, the square G[:, n0 - 1:] on the block's own
+    increments and the history columns G[:, :n0 - 1] on every increment
+    finished before it, or None where those weigh nothing (at alpha = 1,
+    backward differences, they never do).  They depend on no field, so a sweep over beta, data or mesh x on
     one time mesh reads them from the cache; a key holds about nt^2 / 2
     doubles below alpha = 1 and nt _BLOCK at alpha = 1."""
     s = np.frombuffer(s)

@@ -126,6 +126,9 @@ class ProblemSpec:
         bc_requirements(self.beta)  # validates beta, fixes the BC set
         if not (_is_real(self.T) and self.T > self.a):
             raise DomainError(f"need a < T < inf, got T={self.T!r}")
+        if warp_forward(self.warp, self.T) == 0.0:
+            raise DomainError(f"T={self.T!r} has s(T) = 0: T^p rounds onto "
+                              f"a^p")
         if not isinstance(self.phi, SampledFunction):
             if not callable(self.phi):
                 raise DomainError("phi must be callable or a SampledFunction")
@@ -833,6 +836,8 @@ def solution_norms(field: SolutionField, spec: ProblemSpec) -> NormReport:
     s_d = 0.0
     if field.mode_sources is not None:
         tg = np.linspace(spec.a, spec.T, 257)
+        # below ~256 ulps of T between a and T the nodes repeat
+        tg = tg[np.concatenate(([True], np.diff(tg) > 0.0))]
         F = _loads(field.mode_sources, field.K, tg)
         fd = np.gradient(F, tg, axis=1)
         # summed mode by mode in order; np.sum pairs terms up and moves

@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -142,12 +143,17 @@ def test_main_writes_exactly_the_map_a_command_fills(tmp_path, command, keys,
 # ---------------------------------------------------------------------------
 # exit codes
 
-def test_degenerate_parameters_exit_2(tmp_path):
+def test_degenerate_parameters_exit_2(tmp_path, capsys):
     assert cli.main(["eigen", "--beta", "1.0", "--modes", "2",
                      "--out", str(tmp_path)]) == 2
     assert cli.main(["eigen", "--beta", "2.0", "--modes", "2",
                      "--out", str(tmp_path)]) == 2
     assert cli.main(["solve", "--theta", "1.2", "--out", str(tmp_path)]) == 2
+    # T > a, but s(T) = T^p - a^p rounds to 0: once blamed on the times
+    capsys.readouterr()
+    assert cli.main(["solve", "--theta", "0.99", "--a", "1",
+                     "--T", "1.0000000000000002", "--out", str(tmp_path)]) == 2
+    assert "s(T) = 0" in capsys.readouterr().err
 
 
 def test_usage_problems_exit_1(tmp_path, capsys):
@@ -213,6 +219,45 @@ def test_auto_modes_start_at_the_largest_mode_profile(tmp_path):
                          "--modes", "auto", "--tol", "1e-3",
                          "--out", str(out)]) == 0
         assert json.loads((out / "diagnostics.json").read_text())["modes"] == K
+
+
+@pytest.mark.parametrize("keys", ["phi = mode:{}\n",
+                                  "phi = zero\nf = sep:(mode:{})|sin:3\n"],
+                         ids=["phi", "f"])
+def test_auto_modes_read_a_mode_index_as_the_grammar_does(tmp_path, keys):
+    # the ladder's first K once came from a regex that the grammar did not
+    # share: mode: 5 solved at K = 4 and exited 1 (mode index 5 outside
+    # 1..4), where int() reads it as mode:5
+    cfgf = tmp_path / "run.cfg"
+    outs = []
+    for spelling in ("5", " 5", "+5"):
+        cfgf.write_text(keys.format(spelling))
+        outs.append(tmp_path / f"k{spelling.strip()}")
+        assert cli.main(["solve", "--config", str(cfgf), "--beta", "0.5",
+                         "--modes", "auto", "--tol", "1e-3",
+                         "--out", str(outs[-1])]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert json.loads((outs[0] / "diagnostics.json").read_text())["modes"] == 5
+    for out in outs[1:]:
+        assert sorted(p.name for p in out.iterdir()) == names
+        assert all((out / n).read_bytes() == (outs[0] / n).read_bytes()
+                   for n in names)
+
+
+def test_a_short_horizon_writes_finite_source_series(tmp_path):
+    # T - a below ~256 ulps of T: the 257 nodes the source series are
+    # differentiated on repeat, and np.gradient divided by 0, wrote null
+    # after nine numpy warnings and exited 0
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("a = 1\nT = 1.00000000000001\nf = sep:one|sin:3\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["solve", "--config", str(cfgf), "--modes", "4",
+                         "--out", str(out)]) == 0
+    norms = json.loads((out / "diagnostics.json").read_text())["norms"]
+    assert all(math.isfinite(v) for v in norms.values())
+    assert norms["series_source_deriv"] > 0.0
 
 
 def test_auto_modes_kmax_exhaustion_exit_3(tmp_path):

@@ -17,7 +17,6 @@ from degenfrac.fracops import (
     TimeWarp,
     _Pchip,
     _l1_cells,
-    _l1_last_rows,
     _l1_moments,
     _l1_rows,
     graded_grid,
@@ -235,22 +234,44 @@ def test_l1_rows_at_alpha_one_are_backward_differences(n0, n1):
 
 @pytest.mark.parametrize("alpha", [0.02, 0.05, 0.6, 1.0])
 def test_l1_last_rows_are_the_last_l1_rows_bit_for_bit(alpha):
-    # one row per grid S_j (i/n)^(2/alpha), each the last row _l1_rows
-    # gives on that grid with its repeated nodes dropped (below alpha ~
-    # 0.0206 the first ones underflow onto 0); the zero-length cells take
-    # weight 0
+    # hb_caputo's grids S_j (i/n)^(2/alpha), stacked as _l1_moments stacks
+    # them (below alpha ~ 0.0206 their first nodes underflow onto 0): one
+    # call on the stack gives each grid's own rows, and each last row is
+    # the row of its grid with the repeated nodes dropped, as hb_caputo
+    # drops them, with weight 0 on the zero-length cells
     S = np.array([3.4e-14, 0.37, 1.3])
     s = S[:, None] * graded_grid(1.0, 2048, 2.0 / alpha)
-    w = _l1_last_rows(alpha, s)
+    m = s.shape[-1]
     assert np.any(np.diff(s) == 0.0) == (alpha < 0.0206)
-    for wj, sj in zip(w, s):
+    for n0, n1 in ((m - 1, m), (m - _BLOCK - 3, m - 3)):
+        w = _l1_rows(alpha, s, n0, n1)
+        assert w.shape == (S.size, n1 - n0, n1 - 1)
+        assert np.all(np.isfinite(w))
+        for wj, sj in zip(w, s):
+            assert np.array_equal(wj, _l1_rows(alpha, sj, n0, n1))
+    for wj, sj in zip(_l1_rows(alpha, s, m - 1, m)[:, 0], s):
         step = np.diff(sj) > 0.0
         kept = sj[np.concatenate(([True], step))]
         assert np.array_equal(wj[step],
                               _l1_rows(alpha, kept, kept.size - 1,
                                        kept.size)[0])
         assert np.all(wj[~step] == 0.0)
-    assert np.all(np.isfinite(w))
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.05, 0.6, 1.0])
+def test_l1_block_rows_are_the_last_rows_of_their_prefix_grids(alpha):
+    # the FD march's blocks, 32 full ones and a partial one: row n is the
+    # last row of the grid s[:n + 1] bit for bit, with zeros beyond.  At
+    # alpha = 0.02 the first nodes underflow onto 0
+    s = graded_grid(3.4e-14, 32 * _BLOCK + 5, 2.0 / alpha)
+    assert np.any(np.diff(s) == 0.0) == (alpha < 0.0206)
+    for n0 in range(1, s.size, _BLOCK):
+        n1 = min(n0 + _BLOCK, s.size)
+        G = _l1_rows(alpha, s, n0, n1)
+        for row, n in zip(G, range(n0, n1)):
+            assert np.array_equal(row[:n],
+                                  _l1_rows(alpha, s[:n + 1], n, n + 1)[0])
+            assert not row[n:].any()
 
 
 def test_hb_caputo_monomial_in_s():

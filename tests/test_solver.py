@@ -836,6 +836,7 @@ def test_cell_and_node_counts_are_validated(eig, beta, residual):
 
 
 _W = TimeWarp(0.3)
+_NEXT1 = float(np.nextafter(1.0, 2.0))
 
 
 def _compare_at(t_subset):
@@ -889,6 +890,10 @@ def _compare_at(t_subset):
     lambda: hb_caputo(np.sin, 0.6, _W, np.complex128(0.5)),
     lambda: hb_caputo(np.sin, 0.6, None, 0.5),
     lambda: graded_grid("1", 4, 2.0),
+    # t > a, but t^p - a^p == 0 in doubles
+    lambda: hb_caputo(np.sin, 0.5, TimeWarp(0.99, 1.0), _NEXT1),
+    lambda: hb_caputo(np.sin, 0.5, TimeWarp(0.99, 1.0), _NEXT1, warped=True),
+    lambda: ProblemSpec(0.6, 0.99, 0.5, 1.0, _NEXT1, _quadratic),
 ], ids=["solve_eigen-K", "solve_eigen-mesh", "bessel_eigen-K", "FDMesh-nx", "FDMesh-nt",
         "hb_caputo-n", "hb_caputo-t-inf", "hb_caputo-t-nan",
         "graded_grid-length", "graded_grid-n", "hb_caputo-alpha-None",
@@ -902,7 +907,8 @@ def _compare_at(t_subset):
         "mode_solution_alt-t-complex", "basis_matrix-x-complex",
         "eigen_eval-x-complex", "compare-t_subset-complex",
         "hb_caputo-t-array", "hb_caputo-t-str", "hb_caputo-t-complex",
-        "hb_caputo-warp-None", "graded_grid-length-str"])
+        "hb_caputo-warp-None", "graded_grid-length-str",
+        "hb_caputo-s-zero", "hb_caputo-s-zero-warped", "ProblemSpec-s-zero"])
 def test_public_counts_and_scalars_are_domain_errors(call):
     # these once raised TypeError, SciPy's ValueError, AttributeError,
     # returned NaN, blamed f for a bad t, cut a mesh of 256.9 cells to 256,

@@ -28,9 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ConfigError, DegeneracyError, DomainError, RegimeError,
-                     ResolutionError, SolverError, VerificationError,
-                     _check_alpha)
+from .errors import (ConfigError, DomainError, RegimeError, ResolutionError,
+                     SolverError, VerificationError, _check_alpha)
 from .fracops import TimeWarp, warp_forward
 from .oraclefd import FDMesh, compare, fd_solve
 from .solver import (ProblemSpec, SeparableSource, ModeODE, _TimeFactor,
@@ -172,21 +171,14 @@ def space_expr(text: str, system=None):
     """Builtin profiles on (0,1): zero | one | quadratic | const:c |
     sin:k | cos:k | poly:c0,c1,... | mode:k (k-th computed eigenfunction)."""
     name, _, arg = text.strip().partition(":")
-    if name == "zero":
-        return lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    if name == "one":
-        return lambda x: np.ones_like(np.asarray(x, dtype=float))
+    if name in ("zero", "one", "const"):
+        c = _number(name, arg) if name == "const" else float(name == "one")
+        return lambda x: c * np.ones_like(np.asarray(x, dtype=float))
     if name == "quadratic":
         return lambda x: x * (1.0 - x)
-    if name == "const":
-        c = _number(name, arg)
-        return lambda x: c * np.ones_like(np.asarray(x, dtype=float))
-    if name == "sin":
-        k = _number(name, arg)
-        return lambda x: np.sin(k * np.pi * x)
-    if name == "cos":
-        k = _number(name, arg)
-        return lambda x: np.cos(k * np.pi * x)
+    if name in ("sin", "cos"):
+        k, wave = _number(name, arg), getattr(np, name)
+        return lambda x: wave(k * np.pi * x)
     if name == "poly":
         coefs = _poly_coefs(arg)
         return lambda x: np.polynomial.polynomial.polyval(x, coefs)
@@ -328,11 +320,10 @@ def _eigen_count(cfg: RunConfig) -> int:
 
 def cmd_eigen(cfg: RunConfig, files: dict) -> int:
     K = _eigen_count(cfg)
-    gal = solve_eigen(cfg.beta, K)
-    system = gal
+    system = _eigensystem(cfg, K)
     extra = {}
-    if cfg.oracle == "bessel":
-        system = bessel_eigen(cfg.beta, K)
+    if cfg.oracle == "bessel":  # cross-checked against Galerkin
+        gal = solve_eigen(cfg.beta, K)
         delta = np.abs(gal.lambdas - system.lambdas) / system.lambdas
         extra["cross_oracle_rel_delta"] = delta
         extra["cross_oracle_max_rel_delta"] = float(np.max(delta))
@@ -475,30 +466,29 @@ def _suite_flux_limit(cfg: RunConfig) -> float:
     return abs(rg.limit - rb.limit) / max(abs(rb.limit), 1e-300)
 
 
+def _fd_field(spec: ProblemSpec, nx: int, nt: int):
+    """The FD oracle's field of spec on the standard nx x nt mesh up to T."""
+    S_T = warp_forward(spec.warp, spec.T)
+    return fd_solve(spec, FDMesh.build(spec.beta, spec.alpha, S_T,
+                                       nx=nx, nt=nt))
+
+
 def _suite_uniqueness(cfg: RunConfig) -> float:
-    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    spec = ProblemSpec(cfg.alpha, cfg.theta, cfg.beta, cfg.a, cfg.T, zero)
+    """Zero data must give the zero field, spectrally and by FD."""
     system = solve_eigen(cfg.beta, 4)
-    xg = np.linspace(0.0, 1.0, 33)
-    tg = cfg.a + (cfg.T - cfg.a) * np.linspace(0.0, 1.0, 9)[1:]
-    fld = assemble(spec, system, 4, xg, tg)
-    worst = float(np.max(np.abs(fld.values)))
-    S_T = warp_forward(spec.warp, cfg.T)
-    mesh = FDMesh.build(cfg.beta, cfg.alpha, S_T, nx=128, nt=64)
-    worst = max(worst, float(np.max(np.abs(fd_solve(spec, mesh).values))))
-    return worst
+    spec = _build_problem(replace(cfg, phi="zero", f="none"), system)
+    xg, tg = _solve_grids(replace(cfg, x_points=33, t_points=8))
+    flds = (assemble(spec, system, 4, xg, tg), _fd_field(spec, nx=128, nt=64))
+    return max(float(np.max(np.abs(fld.values))) for fld in flds)
 
 
 def _suite_spectral_vs_fd(cfg: RunConfig) -> float:
     """FD on the fd_nx x fd_nt mesh against K = 12 spectral on the FD's own
     x-grid, so that no value is interpolated."""
     system = solve_eigen(cfg.beta, 12)
-    spec = ProblemSpec(cfg.alpha, cfg.theta, cfg.beta, cfg.a, cfg.T,
-                       lambda x: x * (1.0 - x),
-                       SeparableSource(lambda x: np.ones_like(x), 1.0))
-    S_T = warp_forward(spec.warp, cfg.T)
-    mesh = FDMesh.build(cfg.beta, cfg.alpha, S_T, nx=cfg.fd_nx, nt=cfg.fd_nt)
-    fldF = fd_solve(spec, mesh)
+    spec = _build_problem(replace(cfg, phi="quadratic", f="sep:one|one"),
+                          system)
+    fldF = _fd_field(spec, nx=cfg.fd_nx, nt=cfg.fd_nt)
     fldS = assemble(spec, system, 12, fldF.x_grid, np.array([cfg.T]))
     rep = compare(fldF, fldS, t_subset=[cfg.T])
     return float(rep.l2_rel[0])
@@ -581,10 +571,7 @@ def cmd_convergence(cfg: RunConfig, files: dict) -> int:
     files["convergence_modes.csv"] = _csv(["modes", "err_l2_rel"],
                                           zip(kladder, kerrs))
 
-    S_T = warp_forward(spec.warp, cfg.T)
-    nerrs = [err(fd_solve(spec, FDMesh.build(cfg.beta, cfg.alpha, S_T,
-                                             nx=N, nt=N)))
-             for N in nladder]
+    nerrs = [err(_fd_field(spec, nx=N, nt=N)) for N in nladder]
     files["convergence_mesh.csv"] = _csv(["mesh", "err_l2_rel"],
                                          zip(nladder, nerrs))
 
@@ -650,6 +637,11 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
+#: the exit code of each error kind (a DegeneracyError is a DomainError)
+_EXIT_CODES = {ConfigError: 1, DomainError: 2, ResolutionError: 3,
+               SolverError: 3, VerificationError: 4, RegimeError: 4}
+
+
 def main(argv=None) -> int:
     files = {}
     try:
@@ -659,18 +651,10 @@ def main(argv=None) -> int:
             return _COMMANDS[args.command][0](cfg, files)
         finally:  # a failing verify still leaves verify.json
             _write(Path(cfg.out), files)
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=_sys.stderr)
-        return 1
-    except (DegeneracyError, DomainError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
-    except (ResolutionError, SolverError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 3
-    except (VerificationError, RegimeError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES.items()
+                    if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -215,9 +215,14 @@ def fd_solve(spec: ProblemSpec, mesh: FDMesh) -> SolutionField:
     ap = warp.a ** p
     t_nodes = (s + ap) ** (1.0 / p)
     t_nodes[0] = warp.a
-    if np.any(np.diff(t_nodes) <= 0.0):
-        raise ResolutionError("time mesh collapses under the warp inverse; "
-                              "reduce the time grading")
+    stalls = np.flatnonzero(np.diff(t_nodes) <= 0.0)
+    if stalls.size:
+        n = int(stalls[0]) + 1
+        raise ResolutionError(
+            f"time mesh collapses under the warp inverse: step {n} of "
+            f"nt = {mesh.nt} lands on t = {float(t_nodes[n])}, no later than "
+            f"step {n - 1}, on [a, T] = [{float(warp.a)}, {float(spec.T)}]; "
+            f"use fewer time steps or a longer horizon")
 
     # data callables live on the open interval; nudge the endpoint nodes
     xe = x.copy()

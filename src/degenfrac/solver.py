@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache, partial
 from typing import Callable, Optional, Union
 
@@ -684,13 +684,7 @@ def assemble(spec: ProblemSpec, sys: EigenSystem, K: int, x_grid, t_grid,
                         mode_lambdas=lams, mode_values=mv, mode_phi=phi_c,
                         mode_sources=source, system=sys, modes_at=modes_at,
                         spec=replace(spec))
-    nr = solution_norms(fld, spec)
-    diags["norms"] = {
-        "sup_l2": nr.sup_l2, "sup_energy": nr.sup_energy,
-        "sup_weighted": nr.sup_weighted, "series_phi": nr.series_phi,
-        "series_source_a": nr.series_source_a,
-        "series_source_deriv": nr.series_source_deriv,
-    }
+    diags["norms"] = asdict(solution_norms(fld, spec))
     return fld
 
 

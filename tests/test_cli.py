@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from degenfrac import cli
-from degenfrac.errors import ConfigError, DomainError
+from degenfrac.errors import (ConfigError, DegeneracyError, DomainError,
+                              RegimeError, ResolutionError, SolverError,
+                              VerificationError)
 from degenfrac.fracops import TimeWarp, warp_forward
 
 LAMBDA1_HALF = 4.739066397843349  # closed-form route, beta = 0.5
@@ -180,6 +182,42 @@ def test_usage_problems_exit_1(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["solve", "--config", str(bad), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "error: sin wants a number, got 'abc'\n"
+
+
+@pytest.mark.parametrize("kind, code", [
+    (ConfigError, 1), (DomainError, 2), (DegeneracyError, 2),
+    (ResolutionError, 3), (SolverError, 3), (VerificationError, 4),
+    (RegimeError, 4)])
+def test_each_error_kind_exits_with_its_code(tmp_path, capsys, monkeypatch,
+                                             kind, code):
+    # no CLI input reaches a SolverError or a RegimeError, so a stubbed
+    # command raises each kind; main prints one line and writes no out
+    def cmd(cfg, files):
+        raise kind(f"stub {kind.__name__}")
+
+    monkeypatch.setitem(cli._COMMANDS, "eigen", (cmd, "stub"))
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert cli.main(["eigen", "--out", str(out)]) == code
+    assert capsys.readouterr().err == f"error: stub {kind.__name__}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "convergence"])
+def test_a_collapsing_fd_time_mesh_exits_3_with_advice_a_run_can_take(
+        tmp_path, capsys, command):
+    # T - a = 1e-14: every FD time mesh of 4 or more steps maps its first
+    # nodes back onto t = a.  The refusal once advised a lower time
+    # grading, which no config key sets
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("a = 1\nT = 1.00000000000001\nf = sep:one|sin:3\n")
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(cfgf),
+                     "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: time mesh collapses")
+    assert "grading" not in err[0]
+    assert err[0].endswith("use fewer time steps or a longer horizon")
 
 
 @pytest.mark.parametrize("argv", [["eigen", "--modes", "2"],
@@ -560,12 +598,24 @@ def test_convergence_refuses_a_top_rung_at_its_reference(tmp_path, capsys,
 
 def test_space_expr_profiles():
     assert cli.space_expr("quadratic")(0.25) == pytest.approx(0.1875)
-    assert cli.space_expr("const:2.5")(np.array([0.1, 0.9])).tolist() == \
-        [2.5, 2.5]
-    assert cli.space_expr("sin:2")(0.25) == pytest.approx(1.0)
     assert cli.space_expr("poly:1,2")(0.5) == pytest.approx(2.0)
-    assert np.all(cli.space_expr("zero")(np.array([0.3])) == 0.0)
-    assert np.all(cli.space_expr("one")(np.array([0.3])) == 1.0)
+
+
+@pytest.mark.parametrize("text, expect", [
+    ("zero", lambda x: np.zeros_like(np.asarray(x, dtype=float))),
+    ("one", lambda x: np.ones_like(np.asarray(x, dtype=float))),
+    ("const:2.5", lambda x: 2.5 * np.ones_like(np.asarray(x, dtype=float))),
+    ("sin:2", lambda x: np.sin(2.0 * np.pi * x)),
+    ("cos:3", lambda x: np.cos(3.0 * np.pi * x)),
+], ids=["zero", "one", "const:2.5", "sin:2", "cos:3"])
+@pytest.mark.parametrize("x", [np.linspace(0.0, 1.0, 101), 0.3],
+                         ids=["array", "scalar"])
+def test_space_expr_profile_families_keep_their_bits(text, expect, x):
+    # zero, one and const share one branch, sin and cos another; each
+    # profile keeps the bits of its own numpy expression
+    got, want = cli.space_expr(text)(x), expect(x)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_space_expr_mode_profile(eig):

@@ -283,6 +283,25 @@ def test_non_finite_source_is_solver_error():
         fd_solve(spec, FDMesh.build(0.5, 0.6, 1.0, nx=16, nt=8))
 
 
+def test_a_collapsing_time_mesh_names_its_step_and_the_remedies():
+    # at a = 1 and T - a = 1e-9 the first graded s-nodes of 256 steps map
+    # back onto t = a; no config key sets the grading, so the refusal names
+    # what a run can change (fewer steps, a longer horizon), and 16 march
+    spec = ProblemSpec(0.6, 0.3, 0.5, 1.0, 1.000000001,
+                       lambda x: x * (1.0 - x),
+                       SeparableSource(lambda x: np.ones_like(x), 1.0))
+    S_T = warp_forward(spec.warp, spec.T)
+    with pytest.raises(ResolutionError) as err:
+        fd_solve(spec, FDMesh.build(0.5, 0.6, S_T, nx=16, nt=256))
+    assert str(err.value) == (
+        "time mesh collapses under the warp inverse: step 1 of nt = 256 "
+        "lands on t = 1.0, no later than step 0, on [a, T] = "
+        "[1.0, 1.000000001]; use fewer time steps or a longer horizon")
+    fld = fd_solve(spec, FDMesh.build(0.5, 0.6, S_T, nx=16, nt=16))
+    assert np.all(np.diff(fld.t_grid) > 0.0)
+    assert np.all(np.isfinite(fld.values))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("beta", [0.5, 1.5])
 def test_first_non_finite_step_is_named_without_warnings(beta, bad):

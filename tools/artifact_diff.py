@@ -95,6 +95,12 @@ MATRIX = (
     ("solve-short-b1.5", ["solve", "--modes", "8", "--beta", "1.5"],
      SHORT),
     ("solve-nosource", ["solve", "--modes", "8"], {}),
+    # every space profile of the grammar's two families, wave (sin, cos)
+    # and constant (zero, one, const), in phi or in a source's space factor
+    ("solve-wave-profiles", ["solve", "--modes", "8"],
+     {"phi": "sin:1", "f": "sep:cos:0.5|sin:3"}),
+    ("solve-const-profiles", ["solve", "--modes", "8"],
+     {"phi": "zero", "f": "sep:const:2|cos:2"}),
     ("solve-bessel", ["solve", "--modes", "8", "--oracle", "bessel"], {}),
     # the field as solution.json, the one JSON artifact of numpy rows
     ("solve-json", ["solve", "--modes", "8", "--format", "json"], SIN3),
@@ -106,6 +112,8 @@ MATRIX = (
     # the FD oracle's march at alpha = 1, where the L1 rule is backward
     # differences
     ("verify-alpha1", ["verify", "--alpha", "1"], {}),
+    # the FD oracle's marches from a > 0, in warped time
+    ("verify-a0.3", ["verify", "--beta", "0.5", *A03], {}),
     ("convergence", ["convergence"], {}),
     # FD marches of 72 = 64 + 8 and 133 = 2 * 64 + 5 steps, both ending in
     # a partial block, with a source that changes from step to step

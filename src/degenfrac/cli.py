@@ -138,93 +138,106 @@ def load_config(path) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# builtin expression grammar for phi and f
+# builtin expression grammar for phi and f: one table, read by one parser
 
-def _number(name: str, arg: str, kind=float):
-    """The argument of the profile name:arg as a number, or ConfigError."""
+def _const(c):
+    return lambda x: c * np.ones_like(np.asarray(x, dtype=float))
+
+
+def _mode(k, system):
+    if system is None:
+        raise ConfigError("mode:k needs a computed eigensystem")
+    if not 1 <= k <= system.count:
+        raise ConfigError(f"mode index {k} outside 1..{system.count}")
+    return lambda x: system._rows(slice(k - 1, k), x, deriv=False)[0]
+
+
+def _spow(q, warp):
+    if q < 0.0:
+        raise ConfigError(f"spow exponent must be >= 0, got {q}")
+    return _TimeFactor("spow", (q,), warp)
+
+
+#: every builtin profile of phi and f: name -> (argument kind, or None for
+#: none; space builder (value, system) -> callable of x on (0,1), or None;
+#: time builder (value, warp) -> a number, for a declared constant, or a
+#: solver._TimeFactor, or None).  mode:k is the k-th eigenfunction of
+#: system, and spow:q is (t^p - a^p)^q on warp.
+_PROFILES = {
+    "zero": (None, lambda *_: _const(0.0), None),
+    "one": (None, lambda *_: _const(1.0), lambda *_: 1.0),
+    "quadratic": (None, lambda *_: lambda x: x * (1.0 - x), None),
+    "const": ("number", lambda c, _: _const(c), lambda c, _: c),
+    "sin": ("number", lambda k, _: lambda x: np.sin(k * np.pi * x),
+            lambda w, _: _TimeFactor("sin", (w,))),
+    "cos": ("number", lambda k, _: lambda x: np.cos(k * np.pi * x),
+            lambda w, _: _TimeFactor("cos", (w,))),
+    "poly": ("numbers",
+             lambda c, _: lambda x: np.polynomial.polynomial.polyval(x, c),
+             lambda c, _: _TimeFactor("poly", c)),
+    "mode": ("integer", _mode, None),
+    "spow": ("number", None, _spow),
+}
+
+#: how the parser reads each argument kind, and what a refusal says it wants
+_KINDS = {"number": (float, "a number"), "integer": (int, "an integer"),
+          "numbers": (lambda arg: [float(c) for c in arg.split(",")],
+                      "comma-separated numbers")}
+
+
+def _profile(text: str, axis: str):
+    """(name, builder, value) of the profile text name[:arg] on axis "space"
+    or "time", its argument read by its kind: the grammar's one reader.
+    ConfigError for a name the axis does not know, an argument the profile
+    does not take (an empty one too), and a missing or malformed one."""
+    name, colon, arg = text.strip().partition(":")
+    col = 1 if axis == "space" else 2
+    entry = _PROFILES.get(name)
+    if entry is None or entry[col] is None:
+        raise ConfigError(f"unknown {axis} profile {text!r}")
+    if entry[0] is None:
+        if colon:
+            raise ConfigError(f"{name} takes no argument, got {arg!r}")
+        return name, entry[col], None
+    read, wants = _KINDS[entry[0]]
     try:
-        return kind(arg)
+        return name, entry[col], read(arg)
     except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} wants {what}, got {arg!r}") from None
-
-
-def _poly_coefs(arg: str) -> list:
-    try:
-        coefs = [float(c) for c in arg.split(",")]
-    except ValueError:
-        raise ConfigError(f"poly wants comma-separated coefficients, "
-                          f"got {arg!r}") from None
-    if not coefs:
-        raise ConfigError("poly needs at least one coefficient")
-    return coefs
+        raise ConfigError(f"{name} wants {wants}, got {arg!r}") from None
 
 
 def _mode_index(text: str) -> int:
-    """The k of a mode:k space profile, the grammar's one reading of a
-    mode index; 0 for any other profile."""
-    name, _, arg = text.strip().partition(":")
-    return _number(name, arg, int) if name == "mode" else 0
+    """The k of a mode:k space profile; 0 for any other profile."""
+    name, _, value = _profile(text, "space")
+    return value if name == "mode" else 0
 
 
 def space_expr(text: str, system=None):
-    """Builtin profiles on (0,1): zero | one | quadratic | const:c |
-    sin:k | cos:k | poly:c0,c1,... | mode:k (k-th computed eigenfunction)."""
-    name, _, arg = text.strip().partition(":")
-    if name in ("zero", "one", "const"):
-        c = _number(name, arg) if name == "const" else float(name == "one")
-        return lambda x: c * np.ones_like(np.asarray(x, dtype=float))
-    if name == "quadratic":
-        return lambda x: x * (1.0 - x)
-    if name in ("sin", "cos"):
-        k, wave = _number(name, arg), getattr(np, name)
-        return lambda x: wave(k * np.pi * x)
-    if name == "poly":
-        coefs = _poly_coefs(arg)
-        return lambda x: np.polynomial.polynomial.polyval(x, coefs)
-    if name == "mode":
-        k = _mode_index(text)
-        if system is None:
-            raise ConfigError("mode:k needs a computed eigensystem")
-        if not 1 <= k <= system.count:
-            raise ConfigError(f"mode index {k} outside 1..{system.count}")
-        return lambda x: system._rows(slice(k - 1, k), x, deriv=False)[0]
-    raise ConfigError(f"unknown profile {text!r}")
+    """The callable of x on (0,1) of a builtin profile of _PROFILES; mode:k
+    needs system."""
+    _, build, value = _profile(text, "space")
+    return build(value, system)
 
 
 def time_expr(text: str, warp: TimeWarp):
-    """Builtin time factors: one | const:c | sin:w | cos:w |
-    poly:c0,c1,... (in t) | spow:q for (t^p - a^p)^q.  The constant
+    """The time factor of a builtin profile of _PROFILES.  The constant
     factors one and const:c come back as numbers, which the solver takes
     as a declared constant; the others as values (solver._TimeFactor):
     callables of t that take arrays, equal when their kind, numbers and
     (for spow) warp are, so the solver memoizes their convolution's node
     sums by value."""
-    name, _, arg = text.strip().partition(":")
-    if name == "one":
-        return 1.0
-    if name == "const":
-        return _number(name, arg)
-    if name in ("sin", "cos"):
-        return _TimeFactor(name, (_number(name, arg),))
-    if name == "poly":
-        return _TimeFactor(name, _poly_coefs(arg))
-    if name == "spow":
-        q = _number(name, arg)
-        if q < 0.0:
-            raise ConfigError(f"spow exponent must be >= 0, got {q}")
-        return _TimeFactor(name, (q,), warp)
-    raise ConfigError(f"unknown time factor {text!r}")
+    _, build, value = _profile(text, "time")
+    return build(value, warp)
 
 
 def _source_parts(text: str):
     """The (XSPEC, TSPEC) texts of a source: None for 'none', and TSPEC
-    None for a bare space profile."""
+    'one' for a bare space profile, a time-independent source."""
     text = text.strip()
     if text in ("", "none"):
         return None
     if not text.startswith("sep:"):
-        return text, None
+        return text, "one"
     body = text[4:]
     if "|" not in body:
         raise ConfigError("sep source wants 'sep:XSPEC|TSPEC'")
@@ -238,9 +251,8 @@ def source_expr(text: str, warp: TimeWarp, system=None):
     parts = _source_parts(text)
     if parts is None:
         return None
-    xs, ts = parts
-    return SeparableSource(space_expr(xs, system),
-                           1.0 if ts is None else time_expr(ts, warp))
+    return SeparableSource(space_expr(parts[0], system),
+                           time_expr(parts[1], warp))
 
 
 # ---------------------------------------------------------------------------
@@ -610,17 +622,18 @@ _COMMANDS = {
 def _build_parser() -> _Parser:
     """The argument parser, built once per process: parsing keeps no state
     between calls, and a usage error raises before any is kept.  Flag
-    values stay strings until _config_from_args casts them."""
-    common = argparse.ArgumentParser(add_help=False)
+    values stay strings until _config_from_args casts them.  No parser
+    expands a prefix of a flag, so an abbreviated flag is an error."""
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--config", metavar="PATH")
     for key in _FLAGS:
         common.add_argument(f"--{key}")
 
-    ap = _Parser(prog="degenfrac",
+    ap = _Parser(prog="degenfrac", allow_abbrev=False,
                  description="degenerate time-fractional diffusion toolbox")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (_, what) in _COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=what,
+        sub.add_parser(name, parents=[common], help=what, allow_abbrev=False,
                        epilog="--KEY VALUE sets the config key KEY and is "
                        "read as in a config file (--tol none works); "
                        "flags override the file")

@@ -5,6 +5,7 @@ import filecmp
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -13,12 +14,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenfrac import cli
 from degenfrac.errors import (ConfigError, DegeneracyError, DomainError,
                               RegimeError, ResolutionError, SolverError,
                               VerificationError)
 from degenfrac.fracops import TimeWarp, warp_forward
+from degenfrac.solver import _TimeFactor
+
+from profile_strategies import (MODES, no_argument_profiles, profile_names,
+                                profile_texts)
 
 LAMBDA1_HALF = 4.739066397843349  # closed-form route, beta = 0.5
 
@@ -182,6 +189,40 @@ def test_usage_problems_exit_1(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["solve", "--config", str(bad), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "error: sin wants a number, got 'abc'\n"
+
+
+@pytest.mark.parametrize("keys, name", [
+    ("phi = quadratic:7\n", "quadratic"), ("phi = quadratic:\n", "quadratic"),
+    ("phi = zero:1\n", "zero"), ("f = sep:one:abc|one:2\n", "one"),
+    ("f = sep:one|one:2\n", "one")],
+    ids=["quadratic:7", "quadratic:", "zero:1", "sep-space", "sep-time"])
+def test_an_argument_a_profile_does_not_take_exits_1_naming_it(
+        tmp_path, capsys, keys, name):
+    # each of these once solved as if it had no argument, and exited 0
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text(keys)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert cli.main(["solve", "--config", str(cfgf), "--modes", "2",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {name} takes no argument, got ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--f", "json"], ["--f", "sep:one|sin:3"],
+                                  ["--be", "0.7"]],
+                         ids=["f-json", "f-source", "be"])
+def test_an_abbreviated_flag_exits_1_naming_it(tmp_path, capsys, flag):
+    # argparse once expanded a flag prefix: --f json set format and wrote
+    # solution.json, --f sep:one|sin:3 blamed format, and --be set beta
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert cli.main(["solve", "--modes", "2", *flag, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: unrecognized arguments: {' '.join(flag)}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind, code", [
@@ -738,6 +779,110 @@ def test_source_expr_forms():
         math.sin(math.pi * 0.25) * math.cos(1.5))
     with pytest.raises(ConfigError):
         cli.source_expr("sep:sin:1", warp)  # missing time factor
+
+
+def _readme_grammar():
+    """[(axis, [(name, kind), ...])] of the two backticked profile lists of
+    the README's CLI section; a placeholder names its argument's kind."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    section = re.sub(r"```.*?```", "", section, flags=re.S)
+    lists = [re.sub(r"\s+", " ", span) for span in
+             re.findall(r"`([^`]*)`", section) if " | " in span]
+    assert len(lists) == 2, lists
+    kinds = {"": None, "c": "number", "k": "integer", "c0,c1,...": "numbers"}
+    return [(axis, [(name, kinds[arg]) for name, _, arg in
+                    (entry.partition(":") for entry in span.split(" | "))])
+            for axis, span in zip(("space", "time"), lists)]
+
+
+def test_readme_grammar_is_the_profile_table():
+    table = [(axis, [(name, cli._PROFILES[name][0])
+                     for name in profile_names(axis)])
+             for axis in ("space", "time")]
+    assert _readme_grammar() == table
+
+
+def _frozen_space_expr(text, system=None):
+    """A frozen copy of space_expr before the grammar became one table: the
+    reference for the bits of every accepted text."""
+    name, _, arg = text.strip().partition(":")
+    if name in ("zero", "one", "const"):
+        c = float(arg) if name == "const" else float(name == "one")
+        return lambda x: c * np.ones_like(np.asarray(x, dtype=float))
+    if name == "quadratic":
+        return lambda x: x * (1.0 - x)
+    if name in ("sin", "cos"):
+        k, wave = float(arg), getattr(np, name)
+        return lambda x: wave(k * np.pi * x)
+    if name == "poly":
+        coefs = [float(c) for c in arg.split(",")]
+        return lambda x: np.polynomial.polynomial.polyval(x, coefs)
+    k = int(arg)
+    return lambda x: system._rows(slice(k - 1, k), x, deriv=False)[0]
+
+
+def _frozen_time_expr(text, warp):
+    """A frozen copy of time_expr before the grammar became one table."""
+    name, _, arg = text.strip().partition(":")
+    if name == "one":
+        return 1.0
+    if name == "const":
+        return float(arg)
+    if name == "poly":
+        return _TimeFactor(name, [float(c) for c in arg.split(",")])
+    return _TimeFactor(name, (float(arg),), warp if name == "spow" else None)
+
+
+#: accepted arguments of each profile, spelled as a config file may
+_ROUND_TRIP = {
+    "zero": [None], "one": [None], "quadratic": [None],
+    "const": ["2.5", "-0", " 1e-3", "inf"], "sin": ["2", "0.5", "-0"],
+    "cos": ["3", "1e2"], "poly": ["1,-0.5,2", "0", " 1 , 2"],
+    "mode": ["2", " 3", "+1"], "spow": ["0", "1.7", "0.5 "]}
+
+
+def test_every_profile_parses_as_before_the_table(eig):
+    system, warp = eig(0.5, 3), TimeWarp(0.3, 0.5)
+    x = np.linspace(0.0, 1.0, 65)[1:]
+    t = np.linspace(0.5, 2.0, 33)
+    assert list(_ROUND_TRIP) == list(cli._PROFILES)
+    for name, args in _ROUND_TRIP.items():
+        for arg in args:
+            text = name if arg is None else f"{name}:{arg}"
+            if name in profile_names("space"):
+                got = cli.space_expr(text, system)
+                want = _frozen_space_expr(text, system)
+                for xs in (x, 0.3):
+                    assert np.asarray(got(xs)).tobytes() == \
+                        np.asarray(want(xs)).tobytes(), text
+            if name in profile_names("time"):
+                got = cli.time_expr(text, warp)
+                want = _frozen_time_expr(text, warp)
+                assert type(got) is type(want) and got == want, text
+                assert hash(got) == hash(want), text
+                if callable(got):
+                    assert got(t).tobytes() == want(t).tobytes(), text
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(space=profile_texts("space"), time=profile_texts("time"),
+       bare=no_argument_profiles(),
+       arg=st.text(alphabet="01.,:-+e xq", max_size=4))
+def test_drawn_profiles_parse_finite_and_take_only_their_arguments(
+        eig, space, time, bare, arg):
+    system, warp = eig(0.5, MODES), TimeWarp(0.3, 0.5)
+    x = np.linspace(0.0, 1.0, 33)[1:]
+    t = np.linspace(0.5, 2.0, 17)
+    assert np.all(np.isfinite(cli.space_expr(space, system)(x))), space
+    factor = cli.time_expr(time, warp)
+    assert np.all(np.isfinite(factor(t) if callable(factor) else factor)), time
+    axis, name = bare
+    parse = cli.space_expr if axis == "space" else \
+        (lambda text: cli.time_expr(text, warp))
+    with pytest.raises(ConfigError) as refused:
+        parse(f"{name}:{arg}")
+    assert str(refused.value).startswith(f"{name} takes no argument")
 
 
 def _source_env():

@@ -101,6 +101,10 @@ MATRIX = (
      {"phi": "sin:1", "f": "sep:cos:0.5|sin:3"}),
     ("solve-const-profiles", ["solve", "--modes", "8"],
      {"phi": "zero", "f": "sep:const:2|cos:2"}),
+    # an eigenmode and a polynomial as space profiles: mode:5 starts the
+    # auto ladder at K = 5
+    ("solve-mode-auto", ["solve", "--modes", "auto", "--tol", "1e-3"],
+     {"phi": "poly:0,1,-1", "f": "sep:mode:5|spow:0.5"}),
     ("solve-bessel", ["solve", "--modes", "8", "--oracle", "bessel"], {}),
     # the field as solution.json, the one JSON artifact of numpy rows
     ("solve-json", ["solve", "--modes", "8", "--format", "json"], SIN3),

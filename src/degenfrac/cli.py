@@ -153,8 +153,10 @@ def _mode(k, system):
 
 
 def _spow(q, warp):
-    if q < 0.0:
-        raise ConfigError(f"spow exponent must be >= 0, got {q}")
+    # written so that a NaN fails too; an infinite q would make s^q a step
+    if not (q >= 0.0 and math.isfinite(q)):
+        raise ConfigError(f"spow exponent must be a finite number >= 0, "
+                          f"got {q}")
     return _TimeFactor("spow", (q,), warp)
 
 

@@ -36,7 +36,7 @@ from .special import _ml, _ml_exact_sums, _ml_finish, _ml_node_sums
 # and degenfrac.solver.hb_caputo, which no solver path calls
 from .fracops import hb_caputo  # noqa: F401
 from .special import ml_eval_many  # noqa: F401
-from .spectral import EigenSystem, _gauss_rule, _rule_basis, bc_requirements
+from .spectral import EigenSystem, _Projector, bc_requirements
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +295,9 @@ def _sampled(name: str, where: str, fn, x) -> np.ndarray:
 
 def fourier_coeff(g, sys: EigenSystem, k: int) -> float:
     """Coefficient int_0^1 g(x) v_k(x) dx against the orthonormal basis."""
-    X, W = _gauss_rule(sys)
     sys._check_k(k)
-    vk = _rule_basis(sys, slice(k - 1, k))[0]
-    return float(np.dot(W, _eval_vec(g, X) * vk))
+    proj = _Projector(sys, slice(k - 1, k))
+    return float(proj.coeffs(_eval_vec(g, proj.X))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -584,16 +583,6 @@ def mode_solution_alt(ode: ModeODE, t_grid) -> ModeTrajectory:
 # ---------------------------------------------------------------------------
 
 
-def _projection_defect(W, vals, coeffs, basis) -> float:
-    """L2 distance between a function (values at the Gauss points) and its
-    projection on the modes whose coefficients are given (basis: the modes
-    at the Gauss points).  The Galerkin modes are orthonormal under the rule
-    by construction, so this equals sqrt(|f|^2 - sum c_k^2) to roundoff;
-    the norm of the difference keeps that true for any basis."""
-    res = vals - coeffs @ basis
-    return math.sqrt(float(np.dot(W, res * res)))
-
-
 #: cells of the time table that samples a source's sup and a general f(x, t)
 _SOURCE_NODES = 192
 
@@ -608,7 +597,7 @@ def _source_times(spec: ProblemSpec) -> np.ndarray:
     return tg[np.concatenate(([True], np.diff(tg) > 0.0))]
 
 
-def _source_coeffs(spec: ProblemSpec, K: int, X, W, basis):
+def _source_coeffs(spec: ProblemSpec, K: int, proj: _Projector):
     """The modes' source f_k(t) = int f(x,t) v_k(x) dx (None, K declared
     constants, or a _Signal: the time factor mixed by the coefficients of
     fx for a SeparableSource, one curve per mode otherwise), and the
@@ -617,11 +606,11 @@ def _source_coeffs(spec: ProblemSpec, K: int, X, W, basis):
     if spec.f is None:
         return None, 0.0
     if isinstance(spec.f, SeparableSource):
-        fx = _sampled("f", "(0, 1)", spec.f.fx, X)
-        cks = basis @ (W * fx)
+        fx = _sampled("f", "(0, 1)", spec.f.fx, proj.X)
+        cks = proj.coeffs(fx)
         ft = spec.f.ft
         # f - P_K f = ft(t) (fx - P_K fx): the defect scales with |ft|
-        fx_defect = _projection_defect(W, fx, cks, basis)
+        fx_defect = proj.defect(fx, cks)
         if _is_real(ft):
             return cks * float(ft), abs(ft) * fx_defect
         ft_table = _sampled("f", "[a, T]", ft, _source_times(spec))
@@ -635,9 +624,10 @@ def _source_coeffs(spec: ProblemSpec, K: int, X, W, basis):
     F = np.empty((K, tg.size))
     defect = 0.0
     for j, tj in enumerate(tg):
-        fj = _sampled("f", "(0, 1) x [a, T]", lambda xx: spec.f(xx, tj), X)
-        F[:, j] = basis @ (W * fj)
-        defect = max(defect, _projection_defect(W, fj, F[:, j], basis))
+        fj = _sampled("f", "(0, 1) x [a, T]", lambda xx: spec.f(xx, tj),
+                      proj.X)
+        F[:, j] = proj.coeffs(fj)
+        defect = max(defect, proj.defect(fj, F[:, j]))
     return _Signal(SampledFunction.from_table(tg, F)), defect
 
 
@@ -664,21 +654,20 @@ def assemble(spec: ProblemSpec, sys: EigenSystem, K: int, x_grid, t_grid,
     t = _check_t_grid(t_grid, spec.a, spec.T)
     _check_count("conv_cells", conv_cells)
 
-    X, W = _gauss_rule(sys)
-    basis = _rule_basis(sys, slice(K))
-    phi_vals = _sampled("phi", "(0, 1)", spec.phi, X)
-    phi_c = basis @ (W * phi_vals)
+    proj = _Projector(sys, slice(K))
+    phi_vals = _sampled("phi", "(0, 1)", spec.phi, proj.X)
+    phi_c = proj.coeffs(phi_vals)
 
     _warn_bc_compat(spec, phi_vals)
 
-    source, src_defect = _source_coeffs(spec, K, X, W, basis)
+    source, src_defect = _source_coeffs(spec, K, proj)
     lams = np.asarray(sys.lambdas[:K], dtype=float)
     modes_at = partial(_modes_values, spec.alpha, spec.warp, lams, phi_c,
                        source, "single_kernel", conv_cells)
     mv = modes_at(warp_forward(spec.warp, t))
     values = mv.T @ sys.basis_matrix(x)[:K]
 
-    diags = _truncation_diagnostics(spec, sys, K, W, basis, phi_vals, phi_c,
+    diags = _truncation_diagnostics(spec, sys, K, proj, phi_vals, phi_c,
                                     src_defect, mv)
     fld = SolutionField(x, t, values, K, spec.regime, diags,
                         mode_lambdas=lams, mode_values=mv, mode_phi=phi_c,
@@ -703,9 +692,9 @@ def _warn_bc_compat(spec: ProblemSpec, phi_vals: np.ndarray) -> None:
                       stacklevel=3)
 
 
-def _truncation_diagnostics(spec, sys, K, W, basis, phi_vals, phi_c,
+def _truncation_diagnostics(spec, sys, K, proj, phi_vals, phi_c,
                             src_defect, mv) -> dict:
-    phi_defect = _projection_defect(W, phi_vals, phi_c, basis)
+    phi_defect = proj.defect(phi_vals, phi_c)
     S_T = warp_forward(spec.warp, spec.T)
     p = spec.warp.p
     # crude Duhamel scale for how strongly a source tail can feed the field

@@ -13,7 +13,10 @@ modes are checked to vanish at x = 1.
 Projections and L2 inner products on a mesh take one quadrature, the
 projection rule (`_gauss_rule`).  The Galerkin mass matrix is the hats'
 Gram matrix under it, so the Galerkin eigenbasis is orthonormal under it
-by construction.
+by construction.  A projection (`_Projector`) of a Galerkin system works
+on hat coefficients and costs O(n) whatever the number of modes; the
+closed-form route projects through its table of the modes at the rule's
+nodes (`_rule_basis`), which otherwise serves only orthogonality_report.
 """
 from __future__ import annotations
 
@@ -157,6 +160,8 @@ _QUAD = 8
 #: the Gauss-Legendre nodes as fractions of a cell, and their weights
 _GL_T, _GL_W = np.polynomial.legendre.leggauss(_QUAD)
 _GL_T, _GL_W = 0.5 * (1.0 + _GL_T), 0.5 * _GL_W
+#: a cell's left and right hat at those nodes, shape (_QUAD, 2)
+_GL_HATS = np.column_stack((1.0 - _GL_T, _GL_T))
 
 
 def _rule(beta: float, ynodes: np.ndarray):
@@ -223,12 +228,16 @@ def _shift_invert_lanczos(a, a_off, m, m_off, K: int):
     """Lowest K eigenpairs of the tridiagonal pencil A v = lambda M v, both
     symmetric positive definite, each given as (diagonal, off-diagonal).
 
-    Lanczos on A^{-1} M, which is self-adjoint in the M-inner product, with
-    full reorthogonalization (Ericsson & Ruhe, Math. Comp. 35 (1980)
-    1251-1268), started from the vector of ones so that every call gives
-    the same bits.  A step is one solve with the tridiagonal Cholesky factor
-    of A (LAPACK dpttrf/dpttrs) and a few three-band products.  It stops once
-    every wanted Ritz value theta_i = 1/lambda_i meets ARPACK's tol = 0 test
+    Lanczos on A^{-1} M, which is self-adjoint in the M-inner product
+    (Ericsson & Ruhe, Math. Comp. 35 (1980) 1251-1268), started from the
+    vector of ones so that every call gives the same bits.  A step is one
+    solve with the tridiagonal Cholesky factor of A (LAPACK dpttrf/dpttrs),
+    the local three-term step (subtract alpha_j q_j and beta_{j-1} q_{j-1}),
+    then one full pass of classical Gram-Schmidt in the M-inner product
+    against every Lanczos vector, read from their kept M-images M q_i, and
+    one three-band mass product for the new vector's M-image: two
+    Krylov-sized GEMVs in all.  It stops once every wanted Ritz value
+    theta_i = 1/lambda_i meets ARPACK's tol = 0 test
     |beta_j s_ji| <= eps theta_i.  Returns the lambdas ascending and the
     M-orthonormal Ritz vectors as rows.
     """
@@ -246,26 +255,29 @@ def _shift_invert_lanczos(a, a_off, m, m_off, K: int):
     # converged within 1.7 K + 45 steps; the Krylov dimension cannot pass
     # the matrix size
     cap = min(a.size, 2 * K + 64)
-    Q = np.empty((cap + 1, a.size))
+    # the Lanczos vectors and their M-images, one row each
+    Q, MQ = np.empty((cap + 1, a.size)), np.empty((cap + 1, a.size))
     alphas, betas = np.empty(cap), np.empty(cap)
     q = np.ones(a.size)
     Mq = mass(q)
     r = math.sqrt(q @ Mq)
-    Q[0] = q / r
-    Mq /= r
+    Q[0], MQ[0] = q / r, Mq / r
+    b = 0.0
     for j in range(cap):
-        w = dpttrs(d, e, Mq)[0]
-        Mw = mass(w)
-        w_norm = math.sqrt(w @ Mw)
+        w = dpttrs(d, e, MQ[j])[0]
+        alpha = MQ[j] @ w
+        w -= alpha * Q[j]
+        if j:
+            w -= b * Q[j - 1]
         Qj = Q[:j + 1]
-        # classical Gram-Schmidt twice against every Lanczos vector
-        c = Qj @ Mw
+        c = MQ[:j + 1] @ w
         w -= c @ Qj
-        c2 = Qj @ mass(w)
-        w -= c2 @ Qj
-        alphas[j] = c[j] + c2[j]
+        alphas[j] = alpha + c[j]
         Mw = mass(w)
-        betas[j] = b = math.sqrt(w @ Mw)
+        ww = w @ Mw
+        # |w|_M before the step, by Pythagoras over the parts taken off
+        w_norm = math.sqrt(alpha * alpha + b * b + c @ c + ww)
+        betas[j] = b = math.sqrt(ww)
         if j + 1 >= K:
             # theta_K, the smallest wanted, converges last as a rule: test
             # it alone before paying for all K vectors
@@ -277,8 +289,7 @@ def _shift_invert_lanczos(a, a_off, m, m_off, K: int):
                     return 1.0 / theta[::-1], s[:, ::-1].T @ Qj
         if not b > _EPS * w_norm:
             raise SolverError(f"Lanczos broke down at step {j + 1} of {K} wanted")
-        Q[j + 1] = w / b
-        Mq = Mw / b
+        Q[j + 1], MQ[j + 1] = w / b, Mw / b
     raise SolverError(f"{K} eigenpairs not converged in {cap} Lanczos steps")
 
 
@@ -497,6 +508,68 @@ def _rule_basis(sys: EigenSystem, rows: slice) -> np.ndarray:
     v = slopes[rows, :, None] * (X.reshape(-1, _QUAD) ** e - ynodes[:-1, None])
     v += vecs[rows, :-1, None]
     return v.reshape(v.shape[0], -1)
+
+
+class _Projector:
+    """L2 projection on the modes in rows of a system under the projection
+    rule (X, W of `_gauss_rule`): coeffs(vals) are the coefficients
+    c_k = sum W g v_k of a function g given by its values at X, and
+    defect(vals, c) the rule's L2 norm of g - sum c_k v_k.
+
+    A Galerkin mode is a vector of hat coefficients, so no mode is
+    tabulated at X.  The load vector b_i = sum W g phi_i of the hats takes
+    one product of the cells' weighted values with their left and right
+    hats at the Gauss-Legendre fractions the cells share (the first cell,
+    Gauss-Jacobi for beta < 1, apart), the coefficients are vecs @ b for
+    the modes' hat coefficients vecs, and sum_k c_k v_k at X is the line
+    through the nodal values c @ vecs on each cell: O(n) work whatever the
+    number of modes.  The coefficients are the projection's because the
+    modes are orthonormal under the rule (M-orthonormal, M the hats' Gram
+    matrix under it), which orthogonality_report checks.  The closed-form
+    route keeps its table of `_rule_basis`."""
+
+    def __init__(self, sys: EigenSystem, rows: slice):
+        self.X, self.W = _gauss_rule(sys)
+        self._vecs = self._table = None
+        if sys.method_tag != "galerkin_numeric":
+            self._table = _rule_basis(sys, rows)
+            return
+        e, ynodes, vecs, _ = sys._payload
+        self._vecs = vecs[rows]  # the modes as hat coefficients
+        # the first cell's hats at its nodes, their fractions as _rows sees
+        # them; every other cell's are _GL_HATS
+        t0 = self.X[:_QUAD] ** e / ynodes[1]
+        self._hats0 = np.column_stack((1.0 - t0, t0))
+
+    def coeffs(self, vals: np.ndarray) -> np.ndarray:
+        g = self.W * vals
+        if self._vecs is None:
+            return self._table @ g
+        g = g.reshape(-1, _QUAD)
+        lr = np.empty((g.shape[0], 2))
+        lr[0] = g[0] @ self._hats0
+        lr[1:] = g[1:] @ _GL_HATS
+        b = np.append(lr[:, 0], 0.0)
+        b[1:] += lr[:, 1]
+        return self._vecs @ b
+
+    def values(self, c: np.ndarray) -> np.ndarray:
+        """sum_k c_k v_k at the rule's nodes."""
+        if self._vecs is None:
+            return c @ self._table
+        u = c @ self._vecs
+        ends = np.column_stack((u[:-1], u[1:]))  # each cell's nodal values
+        v = ends @ _GL_HATS.T
+        v[0] = self._hats0 @ ends[0]
+        return v.ravel()
+
+    def defect(self, vals: np.ndarray, c: np.ndarray) -> float:
+        """The rule's L2 norm of vals - sum_k c_k v_k.  The Galerkin modes
+        are orthonormal under the rule by construction, so this equals
+        sqrt(|g|^2 - sum c_k^2) to roundoff; the norm of the difference
+        keeps that true for any basis."""
+        res = vals - self.values(c)
+        return math.sqrt(float(np.dot(self.W, res * res)))
 
 
 def orthogonality_report(sys: EigenSystem) -> OrthogonalityReport:

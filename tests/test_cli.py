@@ -482,6 +482,20 @@ def test_non_finite_data_exits_2_naming_it(tmp_path, capsys, keys, message):
     assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
 
 
+@pytest.mark.parametrize("q", ["inf", "nan", "-inf"])
+def test_a_non_finite_spow_exponent_exits_1_naming_spow(tmp_path, capsys, q):
+    # spow:inf once solved a source that is 0 on [a, T) and 1 at T and
+    # exited 0, and spow:nan exited 2 blaming f
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text(f"f = sep:one|spow:{q}\nmodes = 2\n")
+    capsys.readouterr()
+    assert cli.main(["solve", "--config", str(cfgf),
+                     "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: spow exponent must be a finite number >= 0, "
+                   f"got {float(q)}"]
+
+
 @pytest.mark.parametrize("keys,message", [
     ("phi = poly:1e308,1e308", "phi must be finite on (0, 1)"),
     ("f = sep:one|cos:inf", "f must be finite on [a, T]"),

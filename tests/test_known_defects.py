@@ -8,6 +8,7 @@ reports as a failure: that change removes the marker, and the test stays
 as a regression test.  No marker goes on a test that passes.
 """
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ import pytest
 
 from degenfrac import cli
 from degenfrac.solver import assemble, residual_strong
+from degenfrac.spectral import _Projector, solve_eigen
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -90,6 +92,42 @@ def test_a_weak_regime_solve_writes_u_0_within_the_data_bound(tmp_path):
         rows = (out / "solution.csv").read_text().splitlines()[1:]
         u0 = np.array([float(row.split(",")[1]) for row in rows])
         assert np.max(np.abs(u0)) <= 0.25
+
+
+@known(
+    "ROADMAP item 2: with no source at K = 16 the tail reads 2.0e-4, "
+    "against a true error of 1.2e-7")
+def test_the_no_source_tail_is_within_10x_of_the_true_error(system16):
+    cfg = replace(FORCED, f="none")
+    ts, x = np.geomspace(0.05, cfg.T, 16), np.linspace(0.0, 1.0, 3)
+    field = assemble(cli._build_problem(cfg, system16), system16, 16, x, ts)
+    # the true error: the sup over t in [0.05, 1] of the L2 distance to
+    # the K = 96 field on an 8,192-cell mesh, under that mesh's rule
+    ref_sys = solve_eigen(cfg.beta, 96, 8192)
+    ref = assemble(cli._build_problem(cfg, ref_sys), ref_sys, 96, x, ts)
+    proj = _Projector(ref_sys, slice(96))
+    modes16 = system16.basis_matrix(proj.X)
+    true = max(
+        math.sqrt(np.dot(proj.W, (proj.values(ref.mode_values[:, j])
+                                  - field.mode_values[:, j] @ modes16) ** 2))
+        for j in range(ts.size))
+    assert field.diagnostics["tail_estimate_l2"] <= 10.0 * true
+
+
+@known(
+    "ROADMAP item 17: with every eigenvalue scaled by 1.01, spectral_vs_fd "
+    "reads 9.1e-3 against its 1e-2, and verify --beta 0.5 exits 0")
+def test_verify_fails_on_eigenvalues_scaled_by_1_01(tmp_path, monkeypatch):
+    real = cli.solve_eigen
+
+    def scaled(*args, **kwargs):
+        system = real(*args, **kwargs)
+        system.lambdas = 1.01 * system.lambdas
+        return system
+
+    monkeypatch.setattr(cli, "solve_eigen", scaled)
+    rc = cli.main(["verify", "--beta", "0.5", "--out", str(tmp_path / "o")])
+    assert rc == 4
 
 
 @known(

@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
-from degenfrac import cli, fracops, solver, special
+from degenfrac import cli, fracops, solver, special, spectral
 from degenfrac.errors import DomainError, RegimeError, ResolutionError
 from degenfrac.fracops import (SampledFunction, TimeWarp, _l1_cells, _l1_rows,
                                graded_grid, hb_caputo, warp_forward)
@@ -100,6 +100,29 @@ def test_fourier_coeff_orthonormal_delta(eig):
             g = lambda x: sys.eigen_eval(j, x)[0]
             c = fourier_coeff(g, sys, k)
             assert c == pytest.approx(1.0 if j == k else 0.0, abs=5e-9)
+
+
+@pytest.mark.parametrize("f", [
+    SeparableSource(lambda x: x * (1.0 - x), np.cos),
+    lambda x, t: np.sqrt(x) * (1.0 - x) * np.sin(3.0 * t)],
+    ids=["separable", "tabulated"])
+def test_galerkin_projections_tabulate_no_mode(eig, monkeypatch, f):
+    # a Galerkin mode is a vector of hat coefficients: assemble, its
+    # sources and fourier_coeff project through them, so no path here
+    # evaluates the modes at the rule's nodes
+    def tabulate(*args):
+        raise AssertionError("_rule_basis called on a Galerkin system")
+
+    for module in (spectral, solver):  # wherever the name is bound
+        monkeypatch.setattr(module, "_rule_basis", tabulate, raising=False)
+    sys = eig(0.5, 16)
+    spec = ProblemSpec(0.6, 0.3, 0.5, 0.0, 1.0, lambda x: x * (1.0 - x), f)
+    fld = assemble(spec, sys, 16, np.linspace(0.0, 1.0, 9),
+                   np.linspace(0.25, 1.0, 4))
+    assert np.all(np.isfinite(fld.values))
+    assert fld.diagnostics["source_projection_defect_l2"] > 0.0
+    assert fourier_coeff(np.cos, sys, 3) == pytest.approx(
+        fourier_coeff(np.cos, solve_eigen(0.5, 3), 3), rel=1e-12)
 
 
 def test_homogeneous_mode_matches_ml_kernel():

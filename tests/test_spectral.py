@@ -13,6 +13,7 @@ from degenfrac.errors import (DegeneracyError, DomainError, ResolutionError,
 from degenfrac.spectral import (
     _assemble_p1,
     _gauss_rule,
+    _Projector,
     _mesh,
     _rule,
     _rule_basis,
@@ -319,6 +320,47 @@ def test_modes_are_orthonormal_under_the_projection_rule(eig, beig, beta, K,
     assert worst(beig(beta, K)) <= 1e-12
 
 
+#: functions a projection test projects: smooth, with the eigenfunctions'
+#: endpoint behaviour, and with a kink in the middle of a cell
+_PROJECTED = (lambda x: x * (1.0 - x),
+              lambda x: np.sqrt(x) * np.cos(5.0 * x),
+              lambda x: np.abs(x - 0.3) * np.exp(x))
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.5, 1.5, 1.95])
+@pytest.mark.parametrize("K", [1, 16, 64])
+def test_the_projector_matches_the_tabulated_modes(eig, beta, K):
+    # the hat-coefficient projector against the table of every mode at
+    # every node of the rule, which it replaces
+    sys = eig(beta, K)
+    X, W = _gauss_rule(sys)
+    table = sys.basis_matrix(X)
+    proj = _Projector(sys, slice(K))
+    for g in _PROJECTED:
+        vals = g(X)
+        ref = table @ (W * vals)
+        c = proj.coeffs(vals)
+        assert np.max(np.abs(c - ref)) <= 1e-13 * np.max(np.abs(ref))
+        ref_defect = math.sqrt(np.dot(W, (vals - ref @ table) ** 2))
+        assert abs(proj.defect(vals, c) - ref_defect) <= 1e-12 * ref_defect
+    # one mode alone, as fourier_coeff asks for it
+    one = _Projector(sys, slice(K - 1, K)).coeffs(vals)
+    assert one.shape == (1,)
+    assert abs(one[0] - c[-1]) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_the_closed_form_projector_keeps_its_table(beig):
+    sys = beig(0.5, 4)
+    X, W = _gauss_rule(sys)
+    table = _rule_basis(sys, slice(4))
+    proj = _Projector(sys, slice(4))
+    vals = _PROJECTED[1](X)
+    c = proj.coeffs(vals)
+    assert np.array_equal(c, table @ (W * vals))
+    res = vals - c @ table
+    assert proj.defect(vals, c) == math.sqrt(float(np.dot(W, res * res)))
+
+
 def _exact_mass(beta, ynodes, c):
     """(ll, lr, rr): int phi_a phi_b dx over cell c for its two hats, linear
     in y = x^e, as moments of dx = y^sigma dy / e at 60 digits."""
@@ -472,3 +514,64 @@ def test_lanczos_raises_rather_than_return_unconverged_pairs():
     with pytest.raises(SolverError, match="not converged"):
         _shift_invert_lanczos(1.0 + 1e-10 * np.arange(n), zeros(n - 1),
                               np.ones(n), zeros(n - 1), 1)
+
+
+def _pencil(beta, n):
+    """The bands (a, a_off, m, m_off) of the Galerkin pencil on n cells,
+    Dirichlet rows dropped, as _galerkin hands them to the Lanczos."""
+    ynodes = _mesh(beta, n)
+    T, _, W = _rule(beta, ynodes)
+    (s, s_off), (m, m_off) = _assemble_p1(beta, ynodes, T, W)
+    lo = 1 if beta < 1.0 else 0
+    return s[lo:n], s_off[lo:n - 1], m[lo:n], m_off[lo:n - 1]
+
+
+def _bisected_eigenvalues(a, a_off, m, m_off, K):
+    """The lowest K eigenvalues of the tridiagonal pencil by bisection on
+    the inertia of A - s M (Sylvester), its LDL^T pivots taken in long
+    double: a reference good to about 1e-16 relative, where a dense
+    solver is not (below)."""
+    a, a_off, m, m_off = (np.asarray(v, dtype=np.longdouble)
+                          for v in (a, a_off, m, m_off))
+    wanted = np.arange(1, K + 1)
+
+    def below(s):  # the number of eigenvalues below each shift
+        d = a[0] - s * m[0]
+        count = (d < 0.0).astype(int)
+        for i in range(1, a.size):
+            off = a_off[i - 1] - s * m_off[i - 1]
+            d = a[i] - s * m[i] - off * off / d
+            count += d < 0.0
+        return count
+
+    lo, hi = np.zeros(K, dtype=np.longdouble), np.ones(K, dtype=np.longdouble)
+    while np.any(below(hi) < wanted):
+        hi *= 2.0
+    for _ in range(72):
+        mid = 0.5 * (lo + hi)
+        up = below(mid) >= wanted
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.95, 1.5, 1.95])
+def test_lanczos_eigenvalues_match_an_exact_reference_on_512_cells(beta):
+    # a dense scipy.linalg.eigh of the pencil is itself up to 6.7e-13 (of
+    # (M, A)) or 3.4e-11 (of (A, M)) off this reference on 512 cells, so it
+    # cannot referee the Lanczos; the Lanczos is within 1.8e-13 at every
+    # K, the conditioning of the factored stiffness
+    bands = _pencil(beta, 512)
+    ref = _bisected_eigenvalues(*bands, 32)
+    lam, _ = _shift_invert_lanczos(*bands, 32)
+    assert np.max(np.abs((lam - ref) / ref)) <= 3e-13
+
+
+@pytest.mark.parametrize("beta, K, mesh", [
+    (0.95, 64, 16384), (0.3, 64, 2048), (1.7, 128, 2048), (1.95, 32, 2048)])
+def test_lanczos_ritz_vectors_are_m_orthonormal(beta, K, mesh):
+    # one classical Gram-Schmidt pass per step after the three-term step
+    # keeps the Krylov basis M-orthonormal to roundoff
+    a, a_off, m, m_off = _pencil(beta, mesh)
+    _, V = _shift_invert_lanczos(a, a_off, m, m_off, K)
+    gram = V @ _band_product(m, m_off, V).T
+    assert np.max(np.abs(gram - np.eye(K))) <= 1e-13

@@ -48,6 +48,8 @@ MATRIX = (
     # lambda_64 at beta 0.95 takes the refined 16,384-cell mesh
     ("eigen-b0.95-k64", ["eigen", "--modes", "64", "--beta", "0.95"], {}),
     ("eigen-b1.5", ["eigen", "--modes", "8", "--beta", "1.5"], {}),
+    # the most Lanczos steps of the matrix: 2 K + 64 = 320 may be taken
+    ("eigen-b1.7-k128", ["eigen", "--modes", "128", "--beta", "1.7"], {}),
     ("eigen-b1.5-bessel", ["eigen", "--modes", "8", "--beta", "1.5",
                            "--oracle", "bessel"], {}),
     # nu = 4, above the orders 1/3 and 1 of the other Bessel cases
